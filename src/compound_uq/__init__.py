@@ -13,7 +13,6 @@ from .analysis import (
     StratifiedRateResult,
     SynergyReport,
     degradation,
-    epistemic_gap,
     kappa_trace_stats,
     stratified_rate_test,
     superadditive_rate,
@@ -37,8 +36,9 @@ from .ensemble import (
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
+    disagreement,
 )
-from .envs import DriftBot, EpisodeTrace, MassSpring1D, Transition, make_env
+from .envs import DriftBot, MassSpring1D, Transition, make_env
 from .errors import (
     CalibrationError,
     CompoundUQError,
@@ -77,7 +77,6 @@ from .policy import (
     candidate_actions,
     composite_value,
     delta_budget,
-    dis_score,
     select_action,
     task_affinity,
 )
@@ -86,7 +85,6 @@ from .rollout import (
     SweepOutcome,
     build_eval_rows,
     calibrate,
-    model_mse_on,
     run_condition,
     run_sweep,
 )

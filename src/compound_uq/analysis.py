@@ -370,21 +370,6 @@ def kappa_trace_stats(
     )
 
 
-def epistemic_gap(adaptive_theta_mse: float, frozen_theta_mse: float) -> float:
-    """Current-model prediction error on ground-truth-dynamics transitions.
-
-    The gap is the adaptive (currently deployed) model's error; the frozen
-    model's error on the same transitions is taken as reference context
-    for reports. Both must be nonnegative. An adaptive model that has
-    fully tracked the shift scores 0 regardless of how wrong the frozen
-    model remains.
-    """
-    for name, v in (("adaptive_theta_mse", adaptive_theta_mse), ("frozen_theta_mse", frozen_theta_mse)):
-        if not math.isfinite(v) or v < 0:
-            raise InputError(f"{name} must be finite and nonnegative, got {v}")
-    return float(adaptive_theta_mse)
-
-
 DEGRADATION_CSV_FIELDS = (
     "config_id",
     "return_c1",

@@ -30,8 +30,16 @@ from .errors import (
     LifecycleError,
 )
 from .perturb import ConditionSpec
-from .policy import PolicySettings
-from .rollout import build_degradation_records, calibrate, read_trace, run_condition, run_sweep, write_trace
+from .rollout import (
+    POLICY_MODES,
+    build_degradation_records,
+    calibrate,
+    policy_mode_settings,
+    read_trace,
+    run_condition,
+    run_sweep,
+    write_trace,
+)
 from .snapshot import CalibrationSnapshot, atomic_write_text
 from .version import TOOLKIT_VERSION
 
@@ -99,18 +107,10 @@ def cmd_run(args) -> int:
         shift=_parse_shift(args.shift),
         onset_t=cfg.onset_t,
     )
-    if args.policy_mode == "monitor":
-        policy = PolicySettings(
-            alpha_max=0.0,
-            lambda_risk=cfg.policy.lambda_risk,
-            delta_max=cfg.policy.delta_max,
-            n_candidates=cfg.policy.n_candidates,
-        )
-        result = run_condition(
-            cfg, snapshot, condition, seed=args.seed, policy_settings=policy, adaptive_enabled=False
-        )
-    else:
-        result = run_condition(cfg, snapshot, condition, seed=args.seed)
+    policy, adaptive = policy_mode_settings(cfg, args.policy_mode)
+    result = run_condition(
+        cfg, snapshot, condition, seed=args.seed, policy_settings=policy, adaptive_enabled=adaptive
+    )
     out = args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_trace(out, cfg, snapshot, result, policy_mode=args.policy_mode)
@@ -125,10 +125,6 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
-    if args.workers is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, sweep_workers=args.workers)
     snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot))
     out_dir = args.out_dir or os.path.join(cfg.output_dir, "sweep")
     outcome = run_sweep(
@@ -231,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--policy-mode",
-        choices=("monitor", "adaptive"),
+        choices=POLICY_MODES,
         default="monitor",
         help="monitor: scripted task policy, frozen models; adaptive: probing policy with online updates",
     )
@@ -242,11 +238,10 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--snapshot", help="snapshot path")
     p.add_argument("--out-dir", help="directory for traces and reports")
-    p.add_argument("--workers", type=int, help="override sweep worker count")
     p.add_argument("--no-resume", action="store_true", help="rerun cells even when traces exist")
     p.add_argument(
         "--policy-mode",
-        choices=("monitor", "adaptive"),
+        choices=POLICY_MODES,
         default="monitor",
         help="monitor: scripted task policy, frozen models; adaptive: probing policy with online updates",
     )

@@ -5,17 +5,16 @@ unknown keys at any level are errors, because a silently ignored typo in
 a sweep config can burn hours of compute before anyone notices.
 
 ``config_hash`` is a sha256 over the canonical JSON of the resolved
-config, excluding purely operational fields (output directory, worker
-count) that must not affect emitted bytes. Every output file embeds this
-hash, so two artifact trees with equal hashes are comparable
-byte for byte.
+config, excluding the output directory, which must not affect emitted
+bytes. Every output file embeds this hash, so two artifact trees with
+equal hashes are comparable byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ensemble import TrainSettings
 from .errors import InputError
@@ -71,7 +70,6 @@ class ExperimentConfig:
     thresholds: ThresholdOverrides = field(default_factory=ThresholdOverrides)
     probe_episodes: int = 1
     calibration_seed: int = 0
-    sweep_workers: int = 1
     output_dir: str = "runs"
 
     def to_dict(self) -> dict:
@@ -115,7 +113,6 @@ class ExperimentConfig:
             },
             "probe_episodes": self.probe_episodes,
             "calibration_seed": self.calibration_seed,
-            "sweep_workers": self.sweep_workers,
             "output_dir": self.output_dir,
         }
 
@@ -123,12 +120,8 @@ class ExperimentConfig:
         """Hash of everything that can influence emitted artifact bytes."""
         content = self.to_dict()
         content.pop("output_dir")
-        content.pop("sweep_workers")
         blob = json.dumps(content, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def with_output_dir(self, output_dir: str) -> "ExperimentConfig":
-        return replace(self, output_dir=output_dir)
 
 
 def _require_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -155,7 +148,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             "thresholds",
             "probe_episodes",
             "calibration_seed",
-            "sweep_workers",
             "output_dir",
         },
         "config root",
@@ -240,7 +232,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         thresholds=thresholds,
         probe_episodes=int(raw.get("probe_episodes", defaults.probe_episodes)),
         calibration_seed=int(raw.get("calibration_seed", defaults.calibration_seed)),
-        sweep_workers=int(raw.get("sweep_workers", defaults.sweep_workers)),
         output_dir=str(raw.get("output_dir", defaults.output_dir)),
     )
     _validate_config(cfg)
@@ -261,8 +252,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise InputError("t_pre must be positive")
     if cfg.probe_episodes < 1:
         raise InputError("probe_episodes must be positive")
-    if cfg.sweep_workers < 1:
-        raise InputError("sweep_workers must be positive")
     for shift in cfg.grid.shift_levels:
         validate_shift_for_env(cfg.env_id, shift)
 

@@ -84,9 +84,6 @@ class ReplayBuffer:
             self._episodes.append([])
         self._episodes[-1].append(tr)
 
-    def add_episode(self, transitions) -> None:
-        self._episodes.append(list(transitions))
-
     def __len__(self) -> int:
         return sum(len(ep) for ep in self._episodes)
 
@@ -161,14 +158,6 @@ class Ensemble:
         h = np.maximum(0.0, np.einsum("bi,mih->mbh", xn, self.w1) + self.b1[:, None, :])
         yn = np.einsum("mbh,mho->mbo", h, self.w2) + self.b2[:, None, :]
         return self.y_norm.decode(yn)
-
-    def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_members(x).mean(axis=0)
-
-    def disagreement(self, x: np.ndarray) -> np.ndarray:
-        """Trace of the across-member population covariance of predictions."""
-        preds = self.predict_members(x)
-        return preds.var(axis=0, ddof=0).sum(axis=-1)
 
     def mse(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-row ensemble error: mean over members of the squared norm.
@@ -257,6 +246,16 @@ class Ensemble:
             seed=int(d["seed"]),
             frozen=bool(d["frozen"]),
         )
+
+
+def disagreement(member_preds: np.ndarray) -> np.ndarray:
+    """Information-gain surrogate: ensemble disagreement per input row.
+
+    ``member_preds`` is the (M, B, out_dim) output of ``predict_members``;
+    the score is the trace of the across-member population covariance.
+    With two members predicting d and d + e it equals ||e||^2 / 4.
+    """
+    return member_preds.var(axis=0, ddof=0).sum(axis=-1)
 
 
 MOMENTUM = 0.9

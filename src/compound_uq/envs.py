@@ -28,7 +28,7 @@ layer has no access path to environment instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,55 +59,6 @@ class Transition:
     reward: float
     risk: float
     t: int
-
-
-@dataclass
-class EpisodeTrace:
-    """Ordered transitions of one episode plus bookkeeping."""
-
-    transitions: list[Transition] = field(default_factory=list)
-    terminal: bool = False
-    condition_label: str = "C1"
-
-    def episode_return(self) -> float:
-        return float(sum(tr.reward for tr in self.transitions))
-
-    def to_jsonl_lines(self):
-        import json
-
-        for tr in self.transitions:
-            yield json.dumps(transition_to_dict(tr), sort_keys=True)
-
-    @classmethod
-    def from_jsonl_lines(cls, lines, terminal: bool = True, condition_label: str = "C1") -> "EpisodeTrace":
-        import json
-
-        transitions = [transition_from_dict(json.loads(line)) for line in lines if line.strip()]
-        return cls(transitions=transitions, terminal=terminal, condition_label=condition_label)
-
-
-def transition_to_dict(tr: Transition) -> dict:
-    return {
-        "t": tr.t,
-        "obs": [float(v) for v in tr.obs],
-        "action": [float(v) for v in tr.action],
-        "next_obs": [float(v) for v in tr.next_obs],
-        "delta": [float(v) for v in tr.delta],
-        "reward": float(tr.reward),
-        "risk": float(tr.risk),
-    }
-
-
-def transition_from_dict(d: dict) -> Transition:
-    return Transition(
-        obs=np.asarray(d["obs"], dtype=float),
-        action=np.asarray(d["action"], dtype=float),
-        next_obs=np.asarray(d["next_obs"], dtype=float),
-        delta=np.asarray(d["delta"], dtype=float),
-        reward=float(d["reward"]),
-        risk=float(d["risk"]),
-        t=int(d["t"]),
-    )
 
 
 def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
@@ -146,10 +97,6 @@ class _BaseEnv:
     @classmethod
     def default_params(cls) -> DynamicsParams:
         raise NotImplementedError
-
-    @property
-    def d_total(self) -> int:
-        return len(self.OBS_NAMES)
 
     def _check_bound(self, name: str, value: float) -> None:
         if name not in self.PARAM_BOUNDS:
@@ -195,7 +142,7 @@ class DriftBot(_BaseEnv):
     small control cost; risk is proximity to the arena boundary (zero in
     the interior, 1.0 at the wall, growing beyond).
 
-    Observation layout (``d_total = 8``)::
+    Observation layout (8 dims)::
 
         0 x          robot x position
         1 y          robot y position
@@ -336,7 +283,7 @@ class MassSpring1D(_BaseEnv):
     deviation ``FORCE_NOISE_STD``. Reward is ``-|x'|``; risk is the
     overshoot beyond the safe band ``|x| <= X_LIMIT`` (zero inside it).
 
-    Observation layout (``d_total = 2``): ``0 position, 1 velocity``.
+    Observation layout (2 dims): ``0 position, 1 velocity``.
     Velocity is masked before position as the masked fraction rises.
     """
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble
 from .errors import InputError
 from .kappa import Thresholds
 
@@ -84,17 +83,6 @@ def delta_budget(kappa_value: float, thresholds: Thresholds, delta_max: float) -
     if not math.isfinite(kappa_value) or kappa_value < 0:
         raise InputError(f"kappa must be finite and nonnegative, got {kappa_value}")
     return delta_max * (1.0 - _ramp(kappa_value, thresholds))
-
-
-def dis_score(ensemble: Ensemble, candidate_inputs: np.ndarray) -> np.ndarray:
-    """Information-gain surrogate: ensemble disagreement per candidate.
-
-    Disagreement is the trace of the across-member population covariance
-    of predicted deltas. With two members predicting d and d + e it equals
-    ||e||^2 / 4.
-    """
-    x = np.atleast_2d(np.asarray(candidate_inputs, dtype=float))
-    return ensemble.disagreement(x)
 
 
 def composite_value(r_task, info_gain, risk, alpha: float, lambda_risk: float) -> np.ndarray:

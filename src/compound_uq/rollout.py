@@ -18,14 +18,15 @@ Per-step order within ``run_condition``:
    telemetry are recorded.
 
 Calibration runs unperturbed episodes with a scripted controller mixed
-50/50 with uniform random actions, trains the bootstrap ensemble, freezes
-the noise floor, then derives regime thresholds from short probe runs
-(baseline, each single stressor, compound) executed with provisional
+with uniform random actions (``CONTROLLER_MIX`` = 0.8 of the steps follow
+the controller), trains the bootstrap ensemble, freezes the noise floor,
+then derives regime thresholds from short probe runs (baseline, each
+single stressor, compound) executed in monitor mode with provisional
 default thresholds.
 
 All seeds derive from (cell seed, fixed stream tags), so every cell is
 reproducible in isolation and sweep results do not depend on execution
-order or worker count.
+order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import json
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .ensemble import (
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
+    disagreement,
 )
 from .envs import ENV_CLASSES, make_env
 from .errors import CalibrationError, InputError, InvariantViolation
@@ -111,6 +112,23 @@ TASK_CONTROLLERS = {
     "DriftBot": driftbot_controller,
     "MassSpring1D": mass_spring_controller,
 }
+
+
+POLICY_MODES = ("monitor", "adaptive")
+
+
+def policy_mode_settings(config: ExperimentConfig, policy_mode: str) -> tuple[PolicySettings, bool]:
+    """Policy settings and adaptation switch that ``policy_mode`` runs with.
+
+    "monitor" is the task-only policy (no information bonus, so explorers
+    collapse onto the task action) against the frozen ensemble; "adaptive"
+    is the config's own probing policy and adaptation setting.
+    """
+    if policy_mode == "monitor":
+        return replace(config.policy, alpha_max=0.0), False
+    if policy_mode == "adaptive":
+        return config.policy, config.adaptive.enabled
+    raise InputError(f"unknown policy_mode: {policy_mode!r}")
 
 
 @dataclass
@@ -210,7 +228,7 @@ def run_condition(
             [np.repeat(base[None, :], cands.shape[0], axis=0), cands], axis=1
         )
         member_preds = snapshot.ensemble.predict_members(x_cand)
-        info_gain = member_preds.var(axis=0, ddof=0).sum(axis=-1)
+        info_gain = disagreement(member_preds)
         mean_delta = member_preds.mean(axis=0)
         predicted_next = visible[None, :] + mean_delta
         predicted_risk = np.array([env_cls.risk_from_obs(row) for row in predicted_next])
@@ -390,15 +408,10 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
         thresholds = Thresholds(tau_low=config.thresholds.tau_low, tau_high=config.thresholds.tau_high)
     else:
         baseline_cond, singles, compound_cond = _probe_conditions(config)
-        # Probes run the plain task policy: information-seeking selects the
+        # Probes run in monitor mode: information-seeking selects the
         # model's own worst inputs, so probing during probes would measure
         # policy feedback instead of the deficit signal being thresholded.
-        probe_policy = PolicySettings(
-            alpha_max=0.0,
-            lambda_risk=config.policy.lambda_risk,
-            delta_max=config.policy.delta_max,
-            n_candidates=config.policy.n_candidates,
-        )
+        probe_policy, probe_adaptive = policy_mode_settings(config, "monitor")
 
         def probe_kappas(cond: ConditionSpec) -> list[float]:
             values: list[float] = []
@@ -410,7 +423,7 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
                     seed=90001 + config.calibration_seed * 131 + ep,
                     thresholds=DEFAULT_THRESHOLDS,
                     policy_settings=probe_policy,
-                    adaptive_enabled=False,
+                    adaptive_enabled=probe_adaptive,
                     collect_steps=False,
                 )
                 values.extend(c.kappa for c in res.kappas if c.t >= cond.onset_t)
@@ -423,17 +436,7 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
             round_to_decimal=config.thresholds.round_to_decimal,
         )
 
-    return CalibrationSnapshot(
-        config_hash=config.config_hash(),
-        env_id=config.env_id,
-        seed=config.calibration_seed,
-        mu0=mu0,
-        sigma0=sigma0,
-        thresholds=thresholds,
-        ensemble=ensemble,
-        clip_c=config.clip_c,
-        c_tau=config.c_tau,
-    )
+    return replace(provisional, thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +492,6 @@ def build_eval_rows(
         episode += 1
     x, y = buffer.rows()
     return x[:n_rows], y[:n_rows]
-
-
-def model_mse_on(ensemble: Ensemble, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-row ensemble error on an evaluation set."""
-    return float(ensemble.mse(x, y).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -636,21 +634,9 @@ def run_sweep(
 
     With ``out_dir`` set, each cell writes one JSONL trace (skipped on
     resume when already complete) plus summary CSV/JSON artifacts at
-    the end. Cells are independent; worker count affects wall clock only.
+    the end.
     """
-    if policy_mode not in ("monitor", "adaptive"):
-        raise InputError(f"unknown policy_mode: {policy_mode!r}")
-    if policy_mode == "monitor":
-        cell_policy = PolicySettings(
-            alpha_max=0.0,
-            lambda_risk=config.policy.lambda_risk,
-            delta_max=config.policy.delta_max,
-            n_candidates=config.policy.n_candidates,
-        )
-        cell_adaptive = False
-    else:
-        cell_policy = None
-        cell_adaptive = None
+    cell_policy, cell_adaptive = policy_mode_settings(config, policy_mode)
     cells = condition_matrix(
         config.grid.po_levels,
         config.grid.delay_levels,
@@ -664,8 +650,7 @@ def run_sweep(
     def cell_path(cond: ConditionSpec, seed: int) -> str:
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
-    def run_cell(item: tuple[ConditionSpec, int]) -> dict:
-        cond, seed = item
+    def run_cell(cond: ConditionSpec, seed: int) -> dict:
         if out_dir and resume and trace_is_complete(cell_path(cond, seed)):
             header, _, footer = read_trace(cell_path(cond, seed))
             if (
@@ -687,11 +672,7 @@ def run_sweep(
             write_trace(cell_path(cond, seed), config, snapshot, result, policy_mode=policy_mode)
         return result.summary()
 
-    if config.sweep_workers > 1:
-        with ThreadPoolExecutor(max_workers=config.sweep_workers) as pool:
-            summaries = list(pool.map(run_cell, cells))
-    else:
-        summaries = [run_cell(item) for item in cells]
+    summaries = [run_cell(cond, seed) for cond, seed in cells]
 
     returns: dict[tuple, float] = {}
     for (cond, seed), summary in zip(cells, summaries):

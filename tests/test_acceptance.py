@@ -7,7 +7,9 @@ environment plus one full 120-cell sweep, are session-scoped and shared
 across tests.
 """
 
+import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +20,7 @@ from compound_uq.config import config_from_dict
 from compound_uq.ensemble import acc_feature
 from compound_uq.kappa import Regime, classify_regime, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
-from compound_uq.policy import PolicySettings
-from compound_uq.rollout import (
-    build_eval_rows,
-    calibrate,
-    model_mse_on,
-    run_condition,
-    run_sweep,
-)
+from compound_uq.rollout import RISK_TOL, build_eval_rows, calibrate, run_condition, run_sweep
 
 EXACT = 1e-12
 BOUND_TOL = 1e-9
@@ -36,13 +31,26 @@ def _report(capsys, num, ok, detail):
         print(f"\n[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def _task_only(cfg):
-    return PolicySettings(
-        alpha_max=0.0,
-        lambda_risk=cfg.policy.lambda_risk,
-        delta_max=cfg.policy.delta_max,
-        n_candidates=cfg.policy.n_candidates,
-    )
+def _budget_recount(trace_dir, horizon):
+    """Recount risk-budget breaches from the step lines of every trace.
+
+    Returns the number of traces, the traces whose step count is not
+    ``horizon``, the number of steps that had a compliant candidate, and
+    (trace, t) for each of those steps where the chosen action's predicted
+    risk exceeds its budget.
+    """
+    paths = sorted(trace_dir.glob("trace_*.jsonl"))
+    short, breaches, checked = [], [], 0
+    for path in paths:
+        steps = [r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "step"]
+        if len(steps) != horizon:
+            short.append(path.name)
+        for s in steps:
+            if s["any_compliant"]:
+                checked += 1
+                if s["predicted_risk"] > s["delta_budget"] + RISK_TOL:
+                    breaches.append((path.name, s["t"]))
+    return len(paths), short, checked, breaches
 
 
 @pytest.fixture(scope="session")
@@ -59,11 +67,12 @@ def driftbot():
 
 
 @pytest.fixture(scope="session")
-def driftbot_sweep(driftbot):
+def driftbot_sweep(driftbot, tmp_path_factory):
     cfg, snap = driftbot
+    trace_dir = tmp_path_factory.mktemp("driftbot_sweep")
     t0 = time.perf_counter()
-    outcome = run_sweep(cfg, snap)
-    return outcome, time.perf_counter() - t0
+    outcome = run_sweep(cfg, snap, out_dir=str(trace_dir))
+    return outcome, time.perf_counter() - t0, trace_dir
 
 
 @pytest.fixture(scope="session")
@@ -145,7 +154,7 @@ def test_coupling_monotonicity(capsys):
 
 def test_kappa_ordering_across_stressor_counts(driftbot, driftbot_sweep, capsys):
     cfg, _ = driftbot
-    outcome, elapsed = driftbot_sweep
+    outcome, elapsed, _ = driftbot_sweep
     k = outcome.kappa_by_label
     ordered = k["C1"] < k["C2"] < k["C3"] < k["C4"]
     ok = ordered and len(cfg.grid.seeds) >= 10 and elapsed < 120.0
@@ -162,7 +171,7 @@ def test_kappa_ordering_across_stressor_counts(driftbot, driftbot_sweep, capsys)
 def test_delay_detectability_on_oscillator(oscillator, capsys):
     cfg, snap = oscillator
     bar = snap.mu0 + 2.0 * snap.sigma0
-    policy = _task_only(cfg)
+    policy = replace(cfg.policy, alpha_max=0.0)
     hits = 0
     for seed in range(10):
         res = run_condition(
@@ -187,7 +196,7 @@ def test_delay_detectability_on_oscillator(oscillator, capsys):
 
 def test_threshold_placement_classifies_regimes(driftbot, driftbot_sweep, capsys):
     cfg, snap = driftbot
-    outcome, _ = driftbot_sweep
+    outcome, _, _ = driftbot_sweep
     k = outcome.kappa_by_label
     benign = (Regime.LOW, Regime.TRANSITION)
     r1 = classify_regime(k["C1"], snap.thresholds)
@@ -237,18 +246,37 @@ def test_synergy_rate_recovery_and_worked_example(capsys):
     assert ok
 
 
-def test_risk_budget_compliance_in_sweep(driftbot_sweep, capsys):
-    outcome, _ = driftbot_sweep
-    per_cell = [s["violations"] for s in outcome.cell_summaries]
-    ok = outcome.total_violations == 0 and all(v == 0 for v in per_cell)
+def test_risk_budget_compliance_in_sweep(driftbot, driftbot_sweep, capsys):
+    cfg, _ = driftbot
+    outcome, _, trace_dir = driftbot_sweep
+    n_traces, short, checked, breaches = _budget_recount(trace_dir, cfg.horizon)
+    ok = n_traces == len(outcome.cell_summaries) and not short and checked > 0 and not breaches
     _report(
         capsys,
         8,
         ok,
         f"selected-action risk within delta(kappa) whenever a compliant candidate exists: "
-        f"{outcome.total_violations} violations across {len(per_cell)} episodes",
+        f"{len(breaches)} breaches recounted over {checked} compliant steps in {n_traces} traces "
+        f"({len(short)} traces without {cfg.horizon} steps)",
     )
     assert ok
+
+
+def test_budget_recount_reports_an_edited_breach(driftbot, driftbot_sweep, tmp_path):
+    cfg, _ = driftbot
+    _, _, trace_dir = driftbot_sweep
+    source = sorted(trace_dir.glob("trace_*.jsonl"))[0]
+    lines = source.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if json.loads(line).get("any_compliant"))
+    step = json.loads(lines[i])
+    step["predicted_risk"] = step["delta_budget"] + 1e-9
+    lines[i] = json.dumps(step, sort_keys=True)
+    (tmp_path / source.name).write_text("\n".join(lines) + "\n")
+    assert _budget_recount(tmp_path, cfg.horizon)[3] == [(source.name, step["t"])]
+
+    del lines[i]
+    (tmp_path / source.name).write_text("\n".join(lines) + "\n")
+    assert _budget_recount(tmp_path, cfg.horizon)[1] == [source.name]
 
 
 def test_probing_speeds_dynamics_identification(driftbot, capsys):
@@ -262,7 +290,7 @@ def test_probing_speeds_dynamics_identification(driftbot, capsys):
         }
     )
     cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
-    task_policy = _task_only(cfg)
+    task_policy = replace(cfg.policy, alpha_max=0.0)
     wins = 0
     for seed in range(10):
         x_eval, y_eval = build_eval_rows(
@@ -272,8 +300,8 @@ def test_probing_speeds_dynamics_identification(driftbot, capsys):
         task = run_condition(
             cfg, snap, cond, seed=seed, policy_settings=task_policy, adaptive_enabled=True, collect_steps=False
         )
-        wins += model_mse_on(probe.adaptive_ensemble, x_eval, y_eval) < model_mse_on(
-            task.adaptive_ensemble, x_eval, y_eval
+        wins += (
+            probe.adaptive_ensemble.mse(x_eval, y_eval).mean() < task.adaptive_ensemble.mse(x_eval, y_eval).mean()
         )
     ok = wins >= 8
     _report(

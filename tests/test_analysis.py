@@ -9,7 +9,6 @@ import pytest
 from compound_uq.analysis import (
     DEGRADATION_CSV_FIELDS,
     degradation,
-    epistemic_gap,
     kappa_trace_stats,
     records_to_csv,
     stratified_rate_test,
@@ -236,15 +235,6 @@ def test_kappa_trace_validation():
         kappa_trace_stats([0.1] * 10, onset_t=0, task_signal=[1.0] * 10, tau_high=0.5)
     with pytest.raises(InputError):
         kappa_trace_stats([0.1] * 10, onset_t=2, task_signal=[1.0] * 9, tau_high=0.5)
-
-
-def test_epistemic_gap_semantics():
-    assert epistemic_gap(0.0, 5.0) == 0.0
-    assert epistemic_gap(0.7, 0.1) == 0.7
-    with pytest.raises(InputError):
-        epistemic_gap(-0.1, 0.0)
-    with pytest.raises(InputError):
-        epistemic_gap(0.1, float("nan"))
 
 
 def test_records_to_csv_schema(tmp_path):

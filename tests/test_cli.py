@@ -10,6 +10,7 @@ import os
 import pytest
 
 from compound_uq.cli import main
+from compound_uq.perturb import ConditionSpec
 from compound_uq.rollout import read_trace
 from compound_uq.snapshot import CalibrationSnapshot
 
@@ -143,6 +144,36 @@ def test_sweep_writes_reports(workspace, capsys):
     summary = json.load(open(os.path.join(out_dir, "sweep_summary.json")))
     assert summary["policy_mode"] == "monitor"
     assert len(summary["cells"]) == 4
+
+
+def test_run_monitor_trace_matches_sweep_cell(workspace, capsys):
+    # `run` and `sweep` share one monitor-mode path, so a cell run on its
+    # own writes exactly the bytes the sweep writes for that cell.
+    sweep_dir = workspace["root"] / "sweep_monitor"
+    rc = main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir), "--no-resume"])
+    assert rc == 0
+    out = workspace["root"] / "run_monitor.jsonl"
+    rc = main(
+        [
+            "run",
+            "--config",
+            workspace["config"],
+            "--policy-mode",
+            "monitor",
+            "--po",
+            "0.5",
+            "--delay",
+            "1",
+            "--seed",
+            "0",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    cell_id = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=TINY["onset_t"]).cell_id(0)
+    assert out.read_bytes() == (sweep_dir / f"trace_{cell_id}.jsonl").read_bytes()
 
 
 def test_analyze_recomputes_from_traces(workspace, capsys):

@@ -87,7 +87,6 @@ def test_threshold_overrides_must_come_in_pairs():
         {"ensemble": {"m_members": 1}},
         {"ensemble": {"t_pre": 0}},
         {"probe_episodes": 0},
-        {"sweep_workers": 0},
     ],
 )
 def test_semantic_validation(raw):
@@ -95,9 +94,16 @@ def test_semantic_validation(raw):
         config_from_dict(raw)
 
 
+def test_sweep_workers_key_is_refused():
+    # A config that still names the sweep worker count is refused like any
+    # unknown key instead of being read as a no-op.
+    with pytest.raises(InputError, match=r"unknown config keys in config root: \['sweep_workers'\]"):
+        config_from_dict({"sweep_workers": 1})
+
+
 def test_hash_ignores_operational_fields():
     base = config_from_dict({})
-    moved = config_from_dict({"output_dir": "elsewhere", "sweep_workers": 4})
+    moved = config_from_dict({"output_dir": "elsewhere"})
     assert base.config_hash() == moved.config_hash()
     assert len(base.config_hash()) == 16
 
@@ -127,14 +133,6 @@ def test_roundtrip_through_dict():
     again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
-
-
-def test_with_output_dir_only_changes_output_dir():
-    cfg = config_from_dict({})
-    moved = cfg.with_output_dir("/tmp/elsewhere")
-    assert moved.output_dir == "/tmp/elsewhere"
-    assert moved.config_hash() == cfg.config_hash()
-    assert moved.grid == cfg.grid
 
 
 def test_load_config_errors(tmp_path):

@@ -13,6 +13,7 @@ from compound_uq.ensemble import (
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
+    disagreement,
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
 
@@ -63,9 +64,9 @@ def test_disagreement_two_member_identity():
     d = np.array([0.5, -0.2])
     e = np.array([0.3, 0.4])
     ens = constant_ensemble([d, d + e], in_dim=5)
-    score = ens.disagreement(np.zeros((1, 5)))
-    assert abs(score[0] - 0.0625) < 1e-12
-    np.testing.assert_allclose(ens.predict_mean(np.zeros((1, 5)))[0], d + e / 2, atol=1e-12)
+    preds = ens.predict_members(np.zeros((3, 5)))
+    np.testing.assert_allclose(disagreement(preds), np.full(3, 0.0625), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(preds.mean(axis=0)[0], d + e / 2, atol=1e-12)
 
 
 def test_predict_rejects_wrong_input_dim():
@@ -184,4 +185,4 @@ def test_ensemble_serialization_roundtrip():
     assert back.weights_hash() == ens.weights_hash()
     assert back.frozen
     x, _ = buf.rows()
-    np.testing.assert_array_equal(back.predict_mean(x[:4]), ens.predict_mean(x[:4]))
+    np.testing.assert_array_equal(back.predict_members(x[:4]), ens.predict_members(x[:4]))

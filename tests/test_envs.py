@@ -8,7 +8,6 @@ import pytest
 from compound_uq.envs import (
     DT,
     DriftBot,
-    EpisodeTrace,
     MassSpring1D,
     make_env,
 )
@@ -145,18 +144,3 @@ def test_risk_from_obs_hand_values():
 
     assert abs(MassSpring1D.risk_from_obs(np.array([1.7, 0.0])) - 0.2) < 1e-12
     assert MassSpring1D.risk_from_obs(np.array([1.2, 0.0])) == 0.0
-
-
-def test_episode_trace_jsonl_roundtrip():
-    env = make_env("MassSpring1D", seed=0)
-    trace = EpisodeTrace(condition_label="C2")
-    for _ in range(4):
-        trace.transitions.append(env.step(np.array([0.1])))
-    lines = list(trace.to_jsonl_lines())
-    back = EpisodeTrace.from_jsonl_lines(lines, condition_label="C2")
-    assert len(back.transitions) == 4
-    assert back.episode_return() == pytest.approx(trace.episode_return(), abs=1e-12)
-    for a, b in zip(trace.transitions, back.transitions):
-        np.testing.assert_array_equal(a.obs, b.obs)
-        np.testing.assert_array_equal(a.next_obs, b.next_obs)
-        assert a.t == b.t

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from compound_uq.ensemble import disagreement
 from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.policy import (
@@ -11,7 +12,6 @@ from compound_uq.policy import (
     candidate_actions,
     composite_value,
     delta_budget,
-    dis_score,
     select_action,
     task_affinity,
 )
@@ -42,10 +42,12 @@ def test_delta_budget_tightens_with_kappa():
 
 
 def test_dis_score_matches_disagreement_identity():
+    # The information score the policy ranks candidates by: two members
+    # predicting d and d + e score ||e||^2 / 4 on every candidate row.
     d = np.array([0.1, 0.2])
     e = np.array([0.6, 0.8])  # ||e||^2 = 1
     ens = constant_ensemble([d, d + e], in_dim=5)
-    scores = dis_score(ens, np.zeros((3, 5)))
+    scores = disagreement(ens.predict_members(np.zeros((3, 5))))
     np.testing.assert_allclose(scores, np.full(3, 0.25), rtol=0, atol=1e-12)
 
 

@@ -26,7 +26,6 @@ from compound_uq.rollout import (
     collect_baseline_buffer,
     driftbot_controller,
     mass_spring_controller,
-    model_mse_on,
     read_trace,
     run_condition,
     run_sweep,
@@ -266,13 +265,6 @@ def test_build_eval_rows_validation(kwargs):
         build_eval_rows(**base)
     with pytest.raises(InputError):
         build_eval_rows("HoverDrone", {}, seed=0, n_rows=10)
-
-
-def test_model_mse_on_hand_value():
-    ens = constant_ensemble([[0.0, 0.0], [0.0, 0.0]], in_dim=5, frozen=True)
-    x = np.zeros((3, 5))
-    y = np.array([[1.0, 0.0], [0.0, 2.0], [2.0, 1.0]])
-    assert model_mse_on(ens, x, y) == pytest.approx(10.0 / 3.0, abs=1e-12)
 
 
 def test_build_degradation_records_quadruples(cfg_ms):
