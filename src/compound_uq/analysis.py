@@ -18,6 +18,7 @@ give identical reports.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .errors import InputError
+from .snapshot import atomic_write_text
 
 SCHEMA_VERSION = 1
 COLLAPSE_FRACTION = 0.25
@@ -387,9 +389,8 @@ DEGRADATION_CSV_FIELDS = (
 
 def records_to_csv(records, path) -> None:
     """Write degradation records as CSV with a fixed, versioned column set."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=DEGRADATION_CSV_FIELDS)
-        writer.writeheader()
-        for r in records:
-            row = {k: r.to_dict()[k] for k in DEGRADATION_CSV_FIELDS}
-            writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=DEGRADATION_CSV_FIELDS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(r.to_dict() for r in records)
+    atomic_write_text(path, buf.getvalue())

@@ -72,6 +72,15 @@ def _snapshot_path(cfg: ExperimentConfig, override: str | None) -> str:
     return override or os.path.join(cfg.output_dir, "calibration.json")
 
 
+def _load_snapshot(cfg: ExperimentConfig, override: str | None) -> CalibrationSnapshot:
+    """Load the snapshot and refuse one calibrated for another config."""
+    path = _snapshot_path(cfg, override)
+    snap = CalibrationSnapshot.load(path)
+    if (snap.env_id, snap.config_hash) != (cfg.env_id, cfg.config_hash()):
+        raise InputError(f"snapshot {path} was calibrated for {snap.env_id} {snap.config_hash}, not this config")
+    return snap
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = calibrate(cfg)
@@ -100,17 +109,15 @@ def _parse_shift(text: str | None):
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
-    snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot))
+    snapshot = _load_snapshot(cfg, args.snapshot)
     condition = ConditionSpec(
         po_fraction=args.po,
         delay_steps=args.delay,
         shift=_parse_shift(args.shift),
         onset_t=cfg.onset_t,
     )
-    policy, adaptive = policy_mode_settings(cfg, args.policy_mode)
-    result = run_condition(
-        cfg, snapshot, condition, seed=args.seed, policy_settings=policy, adaptive_enabled=adaptive
-    )
+    policy = policy_mode_settings(cfg, args.policy_mode)
+    result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_settings=policy)
     out = args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     write_trace(out, cfg, snapshot, result, policy_mode=args.policy_mode)
@@ -125,7 +132,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
-    snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot))
+    snapshot = _load_snapshot(cfg, args.snapshot)
     out_dir = args.out_dir or os.path.join(cfg.output_dir, "sweep")
     outcome = run_sweep(
         cfg, snapshot, out_dir=out_dir, resume=not args.no_resume, policy_mode=args.policy_mode
@@ -145,10 +152,12 @@ def cmd_analyze(args) -> int:
     cfg = _load_cfg(args.config)
     trace_dir = args.trace_dir
     returns: dict[tuple, float] = {}
+    origins: set[tuple] = set()
     for name in sorted(os.listdir(trace_dir)):
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
         header, _, footer = read_trace(os.path.join(trace_dir, name))
+        origins.add((str(header.get("config_hash")), str(header.get("policy_mode"))))
         cond = header["condition"]
         shift = cond.get("shift")
         key = (
@@ -160,6 +169,8 @@ def cmd_analyze(args) -> int:
         returns[key] = float(footer["episode_return"])
     if not returns:
         raise InputError(f"no trace files found in {trace_dir}")
+    if len(origins) > 1:
+        raise InputError(f"traces in {trace_dir} mix (config hash, policy mode) pairs: {sorted(origins)}")
     records = build_degradation_records(returns, cfg.grid)
     report = superadditive_rate(records, threshold=args.threshold, units=args.units)
     out = args.out or os.path.join(trace_dir, "synergy_report.json")
@@ -229,7 +240,7 @@ def build_parser() -> _Parser:
         "--policy-mode",
         choices=POLICY_MODES,
         default="monitor",
-        help="monitor: scripted task policy, frozen models; adaptive: probing policy with online updates",
+        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
     )
     p.add_argument("--out", help="trace output path")
     p.set_defaults(func=cmd_run)
@@ -243,7 +254,7 @@ def build_parser() -> _Parser:
         "--policy-mode",
         choices=POLICY_MODES,
         default="monitor",
-        help="monitor: scripted task policy, frozen models; adaptive: probing policy with online updates",
+        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
     )
     p.set_defaults(func=cmd_sweep)
 

@@ -41,7 +41,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class AdaptiveSettings:
-    enabled: bool = True
+    enabled: bool = True  # no effect; kept because the config hash covers it
     every: int = 10
     window: int = 120
     epochs: int = 10

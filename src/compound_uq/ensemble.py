@@ -160,15 +160,8 @@ class Ensemble:
         return self.y_norm.decode(yn)
 
     def mse(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-row ensemble error: mean over members of the squared norm.
-
-        The squared norm sums over output dims (no per-dim averaging), so
-        values scale with observation dimensionality; the noise floor is
-        calibrated on the same scale.
-        """
-        preds = self.predict_members(x)
-        yb = np.atleast_2d(np.asarray(y, dtype=float))
-        return ((preds - yb[None, :, :]) ** 2).sum(axis=-1).mean(axis=0)
+        """Per-row ensemble error of ``x`` against targets ``y``; see ``member_mse``."""
+        return member_mse(self.predict_members(x), y)
 
     def weights_hash(self) -> str:
         h = hashlib.sha256()
@@ -256,6 +249,18 @@ def disagreement(member_preds: np.ndarray) -> np.ndarray:
     With two members predicting d and d + e it equals ||e||^2 / 4.
     """
     return member_preds.var(axis=0, ddof=0).sum(axis=-1)
+
+
+def member_mse(member_preds: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row ensemble error: mean over members of the squared norm.
+
+    ``member_preds`` is the (M, B, out_dim) output of ``predict_members``
+    and ``y`` the (B, out_dim) targets. The squared norm sums over output
+    dims (no per-dim averaging), so values scale with observation
+    dimensionality; the noise floor is calibrated on the same scale.
+    """
+    yb = np.atleast_2d(np.asarray(y, dtype=float))
+    return ((member_preds - yb[None, :, :]) ** 2).sum(axis=-1).mean(axis=0)
 
 
 MOMENTUM = 0.9

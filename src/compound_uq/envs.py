@@ -216,24 +216,17 @@ class DriftBot(_BaseEnv):
         gx, gy = self.GOAL
         return math.hypot(gx - self.x, gy - self.y)
 
-    def _risk(self) -> float:
-        inner = self.ARENA_HALF - self.RISK_ZONE
-        rx = max(0.0, abs(self.x) - inner) / self.RISK_ZONE
-        ry = max(0.0, abs(self.y) - inner) / self.RISK_ZONE
-        return rx + ry
-
     @classmethod
-    def risk_from_obs(cls, obs: ObservationVec) -> float:
-        """Boundary-proximity risk recomputed from an observation vector.
+    def risk_from_obs(cls, obs: np.ndarray) -> np.ndarray:
+        """Boundary-proximity risk of an observation or of each row of a stack.
 
         Uses the pose dims only; with those dims masked to zero the
         estimate degrades to zero, which is exactly the blindness masking
         is meant to model.
         """
         inner = cls.ARENA_HALF - cls.RISK_ZONE
-        rx = max(0.0, abs(float(obs[0])) - inner) / cls.RISK_ZONE
-        ry = max(0.0, abs(float(obs[1])) - inner) / cls.RISK_ZONE
-        return rx + ry
+        over = np.maximum(0.0, np.abs(obs[..., :2]) - inner) / cls.RISK_ZONE
+        return over[..., 0] + over[..., 1]
 
     def step(self, action: ActionVec) -> Transition:
         act = self._pre_step(action)
@@ -256,8 +249,8 @@ class DriftBot(_BaseEnv):
         self.turn_rate = w
 
         reward = (dist_before - self._distance_to_goal()) - self.CONTROL_COST * float(act[0] ** 2 + act[1] ** 2)
-        risk = self._risk()
         next_obs = self.observe()
+        risk = self.risk_from_obs(next_obs)
         tr = Transition(
             obs=obs_before,
             action=act,
@@ -322,8 +315,8 @@ class MassSpring1D(_BaseEnv):
         return np.array([self.x, self.v], dtype=float)
 
     @classmethod
-    def risk_from_obs(cls, obs: ObservationVec) -> float:
-        return max(0.0, abs(float(obs[0])) - cls.X_LIMIT)
+    def risk_from_obs(cls, obs: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, np.abs(obs[..., 0]) - cls.X_LIMIT)
 
     def step(self, action: ActionVec) -> Transition:
         act = self._pre_step(action)
@@ -336,8 +329,8 @@ class MassSpring1D(_BaseEnv):
         self.x = self.x + DT * self.v
 
         reward = -abs(self.x)
-        risk = max(0.0, abs(self.x) - self.X_LIMIT)
         next_obs = self.observe()
+        risk = self.risk_from_obs(next_obs)
         tr = Transition(
             obs=obs_before,
             action=act,

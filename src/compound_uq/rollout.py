@@ -57,6 +57,7 @@ from .ensemble import (
     bootstrap_train,
     calibrate_noise_floor,
     disagreement,
+    member_mse,
 )
 from .envs import ENV_CLASSES, make_env
 from .errors import CalibrationError, InputError, InvariantViolation
@@ -117,17 +118,17 @@ TASK_CONTROLLERS = {
 POLICY_MODES = ("monitor", "adaptive")
 
 
-def policy_mode_settings(config: ExperimentConfig, policy_mode: str) -> tuple[PolicySettings, bool]:
-    """Policy settings and adaptation switch that ``policy_mode`` runs with.
+def policy_mode_settings(config: ExperimentConfig, policy_mode: str) -> PolicySettings:
+    """Policy settings that ``policy_mode`` runs with.
 
     "monitor" is the task-only policy (no information bonus, so explorers
-    collapse onto the task action) against the frozen ensemble; "adaptive"
-    is the config's own probing policy and adaptation setting.
+    collapse onto the task action); "adaptive" is the config's own probing
+    policy. Both score every step with the frozen ensemble.
     """
     if policy_mode == "monitor":
-        return replace(config.policy, alpha_max=0.0), False
+        return replace(config.policy, alpha_max=0.0)
     if policy_mode == "adaptive":
-        return config.policy, config.adaptive.enabled
+        return config.policy
     raise InputError(f"unknown policy_mode: {policy_mode!r}")
 
 
@@ -172,16 +173,19 @@ def run_condition(
     seed: int,
     thresholds: Thresholds | None = None,
     policy_settings: PolicySettings | None = None,
-    adaptive_enabled: bool | None = None,
+    adaptive_enabled: bool = False,
     collect_steps: bool = True,
 ) -> RolloutResult:
-    """Run one full episode under a condition and score it step by step."""
+    """Run one full episode under a condition and score it step by step.
+
+    Selection and kappa use the frozen ensemble; ``adaptive_enabled`` also
+    fine-tunes a clone online and returns it as ``adaptive_ensemble``.
+    """
     env_cls = ENV_CLASSES[config.env_id]
     env = make_env(config.env_id, seed=seed, horizon=config.horizon)
     controller = TASK_CONTROLLERS[config.env_id]
     thresholds = thresholds or snapshot.thresholds
     settings = policy_settings or config.policy
-    use_adaptive = config.adaptive.enabled if adaptive_enabled is None else adaptive_enabled
 
     mask = condition.mask_spec(env_cls)
     shift = condition.shift_spec()
@@ -189,12 +193,12 @@ def run_condition(
     po_active = mask.realized_fraction(len(env_cls.OBS_NAMES)) if mask else 0.0
 
     policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
-    adaptive = snapshot.ensemble.clone_unfrozen() if use_adaptive else None
+    adaptive = snapshot.ensemble.clone_unfrozen() if adaptive_enabled else None
     recent_x: deque = deque(maxlen=config.adaptive.window)
     recent_y: deque = deque(maxlen=config.adaptive.window)
     anchor_x = anchor_y = None
     anchor_rng = None
-    if use_adaptive:
+    if adaptive_enabled:
         # The agent keeps its pre-deployment experience and replays a slice
         # of it alongside the live window on every update. Without the
         # anchor, fine-tuning on a hundred-ish recent rows drags the model
@@ -231,7 +235,7 @@ def run_condition(
         info_gain = disagreement(member_preds)
         mean_delta = member_preds.mean(axis=0)
         predicted_next = visible[None, :] + mean_delta
-        predicted_risk = np.array([env_cls.risk_from_obs(row) for row in predicted_next])
+        predicted_risk = env_cls.risk_from_obs(predicted_next)
         r_task = task_affinity(cands, task_action)
 
         choice = select_action(cands, r_task, info_gain, predicted_risk, kappa_prev, thresholds, settings)
@@ -246,9 +250,9 @@ def run_condition(
         tr = env.step(executed)
         visible_next = apply_mask(tr.next_obs, mask, t + 1)
         delta_vis = visible_next - visible
-
-        x_step = np.concatenate([visible, acc, choice.action])
-        mse = float(snapshot.ensemble.mse(x_step[None, :], delta_vis[None, :])[0])
+        # The candidate pass already scored the chosen row; a row's
+        # prediction does not depend on the rest of its batch.
+        mse = float(member_mse(member_preds[:, choice.index : choice.index + 1], delta_vis)[0])
 
         active = t >= condition.onset_t
         comp = compute_step(
@@ -266,7 +270,7 @@ def run_condition(
         episode_return += tr.reward
 
         if adaptive is not None:
-            recent_x.append(x_step)
+            recent_x.append(x_cand[choice.index])
             recent_y.append(delta_vis)
             if active and (t - condition.onset_t) % config.adaptive.every == 0 and len(recent_x) >= 8:
                 take = min(len(recent_x), anchor_x.shape[0])
@@ -411,7 +415,7 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
         # Probes run in monitor mode: information-seeking selects the
         # model's own worst inputs, so probing during probes would measure
         # policy feedback instead of the deficit signal being thresholded.
-        probe_policy, probe_adaptive = policy_mode_settings(config, "monitor")
+        probe_policy = policy_mode_settings(config, "monitor")
 
         def probe_kappas(cond: ConditionSpec) -> list[float]:
             values: list[float] = []
@@ -423,7 +427,6 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
                     seed=90001 + config.calibration_seed * 131 + ep,
                     thresholds=DEFAULT_THRESHOLDS,
                     policy_settings=probe_policy,
-                    adaptive_enabled=probe_adaptive,
                     collect_steps=False,
                 )
                 values.extend(c.kappa for c in res.kappas if c.t >= cond.onset_t)
@@ -535,16 +538,6 @@ def read_trace(path: str) -> tuple[dict, list[dict], dict]:
     return lines[0], lines[1:-1], lines[-1]
 
 
-def trace_is_complete(path: str) -> bool:
-    if not os.path.exists(path):
-        return False
-    try:
-        read_trace(path)
-        return True
-    except (InputError, json.JSONDecodeError, OSError):
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -626,17 +619,19 @@ def run_sweep(
     alongside, so returns expose how the fixed behavior degrades under
     each stressor combination; this is the mode whose quadruples exhibit
     super-additive losses. "adaptive" runs the regime-adaptive probing
-    loop from the config's policy settings, which trades task return for
+    policy from the config's policy settings, which trades task return for
     information when kappa rises and thereby flattens exactly the
     compound-versus-single contrast the degradation records are meant to
-    expose. Thresholds are calibrated under the task policy, so monitor
-    mode is also the behavior the calibration transfers to directly.
+    expose. Both modes score with the frozen ensemble and adapt no model.
+    Thresholds are calibrated under the task policy, so monitor mode is
+    also the behavior the calibration transfers to directly.
 
     With ``out_dir`` set, each cell writes one JSONL trace (skipped on
     resume when already complete) plus summary CSV/JSON artifacts at
     the end.
     """
-    cell_policy, cell_adaptive = policy_mode_settings(config, policy_mode)
+    cell_policy = policy_mode_settings(config, policy_mode)
+    config_hash = config.config_hash() if out_dir else None  # only traces and reports carry it
     cells = condition_matrix(
         config.grid.po_levels,
         config.grid.delay_levels,
@@ -651,22 +646,16 @@ def run_sweep(
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
     def run_cell(cond: ConditionSpec, seed: int) -> dict:
-        if out_dir and resume and trace_is_complete(cell_path(cond, seed)):
-            header, _, footer = read_trace(cell_path(cond, seed))
-            if (
-                header.get("config_hash") == config.config_hash()
-                and header.get("policy_mode") == policy_mode
-            ):
+        if out_dir and resume:
+            try:
+                header, _, footer = read_trace(cell_path(cond, seed))
+            except (InputError, json.JSONDecodeError, OSError):
+                header = {}  # missing or incomplete: simulate the cell again
+            if header.get("config_hash") == config_hash and header.get("policy_mode") == policy_mode:
                 footer.pop("kind", None)
                 return footer
         result = run_condition(
-            config,
-            snapshot,
-            cond,
-            seed,
-            policy_settings=cell_policy,
-            adaptive_enabled=cell_adaptive,
-            collect_steps=bool(out_dir),
+            config, snapshot, cond, seed, policy_settings=cell_policy, collect_steps=bool(out_dir)
         )
         if out_dir:
             write_trace(cell_path(cond, seed), config, snapshot, result, policy_mode=policy_mode)
@@ -714,7 +703,7 @@ def run_sweep(
         sweep_doc = {
             "format_version": 1,
             "toolkit_version": TOOLKIT_VERSION,
-            "config_hash": config.config_hash(),
+            "config_hash": config_hash,
             "policy_mode": policy_mode,
             "kappa_by_label": kappa_by_label,
             "total_violations": total_violations,

@@ -6,10 +6,14 @@ overrides skip the probe runs) and shared by the run/sweep/analyze tests.
 
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from compound_uq import rollout
 from compound_uq.cli import main
+from compound_uq.ensemble import acc_feature
 from compound_uq.perturb import ConditionSpec
 from compound_uq.rollout import read_trace
 from compound_uq.snapshot import CalibrationSnapshot
@@ -118,6 +122,53 @@ def test_run_adaptive_mode(workspace, capsys):
     capsys.readouterr()
 
 
+def test_adaptive_commands_skip_online_adaptation(workspace, monkeypatch, capsys):
+    # Neither command keeps an adapted clone, so neither may build one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("online adaptation ran for a result nobody reads")
+
+    monkeypatch.setattr(rollout, "adaptive_update", refuse)
+    monkeypatch.setattr(rollout, "collect_baseline_buffer", refuse)
+    out = str(workspace["root"] / "trace_adaptive_no_sgd.jsonl")
+    argv = ["--config", workspace["config"], "--policy-mode", "adaptive"]
+    assert main(["run", *argv, "--po", "0.5", "--delay", "1", "--out", out]) == 0
+    assert main(["sweep", *argv, "--out-dir", str(workspace["root"] / "sweep_adaptive")]) == 0
+    capsys.readouterr()
+
+
+def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
+    snapshot = CalibrationSnapshot.load(workspace["snapshot"])
+    for mode in ("monitor", "adaptive"):
+        out = str(workspace["root"] / f"trace_mse_{mode}.jsonl")
+        argv = ["run", "--config", workspace["config"], "--policy-mode", mode, "--po", "0.5", "--delay", "1"]
+        assert main([*argv, "--seed", "1", "--out", out]) == 0
+        _, steps, _ = read_trace(out)
+        obs = [np.array(s["obs"]) for s in steps]
+        for t, step in enumerate(steps):
+            x = np.concatenate([obs[t], acc_feature(obs[max(0, t - 2) : t + 1]), step["action"]])
+            assert step["mse"] == float(snapshot.ensemble.mse(x[None, :], np.array([step["delta"]]))[0])
+    capsys.readouterr()
+
+
+def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, capsys):
+    other = dict(TINY, horizon=50, output_dir=str(tmp_path))
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps(other))
+    foreign = str(tmp_path / "foreign.json")
+    assert main(["calibrate", "--config", str(other_cfg), "--out", foreign]) == 0
+    wrong_env = str(tmp_path / "wrong_env.json")
+    replace(CalibrationSnapshot.load(workspace["snapshot"]), env_id="DriftBot").save(wrong_env)
+    capsys.readouterr()
+    for snap in (foreign, wrong_env):
+        run = ["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]
+        assert main(run) == 1
+        assert "was calibrated for" in capsys.readouterr().err
+        sweep = ["sweep", "--config", workspace["config"], "--snapshot", snap, "--out-dir", str(tmp_path / "s")]
+        assert main(sweep) == 1
+        assert "was calibrated for" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "s").exists()
+
+
 def test_run_rejects_bad_shift(workspace, capsys):
     assert main(["run", "--config", workspace["config"], "--shift", "stiffness"]) == 1
     assert main(["run", "--config", workspace["config"], "--shift", "stiffness=abc"]) == 1
@@ -187,6 +238,33 @@ def test_analyze_recomputes_from_traces(workspace, capsys):
     assert "records=1" in text
     report = json.load(open(report_path))
     assert report["n_configs"] == 1
+
+
+def test_analyze_refuses_a_mixed_trace_directory(workspace, tmp_path, capsys):
+    trace_dir = tmp_path / "mixed"
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]) == 0
+    analyze = ["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir)]
+    assert main(analyze) == 0
+    capsys.readouterr()
+
+    # One cell re-run in the other policy mode.
+    cell = ConditionSpec(po_fraction=0.5, onset_t=TINY["onset_t"]).cell_id(0)
+    out = str(trace_dir / f"trace_{cell}.jsonl")
+    assert main(["run", "--config", workspace["config"], "--policy-mode", "adaptive", "--po", "0.5", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert "mix" in capsys.readouterr().err
+
+    # One trace made under another config.
+    assert main(["run", "--config", workspace["config"], "--po", "0.5", "--out", out]) == 0
+    lines = open(out).read().splitlines()
+    header = json.loads(lines[0])
+    header["config_hash"] = "0" * 16
+    with open(out, "w") as fh:
+        fh.write("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert "mix" in capsys.readouterr().err
 
 
 def test_analyze_empty_dir(workspace, tmp_path, capsys):

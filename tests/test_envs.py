@@ -144,3 +144,12 @@ def test_risk_from_obs_hand_values():
 
     assert abs(MassSpring1D.risk_from_obs(np.array([1.7, 0.0])) - 0.2) < 1e-12
     assert MassSpring1D.risk_from_obs(np.array([1.2, 0.0])) == 0.0
+
+    # A (B, d) stack scores each row as it would be scored alone.
+    poses = np.zeros((3, 8))
+    poses[0, :2] = 3.5, -3.2
+    poses[1, :2] = 4.0, 0.0
+    np.testing.assert_allclose(DriftBot.risk_from_obs(poses), [0.7, 1.0, 0.0], rtol=0, atol=1e-12)
+    assert [DriftBot.risk_from_obs(row) for row in poses] == list(DriftBot.risk_from_obs(poses))
+    springs = np.array([[1.7, 0.0], [1.2, 0.0], [-2.0, 0.3]])
+    np.testing.assert_allclose(MassSpring1D.risk_from_obs(springs), [0.2, 0.0, 0.5], rtol=0, atol=1e-12)

@@ -1,0 +1,72 @@
+"""The benchmark's span tracer must find every layer it wraps.
+
+``perfbench/tracing.py`` swaps toolkit functions and class methods for
+wrappers by name. A renamed or moved target would otherwise break only a
+traced benchmark run, so this test loads the package the way the
+benchmark does, enters ``instrument``, checks that every target was
+swapped, and drives one calibration and one adaptive episode through the
+wrappers.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+# Spans one calibration, one adaptive episode and one trace round trip
+# must record; the analysis, belief and CLI layers are not on that path.
+EPISODE_SPANS = (
+    "rollout.episode",
+    "rollout.baseline_buffer",
+    "rollout.trace_write",
+    "rollout.trace_read",
+    "ensemble.forward",
+    "ensemble.mse",
+    "ensemble.sgd",
+    "ensemble.train",
+    "ensemble.noise_floor",
+    "envs.step",
+    "envs.risk",
+    "policy.candidates",
+    "policy.select",
+    "kappa.step",
+    "perturb.mask",
+    "config.hash",
+)
+
+
+def test_every_tracing_target_resolves(tmp_path):
+    cq = workloads.load_toolkit(os.path.join(ROOT, "src"))
+    cfg = cq.package.config_from_dict(
+        {
+            "env_id": "MassSpring1D",
+            "horizon": 40,
+            "onset_t": 10,
+            "grid": {"po_levels": [0.0, 0.5], "delay_levels": [0, 1], "shift_levels": [None], "seeds": [0]},
+            "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 2},
+            "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+        }
+    )
+    functions = tracing._function_targets(cq)
+    methods = tracing._method_targets(cq)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, cq):
+        for fn, name, _, _ in functions:
+            assert getattr(sys.modules[fn.__module__], fn.__name__).__wrapped__ is fn, name
+        for cls, attr, name, _ in methods:
+            assert hasattr(getattr(cls, attr), "__wrapped__"), f"{cls.__name__}.{attr} ({name})"
+        snapshot = cq.package.calibrate(cfg)
+        cond = cq.package.ConditionSpec(delay_steps=1, onset_t=cfg.onset_t)
+        result = cq.package.run_condition(cfg, snapshot, cond, 0, adaptive_enabled=True)
+        path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
+        cq.rollout.write_trace(path, cfg, snapshot, result)
+        cq.rollout.read_trace(path)
+    assert [name for name in EPISODE_SPANS if tracer.calls[name] == 0] == []
+    for fn, _, _, _ in functions:
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn
+    for cls, attr, _, _ in methods:
+        assert not hasattr(getattr(cls, attr), "__wrapped__")

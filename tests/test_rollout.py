@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from helpers import constant_ensemble
 
+from compound_uq import rollout
 from compound_uq.config import config_from_dict
 from compound_uq.envs import make_env
 from compound_uq.errors import CalibrationError, InputError
@@ -29,7 +30,6 @@ from compound_uq.rollout import (
     read_trace,
     run_condition,
     run_sweep,
-    trace_is_complete,
     write_trace,
 )
 from compound_uq.snapshot import CalibrationSnapshot
@@ -214,19 +214,30 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path):
     assert len(steps) == 40 and steps[0]["t"] == 0 and steps[-1]["t"] == 39
     footer.pop("kind")
     assert footer == json.loads(json.dumps(res.summary()))
-    assert trace_is_complete(path)
 
 
-def test_trace_is_complete_rejects_truncation(cfg_ms, snap_ms, tmp_path):
-    cond = ConditionSpec(onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=TASK_ONLY, adaptive_enabled=False)
-    path = str(tmp_path / "trace.jsonl")
-    write_trace(path, cfg_ms, snap_ms, res)
-    lines = open(path).read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:-1]) + "\n")  # drop the footer
-    assert not trace_is_complete(path)
-    assert not trace_is_complete(str(tmp_path / "never_written.jsonl"))
+def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, snap_ms, tmp_path, monkeypatch):
+    out_dir = tmp_path / "runs"
+    run_sweep(cfg_ms, snap_ms, out_dir=str(out_dir))
+    traces = sorted(p for p in out_dir.iterdir() if p.name.startswith("trace_"))
+    before = {p.name: p.read_bytes() for p in traces}
+    truncated, missing = traces[0], traces[1]
+    lines = truncated.read_text().splitlines()
+    truncated.write_text("\n".join(lines[:-1]) + "\n")  # drop the footer
+    missing.unlink()
+
+    simulated = []
+
+    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
+        simulated.append(condition.cell_id(seed))
+        return run_condition(config, snapshot, condition, seed, **kwargs)
+
+    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
+    run_sweep(cfg_ms, snap_ms, out_dir=str(out_dir))
+    # Complete traces are reused; the footer-less and the missing one are
+    # simulated again and come back byte for byte.
+    assert sorted(f"trace_{c}.jsonl" for c in simulated) == sorted([truncated.name, missing.name])
+    assert {p.name: p.read_bytes() for p in traces} == before
 
 
 def test_build_eval_rows_shapes_and_determinism():
