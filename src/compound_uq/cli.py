@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -72,6 +73,12 @@ def _snapshot_path(cfg: ExperimentConfig, override: str | None) -> str:
     return override or os.path.join(cfg.output_dir, "calibration.json")
 
 
+def _out_path(path: str) -> str:
+    """Create the parent directory of an output path; return the path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
 def _load_snapshot(cfg: ExperimentConfig, override: str | None) -> CalibrationSnapshot:
     """Load the snapshot and refuse one calibrated for another config."""
     path = _snapshot_path(cfg, override)
@@ -84,8 +91,7 @@ def _load_snapshot(cfg: ExperimentConfig, override: str | None) -> CalibrationSn
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = calibrate(cfg)
-    out = _snapshot_path(cfg, args.out)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    out = _out_path(_snapshot_path(cfg, args.out))
     snapshot.save(out)
     print(
         f"calibrated {cfg.env_id}: mu0={snapshot.mu0!r} sigma0={snapshot.sigma0!r} "
@@ -118,8 +124,7 @@ def cmd_run(args) -> int:
     )
     policy = policy_mode_settings(cfg, args.policy_mode)
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_settings=policy)
-    out = args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
     write_trace(out, cfg, snapshot, result, policy_mode=args.policy_mode)
     s = result.summary()
     print(
@@ -171,9 +176,12 @@ def cmd_analyze(args) -> int:
         raise InputError(f"no trace files found in {trace_dir}")
     if len(origins) > 1:
         raise InputError(f"traces in {trace_dir} mix (config hash, policy mode) pairs: {sorted(origins)}")
+    [(trace_hash, _)] = origins
+    if trace_hash != cfg.config_hash():
+        raise InputError(f"traces in {trace_dir} were made under config {trace_hash}, not this config")
     records = build_degradation_records(returns, cfg.grid)
     report = superadditive_rate(records, threshold=args.threshold, units=args.units)
-    out = args.out or os.path.join(trace_dir, "synergy_report.json")
+    out = _out_path(args.out or os.path.join(trace_dir, "synergy_report.json"))
     atomic_write_text(out, report.to_json() + "\n")
     print(f"records={len(records)} rate={report.rate!r} mean_synergy={report.mean_synergy!r}")
     try:
@@ -206,10 +214,11 @@ def cmd_oracle_check(args) -> int:
         inversions += sum(1 for a, b in zip(mis, mis[1:]) if b < a - 1e-12)
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "n_s", "n_theta", "mi", "bound", "slack", "holds"])
-            writer.writerows(rows)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["sample", "n_s", "n_theta", "mi", "bound", "slack", "holds"])
+        writer.writerows(rows)
+        atomic_write_text(_out_path(args.out), text.getvalue())
         print(f"wrote {args.out}")
     print(f"samples={args.n_samples} violations={n_bad} coupling_inversions={inversions}")
     if n_bad or inversions:

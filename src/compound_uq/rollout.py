@@ -226,6 +226,12 @@ def run_condition(
             else 0.0
         )
         cands = candidate_actions(task_action, policy_rng, settings, spread=spread)
+        if spread == 0.0:
+            # Every explorer row equals the task row and selection breaks
+            # ties toward the lowest index, so scoring the task and zero
+            # rows picks the same candidate. The explorer draws above are
+            # still taken: later steps with spread > 0 read the same stream.
+            cands = cands[:2]
         acc = acc_feature(history)
         base = np.concatenate([visible, acc])
         x_cand = np.concatenate(

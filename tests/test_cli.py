@@ -267,6 +267,39 @@ def test_analyze_refuses_a_mixed_trace_directory(workspace, tmp_path, capsys):
     assert "mix" in capsys.readouterr().err
 
 
+def test_analyze_refuses_traces_from_another_config(workspace, tmp_path, capsys):
+    trace_dir = str(tmp_path / "h60")
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", trace_dir]) == 0
+    other_cfg = tmp_path / "h50.json"
+    other_cfg.write_text(json.dumps(dict(TINY, horizon=50)))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(other_cfg), "--trace-dir", trace_dir]) == 1
+    assert "not this config" in capsys.readouterr().err
+    assert main(["analyze", "--config", workspace["config"], "--trace-dir", trace_dir]) == 0
+    capsys.readouterr()
+
+
+def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
+    cfg = ["--config", workspace["config"]]
+    snap = tmp_path / "a" / "calibration.json"
+    trace = tmp_path / "b" / "trace.jsonl"
+    report = tmp_path / "c" / "report.json"
+    bounds = tmp_path / "d" / "bounds.csv"
+    assert main(["calibrate", *cfg, "--out", str(snap)]) == 0
+    assert main(["run", *cfg, "--snapshot", str(snap), "--out", str(trace)]) == 0
+    sweep_dir = str(workspace["root"] / "sweep_for_out")
+    assert main(["sweep", *cfg, "--out-dir", sweep_dir]) == 0
+    assert main(["analyze", *cfg, "--trace-dir", sweep_dir, "--out", str(report)]) == 0
+    assert main(["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(bounds)]) == 0
+    capsys.readouterr()
+    assert CalibrationSnapshot.load(str(snap)).env_id == "MassSpring1D"
+    assert len(read_trace(str(trace))[1]) == TINY["horizon"]
+    assert json.loads(report.read_text())["n_configs"] == 1
+    # csv rows end in \r\n, as csv.writer writes them.
+    raw = bounds.read_bytes()
+    assert raw.count(b"\r\n") == 21 and raw.count(b"\n") == 21
+
+
 def test_analyze_empty_dir(workspace, tmp_path, capsys):
     rc = main(["analyze", "--config", workspace["config"], "--trace-dir", str(tmp_path)])
     assert rc == 1

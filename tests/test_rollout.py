@@ -8,6 +8,7 @@ scoring, trace files).
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from helpers import constant_ensemble
 
 from compound_uq import rollout
 from compound_uq.config import config_from_dict
-from compound_uq.envs import make_env
+from compound_uq.ensemble import Ensemble, disagreement
+from compound_uq.envs import DriftBot, make_env
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
-from compound_uq.policy import PolicySettings
+from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, select_action, task_affinity
 from compound_uq.rollout import (
     build_degradation_records,
     build_eval_rows,
@@ -27,6 +29,7 @@ from compound_uq.rollout import (
     collect_baseline_buffer,
     driftbot_controller,
     mass_spring_controller,
+    policy_mode_settings,
     read_trace,
     run_condition,
     run_sweep,
@@ -157,6 +160,112 @@ def test_run_condition_adaptive_updates_a_clone(cfg_ms, snap_ms):
     assert not res.adaptive_ensemble.frozen
     assert res.adaptive_ensemble.weights_hash() != snap_ms.ensemble.weights_hash()
     assert snap_ms.ensemble.frozen  # the deployed scorer is untouched
+
+
+@pytest.fixture(scope="module")
+def db_snapshot():
+    # A real (small) calibrated DriftBot ensemble; the threshold overrides
+    # skip the probe runs.
+    cfg = config_from_dict(
+        {
+            "env_id": "DriftBot",
+            "horizon": 40,
+            "onset_t": 10,
+            "grid": {
+                "po_levels": [0.0, 0.5],
+                "delay_levels": [0, 1],
+                "shift_levels": [None, ["gain_left", 0.5]],
+                "seeds": [0],
+            },
+            "ensemble": {"t_pre": 120, "m_members": 3, "epochs": 5},
+            "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+        }
+    )
+    return cfg, calibrate(cfg)
+
+
+def _record_forward_rows(monkeypatch) -> list[int]:
+    """Row count of every ensemble forward pass made from now on."""
+    rows: list[int] = []
+    forward = Ensemble.predict_members
+
+    def recording(self, x):
+        rows.append(x.shape[0])
+        return forward(self, x)
+
+    monkeypatch.setattr(Ensemble, "predict_members", recording)
+    return rows
+
+
+def _record_candidate_sets(monkeypatch) -> list[int]:
+    """Size of every candidate set the episode loop draws from now on."""
+    sizes: list[int] = []
+
+    def recording(*args, **kwargs):
+        cands = candidate_actions(*args, **kwargs)
+        sizes.append(cands.shape[0])
+        return cands
+
+    monkeypatch.setattr(rollout, "candidate_actions", recording)
+    return sizes
+
+
+def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeypatch):
+    cfg, snap = db_snapshot
+    settings = policy_mode_settings(cfg, "monitor")
+    rows = _record_forward_rows(monkeypatch)
+    drawn = _record_candidate_sets(monkeypatch)
+    cond = ConditionSpec(po_fraction=0.5, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
+    run_condition(cfg, snap, cond, seed=0, policy_settings=settings)
+    assert rows == [2] * cfg.horizon
+    # The full candidate set, explorer draws included, is still drawn.
+    assert drawn == [settings.n_candidates] * cfg.horizon
+
+
+def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, snap_ms, monkeypatch):
+    settings = PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8)
+    rows = _record_forward_rows(monkeypatch)
+    drawn = _record_candidate_sets(monkeypatch)
+    cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
+    res = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=settings)
+    # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
+    assert rows == [2 if s["alpha"] == 0.0 else 8 for s in res.steps]
+    assert 2 in rows and 8 in rows
+    assert drawn == [8] * cfg_ms.horizon
+
+
+def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
+    # At zero spread the episode loop scores only rows 0 and 1; scored by
+    # a real ensemble, that must give the full set's choice field for field.
+    cfg, snap = db_snapshot
+    settings = policy_mode_settings(cfg, "monitor")
+    obs_dim = len(DriftBot.OBS_NAMES)
+    states, _ = collect_baseline_buffer(cfg).rows()
+    rng = np.random.default_rng(0)
+    picked, n_forced = set(), 0
+    inner = DriftBot.ARENA_HALF - DriftBot.RISK_ZONE
+    for i in range(300):
+        base = states[i % states.shape[0], : 2 * obs_dim].copy()
+        # Put the pose in or near the risk zone so that budgets bind.
+        base[:2] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(inner - DriftBot.RISK_ZONE, DriftBot.ARENA_HALF, size=2)
+        task = np.zeros(2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, size=2)
+        kappa = float(rng.uniform(0.0, 1.5 * snap.thresholds.tau_high))
+        cands = candidate_actions(task, rng, settings, spread=0.0)
+        choices = []
+        for rows in (cands, cands[:2]):
+            x = np.concatenate([np.repeat(base[None, :], rows.shape[0], axis=0), rows], axis=1)
+            preds = snap.ensemble.predict_members(x)
+            risk = DriftBot.risk_from_obs(base[None, :obs_dim] + preds.mean(axis=0))
+            choices.append(
+                select_action(rows, task_affinity(rows, task), disagreement(preds), risk, kappa, snap.thresholds, settings)
+            )
+        full, distinct = choices
+        for f in fields(ActionChoice):
+            np.testing.assert_array_equal(getattr(full, f.name), getattr(distinct, f.name))
+        picked.add(full.index)
+        n_forced += not full.any_compliant
+    # Both rows win somewhere, and both the budget and the forced branch run.
+    assert picked == {0, 1} and 0 < n_forced < 300
 
 
 def test_calibrate_with_threshold_overrides(tmp_path):
