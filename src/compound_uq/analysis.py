@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -57,20 +57,7 @@ class DegradationRecord:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "return_c1": self.return_c1,
-            "return_c2": self.return_c2,
-            "return_c3": self.return_c3,
-            "return_c4": self.return_c4,
-            "delta_po": self.delta_po,
-            "delta_theta": self.delta_theta,
-            "delta_compound": self.delta_compound,
-            "synergy_frac": self.synergy_frac,
-            "synergy_units": self.synergy_units,
-            "baseline_degenerate": self.baseline_degenerate,
-            "meta": dict(self.meta),
-        }
+        return asdict(self)
 
 
 BASELINE_EPS = 1e-12
@@ -139,22 +126,7 @@ class SynergyReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_configs": self.n_configs,
-            "n_superadditive": self.n_superadditive,
-            "rate": self.rate,
-            "units": self.units,
-            "threshold": self.threshold,
-            "mean_synergy": self.mean_synergy,
-            "t_stat": self.t_stat,
-            "p_value": self.p_value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_degenerate": self.n_degenerate,
-            "per_stratum_rates": self.per_stratum_rates,
-            "notes": self.notes,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -184,7 +156,6 @@ def superadditive_rate(records, threshold: float = 0.0, units: str = "frac") -> 
         raise InputError("superadditive_rate needs at least one record")
     synergies = np.array([_synergy_of(r, units) for r in recs], dtype=float)
     flagged = synergies > threshold
-    flagged = np.where(np.isnan(synergies), False, flagged)
     n = len(recs)
     n_flag = int(flagged.sum())
     n_degenerate = sum(1 for r in recs if r.baseline_degenerate)
@@ -236,14 +207,7 @@ class StratifiedRateResult:
     p_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "stratum_key": self.stratum_key,
-            "strata": self.strata,
-            "chi2": self.chi2,
-            "df": self.df,
-            "p_value": self.p_value,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def _stratum_of(record: DegradationRecord, stratum_key: str) -> str | None:
@@ -289,7 +253,7 @@ def stratified_rate_test(
     for name in sorted(groups):
         rs = groups[name]
         syn = np.array([_synergy_of(r, units) for r in rs], dtype=float)
-        flags = np.where(np.isnan(syn), False, syn > threshold)
+        flags = syn > threshold
         n_flag = int(flags.sum())
         strata_summary[name] = {"n": len(rs), "n_superadditive": n_flag, "rate": n_flag / len(rs)}
         flagged_counts.append(n_flag)

@@ -156,30 +156,22 @@ def cmd_sweep(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args.config)
     trace_dir = args.trace_dir
-    returns: dict[tuple, float] = {}
+    footers: list[dict] = []
     origins: set[tuple] = set()
     for name in sorted(os.listdir(trace_dir)):
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
         header, _, footer = read_trace(os.path.join(trace_dir, name))
         origins.add((str(header.get("config_hash")), str(header.get("policy_mode"))))
-        cond = header["condition"]
-        shift = cond.get("shift")
-        key = (
-            float(cond["po_fraction"]),
-            int(cond["delay_steps"]),
-            None if shift is None else (str(shift[0]), float(shift[1])),
-            int(header["seed"]),
-        )
-        returns[key] = float(footer["episode_return"])
-    if not returns:
+        footers.append(footer)
+    if not footers:
         raise InputError(f"no trace files found in {trace_dir}")
     if len(origins) > 1:
         raise InputError(f"traces in {trace_dir} mix (config hash, policy mode) pairs: {sorted(origins)}")
     [(trace_hash, _)] = origins
     if trace_hash != cfg.config_hash():
         raise InputError(f"traces in {trace_dir} were made under config {trace_hash}, not this config")
-    records = build_degradation_records(returns, cfg.grid)
+    records = build_degradation_records(footers, cfg.grid)
     report = superadditive_rate(records, threshold=args.threshold, units=args.units)
     out = _out_path(args.out or os.path.join(trace_dir, "synergy_report.json"))
     atomic_write_text(out, report.to_json() + "\n")

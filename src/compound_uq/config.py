@@ -1,8 +1,9 @@
 """Experiment configuration: schema, defaults, strict parsing, hashing.
 
-Configs are JSON documents with a fixed nested schema. Parsing is strict:
-unknown keys at any level are errors, because a silently ignored typo in
-a sweep config can burn hours of compute before anyone notices.
+Configs are JSON documents whose schema is ``ExperimentConfig().to_dict()``.
+Parsing is strict: unknown keys at any level are errors, because a
+silently ignored typo in a sweep config can burn hours of compute before
+anyone notices.
 
 ``config_hash`` is a sha256 over the canonical JSON of the resolved
 config, excluding the output directory, which must not affect emitted
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .ensemble import TrainSettings
-from .errors import InputError
+from .errors import CompoundUQError, InputError
 from .kappa import C_TAU, CLIP_C
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
@@ -124,116 +125,92 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _require_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
+def _merge(doc, schema: dict, where: str) -> dict:
+    """``schema`` with ``doc``'s values laid over it, section by section."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(schema)
     if unknown:
         raise InputError(f"unknown config keys in {where}: {sorted(unknown)}")
+    merged = {}
+    for key, default in schema.items():
+        value = doc.get(key, default)
+        merged[key] = _merge(value, default, key) if isinstance(default, dict) else value
+    return merged
+
+
+def _shift_level(s) -> tuple[str, float] | None:
+    if s is None:
+        return None
+    if isinstance(s, (list, tuple)) and len(s) == 2:
+        return (str(s[0]), float(s[1]))
+    raise InputError(f"shift level must be null or [param, value], got {s!r}")
+
+
+def _build(d: dict) -> ExperimentConfig:
+    if int(d["schema_version"]) != CONFIG_SCHEMA_VERSION:
+        raise InputError(f"unsupported config schema_version {d['schema_version']}")
+    grid, ens, pol, ad, th = (d[k] for k in ("grid", "ensemble", "policy", "adaptive", "thresholds"))
+    if (th["tau_low"] is None) != (th["tau_high"] is None):
+        raise InputError("threshold overrides must set both tau_low and tau_high or neither")
+    return ExperimentConfig(
+        env_id=str(d["env_id"]),
+        onset_t=int(d["onset_t"]),
+        horizon=int(d["horizon"]),
+        grid=GridSpec(
+            po_levels=tuple(float(v) for v in grid["po_levels"]),
+            delay_levels=tuple(int(v) for v in grid["delay_levels"]),
+            shift_levels=tuple(_shift_level(s) for s in grid["shift_levels"]),
+            seeds=tuple(int(v) for v in grid["seeds"]),
+        ),
+        m_members=int(ens["m_members"]),
+        t_pre=int(ens["t_pre"]),
+        clip_c=float(ens["clip_c"]),
+        c_tau=float(ens["c_tau"]),
+        train=TrainSettings(
+            hidden_width=int(ens["hidden_width"]),
+            epochs=int(ens["epochs"]),
+            learning_rate=float(ens["learning_rate"]),
+            batch_size=int(ens["batch_size"]),
+        ),
+        policy=PolicySettings(
+            alpha_max=float(pol["alpha_max"]),
+            lambda_risk=float(pol["lambda_risk"]),
+            delta_max=float(pol["delta_max"]),
+            n_candidates=int(pol["n_candidates"]),
+        ),
+        adaptive=AdaptiveSettings(
+            enabled=bool(ad["enabled"]),
+            every=int(ad["every"]),
+            window=int(ad["window"]),
+            epochs=int(ad["epochs"]),
+        ),
+        thresholds=ThresholdOverrides(
+            tau_low=None if th["tau_low"] is None else float(th["tau_low"]),
+            tau_high=None if th["tau_high"] is None else float(th["tau_high"]),
+            round_to_decimal=bool(th["round_to_decimal"]),
+        ),
+        probe_episodes=int(d["probe_episodes"]),
+        calibration_seed=int(d["calibration_seed"]),
+        output_dir=str(d["output_dir"]),
+    )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a parsed JSON document; unknown keys are errors."""
-    if not isinstance(raw, dict):
-        raise InputError("config document must be a JSON object")
-    _require_keys(
-        raw,
-        {
-            "schema_version",
-            "env_id",
-            "onset_t",
-            "horizon",
-            "grid",
-            "ensemble",
-            "policy",
-            "adaptive",
-            "thresholds",
-            "probe_episodes",
-            "calibration_seed",
-            "output_dir",
-        },
-        "config root",
-    )
-    if int(raw.get("schema_version", CONFIG_SCHEMA_VERSION)) != CONFIG_SCHEMA_VERSION:
-        raise InputError(f"unsupported config schema_version {raw.get('schema_version')}")
+    """Build a config from a parsed JSON document.
 
-    defaults = ExperimentConfig()
-
-    grid_raw = raw.get("grid", {})
-    _require_keys(grid_raw, {"po_levels", "delay_levels", "shift_levels", "seeds"}, "grid")
-    shift_levels = []
-    for s in grid_raw.get("shift_levels", [None if v is None else list(v) for v in defaults.grid.shift_levels]):
-        if s is None:
-            shift_levels.append(None)
-        elif isinstance(s, (list, tuple)) and len(s) == 2:
-            shift_levels.append((str(s[0]), float(s[1])))
-        else:
-            raise InputError(f"shift level must be null or [param, value], got {s!r}")
-    grid = GridSpec(
-        po_levels=tuple(float(v) for v in grid_raw.get("po_levels", defaults.grid.po_levels)),
-        delay_levels=tuple(int(v) for v in grid_raw.get("delay_levels", defaults.grid.delay_levels)),
-        shift_levels=tuple(shift_levels),
-        seeds=tuple(int(v) for v in grid_raw.get("seeds", defaults.grid.seeds)),
-    )
-
-    ens_raw = raw.get("ensemble", {})
-    _require_keys(
-        ens_raw,
-        {"m_members", "t_pre", "clip_c", "c_tau", "hidden_width", "epochs", "learning_rate", "batch_size"},
-        "ensemble",
-    )
-    train = TrainSettings(
-        hidden_width=int(ens_raw.get("hidden_width", defaults.train.hidden_width)),
-        epochs=int(ens_raw.get("epochs", defaults.train.epochs)),
-        learning_rate=float(ens_raw.get("learning_rate", defaults.train.learning_rate)),
-        batch_size=int(ens_raw.get("batch_size", defaults.train.batch_size)),
-    )
-
-    pol_raw = raw.get("policy", {})
-    _require_keys(pol_raw, {"alpha_max", "lambda_risk", "delta_max", "n_candidates"}, "policy")
-    policy = PolicySettings(
-        alpha_max=float(pol_raw.get("alpha_max", defaults.policy.alpha_max)),
-        lambda_risk=float(pol_raw.get("lambda_risk", defaults.policy.lambda_risk)),
-        delta_max=float(pol_raw.get("delta_max", defaults.policy.delta_max)),
-        n_candidates=int(pol_raw.get("n_candidates", defaults.policy.n_candidates)),
-    )
-
-    ad_raw = raw.get("adaptive", {})
-    _require_keys(ad_raw, {"enabled", "every", "window", "epochs"}, "adaptive")
-    adaptive = AdaptiveSettings(
-        enabled=bool(ad_raw.get("enabled", defaults.adaptive.enabled)),
-        every=int(ad_raw.get("every", defaults.adaptive.every)),
-        window=int(ad_raw.get("window", defaults.adaptive.window)),
-        epochs=int(ad_raw.get("epochs", defaults.adaptive.epochs)),
-    )
-
-    th_raw = raw.get("thresholds", {})
-    _require_keys(th_raw, {"tau_low", "tau_high", "round_to_decimal"}, "thresholds")
-    tau_low = th_raw.get("tau_low")
-    tau_high = th_raw.get("tau_high")
-    if (tau_low is None) != (tau_high is None):
-        raise InputError("threshold overrides must set both tau_low and tau_high or neither")
-    thresholds = ThresholdOverrides(
-        tau_low=None if tau_low is None else float(tau_low),
-        tau_high=None if tau_high is None else float(tau_high),
-        round_to_decimal=bool(th_raw.get("round_to_decimal", False)),
-    )
-
-    cfg = ExperimentConfig(
-        env_id=str(raw.get("env_id", defaults.env_id)),
-        onset_t=int(raw.get("onset_t", defaults.onset_t)),
-        horizon=int(raw.get("horizon", defaults.horizon)),
-        grid=grid,
-        m_members=int(ens_raw.get("m_members", defaults.m_members)),
-        t_pre=int(ens_raw.get("t_pre", defaults.t_pre)),
-        clip_c=float(ens_raw.get("clip_c", defaults.clip_c)),
-        c_tau=float(ens_raw.get("c_tau", defaults.c_tau)),
-        train=train,
-        policy=policy,
-        adaptive=adaptive,
-        thresholds=thresholds,
-        probe_episodes=int(raw.get("probe_episodes", defaults.probe_episodes)),
-        calibration_seed=int(raw.get("calibration_seed", defaults.calibration_seed)),
-        output_dir=str(raw.get("output_dir", defaults.output_dir)),
-    )
+    The default config's ``to_dict()`` is the schema: its keys are the
+    only ones allowed at the root and in each section, and its values
+    fill in every key the document leaves out. A value of the wrong type
+    is an ``InputError``.
+    """
+    merged = _merge(raw, ExperimentConfig().to_dict(), "config root")
+    try:
+        cfg = _build(merged)
+    except CompoundUQError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise InputError(f"config value has the wrong type: {e}") from e
     _validate_config(cfg)
     return cfg
 

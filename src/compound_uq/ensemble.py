@@ -25,7 +25,7 @@ shared by all members; predictions are reported in raw units.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class ReplayBuffer:
         if not self._episodes:
             self._episodes.append([])
         self._episodes[-1].append(tr)
-
-    def __len__(self) -> int:
-        return sum(len(ep) for ep in self._episodes)
-
-    def n_rows(self) -> int:
-        return sum(max(0, len(ep) - 2) for ep in self._episodes)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack (input, target) training rows across episodes."""
@@ -199,12 +193,7 @@ class Ensemble:
             "out_dim": self.out_dim,
             "seed": self.seed,
             "frozen": self.frozen,
-            "settings": {
-                "hidden_width": self.settings.hidden_width,
-                "epochs": self.settings.epochs,
-                "learning_rate": self.settings.learning_rate,
-                "batch_size": self.settings.batch_size,
-            },
+            "settings": asdict(self.settings),
             "w1": enc(self.w1),
             "b1": enc(self.b1),
             "w2": enc(self.w2),

@@ -90,12 +90,22 @@ class _BaseEnv:
         for name, value in merged.items():
             self._check_bound(name, value)
         self._params = merged
-        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=[self.seed, 0]))
-        self.t = 0
-        self.terminal = False
+        self.reset()
 
     @classmethod
     def default_params(cls) -> DynamicsParams:
+        raise NotImplementedError
+
+    def reset(self) -> ObservationVec:
+        """Restart the episode: step counter, noise stream, initial state."""
+        self.t = 0
+        self.terminal = False
+        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=[self.seed, 0]))
+        self._init_state()
+        return self.observe()
+
+    def _init_state(self) -> None:
+        """Set the initial plant state; may draw from the fresh ``rng``."""
         raise NotImplementedError
 
     def _check_bound(self, name: str, value: float) -> None:
@@ -173,28 +183,16 @@ class DriftBot(_BaseEnv):
     RISK_ZONE = 1.0
     CONTROL_COST = 0.001
 
-    def __init__(self, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON):
-        super().__init__(seed, params, horizon)
-        self.x = 0.0
-        self.y = 0.0
-        self.heading = 0.0
-        self.speed = 0.0
-        self.turn_rate = 0.0
-
     @classmethod
     def default_params(cls) -> DynamicsParams:
         return {"gain_left": 1.0, "gain_right": 1.0, "noise_scale": 0.02}
 
-    def reset(self) -> ObservationVec:
+    def _init_state(self) -> None:
         self.x = 0.0
         self.y = 0.0
         self.heading = 0.0
         self.speed = 0.0
         self.turn_rate = 0.0
-        self.t = 0
-        self.terminal = False
-        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=[self.seed, 0]))
-        return self.observe()
 
     def observe(self) -> ObservationVec:
         gx, gy = self.GOAL
@@ -292,24 +290,14 @@ class MassSpring1D(_BaseEnv):
     X_LIMIT = 1.5
     FORCE_NOISE_STD = 0.01
 
-    def __init__(self, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON):
-        super().__init__(seed, params, horizon)
-        self.x = 0.0
-        self.v = 0.0
-        self.reset()
-
     @classmethod
     def default_params(cls) -> DynamicsParams:
         return {"mass": 1.0, "stiffness": 1.0}
 
-    def reset(self) -> ObservationVec:
-        self.t = 0
-        self.terminal = False
-        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=[self.seed, 0]))
+    def _init_state(self) -> None:
         sign = 1.0 if self.rng.random() < 0.5 else -1.0
         self.x = sign * self.rng.uniform(0.5, 1.5)
         self.v = 0.0
-        return self.observe()
 
     def observe(self) -> ObservationVec:
         return np.array([self.x, self.v], dtype=float)
@@ -358,6 +346,4 @@ def make_env(env_id: str, seed: int, params: DynamicsParams | None = None, horiz
     """Instantiate an environment by id; raises ``InputError`` for unknown ids."""
     if env_id not in ENV_CLASSES:
         raise InputError(f"unknown env_id {env_id!r}; choose from {sorted(ENV_CLASSES)}")
-    env = ENV_CLASSES[env_id](seed=seed, params=params, horizon=horizon)
-    env.reset()
-    return env
+    return ENV_CLASSES[env_id](seed=seed, params=params, horizon=horizon)

@@ -171,7 +171,6 @@ def run_condition(
     snapshot: CalibrationSnapshot,
     condition: ConditionSpec,
     seed: int,
-    thresholds: Thresholds | None = None,
     policy_settings: PolicySettings | None = None,
     adaptive_enabled: bool = False,
     collect_steps: bool = True,
@@ -184,7 +183,7 @@ def run_condition(
     env_cls = ENV_CLASSES[config.env_id]
     env = make_env(config.env_id, seed=seed, horizon=config.horizon)
     controller = TASK_CONTROLLERS[config.env_id]
-    thresholds = thresholds or snapshot.thresholds
+    thresholds = snapshot.thresholds
     settings = policy_settings or config.policy
 
     mask = condition.mask_spec(env_cls)
@@ -289,7 +288,7 @@ def run_condition(
             steps.append(
                 {
                     "kind": "step",
-                    "t": t,
+                    **comp.to_dict(),
                     "obs": [float(v) for v in visible],
                     "action": [float(v) for v in choice.action],
                     "executed_action": [float(v) for v in executed],
@@ -297,11 +296,6 @@ def run_condition(
                     "delta": [float(v) for v in delta_vis],
                     "reward": float(tr.reward),
                     "risk": float(tr.risk),
-                    "mse": mse,
-                    "sigma_theta": comp.sigma_theta,
-                    "sigma_s": comp.sigma_s,
-                    "kappa": comp.kappa,
-                    "regime": comp.regime.value,
                     "alpha": choice.alpha,
                     "delta_budget": choice.delta,
                     "chosen_index": choice.index,
@@ -431,7 +425,6 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
                     provisional,
                     cond,
                     seed=90001 + config.calibration_seed * 131 + ep,
-                    thresholds=DEFAULT_THRESHOLDS,
                     policy_settings=probe_policy,
                     collect_steps=False,
                 )
@@ -563,15 +556,21 @@ def _dyn_tag(delay: int, shift) -> str:
     return f"delay{delay}-shift-{shift_tag}"
 
 
-def build_degradation_records(cells: dict[tuple, float], grid, meta_by_key: dict | None = None) -> list[DegradationRecord]:
-    """Assemble matched-seed quadruples from per-cell episode returns.
+def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
+    """Assemble matched-seed quadruples from per-cell summaries.
 
-    ``cells`` maps (po, delay, shift, seed) to episode return. For every
+    ``summaries`` are ``RolloutResult.summary()`` dicts or trace footers;
+    each gives its cell's condition, seed and episode return. For every
     seed, masking level > 0, and dynamics stressor combination (delay
     and/or shift active) present in the grid, the quadruple is
     (clean, masking only, dynamics only, both). Requires the grid to be a
     full factorial containing the clean and single-stressor cells.
     """
+    cells: dict[tuple, float] = {}
+    for summary in summaries:
+        cond = ConditionSpec.from_dict(summary["condition"])
+        key = (cond.po_fraction, cond.delay_steps, cond.shift, int(summary["seed"]))
+        cells[key] = float(summary["episode_return"])
     records: list[DegradationRecord] = []
     po_levels = [p for p in grid.po_levels if p > 0]
     dyn_combos = [
@@ -668,13 +667,7 @@ def run_sweep(
         return result.summary()
 
     summaries = [run_cell(cond, seed) for cond, seed in cells]
-
-    returns: dict[tuple, float] = {}
-    for (cond, seed), summary in zip(cells, summaries):
-        key = (cond.po_fraction, cond.delay_steps, cond.shift, seed)
-        returns[key] = summary["episode_return"]
-
-    records = build_degradation_records(returns, config.grid)
+    records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")
     stratified: dict[str, StratifiedRateResult] = {}
     for key in ("delay_level", "shift_only"):

@@ -168,6 +168,16 @@ def test_stratified_degenerate_tables():
     assert all_flagged.chi2 == 0.0 and all_flagged.p_value == 1.0
 
 
+def test_stratified_degenerate_baseline_counts_but_is_never_flagged():
+    degenerate = record(0.0, 1.0, 1.0, -3.0, config_id="zero", meta={"delay_steps": 1})
+    records = strat_records(4, 2, 4, 1) + [degenerate]
+    frac = stratified_rate_test(records, stratum_key="delay_level")
+    assert frac.strata["delay=1"] == {"n": 5, "n_superadditive": 2, "rate": 0.4}
+    # Its synergy in return units is defined (5.0), so there it is flagged.
+    units = stratified_rate_test(records, stratum_key="delay_level", units="units")
+    assert units.strata["delay=1"]["n_superadditive"] == 3
+
+
 def test_stratified_shift_only_key_excludes_clean_dynamics():
     records = strat_records(6, 3, 6, 2)
     # No dynamics stressor at all: excluded from the shift_only strata.

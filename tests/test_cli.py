@@ -75,6 +75,14 @@ def test_calibrate_missing_config_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"grid": 5}, {"ensemble": None}, {"horizon": "abc"}])
+def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["calibrate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_calibrate_exit_code_two_without_stressors(tmp_path, capsys):
     cfg = dict(TINY)
     cfg.pop("thresholds")

@@ -1,6 +1,7 @@
 """Config schema, strict parsing, and hash stability tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +151,85 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(str(path))
     assert cfg.horizon == 500 and cfg.onset_t == 200
     assert isinstance(cfg, ExperimentConfig)
+
+
+# One valid non-default value for every leaf of the schema.
+ALTERNATIVES = {
+    ("env_id",): "MassSpring1D",
+    ("onset_t",): 60,
+    ("horizon",): 500,
+    ("grid", "po_levels"): [0.0, 0.75],
+    ("grid", "delay_levels"): [0, 2],
+    ("grid", "shift_levels"): [None, ["gain_right", 0.25]],
+    ("grid", "seeds"): [3, 4],
+    ("ensemble", "m_members"): 3,
+    ("ensemble", "t_pre"): 200,
+    ("ensemble", "clip_c"): 4.0,
+    ("ensemble", "c_tau"): 0.5,
+    ("ensemble", "hidden_width"): 16,
+    ("ensemble", "epochs"): 20,
+    ("ensemble", "learning_rate"): 0.01,
+    ("ensemble", "batch_size"): 8,
+    ("policy", "alpha_max"): 50.0,
+    ("policy", "lambda_risk"): 2.0,
+    ("policy", "delta_max"): 0.25,
+    ("policy", "n_candidates"): 8,
+    ("adaptive", "enabled"): False,
+    ("adaptive", "every"): 5,
+    ("adaptive", "window"): 60,
+    ("adaptive", "epochs"): 3,
+    ("thresholds", "tau_low"): 0.1,
+    ("thresholds", "tau_high"): 0.9,
+    ("thresholds", "round_to_decimal"): True,
+    ("probe_episodes",): 2,
+    ("calibration_seed",): 7,
+    ("output_dir",): "elsewhere",
+}
+
+# Keys that cannot change alone, with the one other leaf each needs.
+COMPANIONS = {
+    ("env_id",): (("grid", "shift_levels"), [None, ["stiffness", 3.0]]),
+    ("thresholds", "tau_low"): (("thresholds", "tau_high"), 0.5),
+    ("thresholds", "tau_high"): (("thresholds", "tau_low"), 0.2),
+}
+
+
+def _leaves(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,), value
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[path[-1]] = value
+
+
+def test_alternatives_cover_every_schema_leaf():
+    schema = dict(_leaves(ExperimentConfig().to_dict()))
+    assert set(ALTERNATIVES) == set(schema) - {("schema_version",)}
+    assert all(ALTERNATIVES[path] != schema[path] for path in ALTERNATIVES)
+
+
+@pytest.mark.parametrize("path", sorted(ALTERNATIVES), ids="/".join)
+def test_each_schema_leaf_parses_and_changes_only_itself(path):
+    doc: dict = {}
+    expected = {path: ALTERNATIVES[path]}
+    if path in COMPANIONS:
+        other, value = COMPANIONS[path]
+        expected[other] = value
+    for p, value in expected.items():
+        _set(doc, p, value)
+    default = dict(_leaves(ExperimentConfig().to_dict()))
+    parsed = dict(_leaves(config_from_dict(doc).to_dict()))
+    assert {p: v for p, v in parsed.items() if v != default[p]} == expected
+
+
+def test_readme_configuration_block_is_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == ExperimentConfig().to_dict()

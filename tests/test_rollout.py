@@ -389,20 +389,19 @@ def test_build_eval_rows_validation(kwargs):
 
 def test_build_degradation_records_quadruples(cfg_ms):
     grid = cfg_ms.grid
-    cells = {
-        (0.0, 0, None, 0): 1.0,
-        (0.5, 0, None, 0): 0.9,
-        (0.0, 1, None, 0): 0.8,
-        (0.5, 1, None, 0): 0.5,
-    }
-    records = build_degradation_records(cells, grid)
+    returns = {(0.0, 0): 1.0, (0.5, 0): 0.9, (0.0, 1): 0.8, (0.5, 1): 0.5}
+    summaries = [
+        {"condition": ConditionSpec(po_fraction=po, delay_steps=delay).to_dict(), "seed": 0, "episode_return": ret}
+        for (po, delay), ret in returns.items()
+    ]
+    records = build_degradation_records(summaries, grid)
     assert len(records) == 1
     rec = records[0]
     assert rec.config_id == "po0.5_delay1-shift-none_seed0"
     assert rec.synergy_frac == pytest.approx(0.2, abs=1e-12)
     assert rec.meta["delay_steps"] == 1 and rec.meta["shift"] is None
     with pytest.raises(InputError):
-        build_degradation_records({k: v for k, v in cells.items() if k[0] == 0.0}, grid)
+        build_degradation_records([s for s in summaries if s["condition"]["po_fraction"] == 0.0], grid)
 
 
 def test_run_sweep_in_memory(cfg_ms, snap_ms):
