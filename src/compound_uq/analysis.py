@@ -10,9 +10,15 @@ flag.
 
 Statistics are deliberately plain and hand-auditable: the flagged-synergy
 t statistic and the rate-homogeneity chi-square are computed from their
-textbook formulas, with only the distribution tail probabilities taken
-from scipy. No statistic here uses internal randomness; identical records
-give identical reports.
+textbook formulas, with only the distribution tails taken from
+``scipy.special``: ``stdtr`` (Student t CDF) for the two-sided p-value,
+``stdtrit`` (its inverse) for the 95% critical value and ``chdtrc``
+(chi-square survival function) for the homogeneity p-value. These are the
+calls ``scipy.stats.t.sf``, ``t.ppf`` and ``chi2.sf`` make, so the values
+are the same bit for bit, without importing ``scipy.stats``. scipy is
+imported only inside the two functions that need it, so importing this
+module (and the CLI) loads no scipy. No statistic here uses internal
+randomness; identical records give identical reports.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import InputError
 from .snapshot import atomic_write_text
@@ -173,8 +178,10 @@ def superadditive_rate(records, threshold: float = 0.0, units: str = "frac") -> 
                 se = sd / math.sqrt(n_flag)
                 t_stat = mean_s / se
                 df = n_flag - 1
-                p_value = float(2.0 * _scipy_stats.t.sf(abs(t_stat), df))
-                t_crit = float(_scipy_stats.t.ppf(0.975, df))
+                from scipy.special import stdtr, stdtrit
+
+                p_value = float(2.0 * stdtr(df, -abs(t_stat)))
+                t_crit = float(stdtrit(df, 0.975))
                 ci_low = mean_s - t_crit * se
                 ci_high = mean_s + t_crit * se
             else:
@@ -272,7 +279,9 @@ def stratified_rate_test(
         expected_no = totals * (1.0 - p_hat)
         observed_no = totals - flagged_counts
         chi2 = float(((flagged_counts - expected_yes) ** 2 / expected_yes).sum() + ((observed_no - expected_no) ** 2 / expected_no).sum())
-        p = float(_scipy_stats.chi2.sf(chi2, df))
+        from scipy.special import chdtrc
+
+        p = float(chdtrc(df, chi2))
     return StratifiedRateResult(stratum_key=stratum_key, strata=strata_summary, chi2=chi2, df=df, p_value=p)
 
 

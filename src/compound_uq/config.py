@@ -139,60 +139,84 @@ def _merge(doc, schema: dict, where: str) -> dict:
     return merged
 
 
+def _int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"config value {name} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"config value {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"config value {name} must be true or false, got {value!r}")
+    return value
+
+
+def _str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"config value {name} must be a string, got {value!r}")
+    return value
+
+
 def _shift_level(s) -> tuple[str, float] | None:
     if s is None:
         return None
     if isinstance(s, (list, tuple)) and len(s) == 2:
-        return (str(s[0]), float(s[1]))
+        return (_str(s[0], "grid.shift_levels parameter"), _float(s[1], "grid.shift_levels value"))
     raise InputError(f"shift level must be null or [param, value], got {s!r}")
 
 
 def _build(d: dict) -> ExperimentConfig:
-    if int(d["schema_version"]) != CONFIG_SCHEMA_VERSION:
+    if _int(d["schema_version"], "schema_version") != CONFIG_SCHEMA_VERSION:
         raise InputError(f"unsupported config schema_version {d['schema_version']}")
     grid, ens, pol, ad, th = (d[k] for k in ("grid", "ensemble", "policy", "adaptive", "thresholds"))
     if (th["tau_low"] is None) != (th["tau_high"] is None):
         raise InputError("threshold overrides must set both tau_low and tau_high or neither")
     return ExperimentConfig(
-        env_id=str(d["env_id"]),
-        onset_t=int(d["onset_t"]),
-        horizon=int(d["horizon"]),
+        env_id=_str(d["env_id"], "env_id"),
+        onset_t=_int(d["onset_t"], "onset_t"),
+        horizon=_int(d["horizon"], "horizon"),
         grid=GridSpec(
-            po_levels=tuple(float(v) for v in grid["po_levels"]),
-            delay_levels=tuple(int(v) for v in grid["delay_levels"]),
+            po_levels=tuple(_float(v, "grid.po_levels") for v in grid["po_levels"]),
+            delay_levels=tuple(_int(v, "grid.delay_levels") for v in grid["delay_levels"]),
             shift_levels=tuple(_shift_level(s) for s in grid["shift_levels"]),
-            seeds=tuple(int(v) for v in grid["seeds"]),
+            seeds=tuple(_int(v, "grid.seeds") for v in grid["seeds"]),
         ),
-        m_members=int(ens["m_members"]),
-        t_pre=int(ens["t_pre"]),
-        clip_c=float(ens["clip_c"]),
-        c_tau=float(ens["c_tau"]),
+        m_members=_int(ens["m_members"], "ensemble.m_members"),
+        t_pre=_int(ens["t_pre"], "ensemble.t_pre"),
+        clip_c=_float(ens["clip_c"], "ensemble.clip_c"),
+        c_tau=_float(ens["c_tau"], "ensemble.c_tau"),
         train=TrainSettings(
-            hidden_width=int(ens["hidden_width"]),
-            epochs=int(ens["epochs"]),
-            learning_rate=float(ens["learning_rate"]),
-            batch_size=int(ens["batch_size"]),
+            hidden_width=_int(ens["hidden_width"], "ensemble.hidden_width"),
+            epochs=_int(ens["epochs"], "ensemble.epochs"),
+            learning_rate=_float(ens["learning_rate"], "ensemble.learning_rate"),
+            batch_size=_int(ens["batch_size"], "ensemble.batch_size"),
         ),
         policy=PolicySettings(
-            alpha_max=float(pol["alpha_max"]),
-            lambda_risk=float(pol["lambda_risk"]),
-            delta_max=float(pol["delta_max"]),
-            n_candidates=int(pol["n_candidates"]),
+            alpha_max=_float(pol["alpha_max"], "policy.alpha_max"),
+            lambda_risk=_float(pol["lambda_risk"], "policy.lambda_risk"),
+            delta_max=_float(pol["delta_max"], "policy.delta_max"),
+            n_candidates=_int(pol["n_candidates"], "policy.n_candidates"),
         ),
         adaptive=AdaptiveSettings(
-            enabled=bool(ad["enabled"]),
-            every=int(ad["every"]),
-            window=int(ad["window"]),
-            epochs=int(ad["epochs"]),
+            enabled=_bool(ad["enabled"], "adaptive.enabled"),
+            every=_int(ad["every"], "adaptive.every"),
+            window=_int(ad["window"], "adaptive.window"),
+            epochs=_int(ad["epochs"], "adaptive.epochs"),
         ),
         thresholds=ThresholdOverrides(
-            tau_low=None if th["tau_low"] is None else float(th["tau_low"]),
-            tau_high=None if th["tau_high"] is None else float(th["tau_high"]),
-            round_to_decimal=bool(th["round_to_decimal"]),
+            tau_low=None if th["tau_low"] is None else _float(th["tau_low"], "thresholds.tau_low"),
+            tau_high=None if th["tau_high"] is None else _float(th["tau_high"], "thresholds.tau_high"),
+            round_to_decimal=_bool(th["round_to_decimal"], "thresholds.round_to_decimal"),
         ),
-        probe_episodes=int(d["probe_episodes"]),
-        calibration_seed=int(d["calibration_seed"]),
-        output_dir=str(d["output_dir"]),
+        probe_episodes=_int(d["probe_episodes"], "probe_episodes"),
+        calibration_seed=_int(d["calibration_seed"], "calibration_seed"),
+        output_dir=_str(d["output_dir"], "output_dir"),
     )
 
 
@@ -202,7 +226,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     The default config's ``to_dict()`` is the schema: its keys are the
     only ones allowed at the root and in each section, and its values
     fill in every key the document leaves out. A value of the wrong type
-    is an ``InputError``.
+    is an ``InputError``: integer fields take integers only (not floats
+    or booleans), number fields take integers or floats (not strings or
+    booleans), boolean fields take ``true`` or ``false`` only, and string
+    fields take strings only.
     """
     merged = _merge(raw, ExperimentConfig().to_dict(), "config root")
     try:

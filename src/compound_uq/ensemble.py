@@ -256,35 +256,42 @@ MOMENTUM = 0.9
 GRAD_NORM_CAP = 10.0
 
 
-def _sgd_epochs(w1, b1, w2, b2, xn, yn, rng, epochs: int, lr: float, batch_size: int) -> None:
-    """In-place minibatch SGD with classical momentum on one member.
+def _sgd_epochs(ens: Ensemble, xn: np.ndarray, yn: np.ndarray, perms: np.ndarray, lr: float, batch_size: int) -> None:
+    """In-place minibatch SGD with classical momentum, all members at once.
 
-    The global gradient norm is capped so that a batch of far
-    out-of-distribution rows (as seen during online adaptation right
-    after a dynamics shift) cannot blow the weights up.
+    ``xn`` and ``yn`` hold each member's normalized rows, shape (M, n, dim)
+    (a broadcast view when members share their data), and ``perms[m, e]``
+    is member m's minibatch order in epoch e. Every member takes the
+    same steps it would take trained alone: the batched ``@`` runs one
+    matrix product per member. Each member's gradient norm is capped on
+    its own, so that a batch of far out-of-distribution rows (as seen
+    during online adaptation right after a dynamics shift) cannot blow
+    its weights up.
     """
-    n = xn.shape[0]
-    vel = [np.zeros_like(a) for a in (w1, b1, w2, b2)]
-    for _ in range(epochs):
-        perm = rng.permutation(n)
+    params = (ens.w1, ens.b1, ens.w2, ens.b2)
+    vel = [np.zeros_like(p) for p in params]
+    members = np.arange(perms.shape[0])[:, None]
+    n = perms.shape[2]
+    for epoch_perms in perms.transpose(1, 0, 2):
+        x_epoch, y_epoch = xn[members, epoch_perms], yn[members, epoch_perms]
         for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            xb, yb = xn[idx], yn[idx]
-            z1 = xb @ w1 + b1
+            xb = x_epoch[:, start : start + batch_size]
+            yb = y_epoch[:, start : start + batch_size]
+            z1 = xb @ ens.w1 + ens.b1[:, None, :]
             h = np.maximum(0.0, z1)
-            pred = h @ w2 + b2
-            grad_out = 2.0 * (pred - yb) / xb.shape[0]
-            gw2 = h.T @ grad_out
-            gb2 = grad_out.sum(axis=0)
-            gh = (grad_out @ w2.T) * (z1 > 0.0)
-            gw1 = xb.T @ gh
-            gb1 = gh.sum(axis=0)
+            pred = h @ ens.w2 + ens.b2[:, None, :]
+            grad_out = 2.0 * (pred - yb) / xb.shape[1]
+            gw2 = h.transpose(0, 2, 1) @ grad_out
+            gb2 = grad_out.sum(axis=1)
+            gh = (grad_out @ ens.w2.transpose(0, 2, 1)) * (z1 > 0.0)
+            gw1 = xb.transpose(0, 2, 1) @ gh
+            gb1 = gh.sum(axis=1)
             grads = (gw1, gb1, gw2, gb2)
-            gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-            scale = min(1.0, GRAD_NORM_CAP / gnorm) if gnorm > 0 else 1.0
-            for v, p, g in zip(vel, (w1, b1, w2, b2), grads):
+            gnorm = np.sqrt(sum((g * g).reshape(g.shape[0], -1).sum(axis=1) for g in grads))
+            step = lr * (GRAD_NORM_CAP / np.maximum(gnorm, GRAD_NORM_CAP))
+            for v, p, g in zip(vel, params, grads):
                 v *= MOMENTUM
-                v -= (lr * scale) * g
+                v -= step.reshape((-1,) + (1,) * (g.ndim - 1)) * g
                 p += v
 
 
@@ -293,7 +300,8 @@ def bootstrap_train(buffer: ReplayBuffer, m_members: int, seed: int, settings: T
 
     Member m draws its resample, its weight init, and its minibatch order
     from an independent seeded stream, so ensembles are reproducible and
-    members stay decorrelated.
+    members stay decorrelated. The draws come first; the members then
+    train together in one batched SGD loop.
     """
     settings = settings or TrainSettings()
     if m_members < 2:
@@ -315,18 +323,19 @@ def bootstrap_train(buffer: ReplayBuffer, m_members: int, seed: int, settings: T
     w2 = np.zeros((m_members, hidden, out_dim))
     b2 = np.zeros((m_members, out_dim))
 
+    resamples = np.zeros((m_members, n), dtype=np.int64)
+    perms = np.zeros((m_members, settings.epochs, n), dtype=np.int64)
     for m in range(m_members):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0, m]))
         w1[m] = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, hidden))
         w2[m] = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, out_dim))
-        resample = rng.integers(0, n, size=n)
-        _sgd_epochs(
-            w1[m], b1[m], w2[m], b2[m],
-            xn_full[resample], yn_full[resample],
-            rng, settings.epochs, settings.learning_rate, settings.batch_size,
-        )
+        resamples[m] = rng.integers(0, n, size=n)
+        for e in range(settings.epochs):
+            perms[m, e] = rng.permutation(n)
 
-    return Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm, settings=settings, seed=seed)
+    ens = Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm, settings=settings, seed=seed)
+    _sgd_epochs(ens, xn_full[resamples], yn_full[resamples], perms, settings.learning_rate, settings.batch_size)
+    return ens
 
 
 def calibrate_noise_floor(ensemble: Ensemble, buffer: ReplayBuffer) -> tuple[float, float]:
@@ -361,11 +370,10 @@ def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, epochs: in
         raise InputError("adaptive_update rows do not match ensemble dimensions")
     if ensemble._adapt_rng is None:
         ensemble._adapt_rng = np.random.default_rng(np.random.SeedSequence(entropy=[ensemble.seed, 1]))
-    xn = ensemble.x_norm.encode(xb)
-    yn = ensemble.y_norm.encode(yb)
-    s = ensemble.settings
-    for m in range(ensemble.m_members):
-        _sgd_epochs(
-            ensemble.w1[m], ensemble.b1[m], ensemble.w2[m], ensemble.b2[m],
-            xn, yn, ensemble._adapt_rng, epochs, s.learning_rate, s.batch_size,
-        )
+    m, n = ensemble.m_members, xb.shape[0]
+    rng = ensemble._adapt_rng
+    # drawn member-major: all of member 0's epoch orders, then member 1's, ...
+    perms = np.array([rng.permutation(n) for _ in range(m * epochs)], dtype=np.int64).reshape(m, epochs, n)
+    xn = np.broadcast_to(ensemble.x_norm.encode(xb), (m, n, ensemble.in_dim))
+    yn = np.broadcast_to(ensemble.y_norm.encode(yb), (m, n, ensemble.out_dim))
+    _sgd_epochs(ensemble, xn, yn, perms, ensemble.settings.learning_rate, ensemble.settings.batch_size)

@@ -256,3 +256,36 @@ def test_records_to_csv_schema(tmp_path):
     assert tuple(rows[0].keys()) == DEGRADATION_CSV_FIELDS
     assert rows[0]["config_id"] == "x"
     assert float(rows[0]["synergy_frac"]) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_tails_match_scipy_stats_bit_for_bit():
+    # The module takes its tails from scipy.special without importing
+    # scipy.stats; the reports must still carry exactly the values the
+    # scipy.stats formulas give, so that no report byte moves.
+    from scipy import stats
+
+    rng = np.random.default_rng(6)
+    n_checked = 0
+    for df in range(1, 201):
+        for loc in (0.0, 0.05, 0.5, 3.0):
+            syn = rng.normal(loc, 1.0, size=df + 1)
+            recs = [record(1.0, 1.0, 1.0 + s, 1.0) for s in syn]
+            rep = superadditive_rate(recs, threshold=-math.inf, units="units")
+            vals = np.array([r.synergy_units for r in recs])
+            se = float(vals.std(ddof=1)) / math.sqrt(df + 1)
+            t_crit = float(stats.t.ppf(0.975, df))
+            assert rep.p_value == float(2.0 * stats.t.sf(abs(rep.t_stat), df))
+            assert rep.ci_low == rep.mean_synergy - t_crit * se
+            assert rep.ci_high == rep.mean_synergy + t_crit * se
+            n_checked += 1
+
+        flags = rng.random((df + 1, 4)) < rng.uniform(0.2, 0.8)
+        recs = [
+            record(1.0, 1.0, 1.5 if f else 0.5, 1.0, meta={"delay_steps": k})
+            for k, row in enumerate(flags)
+            for f in row
+        ]
+        res = stratified_rate_test(recs, stratum_key="delay_level")
+        assert res.df == df
+        assert res.p_value == float(stats.chi2.sf(res.chi2, df))
+    assert n_checked == 800

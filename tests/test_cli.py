@@ -75,7 +75,17 @@ def test_calibrate_missing_config_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [{"grid": 5}, {"ensemble": None}, {"horizon": "abc"}])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"grid": 5},
+        {"ensemble": None},
+        {"horizon": "abc"},
+        {"thresholds": {"round_to_decimal": "false"}},
+        {"horizon": 500.9},
+        {"grid": {"seeds": [1.7]}},
+    ],
+)
 def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))

@@ -51,6 +51,30 @@ def test_schema_version_mismatch():
     assert config_from_dict({"schema_version": CONFIG_SCHEMA_VERSION}).env_id == "DriftBot"
 
 
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        ({"calibration_seed": True}, "calibration_seed"),
+        ({"adaptive": {"enabled": 1}}, "adaptive.enabled"),
+        ({"policy": {"alpha_max": "0.5"}}, "policy.alpha_max"),
+        ({"ensemble": {"learning_rate": False}}, "ensemble.learning_rate"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"grid": {"shift_levels": [[1, 0.5]]}}, "grid.shift_levels parameter"),
+    ],
+)
+def test_wrongly_typed_scalars_are_refused(raw, where):
+    # nothing is coerced (the CLI tests cover a float for an integer and a
+    # string for a boolean)
+    with pytest.raises(InputError, match=where):
+        config_from_dict(raw)
+
+
+def test_integer_valued_numbers_are_accepted_as_floats():
+    cfg = config_from_dict({"ensemble": {"learning_rate": 1}, "thresholds": {"tau_low": 0, "tau_high": 2}})
+    assert cfg.train.learning_rate == 1.0 and isinstance(cfg.train.learning_rate, float)
+    assert cfg.thresholds.tau_low == 0.0 and cfg.thresholds.tau_high == 2.0
+
+
 def test_non_object_document():
     with pytest.raises(InputError):
         config_from_dict([1, 2, 3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from compound_uq.ensemble import (
+    GRAD_NORM_CAP,
     Ensemble,
     ReplayBuffer,
     TrainSettings,
@@ -14,6 +15,7 @@ from compound_uq.ensemble import (
     bootstrap_train,
     calibrate_noise_floor,
     disagreement,
+    _sgd_epochs,
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
 
@@ -172,6 +174,70 @@ def test_adaptive_update_edge_cases():
     assert clone.weights_hash() == h
     with pytest.raises(InputError):
         adaptive_update(clone, np.zeros((4, 3)), np.zeros((4, 2)))
+
+
+# weights_hash() values recorded with the member-at-a-time SGD loop that
+# the member-batched loop replaced. They pin every draw (init, resample,
+# minibatch order) and the arithmetic of each step, capped or not: the
+# M=5 training and the +5.0 adaptive update both hit GRAD_NORM_CAP.
+PINNED_SETTINGS = TrainSettings(hidden_width=16, epochs=12, learning_rate=0.01, batch_size=16)
+
+
+@pytest.mark.parametrize(
+    "m_members, expected",
+    [
+        (2, "28710370b9cc2a278c76012ed46f4d64bd3b4eaa2e08fefa8fdd686c3c7ac8ad"),
+        (5, "39cd66cfb3ef57f09ac10e8ca819c02153bc476a5fc1dddeeaaa22ad34be7626"),
+    ],
+)
+def test_bootstrap_train_weights_are_pinned(m_members, expected):
+    buf = linear_system_buffer(n_steps=120, seed=3)
+    ens = bootstrap_train(buf, m_members=m_members, seed=7, settings=PINNED_SETTINGS)
+    assert ens.weights_hash() == expected
+
+
+def test_adaptive_update_weights_are_pinned():
+    buf = linear_system_buffer(n_steps=120, seed=3)
+    clone = bootstrap_train(buf, m_members=3, seed=7, settings=PINNED_SETTINGS).clone_unfrozen()
+    x, y = buf.rows()
+    adaptive_update(clone, x[:45], y[:45] + 5.0, epochs=3)
+    assert clone.weights_hash() == "c51c208d180c667f97c05d60e73ffdb941b64431934aaef6197653842dfd6c34"
+    # the clone's stream carries on from where the first update left it
+    adaptive_update(clone, x[45:90], y[45:90] * 2.0, epochs=2)
+    assert clone.weights_hash() == "faad502ceb9d51ff09b62a8b6ac3c255407e078168558d521fc5502fc8ed2689"
+
+
+def _single_member_grads(w1, b1, w2, b2, x, y):
+    """One member's loss gradients, written out for 2-D arrays."""
+    z1 = x @ w1 + b1
+    h = np.maximum(0.0, z1)
+    grad_out = 2.0 * (h @ w2 + b2 - y) / x.shape[0]
+    gh = (grad_out @ w2.T) * (z1 > 0.0)
+    return x.T @ gh, gh.sum(axis=0), h.T @ grad_out, grad_out.sum(axis=0)
+
+
+def test_gradient_cap_applies_to_each_member_alone():
+    buf = linear_system_buffer()
+    ens = bootstrap_train(buf, m_members=2, seed=0, settings=TrainSettings(hidden_width=8, epochs=5)).clone_unfrozen()
+    ens.w2[1] *= 1e3  # member 1's predictions, and so its gradient, blow up
+    x, y = buf.rows()
+    xn, yn = ens.x_norm.encode(x[:20]), ens.y_norm.encode(y[:20])
+    before = [[p[m].copy() for p in (ens.w1, ens.b1, ens.w2, ens.b2)] for m in range(2)]
+    grads = [_single_member_grads(*before[m], xn, yn) for m in range(2)]
+    norms = [math.sqrt(sum(float((g * g).sum()) for g in gs)) for gs in grads]
+    assert norms[0] < GRAD_NORM_CAP < norms[1]
+
+    lr = 0.01
+    perms = np.broadcast_to(np.arange(20), (2, 1, 20))
+    _sgd_epochs(ens, np.broadcast_to(xn, (2,) + xn.shape), np.broadcast_to(yn, (2,) + yn.shape), perms, lr, 32)
+    after = [[p[m] for p in (ens.w1, ens.b1, ens.w2, ens.b2)] for m in range(2)]
+    # member 0 takes the plain uncapped step, bit for bit
+    for p0, p1, g in zip(before[0], after[0], grads[0]):
+        np.testing.assert_array_equal(p1, p0 - lr * g)
+    # member 1's step is scaled down to norm lr * GRAD_NORM_CAP
+    scale = GRAD_NORM_CAP / norms[1]
+    for p0, p1, g in zip(before[1], after[1], grads[1]):
+        np.testing.assert_array_equal(p1, p0 - (lr * scale) * g)
 
 
 def test_ensemble_serialization_roundtrip():

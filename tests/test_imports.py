@@ -1,0 +1,67 @@
+"""Import-cost guard: the CLI starts without scipy.
+
+Only ``analysis.superadditive_rate`` and ``analysis.stratified_rate_test``
+need scipy, and they import ``scipy.special`` when called. Each check runs
+in a fresh interpreter, because this test process may already hold scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import compound_uq
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(compound_uq.__file__)))
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+CONFIG = {
+    "env_id": "MassSpring1D",
+    "horizon": 40,
+    "onset_t": 10,
+    "grid": {"po_levels": [0.0], "delay_levels": [0], "shift_levels": [None], "seeds": [0]},
+    "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 3},
+    "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+}
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    proc = _python(
+        "import json, sys\n"
+        "import compound_uq.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_calibrate_run_and_oracle_check_work_with_scipy_blocked(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+    proc = _python(
+        BLOCK_SCIPY
+        + "from compound_uq.cli import main\n"
+        + "assert main(['calibrate', '--config', 'cfg.json', '--out', 'snap.json']) == 0\n"
+        + "assert main(['run', '--config', 'cfg.json', '--snapshot', 'snap.json', '--out', 'trace.jsonl']) == 0\n"
+        + "assert main(['oracle-check', '--n-samples', '50', '--out', 'oracle.csv']) == 0\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("snap.json", "trace.jsonl", "oracle.csv"):
+        assert (tmp_path / name).exists()
