@@ -62,12 +62,8 @@ from .kappa import (
 from .perturb import (
     ActionDelayer,
     ConditionSpec,
-    MaskSpec,
-    ShiftSpec,
     apply_mask,
-    apply_shift,
     condition_matrix,
-    default_condition_matrix,
     mask_dims_for_fraction,
 )
 from .policy import (

@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -345,19 +345,7 @@ def kappa_trace_stats(
     )
 
 
-DEGRADATION_CSV_FIELDS = (
-    "config_id",
-    "return_c1",
-    "return_c2",
-    "return_c3",
-    "return_c4",
-    "delta_po",
-    "delta_theta",
-    "delta_compound",
-    "synergy_frac",
-    "synergy_units",
-    "baseline_degenerate",
-)
+DEGRADATION_CSV_FIELDS = tuple(f.name for f in fields(DegradationRecord) if f.name != "meta")
 
 
 def records_to_csv(records, path) -> None:

@@ -133,10 +133,22 @@ class _BaseEnv:
             raise LifecycleError("step() called after the episode terminated")
         return _validate_action(action, self.ACTION_DIM)
 
-    def _post_step(self) -> None:
+    def _post_step(self, obs_before: ObservationVec, act: np.ndarray, reward: float) -> Transition:
+        """Observe, score risk, record the transition, and advance ``t``."""
+        next_obs = self.observe()
+        tr = Transition(
+            obs=obs_before,
+            action=act,
+            next_obs=next_obs,
+            delta=next_obs - obs_before,
+            reward=float(reward),
+            risk=float(self.risk_from_obs(next_obs)),
+            t=self.t,
+        )
         self.t += 1
         if self.t >= self.horizon:
             self.terminal = True
+        return tr
 
 
 class DriftBot(_BaseEnv):
@@ -247,19 +259,7 @@ class DriftBot(_BaseEnv):
         self.turn_rate = w
 
         reward = (dist_before - self._distance_to_goal()) - self.CONTROL_COST * float(act[0] ** 2 + act[1] ** 2)
-        next_obs = self.observe()
-        risk = self.risk_from_obs(next_obs)
-        tr = Transition(
-            obs=obs_before,
-            action=act,
-            next_obs=next_obs,
-            delta=next_obs - obs_before,
-            reward=float(reward),
-            risk=float(risk),
-            t=self.t,
-        )
-        self._post_step()
-        return tr
+        return self._post_step(obs_before, act, reward)
 
 
 class MassSpring1D(_BaseEnv):
@@ -316,20 +316,7 @@ class MassSpring1D(_BaseEnv):
         self.v = self.v + DT * (-p["stiffness"] * self.x + u + noise) / p["mass"]
         self.x = self.x + DT * self.v
 
-        reward = -abs(self.x)
-        next_obs = self.observe()
-        risk = self.risk_from_obs(next_obs)
-        tr = Transition(
-            obs=obs_before,
-            action=act,
-            next_obs=next_obs,
-            delta=next_obs - obs_before,
-            reward=float(reward),
-            risk=float(risk),
-            t=self.t,
-        )
-        self._post_step()
-        return tr
+        return self._post_step(obs_before, act, -abs(self.x))
 
 
 def _wrap_angle(a: float) -> float:

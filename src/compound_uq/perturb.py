@@ -1,13 +1,16 @@
 """Observability and dynamics perturbations layered onto environments.
 
 Three stressors, each independently switchable and all activating at a
-shared onset step:
+shared onset step, are described by one ``ConditionSpec``:
 
 - observation masking: a fixed fraction of observation dims, chosen by the
-  environment's documented ``MASK_PRIORITY``, is zeroed;
+  environment's documented ``MASK_PRIORITY`` (``mask_dims_for_fraction``),
+  is zeroed by ``apply_mask``;
 - action delay: commanded actions reach the plant ``delay_steps`` steps
-  late, through a queue pre-filled with zero actions at onset;
-- parameter shift: one dynamics parameter jumps to a new value at onset.
+  late, through an ``ActionDelayer`` queue pre-filled with zero actions at
+  onset;
+- parameter shift: one dynamics parameter jumps to a new value at onset;
+  the episode loop sets it on the plant once, at ``t == onset_t``.
 
 Composition order when several are active in one step: the shift is
 applied to the plant first, then the commanded action passes through the
@@ -16,10 +19,11 @@ inactive for ``t < onset_t`` and active from ``t = onset_t`` onward, so
 "post-onset" always means steps with ``t >= onset_t``.
 
 ``condition_matrix`` expands level lists into the full cross product of
-condition cells. The default grid is the 3 x 2 x 2 factorial over masking
-fraction {0, 0.25, 0.5}, delay {0, 1} steps, and left-gain shift
-{off, 0.5}, replicated over 10 seeds: 120 cells. Cells are labeled C1 (no
-stressor), C2 (exactly one), C3 (two), or C4 (all three).
+condition cells. The default grid (``ExperimentConfig().grid``) is the
+3 x 2 x 2 factorial over masking fraction {0, 0.25, 0.5}, delay {0, 1}
+steps, and left-gain shift {off, 0.5}, replicated over 10 seeds: 120
+cells. Cells are labeled C1 (no stressor), C2 (exactly one), C3 (two), or
+C4 (all three).
 """
 
 from __future__ import annotations
@@ -56,29 +60,18 @@ def mask_dims_for_fraction(env_cls, fraction: float) -> tuple[int, ...]:
     return tuple(env_cls.MASK_PRIORITY[:k])
 
 
-@dataclass(frozen=True)
-class MaskSpec:
-    """Dims to zero out, active from ``onset_t`` onward."""
-
-    dims: tuple[int, ...]
-    onset_t: int = ONSET_T
-
-    def realized_fraction(self, d_total: int) -> float:
-        return len(self.dims) / float(d_total)
-
-
-def apply_mask(obs: ObservationVec, spec: MaskSpec | None, t: int) -> ObservationVec:
-    """Return a copy of ``obs`` with masked dims zeroed when active.
+def apply_mask(obs: ObservationVec, dims: tuple[int, ...], active: bool) -> ObservationVec:
+    """Return a copy of ``obs`` with ``dims`` zeroed when ``active``.
 
     Always copies, so callers may mutate the result without aliasing the
     environment's buffers.
     """
     out = np.array(obs, dtype=float, copy=True)
-    if spec is None or t < spec.onset_t or not spec.dims:
+    if not active or not dims:
         return out
-    if max(spec.dims) >= out.shape[0] or min(spec.dims) < 0:
-        raise SpecError(f"mask dims {spec.dims} out of range for obs of size {out.shape[0]}")
-    out[list(spec.dims)] = 0.0
+    if max(dims) >= out.shape[0] or min(dims) < 0:
+        raise SpecError(f"mask dims {dims} out of range for obs of size {out.shape[0]}")
+    out[list(dims)] = 0.0
     return out
 
 
@@ -110,28 +103,9 @@ class ActionDelayer:
         return self._queue.pop(0)
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """One dynamics parameter jumping to ``value`` at ``onset_t``."""
-
-    param: str
-    value: float
-    onset_t: int = ONSET_T
-
-
-def apply_shift(env, spec: ShiftSpec | None, t: int) -> bool:
-    """Apply the shift to ``env`` at its first active step.
-
-    Returns True on the step the parameter actually changes, False
-    otherwise; safe to call every step.
-    """
-    if spec is None or t < spec.onset_t:
-        return False
-    current = env.true_dynamics().get(spec.param)
-    if current == spec.value:
-        return False
-    env.set_param(spec.param, spec.value)
-    return True
+def shift_tag(shift: tuple[str, float] | None) -> str:
+    """``none`` or ``param=value``, as cell and record ids spell a shift."""
+    return "none" if shift is None else f"{shift[0]}={shift[1]:g}"
 
 
 @dataclass(frozen=True)
@@ -139,7 +113,7 @@ class ConditionSpec:
     """One experimental condition: which stressors are on and how hard.
 
     Environment-agnostic; masking dims are resolved against a concrete
-    environment class via ``mask_spec``.
+    environment class via ``mask_dims_for_fraction``.
     """
 
     po_fraction: float = 0.0
@@ -167,23 +141,9 @@ class ConditionSpec:
     def label(self) -> str:
         return ("C1", "C2", "C3", "C4")[self.n_active]
 
-    def mask_spec(self, env_cls) -> MaskSpec | None:
-        dims = mask_dims_for_fraction(env_cls, self.po_fraction)
-        if not dims:
-            return None
-        return MaskSpec(dims=dims, onset_t=self.onset_t)
-
-    def shift_spec(self) -> ShiftSpec | None:
-        if self.shift is None:
-            return None
-        return ShiftSpec(param=self.shift[0], value=float(self.shift[1]), onset_t=self.onset_t)
-
-    def delayer(self, action_dim: int) -> ActionDelayer:
-        return ActionDelayer(self.delay_steps, action_dim, onset_t=self.onset_t)
-
     def cell_id(self, seed: int) -> str:
-        shift_tag = "none" if self.shift is None else f"{self.shift[0]}={self.shift[1]:g}"
-        return f"po{self.po_fraction:g}_delay{self.delay_steps}_shift-{shift_tag}_seed{seed}"
+        shift = shift_tag(self.shift)
+        return f"po{self.po_fraction:g}_delay{self.delay_steps}_shift-{shift}_seed{seed}"
 
     def to_dict(self) -> dict:
         return {
@@ -225,13 +185,6 @@ def condition_matrix(
         spec = ConditionSpec(po_fraction=float(po), delay_steps=int(delay), shift=shift, onset_t=onset_t)
         cells.append((spec, int(seed)))
     return cells
-
-
-def default_condition_matrix(onset_t: int = ONSET_T) -> list[tuple[ConditionSpec, int]]:
-    """The documented 120-cell default grid (3 x 2 x 2 levels x 10 seeds)."""
-    return condition_matrix(
-        DEFAULT_PO_LEVELS, DEFAULT_DELAY_LEVELS, DEFAULT_SHIFT_LEVELS, DEFAULT_SEEDS, onset_t=onset_t
-    )
 
 
 def validate_shift_for_env(env_id: str, shift: tuple[str, float] | None) -> None:

@@ -53,12 +53,10 @@ class PolicySettings:
 
 @dataclass(frozen=True)
 class ActionChoice:
-    """Outcome of one selection step, kept for trace telemetry."""
+    """Outcome of one selection step: the chosen row and what the trace records."""
 
     index: int
     action: np.ndarray
-    composite: float
-    r_task: float
     info_gain: float
     predicted_risk: float
     alpha: float
@@ -176,8 +174,6 @@ def select_action(
     return ActionChoice(
         index=idx,
         action=cand[idx].copy(),
-        composite=float(values[idx]),
-        r_task=float(r[idx]),
         info_gain=float(g[idx]),
         predicted_risk=float(risk[idx]),
         alpha=float(alpha),

@@ -2,8 +2,10 @@
 
 This module owns all plumbing between the agent side and the evaluator
 side. The policy layer only ever sees masked observations, the commanded
-action, and model-derived numbers; environment instances and
-``true_dynamics()`` stay on this side of the fence.
+action, and model-derived numbers; environment instances stay on this
+side of the fence. The episode loop itself never reads
+``true_dynamics()``: a dynamics shift reaches the plant through
+``set_param`` alone.
 
 Per-step order within ``run_condition``:
 
@@ -62,7 +64,14 @@ from .ensemble import (
 from .envs import ENV_CLASSES, make_env
 from .errors import CalibrationError, InputError, InvariantViolation
 from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
-from .perturb import ConditionSpec, apply_mask, apply_shift, condition_matrix
+from .perturb import (
+    ActionDelayer,
+    ConditionSpec,
+    apply_mask,
+    condition_matrix,
+    mask_dims_for_fraction,
+    shift_tag,
+)
 from .policy import PolicySettings, alpha_schedule, candidate_actions, select_action, task_affinity
 from .snapshot import CalibrationSnapshot, atomic_write_text
 from .version import TOOLKIT_VERSION
@@ -186,10 +195,10 @@ def run_condition(
     thresholds = snapshot.thresholds
     settings = policy_settings or config.policy
 
-    mask = condition.mask_spec(env_cls)
-    shift = condition.shift_spec()
-    delayer = condition.delayer(env_cls.ACTION_DIM)
-    po_active = mask.realized_fraction(len(env_cls.OBS_NAMES)) if mask else 0.0
+    onset = condition.onset_t
+    dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
+    delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=onset)
+    po_active = len(dims) / len(env_cls.OBS_NAMES)
 
     policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
     adaptive = snapshot.ensemble.clone_unfrozen() if adaptive_enabled else None
@@ -205,7 +214,7 @@ def run_condition(
         anchor_x, anchor_y = collect_baseline_buffer(config).rows()
         anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
 
-    visible = apply_mask(env.observe(), mask, t=0)
+    visible = apply_mask(env.observe(), dims, active=onset <= 0)
     history: deque = deque([visible], maxlen=3)
     kappa_prev = 0.0
 
@@ -216,7 +225,8 @@ def run_condition(
     n_forced = 0
 
     for t in range(config.horizon):
-        apply_shift(env, shift, t)
+        if t == onset and condition.shift is not None:
+            env.set_param(*condition.shift)
 
         task_action = controller(visible)
         spread = (
@@ -253,13 +263,13 @@ def run_condition(
             n_forced += 1
         executed = delayer.submit(choice.action, t)
         tr = env.step(executed)
-        visible_next = apply_mask(tr.next_obs, mask, t + 1)
+        visible_next = apply_mask(tr.next_obs, dims, active=t + 1 >= onset)
         delta_vis = visible_next - visible
         # The candidate pass already scored the chosen row; a row's
         # prediction does not depend on the rest of its batch.
         mse = float(member_mse(member_preds[:, choice.index : choice.index + 1], delta_vis)[0])
 
-        active = t >= condition.onset_t
+        active = t >= onset
         comp = compute_step(
             t=t,
             mse=mse,
@@ -277,7 +287,7 @@ def run_condition(
         if adaptive is not None:
             recent_x.append(x_cand[choice.index])
             recent_y.append(delta_vis)
-            if active and (t - condition.onset_t) % config.adaptive.every == 0 and len(recent_x) >= 8:
+            if active and (t - onset) % config.adaptive.every == 0 and len(recent_x) >= 8:
                 take = min(len(recent_x), anchor_x.shape[0])
                 idx = anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
                 x_up = np.concatenate([np.stack(recent_x), anchor_x[idx]])
@@ -309,7 +319,7 @@ def run_condition(
         visible = visible_next
         history.append(visible_next)
 
-    post = [c for c in kappas if c.t >= condition.onset_t]
+    post = [c for c in kappas if c.t >= onset]
     post_kappa = float(np.mean([c.kappa for c in post]))
     post_mse = float(np.mean([c.mse for c in post]))
     return RolloutResult(
@@ -451,7 +461,6 @@ def build_eval_rows(
     seed: int,
     n_rows: int,
     horizon: int = 120,
-    action_mode: str = "mixture",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth transition rows under given dynamics.
 
@@ -460,17 +469,13 @@ def build_eval_rows(
     reset every `horizon` steps so rows stay on the kind of states a task
     run actually visits. Used to score agent-side models against reality.
 
-    action_mode "mixture" interleaves the scripted task controller with
-    uniform draws (same ratio as baseline collection), which keeps states
-    near the task envelope while still exercising diverse actions; this is
-    the fair exam for comparing adapted models. action_mode "uniform" is a
-    pure random walk, which wanders far off the task envelope and mostly
-    measures extrapolation.
+    Actions interleave the scripted task controller with uniform draws
+    (same ratio as baseline collection), which keeps states near the task
+    envelope while still exercising diverse actions; this is the fair exam
+    for comparing adapted models.
     """
     if n_rows < 1:
         raise InputError("n_rows must be positive")
-    if action_mode not in ("mixture", "uniform"):
-        raise InputError(f"unknown action_mode: {action_mode!r}")
     env_cls = ENV_CLASSES.get(env_id)
     if env_cls is None:
         raise InputError(f"unknown environment id: {env_id!r}")
@@ -485,10 +490,7 @@ def build_eval_rows(
         env = make_env(env_id, seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
         buffer.begin_episode()
         for _ in range(horizon):
-            if action_mode == "mixture":
-                action = _mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM)
-            else:
-                action = rng.uniform(-1.0, 1.0, size=env_cls.ACTION_DIM)
+            action = _mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM)
             buffer.add(env.step(action))
         usable += horizon - 2
         episode += 1
@@ -551,11 +553,6 @@ class SweepOutcome:
     total_violations: int
 
 
-def _dyn_tag(delay: int, shift) -> str:
-    shift_tag = "none" if shift is None else f"{shift[0]}={shift[1]:g}"
-    return f"delay{delay}-shift-{shift_tag}"
-
-
 def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
     """Assemble matched-seed quadruples from per-cell summaries.
 
@@ -591,7 +588,7 @@ def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
                         "grid is not a full factorial; missing cells for matched quadruple "
                         f"{key_c2} / {key_c3}"
                     )
-                config_id = f"po{po:g}_{_dyn_tag(delay, shift)}_seed{seed}"
+                config_id = f"po{po:g}_delay{delay}-shift-{shift_tag(shift)}_seed{seed}"
                 records.append(
                     degradation(
                         config_id,

@@ -256,6 +256,15 @@ def test_records_to_csv_schema(tmp_path):
     assert tuple(rows[0].keys()) == DEGRADATION_CSV_FIELDS
     assert rows[0]["config_id"] == "x"
     assert float(rows[0]["synergy_frac"]) == pytest.approx(0.2, abs=1e-12)
+    # DEGRADATION_CSV_FIELDS is derived from DegradationRecord, so pin the
+    # header bytes themselves: a field added to the record must not move
+    # degradation.csv silently.
+    with open(path, newline="") as fh:
+        header = fh.readline()
+    assert header == (
+        "config_id,return_c1,return_c2,return_c3,return_c4,delta_po,delta_theta,"
+        "delta_compound,synergy_frac,synergy_units,baseline_degenerate\r\n"
+    )
 
 
 def test_tails_match_scipy_stats_bit_for_bit():

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from compound_uq.envs import DriftBot, MassSpring1D, make_env
+from compound_uq.config import ExperimentConfig
+from compound_uq.envs import DriftBot, MassSpring1D
 from compound_uq.errors import SpecError
 from compound_uq.perturb import (
     ActionDelayer,
     ConditionSpec,
-    MaskSpec,
     apply_mask,
-    apply_shift,
     condition_matrix,
-    default_condition_matrix,
     mask_dims_for_fraction,
     validate_shift_for_env,
 )
@@ -30,19 +28,24 @@ def test_mask_dims_follow_priority_order():
 
 
 def test_apply_mask_zeroes_dims_from_onset():
-    spec = MaskSpec(dims=(0, 1), onset_t=ONSET)
     obs = np.ones(4)
 
-    before = apply_mask(obs, spec, t=ONSET - 1)
+    before = apply_mask(obs, (0, 1), active=False)
     np.testing.assert_array_equal(before, np.ones(4))
 
-    at_onset = apply_mask(obs, spec, t=ONSET)
+    at_onset = apply_mask(obs, (0, 1), active=True)
     np.testing.assert_array_equal(at_onset, [0.0, 0.0, 1.0, 1.0])
-    assert spec.realized_fraction(4) == 0.5
 
-    # No spec means passthrough; input is never mutated in place.
-    np.testing.assert_array_equal(apply_mask(obs, None, t=ONSET), np.ones(4))
+    # No dims means passthrough; input is never mutated in place, and the
+    # result is a copy even when nothing is masked.
+    passthrough = apply_mask(obs, (), active=True)
+    np.testing.assert_array_equal(passthrough, np.ones(4))
+    assert passthrough is not obs
     np.testing.assert_array_equal(obs, np.ones(4))
+
+    for dims in ((4,), (0, -1)):
+        with pytest.raises(SpecError):
+            apply_mask(obs, dims, active=True)
 
 
 def test_delayer_queue_semantics_one_step():
@@ -75,19 +78,6 @@ def test_delayer_identity_before_onset_and_for_zero_delay():
     np.testing.assert_array_equal(passthrough.submit(np.array([0.4]), t=0), [0.4])
 
 
-def test_shift_engages_exactly_at_onset():
-    env = make_env("MassSpring1D", seed=0)
-    spec = ConditionSpec(shift=("mass", 2.0), onset_t=ONSET).shift_spec()
-
-    assert apply_shift(env, spec, t=ONSET - 1) is False
-    assert env.true_dynamics()["mass"] == 1.0
-    assert apply_shift(env, spec, t=ONSET) is True
-    assert env.true_dynamics()["mass"] == 2.0
-    # Already applied: later calls are no-ops.
-    assert apply_shift(env, spec, t=ONSET + 1) is False
-    assert env.true_dynamics()["mass"] == 2.0
-
-
 def test_condition_label_counts_active_stressors():
     assert ConditionSpec().label == "C1"
     assert ConditionSpec(po_fraction=0.25).label == "C2"
@@ -113,7 +103,8 @@ def test_condition_matrix_order_and_labels():
 
 
 def test_default_matrix_is_120_cells():
-    cells = default_condition_matrix()
+    grid = ExperimentConfig().grid
+    cells = condition_matrix(grid.po_levels, grid.delay_levels, grid.shift_levels, grid.seeds)
     assert len(cells) == 120
     counts = {}
     for spec, _ in cells:

@@ -17,7 +17,7 @@ from helpers import constant_ensemble
 from compound_uq import rollout
 from compound_uq.config import config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
-from compound_uq.envs import DriftBot, make_env
+from compound_uq.envs import ENV_CLASSES, DriftBot, make_env
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
@@ -151,6 +151,31 @@ def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
     assert res.steps[10]["executed_action"] == [0.0]
     assert res.steps[11]["executed_action"] == res.steps[10]["action"]
     assert res.steps[9]["executed_action"] == res.steps[9]["action"]
+
+
+def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms):
+    clean = run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0, policy_settings=TASK_ONLY)
+    cond = ConditionSpec(shift=("stiffness", 3.0), onset_t=10)
+    shifted = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=TASK_ONLY)
+    # Every pre-onset step is the unshifted one; the plant steps on the
+    # new stiffness from the onset step itself.
+    assert shifted.steps[:10] == clean.steps[:10]
+    assert shifted.steps[10]["obs"] == clean.steps[10]["obs"]
+    assert shifted.steps[10]["next_obs"] != clean.steps[10]["next_obs"]
+
+
+def test_episode_never_reads_true_dynamics(db_snapshot, monkeypatch):
+    # true_dynamics() is the evaluator's channel; a gain fault reaches the
+    # plant through set_param alone.
+    def forbidden(self):
+        raise AssertionError("the control loop read true_dynamics()")
+
+    for env_cls in ENV_CLASSES.values():
+        monkeypatch.setattr(env_cls, "true_dynamics", forbidden)
+    cfg, snap = db_snapshot
+    cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
+    res = run_condition(cfg, snap, cond, seed=0, policy_settings=policy_mode_settings(cfg, "monitor"))
+    assert res.n_steps == cfg.horizon
 
 
 def test_run_condition_adaptive_updates_a_clone(cfg_ms, snap_ms):
@@ -364,18 +389,11 @@ def test_build_eval_rows_reflects_dynamics_params():
     assert not np.array_equal(y_soft, y_stiff)
 
 
-def test_build_eval_rows_uniform_mode_differs():
-    x_mix, _ = build_eval_rows("MassSpring1D", {}, seed=0, n_rows=40, horizon=30)
-    x_uni, _ = build_eval_rows("MassSpring1D", {}, seed=0, n_rows=40, horizon=30, action_mode="uniform")
-    assert not np.array_equal(x_mix, x_uni)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"n_rows": 0},
         {"horizon": 2},
-        {"action_mode": "greedy"},
     ],
 )
 def test_build_eval_rows_validation(kwargs):
