@@ -35,7 +35,6 @@ from .rollout import (
     POLICY_MODES,
     build_degradation_records,
     calibrate,
-    policy_mode_settings,
     read_trace,
     run_condition,
     run_sweep,
@@ -122,14 +121,12 @@ def cmd_run(args) -> int:
         shift=_parse_shift(args.shift),
         onset_t=cfg.onset_t,
     )
-    policy = policy_mode_settings(cfg, args.policy_mode)
-    result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_settings=policy)
+    result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
     out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
-    write_trace(out, cfg, snapshot, result, policy_mode=args.policy_mode)
-    s = result.summary()
+    write_trace(out, cfg, snapshot, result)
     print(
-        f"{result.cell_id} [{s['label']}]: return={s['episode_return']!r} "
-        f"post_onset_kappa_mean={s['post_onset_kappa_mean']!r} violations={s['violations']}"
+        f"{result.cell_id} [{condition.label}]: return={result.episode_return!r} "
+        f"post_onset_kappa_mean={result.post_onset_kappa_mean!r}"
     )
     print(f"wrote {out}")
     return 0
@@ -148,7 +145,6 @@ def cmd_sweep(args) -> int:
         f"superadditive: {outcome.report.n_superadditive}/{outcome.report.n_configs} "
         f"rate={outcome.report.rate!r}"
     )
-    print(f"total_violations={outcome.total_violations}")
     print(f"wrote {out_dir}")
     return 0
 

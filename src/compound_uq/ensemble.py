@@ -168,7 +168,7 @@ class Ensemble:
 
     def clone_unfrozen(self) -> "Ensemble":
         """Warm-started trainable copy; the original stays untouched."""
-        clone = Ensemble(
+        return Ensemble(
             w1=self.w1.copy(),
             b1=self.b1.copy(),
             w2=self.w2.copy(),
@@ -179,8 +179,6 @@ class Ensemble:
             seed=self.seed,
             frozen=False,
         )
-        clone._adapt_rng = np.random.default_rng(np.random.SeedSequence(entropy=[self.seed, 1]))
-        return clone
 
     def to_dict(self) -> dict:
         def enc(arr):

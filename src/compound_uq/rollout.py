@@ -37,7 +37,7 @@ import json
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from .perturb import (
     mask_dims_for_fraction,
     shift_tag,
 )
-from .policy import PolicySettings, alpha_schedule, candidate_actions, select_action, task_affinity
+from .policy import ActionChoice, alpha_schedule, candidate_actions, select_action, task_affinity
 from .snapshot import CalibrationSnapshot, atomic_write_text
 from .version import TOOLKIT_VERSION
 
@@ -127,37 +127,63 @@ TASK_CONTROLLERS = {
 POLICY_MODES = ("monitor", "adaptive")
 
 
-def policy_mode_settings(config: ExperimentConfig, policy_mode: str) -> PolicySettings:
-    """Policy settings that ``policy_mode`` runs with.
+@dataclass(frozen=True)
+class StepRecord:
+    """One control step: what the agent saw, chose and executed, and its score."""
 
-    "monitor" is the task-only policy (no information bonus, so explorers
-    collapse onto the task action); "adaptive" is the config's own probing
-    policy. Both score every step with the frozen ensemble.
-    """
-    if policy_mode == "monitor":
-        return replace(config.policy, alpha_max=0.0)
-    if policy_mode == "adaptive":
-        return config.policy
-    raise InputError(f"unknown policy_mode: {policy_mode!r}")
+    kappa: KappaComponents
+    choice: ActionChoice
+    obs: np.ndarray
+    next_obs: np.ndarray
+    executed: np.ndarray
+    reward: float
+    risk: float
 
 
 @dataclass
 class RolloutResult:
-    """Everything one condition run produces, aggregates included."""
+    """One condition run: its per-step records and the aggregates they give."""
 
     condition: ConditionSpec
     seed: int
-    cell_id: str
-    episode_return: float
-    post_onset_kappa_mean: float
-    post_onset_mse_mean: float
-    peak_kappa: float
-    violations: int
-    n_forced: int
-    n_steps: int
-    kappas: list[KappaComponents] = field(default_factory=list)
-    steps: list[dict] = field(default_factory=list)
+    policy_mode: str
+    steps: list[StepRecord]
     adaptive_ensemble: Ensemble | None = None
+
+    @property
+    def cell_id(self) -> str:
+        return self.condition.cell_id(self.seed)
+
+    @property
+    def kappas(self) -> list[KappaComponents]:
+        return [s.kappa for s in self.steps]
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.steps)
+
+    @property
+    def n_forced(self) -> int:
+        return sum(not s.choice.any_compliant for s in self.steps)
+
+    @property
+    def episode_return(self) -> float:
+        total = 0.0  # added in step order; sum() compensates on Python 3.12+ and moves bits
+        for s in self.steps:
+            total += s.reward
+        return total
+
+    @property
+    def peak_kappa(self) -> float:
+        return float(max(c.kappa for c in self.kappas))
+
+    @property
+    def post_onset_kappa_mean(self) -> float:
+        return float(np.mean([c.kappa for c in self.kappas if c.t >= self.condition.onset_t]))
+
+    @property
+    def post_onset_mse_mean(self) -> float:
+        return float(np.mean([c.mse for c in self.kappas if c.t >= self.condition.onset_t]))
 
     def summary(self) -> dict:
         return {
@@ -165,13 +191,15 @@ class RolloutResult:
             "condition": self.condition.to_dict(),
             "seed": self.seed,
             "label": self.condition.label,
-            "episode_return": float(self.episode_return),
-            "post_onset_kappa_mean": float(self.post_onset_kappa_mean),
-            "post_onset_mse_mean": float(self.post_onset_mse_mean),
-            "peak_kappa": float(self.peak_kappa),
-            "violations": int(self.violations),
-            "n_forced": int(self.n_forced),
-            "n_steps": int(self.n_steps),
+            "episode_return": self.episode_return,
+            "post_onset_kappa_mean": self.post_onset_kappa_mean,
+            "post_onset_mse_mean": self.post_onset_mse_mean,
+            "peak_kappa": self.peak_kappa,
+            # Always 0, since a budget breach raises InvariantViolation. The
+            # key stays until ROADMAP item 3 re-pins the digests that hold it.
+            "violations": 0,
+            "n_forced": self.n_forced,
+            "n_steps": self.n_steps,
         }
 
 
@@ -180,20 +208,24 @@ def run_condition(
     snapshot: CalibrationSnapshot,
     condition: ConditionSpec,
     seed: int,
-    policy_settings: PolicySettings | None = None,
+    policy_mode: str = "monitor",
     adaptive_enabled: bool = False,
-    collect_steps: bool = True,
 ) -> RolloutResult:
     """Run one full episode under a condition and score it step by step.
 
-    Selection and kappa use the frozen ensemble; ``adaptive_enabled`` also
-    fine-tunes a clone online and returns it as ``adaptive_ensemble``.
+    ``policy_mode`` "monitor" is the task-only policy (no information bonus,
+    so explorers collapse onto the task action); "adaptive" is the config's
+    own probing policy. Both select and score kappa with the frozen
+    ensemble; ``adaptive_enabled`` also fine-tunes a clone online and
+    returns it as ``adaptive_ensemble``.
     """
+    if policy_mode not in POLICY_MODES:
+        raise InputError(f"unknown policy_mode: {policy_mode!r}")
+    settings = replace(config.policy, alpha_max=0.0) if policy_mode == "monitor" else config.policy
     env_cls = ENV_CLASSES[config.env_id]
     env = make_env(config.env_id, seed=seed, horizon=config.horizon)
     controller = TASK_CONTROLLERS[config.env_id]
     thresholds = snapshot.thresholds
-    settings = policy_settings or config.policy
 
     onset = condition.onset_t
     dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
@@ -217,12 +249,7 @@ def run_condition(
     visible = apply_mask(env.observe(), dims, active=onset <= 0)
     history: deque = deque([visible], maxlen=3)
     kappa_prev = 0.0
-
-    kappas: list[KappaComponents] = []
-    steps: list[dict] = []
-    episode_return = 0.0
-    violations = 0
-    n_forced = 0
+    steps: list[StepRecord] = []
 
     for t in range(config.horizon):
         if t == onset and condition.shift is not None:
@@ -259,8 +286,6 @@ def run_condition(
                 f"selected action breaches the risk budget at t={t}: "
                 f"{choice.predicted_risk} > {choice.delta}"
             )
-        if not choice.any_compliant:
-            n_forced += 1
         executed = delayer.submit(choice.action, t)
         tr = env.step(executed)
         visible_next = apply_mask(tr.next_obs, dims, active=t + 1 >= onset)
@@ -281,8 +306,7 @@ def run_condition(
             clip_c=snapshot.clip_c,
             c_tau=snapshot.c_tau,
         )
-        kappas.append(comp)
-        episode_return += tr.reward
+        steps.append(StepRecord(comp, choice, visible, visible_next, executed, float(tr.reward), float(tr.risk)))
 
         if adaptive is not None:
             recent_x.append(x_cand[choice.index])
@@ -294,46 +318,14 @@ def run_condition(
                 y_up = np.concatenate([np.stack(recent_y), anchor_y[idx]])
                 adaptive_update(adaptive, x_up, y_up, epochs=config.adaptive.epochs)
 
-        if collect_steps:
-            steps.append(
-                {
-                    "kind": "step",
-                    **comp.to_dict(),
-                    "obs": [float(v) for v in visible],
-                    "action": [float(v) for v in choice.action],
-                    "executed_action": [float(v) for v in executed],
-                    "next_obs": [float(v) for v in visible_next],
-                    "delta": [float(v) for v in delta_vis],
-                    "reward": float(tr.reward),
-                    "risk": float(tr.risk),
-                    "alpha": choice.alpha,
-                    "delta_budget": choice.delta,
-                    "chosen_index": choice.index,
-                    "predicted_risk": choice.predicted_risk,
-                    "info_gain": choice.info_gain,
-                    "any_compliant": choice.any_compliant,
-                }
-            )
-
         kappa_prev = comp.kappa
         visible = visible_next
         history.append(visible_next)
 
-    post = [c for c in kappas if c.t >= onset]
-    post_kappa = float(np.mean([c.kappa for c in post]))
-    post_mse = float(np.mean([c.mse for c in post]))
     return RolloutResult(
         condition=condition,
         seed=seed,
-        cell_id=condition.cell_id(seed),
-        episode_return=float(episode_return),
-        post_onset_kappa_mean=post_kappa,
-        post_onset_mse_mean=post_mse,
-        peak_kappa=float(max(c.kappa for c in kappas)),
-        violations=violations,
-        n_forced=n_forced,
-        n_steps=config.horizon,
-        kappas=kappas,
+        policy_mode=policy_mode,
         steps=steps,
         adaptive_ensemble=adaptive,
     )
@@ -425,8 +417,6 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
         # Probes run in monitor mode: information-seeking selects the
         # model's own worst inputs, so probing during probes would measure
         # policy feedback instead of the deficit signal being thresholded.
-        probe_policy = policy_mode_settings(config, "monitor")
-
         def probe_kappas(cond: ConditionSpec) -> list[float]:
             values: list[float] = []
             for ep in range(config.probe_episodes):
@@ -435,8 +425,7 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
                     provisional,
                     cond,
                     seed=90001 + config.calibration_seed * 131 + ep,
-                    policy_settings=probe_policy,
-                    collect_steps=False,
+                    policy_mode="monitor",
                 )
                 values.extend(c.kappa for c in res.kappas if c.t >= cond.onset_t)
             return values
@@ -502,13 +491,29 @@ def build_eval_rows(
 # Trace files
 
 
-def write_trace(
-    path: str,
-    config: ExperimentConfig,
-    snapshot: CalibrationSnapshot,
-    result: RolloutResult,
-    policy_mode: str = "monitor",
-) -> None:
+def _step_line(rec: StepRecord) -> dict:
+    choice = rec.choice
+    return {
+        "kind": "step",
+        **rec.kappa.to_dict(),
+        "obs": [float(v) for v in rec.obs],
+        "action": [float(v) for v in choice.action],
+        "executed_action": [float(v) for v in rec.executed],
+        "next_obs": [float(v) for v in rec.next_obs],
+        "delta": [float(v) for v in rec.next_obs - rec.obs],
+        "reward": rec.reward,
+        "risk": rec.risk,
+        "alpha": choice.alpha,
+        "delta_budget": choice.delta,
+        "chosen_index": choice.index,
+        "predicted_risk": choice.predicted_risk,
+        "info_gain": choice.info_gain,
+        "any_compliant": choice.any_compliant,
+    }
+
+
+def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapshot, result: RolloutResult) -> None:
+    """One JSONL file: a header, one line per step, and the summary as footer."""
     header = {
         "kind": "header",
         "format_version": 1,
@@ -518,7 +523,7 @@ def write_trace(
         "cell_id": result.cell_id,
         "seed": result.seed,
         "condition": result.condition.to_dict(),
-        "policy_mode": policy_mode,
+        "policy_mode": result.policy_mode,
         "mu0": snapshot.mu0,
         "sigma0": snapshot.sigma0,
         "tau_low": snapshot.thresholds.tau_low,
@@ -526,7 +531,7 @@ def write_trace(
     }
     footer = {"kind": "footer", **result.summary()}
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(s, sort_keys=True) for s in result.steps)
+    lines.extend(json.dumps(_step_line(s), sort_keys=True) for s in result.steps)
     lines.append(json.dumps(footer, sort_keys=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -550,7 +555,6 @@ class SweepOutcome:
     report: SynergyReport
     stratified: dict[str, StratifiedRateResult]
     kappa_by_label: dict[str, float]
-    total_violations: int
 
 
 def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
@@ -632,7 +636,6 @@ def run_sweep(
     resume when already complete) plus summary CSV/JSON artifacts at
     the end.
     """
-    cell_policy = policy_mode_settings(config, policy_mode)
     config_hash = config.config_hash() if out_dir else None  # only traces and reports carry it
     cells = condition_matrix(
         config.grid.po_levels,
@@ -656,11 +659,9 @@ def run_sweep(
             if header.get("config_hash") == config_hash and header.get("policy_mode") == policy_mode:
                 footer.pop("kind", None)
                 return footer
-        result = run_condition(
-            config, snapshot, cond, seed, policy_settings=cell_policy, collect_steps=bool(out_dir)
-        )
+        result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)
         if out_dir:
-            write_trace(cell_path(cond, seed), config, snapshot, result, policy_mode=policy_mode)
+            write_trace(cell_path(cond, seed), config, snapshot, result)
         return result.summary()
 
     summaries = [run_cell(cond, seed) for cond, seed in cells]
@@ -677,7 +678,6 @@ def run_sweep(
     for summary in summaries:
         by_label.setdefault(summary["label"], []).append(summary["post_onset_kappa_mean"])
     kappa_by_label = {label: float(np.mean(v)) for label, v in sorted(by_label.items())}
-    total_violations = int(sum(s["violations"] for s in summaries))
 
     outcome = SweepOutcome(
         cell_summaries=summaries,
@@ -685,7 +685,6 @@ def run_sweep(
         report=report,
         stratified=stratified,
         kappa_by_label=kappa_by_label,
-        total_violations=total_violations,
     )
 
     if out_dir:
@@ -702,7 +701,7 @@ def run_sweep(
             "config_hash": config_hash,
             "policy_mode": policy_mode,
             "kappa_by_label": kappa_by_label,
-            "total_violations": total_violations,
+            "total_violations": 0,  # see RolloutResult.summary
             "cells": summaries,
         }
         atomic_write_text(

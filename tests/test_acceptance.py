@@ -9,7 +9,6 @@ across tests.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,18 +170,10 @@ def test_kappa_ordering_across_stressor_counts(driftbot, driftbot_sweep, capsys)
 def test_delay_detectability_on_oscillator(oscillator, capsys):
     cfg, snap = oscillator
     bar = snap.mu0 + 2.0 * snap.sigma0
-    policy = replace(cfg.policy, alpha_max=0.0)
+    cond = ConditionSpec(delay_steps=1, onset_t=cfg.onset_t)
     hits = 0
     for seed in range(10):
-        res = run_condition(
-            cfg,
-            snap,
-            ConditionSpec(delay_steps=1, onset_t=cfg.onset_t),
-            seed=seed,
-            policy_settings=policy,
-            adaptive_enabled=False,
-            collect_steps=False,
-        )
+        res = run_condition(cfg, snap, cond, seed=seed, policy_mode="monitor")
         hits += res.post_onset_mse_mean > bar
     ok = hits >= 9
     _report(
@@ -290,16 +281,13 @@ def test_probing_speeds_dynamics_identification(driftbot, capsys):
         }
     )
     cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
-    task_policy = replace(cfg.policy, alpha_max=0.0)
     wins = 0
     for seed in range(10):
         x_eval, y_eval = build_eval_rows(
             "DriftBot", {"gain_left": 0.5}, seed=seed, n_rows=400, horizon=220
         )
-        probe = run_condition(cfg, snap, cond, seed=seed, adaptive_enabled=True, collect_steps=False)
-        task = run_condition(
-            cfg, snap, cond, seed=seed, policy_settings=task_policy, adaptive_enabled=True, collect_steps=False
-        )
+        probe = run_condition(cfg, snap, cond, seed=seed, policy_mode="adaptive", adaptive_enabled=True)
+        task = run_condition(cfg, snap, cond, seed=seed, policy_mode="monitor", adaptive_enabled=True)
         wins += (
             probe.adaptive_ensemble.mse(x_eval, y_eval).mean() < task.adaptive_ensemble.mse(x_eval, y_eval).mean()
         )

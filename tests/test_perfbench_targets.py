@@ -61,7 +61,7 @@ def test_every_tracing_target_resolves(tmp_path):
             assert hasattr(getattr(cls, attr), "__wrapped__"), f"{cls.__name__}.{attr} ({name})"
         snapshot = cq.package.calibrate(cfg)
         cond = cq.package.ConditionSpec(delay_steps=1, onset_t=cfg.onset_t)
-        result = cq.package.run_condition(cfg, snapshot, cond, 0, adaptive_enabled=True)
+        result = cq.package.run_condition(cfg, snapshot, cond, 0, policy_mode="adaptive", adaptive_enabled=True)
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
         cq.rollout.write_trace(path, cfg, snapshot, result)
         cq.rollout.read_trace(path)

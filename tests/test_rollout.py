@@ -6,9 +6,10 @@ exercising the full step pipeline (masking, delay queue, shift, kappa
 scoring, trace files).
 """
 
+import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from compound_uq.rollout import (
     collect_baseline_buffer,
     driftbot_controller,
     mass_spring_controller,
-    policy_mode_settings,
     read_trace,
     run_condition,
     run_sweep,
@@ -52,6 +52,7 @@ def cfg_ms():
                 "seeds": [0],
             },
             "ensemble": {"t_pre": 60, "m_members": 2},
+            "policy": {"delta_max": 1.0, "n_candidates": 8},
         }
     )
 
@@ -72,9 +73,6 @@ def snap_ms(cfg_ms):
         clip_c=5.0,
         c_tau=0.3,
     )
-
-
-TASK_ONLY = PolicySettings(alpha_max=0.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8)
 
 
 def test_mass_spring_controller_is_saturated_relay():
@@ -117,10 +115,11 @@ def test_collect_baseline_buffer_row_count_and_determinism(cfg_ms):
 
 def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     cond = ConditionSpec(onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=TASK_ONLY, adaptive_enabled=False)
+    res = run_condition(cfg_ms, snap_ms, cond, seed=0)
     assert res.n_steps == 40 and len(res.kappas) == 40 and len(res.steps) == 40
     assert res.cell_id == cond.cell_id(0)
-    assert res.violations == 0
+    assert res.policy_mode == "monitor"
+    assert res.summary()["violations"] == 0
     # No stressors anywhere: every step's structural term is zero.
     assert all(c.sigma_s == 0.0 for c in res.kappas)
     assert res.post_onset_kappa_mean == pytest.approx(
@@ -130,38 +129,46 @@ def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     assert res.adaptive_ensemble is None
 
 
-def test_run_condition_is_deterministic(cfg_ms, snap_ms):
+def _trace_steps(path, cfg, snap, res) -> list[dict]:
+    """The step lines of ``res`` as a written trace holds them."""
+    write_trace(str(path), cfg, snap, res)
+    return read_trace(str(path))[1]
+
+
+def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
-    a = run_condition(cfg_ms, snap_ms, cond, seed=3, policy_settings=TASK_ONLY, adaptive_enabled=False)
-    b = run_condition(cfg_ms, snap_ms, cond, seed=3, policy_settings=TASK_ONLY, adaptive_enabled=False)
+    a = run_condition(cfg_ms, snap_ms, cond, seed=3)
+    b = run_condition(cfg_ms, snap_ms, cond, seed=3)
     assert a.episode_return == b.episode_return
     assert [c.kappa for c in a.kappas] == [c.kappa for c in b.kappas]
-    assert a.steps == b.steps
+    steps_a = _trace_steps(tmp_path / "a.jsonl", cfg_ms, snap_ms, a)
+    assert steps_a == _trace_steps(tmp_path / "b.jsonl", cfg_ms, snap_ms, b)
 
 
 def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=1, policy_settings=TASK_ONLY, adaptive_enabled=False)
+    res = run_condition(cfg_ms, snap_ms, cond, seed=1)
     # Masking half of a 2-dim observation plus a 1-step delay:
     # 0.5 + min(1, 0.3) * 1.5 = 0.95, but only from the onset step on.
-    assert res.steps[9]["sigma_s"] == 0.0
-    assert res.steps[10]["sigma_s"] == pytest.approx(0.95, abs=1e-12)
+    assert res.steps[9].kappa.sigma_s == 0.0
+    assert res.steps[10].kappa.sigma_s == pytest.approx(0.95, abs=1e-12)
     # The delay queue serves its zero prefill at onset and the onset-step
     # command one step later.
-    assert res.steps[10]["executed_action"] == [0.0]
-    assert res.steps[11]["executed_action"] == res.steps[10]["action"]
-    assert res.steps[9]["executed_action"] == res.steps[9]["action"]
+    assert res.steps[10].executed.tolist() == [0.0]
+    assert res.steps[11].executed.tolist() == res.steps[10].choice.action.tolist()
+    assert res.steps[9].executed.tolist() == res.steps[9].choice.action.tolist()
 
 
-def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms):
-    clean = run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0, policy_settings=TASK_ONLY)
-    cond = ConditionSpec(shift=("stiffness", 3.0), onset_t=10)
-    shifted = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=TASK_ONLY)
+def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms, tmp_path):
+    clean_res = run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0)
+    shifted_res = run_condition(cfg_ms, snap_ms, ConditionSpec(shift=("stiffness", 3.0), onset_t=10), seed=0)
+    clean = _trace_steps(tmp_path / "clean.jsonl", cfg_ms, snap_ms, clean_res)
+    shifted = _trace_steps(tmp_path / "shifted.jsonl", cfg_ms, snap_ms, shifted_res)
     # Every pre-onset step is the unshifted one; the plant steps on the
     # new stiffness from the onset step itself.
-    assert shifted.steps[:10] == clean.steps[:10]
-    assert shifted.steps[10]["obs"] == clean.steps[10]["obs"]
-    assert shifted.steps[10]["next_obs"] != clean.steps[10]["next_obs"]
+    assert shifted[:10] == clean[:10]
+    assert shifted[10]["obs"] == clean[10]["obs"]
+    assert shifted[10]["next_obs"] != clean[10]["next_obs"]
 
 
 def test_episode_never_reads_true_dynamics(db_snapshot, monkeypatch):
@@ -174,13 +181,13 @@ def test_episode_never_reads_true_dynamics(db_snapshot, monkeypatch):
         monkeypatch.setattr(env_cls, "true_dynamics", forbidden)
     cfg, snap = db_snapshot
     cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
-    res = run_condition(cfg, snap, cond, seed=0, policy_settings=policy_mode_settings(cfg, "monitor"))
+    res = run_condition(cfg, snap, cond, seed=0)
     assert res.n_steps == cfg.horizon
 
 
 def test_run_condition_adaptive_updates_a_clone(cfg_ms, snap_ms):
     cond = ConditionSpec(po_fraction=0.0, delay_steps=1, onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=TASK_ONLY, adaptive_enabled=True)
+    res = run_condition(cfg_ms, snap_ms, cond, seed=0, adaptive_enabled=True)
     assert res.adaptive_ensemble is not None
     assert not res.adaptive_ensemble.frozen
     assert res.adaptive_ensemble.weights_hash() != snap_ms.ensemble.weights_hash()
@@ -237,24 +244,23 @@ def _record_candidate_sets(monkeypatch) -> list[int]:
 
 def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeypatch):
     cfg, snap = db_snapshot
-    settings = policy_mode_settings(cfg, "monitor")
     rows = _record_forward_rows(monkeypatch)
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
-    run_condition(cfg, snap, cond, seed=0, policy_settings=settings)
+    run_condition(cfg, snap, cond, seed=0)
     assert rows == [2] * cfg.horizon
     # The full candidate set, explorer draws included, is still drawn.
-    assert drawn == [settings.n_candidates] * cfg.horizon
+    assert drawn == [cfg.policy.n_candidates] * cfg.horizon
 
 
 def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, snap_ms, monkeypatch):
-    settings = PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8)
+    cfg = replace(cfg_ms, policy=PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8))
     rows = _record_forward_rows(monkeypatch)
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=0, policy_settings=settings)
+    res = run_condition(cfg, snap_ms, cond, seed=0, policy_mode="adaptive")
     # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
-    assert rows == [2 if s["alpha"] == 0.0 else 8 for s in res.steps]
+    assert rows == [2 if s.choice.alpha == 0.0 else 8 for s in res.steps]
     assert 2 in rows and 8 in rows
     assert drawn == [8] * cfg_ms.horizon
 
@@ -263,7 +269,7 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
     # At zero spread the episode loop scores only rows 0 and 1; scored by
     # a real ensemble, that must give the full set's choice field for field.
     cfg, snap = db_snapshot
-    settings = policy_mode_settings(cfg, "monitor")
+    settings = replace(cfg.policy, alpha_max=0.0)  # the monitor policy
     obs_dim = len(DriftBot.OBS_NAMES)
     states, _ = collect_baseline_buffer(cfg).rows()
     rng = np.random.default_rng(0)
@@ -336,9 +342,9 @@ def test_calibrate_needs_an_active_stressor():
 
 def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path):
     cond = ConditionSpec(po_fraction=0.5, onset_t=10)
-    res = run_condition(cfg_ms, snap_ms, cond, seed=2, policy_settings=TASK_ONLY, adaptive_enabled=False)
+    res = run_condition(cfg_ms, snap_ms, cond, seed=2)
     path = str(tmp_path / "trace.jsonl")
-    write_trace(path, cfg_ms, snap_ms, res, policy_mode="monitor")
+    write_trace(path, cfg_ms, snap_ms, res)
     header, steps, footer = read_trace(path)
     assert header["kind"] == "header"
     assert header["config_hash"] == cfg_ms.config_hash()
@@ -348,6 +354,73 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path):
     assert len(steps) == 40 and steps[0]["t"] == 0 and steps[-1]["t"] == 39
     footer.pop("kind")
     assert footer == json.loads(json.dumps(res.summary()))
+    assert footer["violations"] == 0
+
+
+@pytest.fixture(scope="module")
+def ms_calibrated():
+    # A trained MassSpring1D ensemble: disagreement is nonzero, and with
+    # these thresholds the adaptive policy probes on most post-onset steps.
+    cfg = config_from_dict(
+        {
+            "env_id": "MassSpring1D",
+            "horizon": 40,
+            "onset_t": 10,
+            "grid": {"po_levels": [0.0, 0.5], "delay_levels": [0, 1], "shift_levels": [None], "seeds": [0]},
+            "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 5},
+            "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+        }
+    )
+    return cfg, calibrate(cfg), ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=cfg.onset_t)
+
+
+# sha256 of whole trace files: a change to the step loop or the trace
+# encoding that moves any byte fails here, not only in the benchmark.
+PINNED_TRACES = {
+    "monitor": "85667dc30cc61aa9541eefd15d4670efd68d581a289e1ddeb9baa329b126544c",
+    "adaptive": "9039be0211e268553d98943aa97b0e27482467fd0d24b5cd914ec8675f49ca9e",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_TRACES))
+def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
+    cfg, snap, cond = ms_calibrated
+    res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=mode == "adaptive")
+    path = tmp_path / "trace.jsonl"
+    write_trace(str(path), cfg, snap, res)
+    _, steps, footer = read_trace(str(path))
+    assert all(s["info_gain"] > 0.0 for s in steps)
+    assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
+    assert footer["violations"] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[mode]
+
+
+def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibrated, tmp_path, monkeypatch):
+    cfg, snap, cond = ms_calibrated
+    cell = cond.cell_id(0)
+    path = tmp_path / f"trace_{cell}.jsonl"
+    probing = run_condition(cfg, snap, cond, 0, policy_mode="adaptive")
+    write_trace(str(path), cfg, snap, probing)
+    header, _, footer = read_trace(str(path))
+    assert header["policy_mode"] == "adaptive" and footer["violations"] == 0
+
+    fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
+    assert probing.summary() != fresh[cell]  # reusing the probing trace would show
+
+    simulated = []
+
+    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
+        simulated.append(condition.cell_id(seed))
+        return run_condition(config, snapshot, condition, seed, **kwargs)
+
+    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
+    resumed = run_sweep(cfg, snap, out_dir=str(tmp_path), resume=True)
+    assert cell in simulated
+    header, _, footer = read_trace(str(path))
+    assert header["policy_mode"] == "monitor"
+    footer.pop("kind")
+    assert footer == fresh[cell]
+    assert resumed.cell_summaries == list(fresh.values())
 
 
 def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, snap_ms, tmp_path, monkeypatch):
@@ -427,7 +500,6 @@ def test_run_sweep_in_memory(cfg_ms, snap_ms):
     assert len(out.cell_summaries) == 4
     assert set(out.kappa_by_label) == {"C1", "C2", "C3"}
     assert out.report.n_configs == 1
-    assert out.total_violations == 0
     with pytest.raises(InputError):
         run_sweep(cfg_ms, snap_ms, policy_mode="bogus")
 
