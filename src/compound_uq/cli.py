@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import stratified_rate_test, superadditive_rate
 from .belief import coupling_family, exact_mi, random_belief, verify_bound
 from .config import ExperimentConfig, load_config
-from .envs import ENV_CLASSES
+from .envs import env_class
 from .errors import (
     CalibrationError,
     CompoundUQError,
@@ -112,15 +112,19 @@ def _parse_shift(text: str | None):
         raise InputError(f"shift value must be numeric, got {text!r}")
 
 
+def _require_at_least(name: str, value: int, lo: int) -> None:
+    if value < lo:
+        raise InputError(f"{name} must be >= {lo}, got {value}")
+
+
 def cmd_run(args) -> int:
+    _require_at_least("seed", args.seed, 0)
     cfg = _load_cfg(args.config)
+    shift = _parse_shift(args.shift)
+    if shift is not None:
+        env_class(cfg.env_id).check_param(*shift)
     snapshot = _load_snapshot(cfg, args.snapshot)
-    condition = ConditionSpec(
-        po_fraction=args.po,
-        delay_steps=args.delay,
-        shift=_parse_shift(args.shift),
-        onset_t=cfg.onset_t,
-    )
+    condition = ConditionSpec(po_fraction=args.po, delay_steps=args.delay, shift=shift, onset_t=cfg.onset_t)
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
     out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
     write_trace(out, cfg, snapshot, result)
@@ -154,7 +158,11 @@ def cmd_analyze(args) -> int:
     trace_dir = args.trace_dir
     footers: list[dict] = []
     origins: set[tuple] = set()
-    for name in sorted(os.listdir(trace_dir)):
+    try:
+        names = sorted(os.listdir(trace_dir))
+    except OSError as e:
+        raise InputError(f"cannot list trace directory {trace_dir}: {e.strerror}") from None
+    for name in names:
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
         header, _, footer = read_trace(os.path.join(trace_dir, name))
@@ -182,8 +190,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.n_samples < 1:
-        raise InputError(f"n_samples must be >= 1, got {args.n_samples}")
+    _require_at_least("n_samples", args.n_samples, 1)
+    _require_at_least("grid_points", args.grid_points, 2)
+    _require_at_least("seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     rows = []
     n_bad = 0

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .ensemble import TrainSettings
-from .errors import CompoundUQError, InputError
+from .envs import env_class
+from .errors import InputError
 from .kappa import C_TAU, CLIP_C
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
@@ -28,8 +29,13 @@ from .perturb import (
     ONSET_T,
 )
 from .policy import PolicySettings
+from .snapshot import open_input
 
 CONFIG_SCHEMA_VERSION = 1
+
+# ExperimentConfig fields that the document keeps in its "ensemble"
+# section, beside the TrainSettings fields.
+_ENSEMBLE_FIELDS = ("m_members", "t_pre", "clip_c", "c_tau")
 
 
 @dataclass(frozen=True)
@@ -74,44 +80,22 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def to_dict(self) -> dict:
+        grid = self.grid
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
             "env_id": self.env_id,
             "onset_t": self.onset_t,
             "horizon": self.horizon,
             "grid": {
-                "po_levels": [float(v) for v in self.grid.po_levels],
-                "delay_levels": [int(v) for v in self.grid.delay_levels],
-                "shift_levels": [None if s is None else [s[0], float(s[1])] for s in self.grid.shift_levels],
-                "seeds": [int(v) for v in self.grid.seeds],
+                "po_levels": [float(v) for v in grid.po_levels],
+                "delay_levels": [int(v) for v in grid.delay_levels],
+                "shift_levels": [None if s is None else [s[0], float(s[1])] for s in grid.shift_levels],
+                "seeds": [int(v) for v in grid.seeds],
             },
-            "ensemble": {
-                "m_members": self.m_members,
-                "t_pre": self.t_pre,
-                "clip_c": self.clip_c,
-                "c_tau": self.c_tau,
-                "hidden_width": self.train.hidden_width,
-                "epochs": self.train.epochs,
-                "learning_rate": self.train.learning_rate,
-                "batch_size": self.train.batch_size,
-            },
-            "policy": {
-                "alpha_max": self.policy.alpha_max,
-                "lambda_risk": self.policy.lambda_risk,
-                "delta_max": self.policy.delta_max,
-                "n_candidates": self.policy.n_candidates,
-            },
-            "adaptive": {
-                "enabled": self.adaptive.enabled,
-                "every": self.adaptive.every,
-                "window": self.adaptive.window,
-                "epochs": self.adaptive.epochs,
-            },
-            "thresholds": {
-                "tau_low": self.thresholds.tau_low,
-                "tau_high": self.thresholds.tau_high,
-                "round_to_decimal": self.thresholds.round_to_decimal,
-            },
+            "ensemble": {**{k: getattr(self, k) for k in _ENSEMBLE_FIELDS}, **asdict(self.train)},
+            "policy": asdict(self.policy),
+            "adaptive": asdict(self.adaptive),
+            "thresholds": asdict(self.thresholds),
             "probe_episodes": self.probe_episodes,
             "calibration_seed": self.calibration_seed,
             "output_dir": self.output_dir,
@@ -163,60 +147,60 @@ def _str(value, name: str) -> str:
     return value
 
 
-def _shift_level(s) -> tuple[str, float] | None:
-    if s is None:
+def _shift_level(value, name: str) -> tuple[str, float] | None:
+    if value is None:
         return None
-    if isinstance(s, (list, tuple)) and len(s) == 2:
-        return (_str(s[0], "grid.shift_levels parameter"), _float(s[1], "grid.shift_levels value"))
-    raise InputError(f"shift level must be null or [param, value], got {s!r}")
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return (_str(value[0], f"{name} parameter"), _float(value[1], f"{name} value"))
+    raise InputError(f"shift level must be null or [param, value], got {value!r}")
+
+
+def _levels(item):
+    """Parser of a list of values that ``item`` parses, returned as a tuple."""
+
+    def parse(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InputError(f"config value {name} must be a list, got {value!r}")
+        return tuple(item(v, name) for v in value)
+
+    return parse
+
+
+# One parser per field annotation, spelled as the dataclasses declare it.
+_PARSERS = {
+    "int": _int,
+    "float": _float,
+    "bool": _bool,
+    "str": _str,
+    "float | None": lambda value, name: None if value is None else _float(value, name),
+    "tuple[float, ...]": _levels(_float),
+    "tuple[int, ...]": _levels(_int),
+    "tuple[tuple[str, float] | None, ...]": _levels(_shift_level),
+}
+
+
+def _parse(cls, doc: dict, where: str, **nested):
+    """``cls`` with every field not given in ``nested`` parsed from ``doc``
+    by the parser of its declared annotation."""
+    parsed = {f.name: _PARSERS[f.type](doc[f.name], where + f.name) for f in fields(cls) if f.name not in nested}
+    return cls(**parsed, **nested)
 
 
 def _build(d: dict) -> ExperimentConfig:
     if _int(d["schema_version"], "schema_version") != CONFIG_SCHEMA_VERSION:
         raise InputError(f"unsupported config schema_version {d['schema_version']}")
-    grid, ens, pol, ad, th = (d[k] for k in ("grid", "ensemble", "policy", "adaptive", "thresholds"))
+    th = d["thresholds"]
     if (th["tau_low"] is None) != (th["tau_high"] is None):
         raise InputError("threshold overrides must set both tau_low and tau_high or neither")
-    return ExperimentConfig(
-        env_id=_str(d["env_id"], "env_id"),
-        onset_t=_int(d["onset_t"], "onset_t"),
-        horizon=_int(d["horizon"], "horizon"),
-        grid=GridSpec(
-            po_levels=tuple(_float(v, "grid.po_levels") for v in grid["po_levels"]),
-            delay_levels=tuple(_int(v, "grid.delay_levels") for v in grid["delay_levels"]),
-            shift_levels=tuple(_shift_level(s) for s in grid["shift_levels"]),
-            seeds=tuple(_int(v, "grid.seeds") for v in grid["seeds"]),
-        ),
-        m_members=_int(ens["m_members"], "ensemble.m_members"),
-        t_pre=_int(ens["t_pre"], "ensemble.t_pre"),
-        clip_c=_float(ens["clip_c"], "ensemble.clip_c"),
-        c_tau=_float(ens["c_tau"], "ensemble.c_tau"),
-        train=TrainSettings(
-            hidden_width=_int(ens["hidden_width"], "ensemble.hidden_width"),
-            epochs=_int(ens["epochs"], "ensemble.epochs"),
-            learning_rate=_float(ens["learning_rate"], "ensemble.learning_rate"),
-            batch_size=_int(ens["batch_size"], "ensemble.batch_size"),
-        ),
-        policy=PolicySettings(
-            alpha_max=_float(pol["alpha_max"], "policy.alpha_max"),
-            lambda_risk=_float(pol["lambda_risk"], "policy.lambda_risk"),
-            delta_max=_float(pol["delta_max"], "policy.delta_max"),
-            n_candidates=_int(pol["n_candidates"], "policy.n_candidates"),
-        ),
-        adaptive=AdaptiveSettings(
-            enabled=_bool(ad["enabled"], "adaptive.enabled"),
-            every=_int(ad["every"], "adaptive.every"),
-            window=_int(ad["window"], "adaptive.window"),
-            epochs=_int(ad["epochs"], "adaptive.epochs"),
-        ),
-        thresholds=ThresholdOverrides(
-            tau_low=None if th["tau_low"] is None else _float(th["tau_low"], "thresholds.tau_low"),
-            tau_high=None if th["tau_high"] is None else _float(th["tau_high"], "thresholds.tau_high"),
-            round_to_decimal=_bool(th["round_to_decimal"], "thresholds.round_to_decimal"),
-        ),
-        probe_episodes=_int(d["probe_episodes"], "probe_episodes"),
-        calibration_seed=_int(d["calibration_seed"], "calibration_seed"),
-        output_dir=_str(d["output_dir"], "output_dir"),
+    return _parse(
+        ExperimentConfig,
+        {**d, **d["ensemble"]},  # the root fields of _ENSEMBLE_FIELDS live there
+        "",
+        grid=_parse(GridSpec, d["grid"], "grid."),
+        train=_parse(TrainSettings, d["ensemble"], "ensemble."),
+        policy=_parse(PolicySettings, d["policy"], "policy."),
+        adaptive=_parse(AdaptiveSettings, d["adaptive"], "adaptive."),
+        thresholds=_parse(ThresholdOverrides, th, "thresholds."),
     )
 
 
@@ -225,29 +209,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     The default config's ``to_dict()`` is the schema: its keys are the
     only ones allowed at the root and in each section, and its values
-    fill in every key the document leaves out. A value of the wrong type
-    is an ``InputError``: integer fields take integers only (not floats
-    or booleans), number fields take integers or floats (not strings or
-    booleans), boolean fields take ``true`` or ``false`` only, and string
-    fields take strings only.
+    fill in every key the document leaves out. Each field is parsed by its
+    dataclass annotation, and a value of the wrong type is an
+    ``InputError``: integer fields take integers only (not floats or
+    booleans), number fields take integers or floats (not strings or
+    booleans), boolean fields take ``true`` or ``false`` only, string
+    fields take strings only, and level lists take lists only.
     """
-    merged = _merge(raw, ExperimentConfig().to_dict(), "config root")
-    try:
-        cfg = _build(merged)
-    except CompoundUQError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise InputError(f"config value has the wrong type: {e}") from e
+    cfg = _build(_merge(raw, ExperimentConfig().to_dict(), "config root"))
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    from .envs import ENV_CLASSES
-    from .perturb import validate_shift_for_env
-
-    if cfg.env_id not in ENV_CLASSES:
-        raise InputError(f"unknown env_id {cfg.env_id!r}; choose from {sorted(ENV_CLASSES)}")
+    env_cls = env_class(cfg.env_id)
     if cfg.horizon <= cfg.onset_t + 1:
         raise InputError(f"horizon {cfg.horizon} must exceed onset_t + 1 = {cfg.onset_t + 1}")
     if cfg.m_members < 2:
@@ -256,16 +231,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise InputError("t_pre must be positive")
     if cfg.probe_episodes < 1:
         raise InputError("probe_episodes must be positive")
+    if min((cfg.calibration_seed, *cfg.grid.seeds)) < 0:
+        raise InputError(
+            f"seeds must be nonnegative, got calibration_seed {cfg.calibration_seed} and grid.seeds {list(cfg.grid.seeds)}"
+        )
     for shift in cfg.grid.shift_levels:
-        validate_shift_for_env(cfg.env_id, shift)
+        if shift is not None:
+            env_cls.check_param(*shift)
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise InputError(f"config file {path} is not valid JSON: {e}")
+    with open_input(path, "config") as fh:
+        raw = json.load(fh)
     return config_from_dict(raw)

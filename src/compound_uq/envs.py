@@ -81,15 +81,9 @@ class _BaseEnv:
     def __init__(self, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON):
         self.seed = int(seed)
         self.horizon = int(horizon)
-        merged = dict(self.default_params())
-        if params:
-            unknown = set(params) - set(self.PARAM_BOUNDS)
-            if unknown:
-                raise ParameterError(f"unknown dynamics parameters: {sorted(unknown)}")
-            merged.update({k: float(v) for k, v in params.items()})
-        for name, value in merged.items():
-            self._check_bound(name, value)
-        self._params = merged
+        self._params = self.default_params()
+        for name, value in (params or {}).items():
+            self.set_param(name, value)
         self.reset()
 
     @classmethod
@@ -108,17 +102,21 @@ class _BaseEnv:
         """Set the initial plant state; may draw from the fresh ``rng``."""
         raise NotImplementedError
 
-    def _check_bound(self, name: str, value: float) -> None:
-        if name not in self.PARAM_BOUNDS:
-            raise ParameterError(f"unknown dynamics parameter {name!r}")
-        lo, hi = self.PARAM_BOUNDS[name]
+    @classmethod
+    def check_param(cls, name: str, value: float) -> None:
+        """Raise ``ParameterError`` unless ``name`` is one of this environment's
+        dynamics parameters and ``value`` lies within its bounds."""
+        if name not in cls.PARAM_BOUNDS:
+            raise ParameterError(f"{cls.__name__} has no dynamics parameter {name!r}")
+        lo, hi = cls.PARAM_BOUNDS[name]
         if not (lo <= value <= hi) or not math.isfinite(value):
             raise ParameterError(f"parameter {name}={value} outside bounds [{lo}, {hi}]")
 
     def set_param(self, name: str, value: float) -> None:
         """Change one dynamics parameter in place (used by shift schedules)."""
-        self._check_bound(name, float(value))
-        self._params[name] = float(value)
+        value = float(value)
+        self.check_param(name, value)
+        self._params[name] = value
 
     def true_dynamics(self) -> DynamicsParams:
         """Evaluator-only channel: exact parameters in effect right now.
@@ -329,8 +327,13 @@ ENV_CLASSES: dict[str, type[_BaseEnv]] = {
 }
 
 
-def make_env(env_id: str, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON) -> _BaseEnv:
-    """Instantiate an environment by id; raises ``InputError`` for unknown ids."""
+def env_class(env_id: str) -> type[_BaseEnv]:
+    """The environment class registered as ``env_id``; ``InputError`` for unknown ids."""
     if env_id not in ENV_CLASSES:
         raise InputError(f"unknown env_id {env_id!r}; choose from {sorted(ENV_CLASSES)}")
-    return ENV_CLASSES[env_id](seed=seed, params=params, horizon=horizon)
+    return ENV_CLASSES[env_id]
+
+
+def make_env(env_id: str, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON) -> _BaseEnv:
+    """Instantiate an environment by id; raises ``InputError`` for unknown ids."""
+    return env_class(env_id)(seed=seed, params=params, horizon=horizon)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import ENV_CLASSES, ActionVec, ObservationVec
+from .envs import ActionVec, ObservationVec
 from .errors import SpecError
 
 ONSET_T = 50
@@ -186,17 +186,3 @@ def condition_matrix(
         cells.append((spec, int(seed)))
     return cells
 
-
-def validate_shift_for_env(env_id: str, shift: tuple[str, float] | None) -> None:
-    """Fail fast if a shift names a parameter the environment lacks."""
-    if shift is None:
-        return
-    env_cls = ENV_CLASSES.get(env_id)
-    if env_cls is None:
-        raise SpecError(f"unknown env_id {env_id!r}")
-    param, value = shift
-    if param not in env_cls.PARAM_BOUNDS:
-        raise SpecError(f"env {env_id} has no dynamics parameter {param!r}")
-    lo, hi = env_cls.PARAM_BOUNDS[param]
-    if not (lo <= float(value) <= hi):
-        raise SpecError(f"shift target {param}={value} outside bounds [{lo}, {hi}]")

@@ -61,7 +61,7 @@ from .ensemble import (
     disagreement,
     member_mse,
 )
-from .envs import ENV_CLASSES, make_env
+from .envs import env_class, make_env
 from .errors import CalibrationError, InputError, InvariantViolation
 from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
 from .perturb import (
@@ -73,7 +73,7 @@ from .perturb import (
     shift_tag,
 )
 from .policy import ActionChoice, alpha_schedule, candidate_actions, select_action, task_affinity
-from .snapshot import CalibrationSnapshot, atomic_write_text
+from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
 from .version import TOOLKIT_VERSION
 
 RISK_TOL = 1e-12
@@ -222,8 +222,8 @@ def run_condition(
     if policy_mode not in POLICY_MODES:
         raise InputError(f"unknown policy_mode: {policy_mode!r}")
     settings = replace(config.policy, alpha_max=0.0) if policy_mode == "monitor" else config.policy
-    env_cls = ENV_CLASSES[config.env_id]
-    env = make_env(config.env_id, seed=seed, horizon=config.horizon)
+    env_cls = env_class(config.env_id)
+    env = env_cls(seed=seed, horizon=config.horizon)
     controller = TASK_CONTROLLERS[config.env_id]
     thresholds = snapshot.thresholds
 
@@ -348,7 +348,7 @@ def _mixture_action(controller, obs, rng: np.random.Generator, action_dim: int) 
 
 def collect_baseline_buffer(config: ExperimentConfig) -> ReplayBuffer:
     """Exactly t_pre unperturbed transitions under the exploration mixture."""
-    env_cls = ENV_CLASSES[config.env_id]
+    env_cls = env_class(config.env_id)
     controller = TASK_CONTROLLERS[config.env_id]
     buffer = ReplayBuffer()
     remaining = config.t_pre
@@ -465,9 +465,7 @@ def build_eval_rows(
     """
     if n_rows < 1:
         raise InputError("n_rows must be positive")
-    env_cls = ENV_CLASSES.get(env_id)
-    if env_cls is None:
-        raise InputError(f"unknown environment id: {env_id!r}")
+    env_cls = env_class(env_id)
     if horizon < 3:
         raise InputError("horizon must be at least 3 to yield usable rows")
     controller = TASK_CONTROLLERS[env_id]
@@ -536,10 +534,15 @@ def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapsh
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _kind(line) -> str | None:
+    return line.get("kind") if isinstance(line, dict) else None
+
+
 def read_trace(path: str) -> tuple[dict, list[dict], dict]:
-    with open(path) as fh:
+    """Header, step lines and footer of a trace; ``InputError`` if unreadable."""
+    with open_input(path, "trace") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    if len(lines) < 2 or lines[0].get("kind") != "header" or lines[-1].get("kind") != "footer":
+    if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
         raise InputError(f"trace file {path} is missing header or footer")
     return lines[0], lines[1:-1], lines[-1]
 
@@ -654,7 +657,7 @@ def run_sweep(
         if out_dir and resume:
             try:
                 header, _, footer = read_trace(cell_path(cond, seed))
-            except (InputError, json.JSONDecodeError, OSError):
+            except InputError:
                 header = {}  # missing or incomplete: simulate the cell again
             if header.get("config_hash") == config_hash and header.get("policy_mode") == policy_mode:
                 footer.pop("kind", None)

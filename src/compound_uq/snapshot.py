@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .ensemble import Ensemble
@@ -32,6 +33,21 @@ def atomic_write_text(path: str, text: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+@contextmanager
+def open_input(path: str, what: str):
+    """Open a UTF-8 input file for the ``with`` block; failing to open,
+    decode or parse it as JSON raises an ``InputError`` that names ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what} file {path} is not valid JSON: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"{what} file {path} cannot be read: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -67,34 +83,36 @@ class CalibrationSnapshot:
         atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationSnapshot":
+    def from_dict(cls, d) -> "CalibrationSnapshot":
+        if not isinstance(d, dict):
+            raise InputError(f"snapshot must be a JSON object, got {type(d).__name__}")
         if d.get("format_version") != SNAPSHOT_FORMAT_VERSION:
             raise InputError(f"unsupported snapshot format_version {d.get('format_version')!r}")
-        ens = Ensemble.from_dict(d["ensemble"])
+        try:
+            snapshot = cls(
+                config_hash=str(d["config_hash"]),
+                env_id=str(d["env_id"]),
+                seed=int(d["seed"]),
+                mu0=float(d["mu0"]),
+                sigma0=float(d["sigma0"]),
+                thresholds=Thresholds(tau_low=float(d["tau_low"]), tau_high=float(d["tau_high"])),
+                ensemble=Ensemble.from_dict(d["ensemble"]),
+                clip_c=float(d["clip_c"]),
+                c_tau=float(d["c_tau"]),
+            )
+        except KeyError as e:
+            raise InputError(f"snapshot is missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise InputError(f"snapshot holds an ill-typed value: {e}") from None
         stored_hash = d.get("weights_hash")
-        if stored_hash and ens.weights_hash() != stored_hash:
+        if stored_hash and snapshot.ensemble.weights_hash() != stored_hash:
             raise InputError("snapshot weights hash mismatch; file corrupted or edited")
-        if not ens.frozen:
+        if not snapshot.ensemble.frozen:
             raise InputError("snapshot must contain a frozen ensemble")
-        return cls(
-            config_hash=str(d["config_hash"]),
-            env_id=str(d["env_id"]),
-            seed=int(d["seed"]),
-            mu0=float(d["mu0"]),
-            sigma0=float(d["sigma0"]),
-            thresholds=Thresholds(tau_low=float(d["tau_low"]), tau_high=float(d["tau_high"])),
-            ensemble=ens,
-            clip_c=float(d["clip_c"]),
-            c_tau=float(d["c_tau"]),
-        )
+        return snapshot
 
     @classmethod
     def load(cls, path: str) -> "CalibrationSnapshot":
-        try:
-            with open(path) as fh:
-                d = json.load(fh)
-        except FileNotFoundError:
-            raise InputError(f"snapshot file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise InputError(f"snapshot file {path} is not valid JSON: {e}")
+        with open_input(path, "snapshot") as fh:
+            d = json.load(fh)
         return cls.from_dict(d)

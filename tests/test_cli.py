@@ -93,6 +93,15 @@ def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("doc", [{"grid": dict(TINY["grid"], seeds=[-1, 0])}, {"calibration_seed": -1}])
+def test_calibrate_refuses_negative_seeds(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path), **doc)))
+    assert main(["calibrate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: seeds must be nonnegative")
+    assert not (tmp_path / "calibration.json").exists()
+
+
 def test_calibrate_exit_code_two_without_stressors(tmp_path, capsys):
     cfg = dict(TINY)
     cfg.pop("thresholds")
@@ -192,6 +201,30 @@ def test_run_rejects_bad_shift(workspace, capsys):
     assert main(["run", "--config", workspace["config"], "--shift", "stiffness=abc"]) == 1
     assert main(["run", "--config", workspace["config"], "--shift", "gain_left=0.5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--shift", "gain_left=0.5"], "MassSpring1D has no dynamics parameter 'gain_left'"),
+        (["run", "--shift", "stiffness=50"], "stiffness=50.0 outside bounds"),
+        (["oracle-check", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["oracle-check", "--grid-points", "1"], "grid_points must be >= 2, got 1"),
+        (["oracle-check", "--grid-points", "0"], "grid_points must be >= 2, got 0"),
+    ],
+)
+def test_bad_numbers_are_refused_before_any_work(workspace, monkeypatch, capsys, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
+    monkeypatch.setattr("compound_uq.cli.verify_bound", refuse)
+    if argv[0] == "run":
+        argv = [*argv, "--config", workspace["config"]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_run_missing_snapshot(workspace, capsys):
@@ -316,6 +349,40 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     # csv rows end in \r\n, as csv.writer writes them.
     raw = bounds.read_bytes()
     assert raw.count(b"\r\n") == 21 and raw.count(b"\n") == 21
+
+
+def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
+    assert main(sweep) == 0
+    traces = sorted(out_dir.glob("trace_*.jsonl"))
+    fresh = {path: path.read_bytes() for path in traces}
+    traces[0].write_bytes(b"\xff" + fresh[traces[0]])
+    lines = fresh[traces[1]].splitlines(keepends=True)
+    traces[1].write_bytes(b"".join([lines[0], b"{not json\n", *lines[2:]]))
+    assert main(sweep) == 0
+    capsys.readouterr()
+    assert {path: path.read_bytes() for path in traces} == fresh
+
+
+def test_analyze_refuses_unreadable_traces(workspace, tmp_path, capsys):
+    trace_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]) == 0
+    analyze = ["analyze", "--config", workspace["config"], "--trace-dir"]
+    trace = sorted(trace_dir.glob("trace_*.jsonl"))[0]
+    good = trace.read_bytes()
+    lines = good.splitlines(keepends=True)
+    for bad in (b"".join([lines[0], b"{not json\n", *lines[2:]]), b"\xff" + good):
+        trace.write_bytes(bad)
+        capsys.readouterr()
+        assert main([*analyze, str(trace_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: trace file {trace} ")
+    trace.write_bytes(good)
+    (trace_dir / "trace_extra.jsonl").mkdir()
+    assert main([*analyze, str(trace_dir)]) == 1
+    assert "cannot be read" in capsys.readouterr().err
+    assert main([*analyze, str(tmp_path / "missing")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot list trace directory")
 
 
 def test_analyze_empty_dir(workspace, tmp_path, capsys):

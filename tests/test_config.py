@@ -8,10 +8,11 @@ import pytest
 from compound_uq.config import (
     CONFIG_SCHEMA_VERSION,
     ExperimentConfig,
+    GridSpec,
     config_from_dict,
     load_config,
 )
-from compound_uq.errors import InputError, SpecError
+from compound_uq.errors import InputError, ParameterError
 
 
 def test_defaults():
@@ -91,8 +92,14 @@ def test_shift_level_shapes():
 
 def test_shift_levels_validated_against_env():
     # stiffness is a MassSpring1D parameter, not a DriftBot one.
-    with pytest.raises(SpecError):
+    with pytest.raises(ParameterError, match="DriftBot has no dynamics parameter 'stiffness'"):
         config_from_dict({"env_id": "DriftBot", "grid": {"shift_levels": [["stiffness", 3.0]]}})
+    with pytest.raises(ParameterError, match="MassSpring1D has no dynamics parameter 'gain_left'"):
+        config_from_dict({"env_id": "MassSpring1D", "grid": {"shift_levels": [None, ["gain_left", 0.5]]}})
+    with pytest.raises(ParameterError, match=r"gain_left=1.5 outside bounds \[0.0, 1.0\]"):
+        config_from_dict({"grid": {"shift_levels": [None, ["gain_left", 1.5]]}})
+    with pytest.raises(InputError, match="unknown env_id 'Rover'"):
+        config_from_dict({"env_id": "Rover", "grid": {"shift_levels": [None, ["mass", 2.0]]}})
     cfg = config_from_dict({"env_id": "MassSpring1D", "grid": {"shift_levels": [None, ["stiffness", 3.0]]}})
     assert cfg.grid.shift_levels[1] == ("stiffness", 3.0)
 
@@ -112,6 +119,8 @@ def test_threshold_overrides_must_come_in_pairs():
         {"ensemble": {"m_members": 1}},
         {"ensemble": {"t_pre": 0}},
         {"probe_episodes": 0},
+        {"grid": {"seeds": [-1, 0]}},
+        {"calibration_seed": -1},
     ],
 )
 def test_semantic_validation(raw):
@@ -137,6 +146,45 @@ def test_hash_tracks_substantive_fields():
     base = config_from_dict({})
     assert base.config_hash() != config_from_dict({"horizon": 999}).config_hash()
     assert base.config_hash() != config_from_dict({"policy": {"alpha_max": 7.0}}).config_hash()
+
+
+MASS_SPRING_INTEGERS = {
+    "env_id": "MassSpring1D",
+    "grid": {"po_levels": [0, 1], "shift_levels": [None, ["stiffness", 3]]},
+    "thresholds": {"tau_low": 0, "tau_high": 1},
+    "policy": {"alpha_max": 1},
+}
+MASS_SPRING_FLOATS = {
+    "env_id": "MassSpring1D",
+    "grid": {"po_levels": [0.0, 1.0], "shift_levels": [None, ["stiffness", 3.0]]},
+    "thresholds": {"tau_low": 0.0, "tau_high": 1.0},
+    "policy": {"alpha_max": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (ExperimentConfig, "e545accb2080fe4e"),
+        (lambda: config_from_dict({}), "e545accb2080fe4e"),
+        # the DriftBot acceptance config of perfbench/workloads.py
+        (
+            lambda: config_from_dict(
+                {"env_id": "DriftBot", "horizon": 220, "onset_t": 50, "ensemble": {"t_pre": 300, "m_members": 5}}
+            ),
+            "640a0640952bac89",
+        ),
+        # integer-valued floats hash like the floats they stand for
+        (lambda: config_from_dict(MASS_SPRING_INTEGERS), "f80814122d479fb2"),
+        (lambda: config_from_dict(MASS_SPRING_FLOATS), "f80814122d479fb2"),
+        (lambda: ExperimentConfig(grid=GridSpec(po_levels=(0, 1))), "cea2efa1d1ed8d3e"),
+        (lambda: config_from_dict({"grid": {"po_levels": [0.0, 1.0]}}), "cea2efa1d1ed8d3e"),
+    ],
+)
+def test_config_hashes_are_pinned(make, expected):
+    # Every snapshot and trace header embeds the hash, so parsing and
+    # to_dict may change only when these values stay put.
+    assert make().config_hash() == expected
 
 
 def test_roundtrip_through_dict():
@@ -165,8 +213,13 @@ def test_load_config_errors(tmp_path):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not valid JSON"):
         load_config(str(bad))
+    bad.write_bytes(b'{"output_dir": "\xff"}')
+    with pytest.raises(InputError, match="cannot be read"):
+        load_config(str(bad))
+    with pytest.raises(InputError, match="cannot be read"):
+        load_config(str(tmp_path))
 
 
 def test_load_config_roundtrip(tmp_path):

@@ -12,7 +12,6 @@ from compound_uq.perturb import (
     apply_mask,
     condition_matrix,
     mask_dims_for_fraction,
-    validate_shift_for_env,
 )
 
 ONSET = 50
@@ -129,13 +128,3 @@ def test_condition_spec_roundtrip_and_cell_id():
     assert spec.cell_id(3) == "po0.25_delay1_shift-gain_left=0.5_seed3"
     assert ConditionSpec().cell_id(0) == "po0_delay0_shift-none_seed0"
 
-
-def test_validate_shift_for_env():
-    validate_shift_for_env("DriftBot", None)
-    validate_shift_for_env("DriftBot", ("gain_left", 0.5))
-    with pytest.raises(SpecError):
-        validate_shift_for_env("DriftBot", ("mass", 2.0))
-    with pytest.raises(SpecError):
-        validate_shift_for_env("MassSpring1D", ("gain_left", 0.5))
-    with pytest.raises(SpecError):
-        validate_shift_for_env("Rover", ("mass", 2.0))

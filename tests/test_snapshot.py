@@ -81,6 +81,31 @@ def test_missing_and_malformed_files(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(InputError, match="JSON"):
         CalibrationSnapshot.load(str(bad))
+    bad.write_bytes(b'{"mu0": "\xff"}')
+    with pytest.raises(InputError, match="cannot be read"):
+        CalibrationSnapshot.load(str(bad))
+    with pytest.raises(InputError, match="cannot be read"):
+        CalibrationSnapshot.load(str(tmp_path))
+
+
+def _truncate_w1(d):
+    d["ensemble"]["w1"] = d["ensemble"]["w1"][:-1]
+    return d
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {"format_version": SNAPSHOT_FORMAT_VERSION}, "snapshot is missing key 'config_hash'"),
+        (lambda d: [1], "snapshot must be a JSON object"),
+        (lambda d: dict(d, mu0="abc"), "snapshot holds an ill-typed value"),
+        (lambda d: dict(d, ensemble=None), "snapshot holds an ill-typed value"),
+        (_truncate_w1, "snapshot holds an ill-typed value"),
+    ],
+)
+def test_malformed_documents_are_input_errors(snap, edit, message):
+    with pytest.raises(InputError, match=message):
+        CalibrationSnapshot.from_dict(edit(snap.to_dict()))
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):
