@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .ensemble import TrainSettings
 from .envs import env_class
 from .errors import InputError
 from .kappa import C_TAU, CLIP_C
+from .parsing import parse_fields, parse_key
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
     DEFAULT_PO_LEVELS,
@@ -123,84 +124,21 @@ def _merge(doc, schema: dict, where: str) -> dict:
     return merged
 
 
-def _int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"config value {name} must be an integer, got {value!r}")
-    return value
-
-
-def _float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"config value {name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"config value {name} must be true or false, got {value!r}")
-    return value
-
-
-def _str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"config value {name} must be a string, got {value!r}")
-    return value
-
-
-def _shift_level(value, name: str) -> tuple[str, float] | None:
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (_str(value[0], f"{name} parameter"), _float(value[1], f"{name} value"))
-    raise InputError(f"shift level must be null or [param, value], got {value!r}")
-
-
-def _levels(item):
-    """Parser of a list of values that ``item`` parses, returned as a tuple."""
-
-    def parse(value, name: str) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            raise InputError(f"config value {name} must be a list, got {value!r}")
-        return tuple(item(v, name) for v in value)
-
-    return parse
-
-
-# One parser per field annotation, spelled as the dataclasses declare it.
-_PARSERS = {
-    "int": _int,
-    "float": _float,
-    "bool": _bool,
-    "str": _str,
-    "float | None": lambda value, name: None if value is None else _float(value, name),
-    "tuple[float, ...]": _levels(_float),
-    "tuple[int, ...]": _levels(_int),
-    "tuple[tuple[str, float] | None, ...]": _levels(_shift_level),
-}
-
-
-def _parse(cls, doc: dict, where: str, **nested):
-    """``cls`` with every field not given in ``nested`` parsed from ``doc``
-    by the parser of its declared annotation."""
-    parsed = {f.name: _PARSERS[f.type](doc[f.name], where + f.name) for f in fields(cls) if f.name not in nested}
-    return cls(**parsed, **nested)
-
-
 def _build(d: dict) -> ExperimentConfig:
-    if _int(d["schema_version"], "schema_version") != CONFIG_SCHEMA_VERSION:
+    if parse_key(d, "schema_version", "int", "config") != CONFIG_SCHEMA_VERSION:
         raise InputError(f"unsupported config schema_version {d['schema_version']}")
     th = d["thresholds"]
     if (th["tau_low"] is None) != (th["tau_high"] is None):
         raise InputError("threshold overrides must set both tau_low and tau_high or neither")
-    return _parse(
+    return parse_fields(
         ExperimentConfig,
         {**d, **d["ensemble"]},  # the root fields of _ENSEMBLE_FIELDS live there
-        "",
-        grid=_parse(GridSpec, d["grid"], "grid."),
-        train=_parse(TrainSettings, d["ensemble"], "ensemble."),
-        policy=_parse(PolicySettings, d["policy"], "policy."),
-        adaptive=_parse(AdaptiveSettings, d["adaptive"], "adaptive."),
-        thresholds=_parse(ThresholdOverrides, th, "thresholds."),
+        "config",
+        grid=parse_fields(GridSpec, d["grid"], "config", "grid."),
+        train=parse_fields(TrainSettings, d["ensemble"], "config", "ensemble."),
+        policy=parse_fields(PolicySettings, d["policy"], "config", "policy."),
+        adaptive=parse_fields(AdaptiveSettings, d["adaptive"], "config", "adaptive."),
+        thresholds=parse_fields(ThresholdOverrides, th, "config", "thresholds."),
     )
 
 
@@ -210,11 +148,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     The default config's ``to_dict()`` is the schema: its keys are the
     only ones allowed at the root and in each section, and its values
     fill in every key the document leaves out. Each field is parsed by its
-    dataclass annotation, and a value of the wrong type is an
-    ``InputError``: integer fields take integers only (not floats or
-    booleans), number fields take integers or floats (not strings or
-    booleans), boolean fields take ``true`` or ``false`` only, string
-    fields take strings only, and level lists take lists only.
+    dataclass annotation through the shared parser in ``parsing``, whose
+    docstring gives the values each type takes.
     """
     cfg = _build(_merge(raw, ExperimentConfig().to_dict(), "config root"))
     _validate_config(cfg)

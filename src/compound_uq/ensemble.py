@@ -24,13 +24,16 @@ shared by all members; predictions are reported in raw units.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .envs import Transition
 from .errors import CalibrationError, InputError, LifecycleError
+from .parsing import parse_fields, parse_key
 
 MIN_CALIBRATION_ROWS = 50
 STD_FLOOR = 1e-6
@@ -203,13 +206,17 @@ class Ensemble:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Ensemble":
-        m, i, h, o = d["m_members"], d["in_dim"], d["hidden_width"], d["out_dim"]
+    def from_dict(cls, d) -> "Ensemble":
+        """The ensemble of a snapshot's ``ensemble`` section, parsed strictly."""
+        get = functools.partial(parse_key, d, document="snapshot", prefix="ensemble.")
+        m, i, h, o = (get(key, "int") for key in ("m_members", "in_dim", "hidden_width", "out_dim"))
 
         def dec(key, shape):
-            return np.asarray(d[key], dtype=float).reshape(shape)
+            flat = get(key, "tuple[float, ...]")
+            if min(shape) < 1 or len(flat) != math.prod(shape):
+                raise InputError(f"snapshot value ensemble.{key} holds {len(flat)} numbers, which do not fill shape {shape}")
+            return np.array(flat).reshape(shape)
 
-        s = d["settings"]
         return cls(
             w1=dec("w1", (m, i, h)),
             b1=dec("b1", (m, h)),
@@ -217,14 +224,9 @@ class Ensemble:
             b2=dec("b2", (m, o)),
             x_norm=_Normalizer(dec("x_mean", (i,)), dec("x_std", (i,))),
             y_norm=_Normalizer(dec("y_mean", (o,)), dec("y_std", (o,))),
-            settings=TrainSettings(
-                hidden_width=int(s["hidden_width"]),
-                epochs=int(s["epochs"]),
-                learning_rate=float(s["learning_rate"]),
-                batch_size=int(s["batch_size"]),
-            ),
-            seed=int(d["seed"]),
-            frozen=bool(d["frozen"]),
+            settings=parse_fields(TrainSettings, d.get("settings"), "snapshot", "ensemble.settings."),
+            seed=get("seed", "int"),
+            frozen=get("frozen", "bool"),
         )
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .envs import ActionVec, ObservationVec
 from .errors import SpecError
+from .parsing import parse_fields
 
 ONSET_T = 50
 
@@ -155,14 +156,8 @@ class ConditionSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ConditionSpec":
-        shift = d.get("shift")
-        return cls(
-            po_fraction=float(d.get("po_fraction", 0.0)),
-            delay_steps=int(d.get("delay_steps", 0)),
-            shift=None if shift is None else (str(shift[0]), float(shift[1])),
-            onset_t=int(d.get("onset_t", ONSET_T)),
-        )
+    def from_dict(cls, d) -> "ConditionSpec":
+        return parse_fields(cls, d, "condition")
 
 
 def condition_matrix(

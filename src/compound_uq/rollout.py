@@ -62,7 +62,7 @@ from .ensemble import (
     member_mse,
 )
 from .envs import env_class, make_env
-from .errors import CalibrationError, InputError, InvariantViolation
+from .errors import CalibrationError, InputError, InvariantViolation, SpecError
 from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
 from .perturb import (
     ActionDelayer,
@@ -126,6 +126,12 @@ TASK_CONTROLLERS = {
 
 POLICY_MODES = ("monitor", "adaptive")
 
+# The keys of a cell summary, in the order RolloutResult.summary() gives them.
+SUMMARY_KEYS = (
+    "cell_id", "condition", "seed", "label", "episode_return", "post_onset_kappa_mean",
+    "post_onset_mse_mean", "peak_kappa", "violations", "n_forced", "n_steps",
+)
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -186,21 +192,23 @@ class RolloutResult:
         return float(np.mean([c.mse for c in self.kappas if c.t >= self.condition.onset_t]))
 
     def summary(self) -> dict:
-        return {
-            "cell_id": self.cell_id,
-            "condition": self.condition.to_dict(),
-            "seed": self.seed,
-            "label": self.condition.label,
-            "episode_return": self.episode_return,
-            "post_onset_kappa_mean": self.post_onset_kappa_mean,
-            "post_onset_mse_mean": self.post_onset_mse_mean,
-            "peak_kappa": self.peak_kappa,
-            # Always 0, since a budget breach raises InvariantViolation. The
-            # key stays until ROADMAP item 3 re-pins the digests that hold it.
-            "violations": 0,
-            "n_forced": self.n_forced,
-            "n_steps": self.n_steps,
-        }
+        """The cell summary, which a trace's footer holds, keyed by ``SUMMARY_KEYS``."""
+        values = (
+            self.cell_id,
+            self.condition.to_dict(),
+            self.seed,
+            self.condition.label,
+            self.episode_return,
+            self.post_onset_kappa_mean,
+            self.post_onset_mse_mean,
+            self.peak_kappa,
+            # violations: always 0, since a budget breach raises InvariantViolation.
+            # The key stays until ROADMAP item 3 re-pins the digests that hold it.
+            0,
+            self.n_forced,
+            self.n_steps,
+        )
+        return dict(zip(SUMMARY_KEYS, values, strict=True))
 
 
 def run_condition(
@@ -539,11 +547,19 @@ def _kind(line) -> str | None:
 
 
 def read_trace(path: str) -> tuple[dict, list[dict], dict]:
-    """Header, step lines and footer of a trace; ``InputError`` if unreadable."""
+    """Header, step lines and footer of a trace; ``InputError`` if unreadable,
+    or if the footer lacks a key of the cell summary or holds a bad condition."""
     with open_input(path, "trace") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
         raise InputError(f"trace file {path} is missing header or footer")
+    missing = [key for key in SUMMARY_KEYS if key not in lines[-1]]
+    if missing:
+        raise InputError(f"trace file {path} footer lacks summary keys {missing}")
+    try:
+        ConditionSpec.from_dict(lines[-1]["condition"])
+    except (InputError, SpecError) as e:
+        raise InputError(f"trace file {path} footer: {e}") from None
     return lines[0], lines[1:-1], lines[-1]
 
 

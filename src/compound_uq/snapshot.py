@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .ensemble import Ensemble
 from .errors import InputError
 from .kappa import Thresholds
+from .parsing import parse_fields, parse_key
 from .version import TOOLKIT_VERSION
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -84,28 +85,12 @@ class CalibrationSnapshot:
 
     @classmethod
     def from_dict(cls, d) -> "CalibrationSnapshot":
-        if not isinstance(d, dict):
-            raise InputError(f"snapshot must be a JSON object, got {type(d).__name__}")
-        if d.get("format_version") != SNAPSHOT_FORMAT_VERSION:
-            raise InputError(f"unsupported snapshot format_version {d.get('format_version')!r}")
-        try:
-            snapshot = cls(
-                config_hash=str(d["config_hash"]),
-                env_id=str(d["env_id"]),
-                seed=int(d["seed"]),
-                mu0=float(d["mu0"]),
-                sigma0=float(d["sigma0"]),
-                thresholds=Thresholds(tau_low=float(d["tau_low"]), tau_high=float(d["tau_high"])),
-                ensemble=Ensemble.from_dict(d["ensemble"]),
-                clip_c=float(d["clip_c"]),
-                c_tau=float(d["c_tau"]),
-            )
-        except KeyError as e:
-            raise InputError(f"snapshot is missing key {e}") from None
-        except (TypeError, ValueError) as e:
-            raise InputError(f"snapshot holds an ill-typed value: {e}") from None
-        stored_hash = d.get("weights_hash")
-        if stored_hash and snapshot.ensemble.weights_hash() != stored_hash:
+        """The snapshot ``d`` describes; its ensemble must be frozen and match ``weights_hash``."""
+        if parse_key(d, "format_version", "int", "snapshot") != SNAPSHOT_FORMAT_VERSION:
+            raise InputError(f"unsupported snapshot format_version {d['format_version']!r}")
+        thresholds = parse_fields(Thresholds, d, "snapshot")
+        snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
+        if snapshot.ensemble.weights_hash() != d.get("weights_hash"):
             raise InputError("snapshot weights hash mismatch; file corrupted or edited")
         if not snapshot.ensemble.frozen:
             raise InputError("snapshot must contain a frozen ensemble")

@@ -84,6 +84,9 @@ def test_calibrate_missing_config_file(capsys):
         {"thresholds": {"round_to_decimal": "false"}},
         {"horizon": 500.9},
         {"grid": {"seeds": [1.7]}},
+        {"policy": {"alpha_max": float("nan")}},
+        {"ensemble": {"clip_c": float("inf")}},
+        {"policy": {"alpha_max": 10**400}},
     ],
 )
 def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc):
@@ -351,6 +354,10 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     assert raw.count(b"\r\n") == 21 and raw.count(b"\n") == 21
 
 
+def _with_footer(trace: bytes, footer: dict) -> bytes:
+    return b"".join([*trace.splitlines(keepends=True)[:-1], json.dumps(footer).encode() + b"\n"])
+
+
 def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
@@ -360,6 +367,10 @@ def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
     traces[0].write_bytes(b"\xff" + fresh[traces[0]])
     lines = fresh[traces[1]].splitlines(keepends=True)
     traces[1].write_bytes(b"".join([lines[0], b"{not json\n", *lines[2:]]))
+    traces[2].write_bytes(_with_footer(fresh[traces[2]], {"kind": "footer"}))
+    footer = json.loads(fresh[traces[3]].splitlines()[-1])
+    del footer["condition"]["po_fraction"]
+    traces[3].write_bytes(_with_footer(fresh[traces[3]], footer))
     assert main(sweep) == 0
     capsys.readouterr()
     assert {path: path.read_bytes() for path in traces} == fresh
@@ -372,7 +383,7 @@ def test_analyze_refuses_unreadable_traces(workspace, tmp_path, capsys):
     trace = sorted(trace_dir.glob("trace_*.jsonl"))[0]
     good = trace.read_bytes()
     lines = good.splitlines(keepends=True)
-    for bad in (b"".join([lines[0], b"{not json\n", *lines[2:]]), b"\xff" + good):
+    for bad in (b"".join([lines[0], b"{not json\n", *lines[2:]]), b"\xff" + good, _with_footer(good, {"kind": "footer"})):
         trace.write_bytes(bad)
         capsys.readouterr()
         assert main([*analyze, str(trace_dir)]) == 1

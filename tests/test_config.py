@@ -1,6 +1,7 @@
 """Config schema, strict parsing, and hash stability tests."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,10 @@ def test_schema_version_mismatch():
         ({"ensemble": {"learning_rate": False}}, "ensemble.learning_rate"),
         ({"output_dir": 5}, "output_dir"),
         ({"grid": {"shift_levels": [[1, 0.5]]}}, "grid.shift_levels parameter"),
+        ({"policy": {"alpha_max": math.nan}}, "policy.alpha_max must be a finite number"),
+        ({"ensemble": {"c_tau": -math.inf}}, "c_tau must be a finite number"),
+        ({"policy": {"alpha_max": 10**400}}, "policy.alpha_max must be a finite number"),
+        (json.loads('{"ensemble": {"clip_c": 1e400}}'), "clip_c must be a finite number"),
     ],
 )
 def test_wrongly_typed_scalars_are_refused(raw, where):

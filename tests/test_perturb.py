@@ -5,7 +5,7 @@ import pytest
 
 from compound_uq.config import ExperimentConfig
 from compound_uq.envs import DriftBot, MassSpring1D
-from compound_uq.errors import SpecError
+from compound_uq.errors import InputError, SpecError
 from compound_uq.perturb import (
     ActionDelayer,
     ConditionSpec,
@@ -120,6 +120,21 @@ def test_condition_spec_validation():
         ConditionSpec(shift=("mass", float("inf")))
     with pytest.raises(SpecError):
         condition_matrix([], [0], [None], [0])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {k: v for k, v in d.items() if k != "po_fraction"}, "condition is missing key 'po_fraction'"),
+        (lambda d: dict(d, delay_steps=1.7), "condition value delay_steps must be an integer"),
+        (lambda d: dict(d, po_fraction="0.5"), "condition value po_fraction must be a finite number"),
+        (lambda d: dict(d, shift=[7, "2"]), "condition value shift parameter must be a string"),
+    ],
+)
+def test_condition_from_dict_refuses_malformed_fields(edit, message):
+    doc = ConditionSpec(po_fraction=0.25, delay_steps=1, shift=("gain_left", 0.5)).to_dict()
+    with pytest.raises(InputError, match=message):
+        ConditionSpec.from_dict(edit(doc))
 
 
 def test_condition_spec_roundtrip_and_cell_id():

@@ -58,6 +58,16 @@ def test_tampered_weights_rejected(snap, tmp_path):
         CalibrationSnapshot.load(str(path))
 
 
+def test_missing_weights_hash_rejected(snap):
+    d = snap.to_dict()
+    del d["weights_hash"]
+    with pytest.raises(InputError, match="hash mismatch"):
+        CalibrationSnapshot.from_dict(d)
+    d["ensemble"]["b2"][0] += 1.0
+    with pytest.raises(InputError, match="hash mismatch"):
+        CalibrationSnapshot.from_dict(d)
+
+
 def test_unfrozen_ensemble_rejected(snap):
     d = snap.to_dict()
     live = constant_ensemble([[0.1, -0.2], [0.3, 0.05]], in_dim=3, frozen=False)
@@ -93,14 +103,32 @@ def _truncate_w1(d):
     return d
 
 
+def _set(*path, value):
+    def edit(d):
+        section = d
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        return d
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: {"format_version": SNAPSHOT_FORMAT_VERSION}, "snapshot is missing key 'config_hash'"),
+        (lambda d: {"format_version": SNAPSHOT_FORMAT_VERSION}, "snapshot is missing key 'tau_low'"),
         (lambda d: [1], "snapshot must be a JSON object"),
-        (lambda d: dict(d, mu0="abc"), "snapshot holds an ill-typed value"),
-        (lambda d: dict(d, ensemble=None), "snapshot holds an ill-typed value"),
-        (_truncate_w1, "snapshot holds an ill-typed value"),
+        (lambda d: dict(d, mu0="abc"), "snapshot value mu0 must be a finite number, got 'abc'"),
+        (lambda d: dict(d, ensemble=None), "snapshot ensemble must be a JSON object"),
+        (_truncate_w1, "snapshot value ensemble.w1 holds 5 numbers"),
+        (lambda d: dict(d, clip_c=float("inf")), "snapshot value clip_c must be a finite number"),
+        (_set("ensemble", "frozen", value="false"), "snapshot value ensemble.frozen must be true or false"),
+        (lambda d: dict(d, seed=1.9), "snapshot value seed must be an integer, got 1.9"),
+        (lambda d: dict(d, seed=True), "snapshot value seed must be an integer, got True"),
+        (lambda d: dict(d, mu0="0.5"), "snapshot value mu0 must be a finite number, got '0.5'"),
+        (lambda d: dict(d, env_id=None), "snapshot value env_id must be a string"),
+        (_set("ensemble", "settings", "epochs", value=1.5), "snapshot value ensemble.settings.epochs must be an integer"),
     ],
 )
 def test_malformed_documents_are_input_errors(snap, edit, message):
