@@ -16,12 +16,17 @@ identity down numerically.
 the path, mirroring how the deployed proxy is supposed to respond as
 state and dynamics uncertainty become entangled.
 
+``random_bound_checks`` gives ``verify_bound`` of many seeded random
+beliefs bit for bit, computed in stacks of one table shape with axis
+sums; a table holding a zero takes ``verify_bound`` itself.
+
 All entropies are natural-log (nats) with the 0 log 0 = 0 convention.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,19 @@ import numpy as np
 from .errors import InputError
 
 PROB_TOL = 1e-9
+# random_bound_checks draws and checks this many beliefs at a time
+ORACLE_BATCH = 1024
+
+
+def _check_probabilities(tables: np.ndarray) -> None:
+    """Raise ``InputError`` unless every table of the stack ``(k, n_s, n_theta)``
+    is finite, nonnegative and sums to 1 within ``PROB_TOL``."""
+    if not np.all(np.isfinite(tables)) or np.any(tables < 0):
+        raise InputError("belief table entries must be finite and nonnegative")
+    totals = tables.sum(axis=(1, 2))
+    off = np.abs(totals - 1.0) > PROB_TOL
+    if off.any():
+        raise InputError(f"belief table must sum to 1 within {PROB_TOL}, got {float(totals[off][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +59,7 @@ class DiscreteJointBelief:
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError(f"belief table must be 2-D and nonempty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise InputError("belief table entries must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise InputError(f"belief table must sum to 1 within {PROB_TOL}, got {total!r}")
+        _check_probabilities(arr[None])
         object.__setattr__(self, "table", arr)
 
     @property
@@ -147,3 +161,61 @@ def random_belief(rng: np.random.Generator, n_s: int, n_theta: int) -> DiscreteJ
         raise InputError("belief grid must have at least one cell per axis")
     flat = rng.dirichlet(np.ones(n_s * n_theta))
     return DiscreteJointBelief(table=flat.reshape(n_s, n_theta))
+
+
+def _summed_bound_checks(tables: np.ndarray) -> list[BoundCheck]:
+    """``verify_bound`` of each table in a stack ``(k, n_s, n_theta)`` of
+    positive probability tables, bit for bit: the same sums over the same
+    terms in the same order, one stack at a time."""
+    k = tables.shape[0]
+    ps = tables.sum(axis=2)
+    pt = tables.sum(axis=1)
+    denom = ps[:, :, None] * pt[:, None, :]
+    mi = (tables * np.log(tables / denom)).reshape(k, -1).sum(axis=1)
+    h_s = -(ps * np.log(ps)).sum(axis=1)
+    h_theta = -(pt * np.log(pt)).sum(axis=1)
+    flat = tables.reshape(k, -1)
+    h_joint = -(flat * np.log(flat)).sum(axis=1)
+    bound = h_s + h_theta
+    columns = (mi, h_s, h_theta, h_joint, bound, bound - mi, mi <= bound + PROB_TOL)
+    return [BoundCheck(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _stack_bound_checks(tables: np.ndarray) -> list[BoundCheck]:
+    """``verify_bound`` of each table in a stack ``(k, n_s, n_theta)``,
+    refusing the stack as ``DiscreteJointBelief`` refuses a table."""
+    _check_probabilities(tables)
+    has_zero = (tables == 0.0).any(axis=(1, 2))
+    summed = iter(_summed_bound_checks(tables[~has_zero]))
+    return [
+        verify_bound(DiscreteJointBelief(table=tables[j])) if zero else next(summed)
+        for j, zero in enumerate(has_zero.tolist())
+    ]
+
+
+def random_bound_checks(seed: int, n_samples: int) -> Iterator[tuple[int, int, BoundCheck]]:
+    """Yield ``(n_s, n_theta, verify_bound(belief))`` for ``n_samples`` random beliefs.
+
+    One generator seeded with ``seed`` draws, per sample, ``n_s`` and
+    ``n_theta`` from 2..8 and then the table as ``random_belief`` does.
+    Each batch of ``ORACLE_BATCH`` samples is checked in stacks of one
+    shape; every row equals ``verify_bound(random_belief(...))`` on the
+    same draws bit for bit. Rows come out a batch at a time, so a caller
+    that keeps only what it needs of each holds at most one batch of
+    checks.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_samples, ORACLE_BATCH):
+        shapes: list[tuple[int, int]] = []
+        by_shape: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+        for i in range(min(ORACLE_BATCH, n_samples - start)):
+            shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            shapes.append(shape)
+            by_shape.setdefault(shape, []).append((i, rng.dirichlet(np.ones(shape[0] * shape[1]))))
+        checks: list[BoundCheck | None] = [None] * len(shapes)
+        for shape, drawn in by_shape.items():
+            tables = np.stack([flat for _, flat in drawn]).reshape(len(drawn), *shape)
+            for (i, _), check in zip(drawn, _stack_bound_checks(tables)):
+                checks[i] = check
+        for shape, check in zip(shapes, checks):
+            yield (*shape, check)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .analysis import stratified_rate_test, superadditive_rate
-from .belief import coupling_family, exact_mi, random_belief, verify_bound
+from .belief import coupling_family, exact_mi, random_bound_checks
 from .config import ExperimentConfig, load_config
 from .envs import env_class
 from .errors import (
@@ -136,6 +136,23 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _print_mean_losses(records) -> None:
+    """Print the paper's headline comparison: the mean single-stressor
+    losses, their sum, and the mean compound loss, over the records whose
+    clean return is nonzero (the others have no fractional loss)."""
+    kept = [r for r in records if not r.baseline_degenerate]
+    if not kept:
+        print("mean loss: no record has a nonzero clean return")
+        return
+    po = float(np.mean([r.delta_po for r in kept]))
+    theta = float(np.mean([r.delta_theta for r in kept]))
+    compound = float(np.mean([r.delta_compound for r in kept]))
+    print(
+        f"mean loss over {len(kept)} records: delta_po={po!r} + delta_theta={theta!r} "
+        f"= {po + theta!r} vs delta_compound={compound!r}"
+    )
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = _load_snapshot(cfg, args.snapshot)
@@ -149,6 +166,7 @@ def cmd_sweep(args) -> int:
         f"superadditive: {outcome.report.n_superadditive}/{outcome.report.n_configs} "
         f"rate={outcome.report.rate!r}"
     )
+    _print_mean_losses(outcome.records)
     print(f"wrote {out_dir}")
     return 0
 
@@ -180,6 +198,7 @@ def cmd_analyze(args) -> int:
     out = _out_path(args.out or os.path.join(trace_dir, "synergy_report.json"))
     atomic_write_text(out, report.to_json() + "\n")
     print(f"records={len(records)} rate={report.rate!r} mean_synergy={report.mean_synergy!r}")
+    _print_mean_losses(records)
     try:
         strat = stratified_rate_test(records, stratum_key=args.stratum_key, threshold=args.threshold, units=args.units)
         print(f"stratified[{args.stratum_key}]: chi2={strat.chi2!r} df={strat.df} p={strat.p_value!r}")
@@ -193,16 +212,12 @@ def cmd_oracle_check(args) -> int:
     _require_at_least("n_samples", args.n_samples, 1)
     _require_at_least("grid_points", args.grid_points, 2)
     _require_at_least("seed", args.seed, 0)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    n_bad = 0
-    for i in range(args.n_samples):
-        n_s = int(rng.integers(2, 9))
-        n_theta = int(rng.integers(2, 9))
-        check = verify_bound(random_belief(rng, n_s, n_theta))
-        ok = check.holds and abs(check.slack - check.h_joint) <= 1e-9
-        n_bad += 0 if ok else 1
-        rows.append((i, n_s, n_theta, check.mi, check.bound, check.slack, ok))
+    checks = random_bound_checks(args.seed, args.n_samples)
+    rows = [
+        (i, n_s, n_theta, c.mi, c.bound, c.slack, c.holds and abs(c.slack - c.h_joint) <= 1e-9)
+        for i, (n_s, n_theta, c) in enumerate(checks)
+    ]
+    n_bad = sum(not row[-1] for row in rows)
 
     inversions = 0
     lams = np.linspace(0.0, 1.0, args.grid_points)

@@ -584,12 +584,16 @@ def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
     seed, masking level > 0, and dynamics stressor combination (delay
     and/or shift active) present in the grid, the quadruple is
     (clean, masking only, dynamics only, both). Requires the grid to be a
-    full factorial containing the clean and single-stressor cells.
+    full factorial containing the clean and single-stressor cells, and
+    at most one summary per cell.
     """
     cells: dict[tuple, float] = {}
     for summary in summaries:
         cond = ConditionSpec.from_dict(summary["condition"])
-        key = (cond.po_fraction, cond.delay_steps, cond.shift, int(summary["seed"]))
+        seed = int(summary["seed"])
+        key = (cond.po_fraction, cond.delay_steps, cond.shift, seed)
+        if key in cells:
+            raise InputError(f"two cell summaries for cell {cond.cell_id(seed)}")
         cells[key] = float(summary["episode_return"])
     records: list[DegradationRecord] = []
     po_levels = [p for p in grid.po_levels if p > 0]
@@ -651,9 +655,11 @@ def run_sweep(
     Thresholds are calibrated under the task policy, so monitor mode is
     also the behavior the calibration transfers to directly.
 
-    With ``out_dir`` set, each cell writes one JSONL trace (skipped on
-    resume when already complete) plus summary CSV/JSON artifacts at
-    the end.
+    With ``out_dir`` set, each cell writes one JSONL trace plus summary
+    CSV/JSON artifacts at the end. On resume a cell reuses its trace only
+    when the trace reads back whole, its header holds this config hash and
+    policy mode, and its header and footer both name this cell; any other
+    cell runs again and overwrites its trace.
     """
     config_hash = config.config_hash() if out_dir else None  # only traces and reports carry it
     cells = condition_matrix(
@@ -674,8 +680,13 @@ def run_sweep(
             try:
                 header, _, footer = read_trace(cell_path(cond, seed))
             except InputError:
-                header = {}  # missing or incomplete: simulate the cell again
-            if header.get("config_hash") == config_hash and header.get("policy_mode") == policy_mode:
+                header = footer = {}  # missing or incomplete: simulate the cell again
+            reusable = (
+                header.get("config_hash") == config_hash
+                and header.get("policy_mode") == policy_mode
+                and header.get("cell_id") == footer.get("cell_id") == cond.cell_id(seed)
+            )
+            if reusable:
                 footer.pop("kind", None)
                 return footer
         result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)

@@ -39,16 +39,20 @@ def atomic_write_text(path: str, text: str) -> None:
 @contextmanager
 def open_input(path: str, what: str):
     """Open a UTF-8 input file for the ``with`` block; failing to open,
-    decode or parse it as JSON raises an ``InputError`` that names ``what``."""
+    decode or parse it as JSON raises an ``InputError`` that names ``what``.
+
+    A ``ValueError`` raised in the block counts as a JSON failure: ``json``
+    raises a bare one for an integer literal longer than Python's
+    int-conversion limit (4,300 digits by default)."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{what} file {path} is not valid JSON: {e}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"{what} file {path} cannot be read: {e}") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer literal too long to convert
+        raise InputError(f"{what} file {path} is not valid JSON: {e}") from None
 
 
 @dataclass(frozen=True)

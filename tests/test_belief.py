@@ -5,18 +5,38 @@ import math
 import numpy as np
 import pytest
 
+from compound_uq import belief
 from compound_uq.belief import (
+    ORACLE_BATCH,
     DiscreteJointBelief,
     coupling_family,
     exact_mi,
     joint_entropy,
     marginal_entropies,
     random_belief,
+    random_bound_checks,
     verify_bound,
 )
 from compound_uq.errors import InputError
 
 LN2 = math.log(2.0)
+CHECK_FIELDS = ("mi", "h_s", "h_theta", "h_joint", "bound", "slack", "holds")
+
+
+def scalar_bound_checks(seed, n_samples):
+    """The per-belief reference loop that ``random_bound_checks`` batches."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_samples):
+        n_s = int(rng.integers(2, 9))
+        n_theta = int(rng.integers(2, 9))
+        rows.append((n_s, n_theta, verify_bound(random_belief(rng, n_s, n_theta))))
+    return rows
+
+
+def bits(check):
+    """Every field of a ``BoundCheck``, floats by their exact bit pattern."""
+    return tuple(v.hex() if isinstance(v, float) else (type(v), v) for v in (getattr(check, f) for f in CHECK_FIELDS))
 
 
 def diagonal_2x2():
@@ -112,3 +132,46 @@ def test_marginals_sum_to_one():
     assert abs(b.marginal_s().sum() - 1.0) < 1e-12
     assert abs(b.marginal_theta().sum() - 1.0) < 1e-12
     assert b.n_s == 6 and b.n_theta == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_oracle_equals_the_scalar_loop_bit_for_bit(seed):
+    n_samples = 2 * ORACLE_BATCH + 37  # two full batches and a partial one
+    batched = list(random_bound_checks(seed, n_samples))
+    scalar = scalar_bound_checks(seed, n_samples)
+    assert [(n_s, n_t, bits(c)) for n_s, n_t, c in batched] == [(n_s, n_t, bits(c)) for n_s, n_t, c in scalar]
+
+
+def test_a_table_with_a_zero_takes_the_scalar_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    tables = np.stack([rng.dirichlet(np.ones(6)).reshape(2, 3) for _ in range(4)])
+    tables[2] = [[0.5, 0.0, 0.25], [0.0, 0.25, 0.0]]
+    expected = [bits(verify_bound(DiscreteJointBelief(table=t.copy()))) for t in tables]
+    scalar_calls = []
+
+    def counting(b, *args, **kwargs):
+        scalar_calls.append(b.table.copy())
+        return verify_bound(b, *args, **kwargs)
+
+    monkeypatch.setattr(belief, "verify_bound", counting)
+    with np.errstate(all="raise"):
+        got = [bits(c) for c in belief._stack_bound_checks(tables)]
+    assert got == expected
+    assert len(scalar_calls) == 1 and np.array_equal(scalar_calls[0], tables[2])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0.5, 0.5], [0.5, -0.5]], "finite and nonnegative"),
+        ([[0.5, np.nan], [0.25, 0.25]], "finite and nonnegative"),
+        ([[0.5, 0.5], [0.25, 0.25]], "must sum to 1 within 1e-09, got 1.5"),
+    ],
+)
+def test_a_stack_is_refused_as_a_single_table_is(bad, message):
+    tables = np.stack([np.full((2, 2), 0.25), np.array(bad)])
+    with pytest.raises(InputError, match=message) as stacked:
+        belief._stack_bound_checks(tables)
+    with pytest.raises(InputError) as single:
+        DiscreteJointBelief(table=np.array(bad))
+    assert str(stacked.value) == str(single.value)

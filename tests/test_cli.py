@@ -4,16 +4,22 @@ One tiny oscillator workspace is calibrated once per module (threshold
 overrides skip the probe runs) and shared by the run/sweep/analyze tests.
 """
 
+import csv
+import io
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from compound_uq import rollout
+from compound_uq.belief import BoundCheck, random_belief, verify_bound
 from compound_uq.cli import main
+from compound_uq.config import load_config
 from compound_uq.ensemble import acc_feature
+from compound_uq.errors import InputError
 from compound_uq.perturb import ConditionSpec
 from compound_uq.rollout import read_trace
 from compound_uq.snapshot import CalibrationSnapshot
@@ -222,7 +228,7 @@ def test_bad_numbers_are_refused_before_any_work(workspace, monkeypatch, capsys,
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
-    monkeypatch.setattr("compound_uq.cli.verify_bound", refuse)
+    monkeypatch.setattr("compound_uq.cli.random_bound_checks", refuse)
     if argv[0] == "run":
         argv = [*argv, "--config", workspace["config"]]
     assert main(argv) == 1
@@ -376,6 +382,111 @@ def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
     assert {path: path.read_bytes() for path in traces} == fresh
 
 
+LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit
+
+
+def _with_long_int(doc: str, key: str) -> str:
+    """``doc`` with the first value of ``"key": <int>`` made 5,000 digits long."""
+    head, sep, tail = doc.partition(f'"{key}": ')
+    assert sep, key
+    return head + sep + LONG_INT + tail.lstrip("0123456789")
+
+
+def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir)]) == 0
+    trace = sorted(sweep_dir.glob("trace_*.jsonl"))[0]
+    bad = {
+        "config": (tmp_path / "config.json", _with_long_int(json.dumps(TINY), "horizon")),
+        "snapshot": (tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "seed")),
+        "trace": (tmp_path / "trace.jsonl", _with_long_int(trace.read_text(), "t")),
+    }
+    for path, text in bad.values():
+        path.write_text(text)
+    loaders = {"config": load_config, "snapshot": CalibrationSnapshot.load, "trace": read_trace}
+    for what, (path, _) in bad.items():
+        with pytest.raises(InputError, match=f"^{what} file {path} is not valid JSON: Exceeds the limit"):
+            loaders[what](str(path))
+
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    (trace_dir / trace.name).write_text(bad["trace"][1])
+    commands = [
+        ["calibrate", "--config", str(bad["config"][0])],
+        ["run", "--config", workspace["config"], "--snapshot", str(bad["snapshot"][0])],
+        ["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir)],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_sweep_resimulates_a_trace_with_an_over_long_integer(workspace, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
+    assert main(sweep) == 0
+    trace = sorted(out_dir.glob("trace_*.jsonl"))[1]
+    fresh = trace.read_bytes()
+    trace.write_text(_with_long_int(fresh.decode(), "t"))
+    assert main(sweep) == 0
+    capsys.readouterr()
+    assert trace.read_bytes() == fresh
+
+
+def test_a_trace_filed_under_another_cell(workspace, tmp_path, capsys):
+    # A copy of cell po0_delay0's trace under cell po0.5_delay1's name.
+    trace_dir = tmp_path / "sweep"
+    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]
+    assert main(sweep) == 0
+    source = trace_dir / "trace_po0_delay0_shift-none_seed0.jsonl"
+    target = trace_dir / "trace_po0.5_delay1_shift-none_seed0.jsonl"
+    fresh = target.read_bytes()
+    target.write_bytes(source.read_bytes())
+
+    analyze = ["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir), "--out", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert capsys.readouterr().err == "error: two cell summaries for cell po0_delay0_shift-none_seed0\n"
+
+    # sweep resume simulates the cell again instead of reusing the copy
+    assert main(sweep) == 0
+    assert target.read_bytes() == fresh
+    assert main(analyze) == 0
+
+    # a second trace of a cell is refused even when every cell is present
+    (trace_dir / "trace_copy.jsonl").write_bytes(source.read_bytes())
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert capsys.readouterr().err == "error: two cell summaries for cell po0_delay0_shift-none_seed0\n"
+
+
+def _mean_loss_line(text: str) -> tuple:
+    m = re.search(r"^mean loss over (\d+) records: delta_po=(\S+) \+ delta_theta=(\S+) = (\S+) vs delta_compound=(\S+)$", text, re.M)
+    assert m, text
+    return (int(m.group(1)), *(float(v) for v in m.group(2, 3, 4, 5)))
+
+
+def test_sweep_and_analyze_print_the_mean_losses(tmp_path, capsys):
+    doc = dict(TINY, grid=dict(TINY["grid"], seeds=[0, 1, 2]), output_dir=str(tmp_path))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    trace_dir = tmp_path / "sweep"
+    assert main(["calibrate", "--config", str(cfg_path)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(trace_dir)]) == 0
+    printed_by_sweep = _mean_loss_line(capsys.readouterr().out)
+    assert main(["analyze", "--config", str(cfg_path), "--trace-dir", str(trace_dir)]) == 0
+    printed_by_analyze = _mean_loss_line(capsys.readouterr().out)
+
+    snapshot = CalibrationSnapshot.load(str(tmp_path / "calibration.json"))
+    outcome = rollout.run_sweep(load_config(str(cfg_path)), snapshot, out_dir=str(trace_dir))
+    kept = [r for r in outcome.records if not r.baseline_degenerate]
+    assert len(kept) == 3
+    po, theta, compound = (float(np.mean([getattr(r, f) for r in kept])) for f in ("delta_po", "delta_theta", "delta_compound"))
+    assert printed_by_sweep == printed_by_analyze == (len(kept), po, theta, po + theta, compound)
+
+
 def test_analyze_refuses_unreadable_traces(workspace, tmp_path, capsys):
     trace_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]) == 0
@@ -412,19 +523,30 @@ def test_oracle_check_small_batch(tmp_path, capsys):
     assert len(lines) == 201  # header plus one row per sample
 
 
+def test_oracle_check_csv_equals_the_scalar_loop_bytes(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["oracle-check", "--n-samples", "1500", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rng = np.random.default_rng(3)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["sample", "n_s", "n_theta", "mi", "bound", "slack", "holds"])
+    for i in range(1500):
+        n_s = int(rng.integers(2, 9))
+        n_theta = int(rng.integers(2, 9))
+        check = verify_bound(random_belief(rng, n_s, n_theta))
+        ok = check.holds and abs(check.slack - check.h_joint) <= 1e-9
+        writer.writerow((i, n_s, n_theta, check.mi, check.bound, check.slack, ok))
+    assert out.read_bytes() == text.getvalue().encode()
+
+
 def test_oracle_check_rejects_bad_sample_count(capsys):
     assert main(["oracle-check", "--n-samples", "0"]) == 1
     capsys.readouterr()
 
 
 def test_oracle_check_exit_three_on_violation(monkeypatch, capsys):
-    class Broken:
-        holds = False
-        slack = 0.0
-        h_joint = 1.0
-        mi = 0.0
-        bound = 0.0
-
-    monkeypatch.setattr("compound_uq.cli.verify_bound", lambda belief: Broken())
+    broken = BoundCheck(mi=0.0, h_s=0.0, h_theta=0.0, h_joint=1.0, bound=0.0, slack=0.0, holds=False)
+    monkeypatch.setattr("compound_uq.cli.random_bound_checks", lambda seed, n_samples: [(2, 2, broken)] * n_samples)
     assert main(["oracle-check", "--n-samples", "3"]) == 3
     assert "invariant violation" in capsys.readouterr().err
