@@ -79,7 +79,6 @@ from .policy import (
 from .rollout import (
     RolloutResult,
     SweepOutcome,
-    build_eval_rows,
     calibrate,
     run_condition,
     run_sweep,

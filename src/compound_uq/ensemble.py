@@ -230,26 +230,36 @@ class Ensemble:
         )
 
 
-def disagreement(member_preds: np.ndarray) -> np.ndarray:
-    """Information-gain surrogate: ensemble disagreement per input row.
+def disagreement(member_preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Information-gain surrogate per input row, and the members' mean prediction.
 
-    ``member_preds`` is the (M, B, out_dim) output of ``predict_members``;
-    the score is the trace of the across-member population covariance.
-    With two members predicting d and d + e it equals ||e||^2 / 4.
+    ``member_preds`` is the (M, B, out_dim) output of ``predict_members``.
+    The score, shape (B,), is the trace of the across-member population
+    covariance; with two members predicting d and d + e it equals
+    ||e||^2 / 4. The mean has shape (B, out_dim). Both come from one sum
+    over members: the sum, divide, square and sum that numpy's ``var``
+    takes, so they equal ``member_preds.var(axis=0).sum(-1)`` and
+    ``member_preds.mean(axis=0)`` bit for bit.
     """
-    return member_preds.var(axis=0, ddof=0).sum(axis=-1)
+    m = member_preds.shape[0]
+    mean = np.add.reduce(member_preds, axis=0) / m
+    dev = member_preds - mean
+    dev *= dev
+    return (np.add.reduce(dev, axis=0) / m).sum(axis=-1), mean
 
 
 def member_mse(member_preds: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row ensemble error: mean over members of the squared norm.
 
     ``member_preds`` is the (M, B, out_dim) output of ``predict_members``
-    and ``y`` the (B, out_dim) targets. The squared norm sums over output
-    dims (no per-dim averaging), so values scale with observation
-    dimensionality; the noise floor is calibrated on the same scale.
+    and ``y`` the (B, out_dim) targets, or one (out_dim,) target for every
+    row. The squared norm sums over output dims (no per-dim averaging), so
+    values scale with observation dimensionality; the noise floor is
+    calibrated on the same scale.
     """
-    yb = np.atleast_2d(np.asarray(y, dtype=float))
-    return ((member_preds - yb[None, :, :]) ** 2).sum(axis=-1).mean(axis=0)
+    sq_norm = ((member_preds - np.asarray(y, dtype=float)) ** 2).sum(axis=-1)
+    # sq_norm.mean(axis=0) bit for bit, without its Python-level overhead
+    return np.add.reduce(sq_norm, axis=0) / member_preds.shape[0]
 
 
 MOMENTUM = 0.9

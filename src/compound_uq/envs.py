@@ -65,8 +65,10 @@ def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
     arr = np.asarray(action, dtype=float).ravel()
     if arr.shape != (dim,):
         raise InputError(f"action must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > 1.0):
-        raise InputError(f"action entries must be finite and in [-1, 1], got {arr.tolist()}")
+    values = arr.tolist()
+    # one pass over Python floats; NaN and +-inf fail the comparison
+    if not all(-1.0 <= v <= 1.0 for v in values):
+        raise InputError(f"action entries must be finite and in [-1, 1], got {values}")
     return arr
 
 
@@ -241,10 +243,12 @@ class DriftBot(_BaseEnv):
         obs_before = self.observe()
         dist_before = self._distance_to_goal()
 
-        eps = self.rng.normal(size=2)
+        # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
+        a_left, a_right = act.tolist()
+        eps_left, eps_right = self.rng.normal(size=2).tolist()
         p = self._params
-        u_left = act[0] + p["noise_scale"] * eps[0]
-        u_right = act[1] + p["noise_scale"] * eps[1]
+        u_left = a_left + p["noise_scale"] * eps_left
+        u_right = a_right + p["noise_scale"] * eps_right
         wl = p["gain_left"] * u_left
         wr = p["gain_right"] * u_right
         v = self.V_MAX * (wl + wr) / 2.0
@@ -256,7 +260,8 @@ class DriftBot(_BaseEnv):
         self.speed = v
         self.turn_rate = w
 
-        reward = (dist_before - self._distance_to_goal()) - self.CONTROL_COST * float(act[0] ** 2 + act[1] ** 2)
+        # ** 2 is libm pow, as it is for numpy scalars; a * a differs on about 0.1% of inputs
+        reward = (dist_before - self._distance_to_goal()) - self.CONTROL_COST * (a_left**2 + a_right**2)
         return self._post_step(obs_before, act, reward)
 
 

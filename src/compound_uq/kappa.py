@@ -98,7 +98,8 @@ def sigma_theta(mse: float, mu0: float, sigma0: float, clip_c: float = CLIP_C) -
     if not math.isfinite(mse) or mse < 0:
         raise InputError(f"mse must be finite and nonnegative, got {mse}")
     z = (mse - mu0) / sigma0
-    return float(np.clip(z, 0.0, clip_c) / clip_c)
+    # np.clip bit for bit; a NaN z (from a NaN mu0) passes through to kappa()'s refusal
+    return float(min(max(z, 0.0), clip_c) / clip_c)
 
 
 def sigma_s(po: float, delay_steps: float, c_tau: float = C_TAU) -> float:

@@ -66,7 +66,8 @@ class ActionChoice:
 
 def _ramp(kappa_value: float, thresholds: Thresholds) -> float:
     span = thresholds.tau_high - thresholds.tau_low
-    return float(np.clip((kappa_value - thresholds.tau_low) / span, 0.0, 1.0))
+    # min(max()) is np.clip bit for bit, NaN included, without numpy's call overhead
+    return float(min(max((kappa_value - thresholds.tau_low) / span, 0.0), 1.0))
 
 
 def alpha_schedule(kappa_value: float, thresholds: Thresholds, alpha_max: float) -> float:
@@ -155,7 +156,8 @@ def select_action(
     n = cand.shape[0]
     if not (r.shape[0] == g.shape[0] == risk.shape[0] == n) or n == 0:
         raise InputError("candidates and per-candidate scores must have equal nonzero length")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g)) and np.all(np.isfinite(risk))):
+    # each entry is checked: a check on the sum could overflow to inf on finite scores
+    if not np.isfinite(np.concatenate((r, g, risk))).all():
         raise InputError("candidate scores must be finite")
 
     alpha = alpha_schedule(kappa_value, thresholds, settings.alpha_max)

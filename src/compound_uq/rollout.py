@@ -96,8 +96,9 @@ def driftbot_controller(obs: np.ndarray) -> np.ndarray:
     bearing = math.atan2(obs[7], obs[6])
     err = math.atan2(math.sin(bearing - heading), math.cos(bearing - heading))
     forward = 0.9 * min(1.0, dist) * max(0.0, math.cos(err))
-    turn = float(np.clip(1.2 * err, -0.9, 0.9))
-    return np.clip(np.array([forward - turn, forward + turn]), -1.0, 1.0)
+    # min(max()) clamps are np.clip bit for bit, without numpy's call overhead
+    turn = min(max(1.2 * err, -0.9), 0.9)
+    return np.array([min(max(forward - turn, -1.0), 1.0), min(max(forward + turn, -1.0), 1.0)])
 
 
 SLIDING_LAYER = 0.01
@@ -115,7 +116,7 @@ def mass_spring_controller(obs: np.ndarray) -> np.ndarray:
     transition the learned models cannot explain away.
     """
     sigma = obs[0] + 0.5 * obs[1]
-    return np.array([-np.clip(sigma / SLIDING_LAYER, -1.0, 1.0)])
+    return np.array([-min(max(sigma / SLIDING_LAYER, -1.0), 1.0)])
 
 
 TASK_CONTROLLERS = {
@@ -238,7 +239,8 @@ def run_condition(
     onset = condition.onset_t
     dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
     delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=onset)
-    po_active = len(dims) / len(env_cls.OBS_NAMES)
+    obs_dim = len(env_cls.OBS_NAMES)
+    po_active = len(dims) / obs_dim
 
     policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
     adaptive = snapshot.ensemble.clone_unfrozen() if adaptive_enabled else None
@@ -276,14 +278,13 @@ def run_condition(
             # rows picks the same candidate. The explorer draws above are
             # still taken: later steps with spread > 0 read the same stream.
             cands = cands[:2]
-        acc = acc_feature(history)
-        base = np.concatenate([visible, acc])
-        x_cand = np.concatenate(
-            [np.repeat(base[None, :], cands.shape[0], axis=0), cands], axis=1
-        )
+        # One model input row per candidate: [visible ; acc ; candidate action].
+        x_cand = np.empty((cands.shape[0], 2 * obs_dim + cands.shape[1]))
+        x_cand[:, :obs_dim] = visible
+        x_cand[:, obs_dim : 2 * obs_dim] = acc_feature(history)
+        x_cand[:, 2 * obs_dim :] = cands
         member_preds = snapshot.ensemble.predict_members(x_cand)
-        info_gain = disagreement(member_preds)
-        mean_delta = member_preds.mean(axis=0)
+        info_gain, mean_delta = disagreement(member_preds)
         predicted_next = visible[None, :] + mean_delta
         predicted_risk = env_cls.risk_from_obs(predicted_next)
         r_task = task_affinity(cands, task_action)
@@ -449,51 +450,6 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator-side model scoring
-
-
-def build_eval_rows(
-    env_id: str,
-    params: dict,
-    seed: int,
-    n_rows: int,
-    horizon: int = 120,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth transition rows under given dynamics.
-
-    Evaluator-side: environments are constructed directly with the true
-    (possibly shifted) parameters, observations are unmasked, and episodes
-    reset every `horizon` steps so rows stay on the kind of states a task
-    run actually visits. Used to score agent-side models against reality.
-
-    Actions interleave the scripted task controller with uniform draws
-    (same ratio as baseline collection), which keeps states near the task
-    envelope while still exercising diverse actions; this is the fair exam
-    for comparing adapted models.
-    """
-    if n_rows < 1:
-        raise InputError("n_rows must be positive")
-    env_cls = env_class(env_id)
-    if horizon < 3:
-        raise InputError("horizon must be at least 3 to yield usable rows")
-    controller = TASK_CONTROLLERS[env_id]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 7]))
-    buffer = ReplayBuffer()
-    episode = 0
-    usable = 0
-    while usable < n_rows:
-        env = make_env(env_id, seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
-        buffer.begin_episode()
-        for _ in range(horizon):
-            action = _mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM)
-            buffer.add(env.step(action))
-        usable += horizon - 2
-        episode += 1
-    x, y = buffer.rows()
-    return x[:n_rows], y[:n_rows]
-
-
-# ---------------------------------------------------------------------------
 # Trace files
 
 
@@ -502,11 +458,11 @@ def _step_line(rec: StepRecord) -> dict:
     return {
         "kind": "step",
         **rec.kappa.to_dict(),
-        "obs": [float(v) for v in rec.obs],
-        "action": [float(v) for v in choice.action],
-        "executed_action": [float(v) for v in rec.executed],
-        "next_obs": [float(v) for v in rec.next_obs],
-        "delta": [float(v) for v in rec.next_obs - rec.obs],
+        "obs": rec.obs.tolist(),
+        "action": choice.action.tolist(),
+        "executed_action": rec.executed.tolist(),
+        "next_obs": rec.next_obs.tolist(),
+        "delta": (rec.next_obs - rec.obs).tolist(),
         "reward": rec.reward,
         "risk": rec.risk,
         "alpha": choice.alpha,

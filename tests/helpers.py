@@ -1,9 +1,14 @@
 """Shared builders for hand-crafted fixtures used across test modules."""
 
+import math
+import struct
+
 import numpy as np
 
 from compound_uq.ensemble import Ensemble, ReplayBuffer
-from compound_uq.envs import Transition
+from compound_uq.envs import Transition, env_class, make_env
+from compound_uq.errors import InputError
+from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action
 
 
 def make_transition(obs, delta, action=None, t=0):
@@ -13,6 +18,21 @@ def make_transition(obs, delta, action=None, t=0):
     return Transition(
         obs=obs, action=action, next_obs=obs + delta, delta=delta, reward=0.0, risk=0.0, t=t
     )
+
+
+def clamp_grid(lo, hi):
+    """Values a clamp to [lo, hi] may meet: the bounds and their outer
+    neighbours, both zeros, the smallest subnormals, the ends of the float
+    range and NaN."""
+    return (
+        lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), 0.5 * (lo + hi),
+        0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan,
+    )
+
+
+def float_bits(x):
+    """The IEEE-754 bytes of a float, so -0.0 differs from 0.0 and NaN equals itself."""
+    return struct.pack("<d", x)
 
 
 def constant_ensemble(member_outputs, in_dim, frozen=False):
@@ -65,3 +85,37 @@ def linear_system_buffer(n_steps=160, seed=0):
         buf.add(make_transition(obs, delta, action=action, t=t))
         obs = obs + delta
     return buf
+
+
+def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
+    """Ground-truth transition rows under given dynamics: the exam for adapted models.
+
+    Evaluator-side: environments are constructed directly with the true
+    (possibly shifted) parameters, observations are unmasked, and episodes
+    reset every ``horizon`` steps so rows stay on the kind of states a task
+    run actually visits.
+
+    Actions interleave the scripted task controller with uniform draws
+    (the ratio baseline collection uses), which keeps states near the task
+    envelope while still exercising diverse actions.
+    """
+    if n_rows < 1:
+        raise InputError("n_rows must be positive")
+    env_cls = env_class(env_id)
+    if horizon < 3:
+        raise InputError("horizon must be at least 3 to yield usable rows")
+    controller = TASK_CONTROLLERS[env_id]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 7]))
+    buffer = ReplayBuffer()
+    episode = 0
+    usable = 0
+    while usable < n_rows:
+        env = make_env(env_id, seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
+        buffer.begin_episode()
+        for _ in range(horizon):
+            action = _mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM)
+            buffer.add(env.step(action))
+        usable += horizon - 2
+        episode += 1
+    x, y = buffer.rows()
+    return x[:n_rows], y[:n_rows]

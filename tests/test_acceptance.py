@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import build_eval_rows
 
 from compound_uq.analysis import degradation, superadditive_rate
 from compound_uq.belief import coupling_family, exact_mi, random_bound_checks
@@ -19,7 +20,7 @@ from compound_uq.config import config_from_dict
 from compound_uq.ensemble import acc_feature
 from compound_uq.kappa import Regime, classify_regime, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
-from compound_uq.rollout import RISK_TOL, build_eval_rows, calibrate, run_condition, run_sweep
+from compound_uq.rollout import RISK_TOL, calibrate, run_condition, run_sweep
 
 EXACT = 1e-12
 BOUND_TOL = 1e-9

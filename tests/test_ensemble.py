@@ -15,6 +15,7 @@ from compound_uq.ensemble import (
     bootstrap_train,
     calibrate_noise_floor,
     disagreement,
+    member_mse,
     _sgd_epochs,
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
@@ -64,8 +65,24 @@ def test_disagreement_two_member_identity():
     e = np.array([0.3, 0.4])
     ens = constant_ensemble([d, d + e], in_dim=5)
     preds = ens.predict_members(np.zeros((3, 5)))
-    np.testing.assert_allclose(disagreement(preds), np.full(3, 0.0625), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(preds.mean(axis=0)[0], d + e / 2, atol=1e-12)
+    score, mean = disagreement(preds)
+    np.testing.assert_allclose(score, np.full(3, 0.0625), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mean[0], d + e / 2, atol=1e-12)
+
+
+def test_disagreement_mean_and_member_mse_equal_their_numpy_forms_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for m, b, d in ((2, 1, 2), (5, 2, 8), (5, 32, 8), (3, 7, 5), (7, 3, 9)):
+        for _ in range(20):
+            preds = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(m, b, d))
+            y = rng.normal(size=(b, d))
+            score, mean = disagreement(preds)
+            assert score.tobytes() == preds.var(axis=0, ddof=0).sum(axis=-1).tobytes()
+            assert mean.tobytes() == preds.mean(axis=0).tobytes()
+            assert member_mse(preds, y).tobytes() == ((preds - y[None]) ** 2).sum(axis=-1).mean(axis=0).tobytes()
+            # the loop scores one chosen row against a 1-D target
+            one = ((preds[:, :1] - y[:1][None]) ** 2).sum(axis=-1).mean(axis=0)
+            assert member_mse(preds[:, :1], y[0]).tobytes() == one.tobytes()
 
 
 def test_predict_rejects_wrong_input_dim():

@@ -7,6 +7,7 @@ import pytest
 
 from compound_uq.envs import (
     DT,
+    ENV_CLASSES,
     DriftBot,
     MassSpring1D,
     make_env,
@@ -84,6 +85,20 @@ def test_action_validation(action):
     env = make_env("DriftBot", seed=0)
     with pytest.raises(InputError):
         env.step(action)
+
+
+@pytest.mark.parametrize("env_id", sorted(ENV_CLASSES))
+def test_action_entries_must_lie_in_the_closed_box(env_id):
+    env = make_env(env_id, seed=0)
+    for bad in (math.nan, math.inf, -math.inf, 1.0 + 2**-52, -(1.0 + 2**-52)):
+        action = [bad] + [0.0] * (env.ACTION_DIM - 1)
+        with pytest.raises(InputError) as err:
+            env.step(np.array(action))
+        assert str(err.value) == f"action entries must be finite and in [-1, 1], got {action}"
+    assert env.t == 0  # refused before anything moved
+    for edge in (1.0, -1.0, -0.0):
+        env.step(np.full(env.ACTION_DIM, edge))
+    assert env.t == 3
 
 
 def test_parameter_bounds_enforced():

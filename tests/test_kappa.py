@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from helpers import clamp_grid, float_bits
 
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import (
+    CLIP_C,
     Regime,
     Thresholds,
     calibrate_thresholds,
@@ -37,6 +40,25 @@ def test_sigma_theta_validation():
         sigma_theta(-1.0, mu0=0.0, sigma0=1.0)
     with pytest.raises(InputError):
         sigma_theta(1.0, mu0=0.0, sigma0=1.0, clip_c=0.0)
+
+
+def test_sigma_theta_clamp_is_np_clip_bit_for_bit():
+    for z in clamp_grid(0.0, CLIP_C):
+        if math.isnan(z):
+            continue  # a NaN z needs a NaN mu0; see the next test
+        # mse >= 0 and mu0 whose z-score (sigma0 = 1) is exactly z, sign of zero included
+        if math.copysign(1.0, z) > 0:
+            mse, mu0 = z, 0.0
+        else:
+            mse, mu0 = (-0.0, 0.0) if z == 0 else (0.0, -z)
+        assert float_bits((mse - mu0) / 1.0) == float_bits(z)
+        assert float_bits(sigma_theta(mse, mu0, 1.0)) == float_bits(float(np.clip(z, 0.0, CLIP_C) / CLIP_C)), z
+
+
+def test_nan_mu0_passes_through_sigma_theta_and_compute_step_refuses_it():
+    assert math.isnan(sigma_theta(1.0, math.nan, 1.0))
+    with pytest.raises(InputError, match="deficit components must be finite"):
+        compute_step(t=0, mse=1.0, mu0=math.nan, sigma0=1.0, po=0.0, delay_steps=0, thresholds=THR)
 
 
 def test_sigma_s_hand_values():

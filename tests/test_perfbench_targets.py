@@ -4,12 +4,16 @@
 wrappers by name. A renamed or moved target would otherwise break only a
 traced benchmark run, so this test loads the package the way the
 benchmark does, enters ``instrument``, checks that every target was
-swapped, and drives one calibration and one adaptive episode through the
-wrappers.
+swapped, and drives one calibration and three episodes through the
+wrappers. Each episode must pass every control step through the wrapped
+entry points: a loop that called a private shortcut instead would read
+zero or half of the benchmark's per-layer counts, so the per-episode
+counts are checked exactly.
 """
 
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -61,7 +65,24 @@ def test_every_tracing_target_resolves(tmp_path):
             assert hasattr(getattr(cls, attr), "__wrapped__"), f"{cls.__name__}.{attr} ({name})"
         snapshot = cq.package.calibrate(cfg)
         cond = cq.package.ConditionSpec(delay_steps=1, onset_t=cfg.onset_t)
-        result = cq.package.run_condition(cfg, snapshot, cond, 0, policy_mode="adaptive", adaptive_enabled=True)
+        for mode, adaptive_enabled in (("monitor", False), ("adaptive", False), ("adaptive", True)):
+            calls, counts = Counter(tracer.calls), Counter(tracer.counts)
+            result = cq.package.run_condition(cfg, snapshot, cond, 0, policy_mode=mode, adaptive_enabled=adaptive_enabled)
+            calls, counts = Counter(tracer.calls) - calls, Counter(tracer.counts) - counts
+            # an adapting episode also collects its anchor buffer: t_pre more env steps
+            buffer_steps = cfg.t_pre if adaptive_enabled else 0
+            expected = {
+                "rollout.episode": 1,
+                "ensemble.forward": cfg.horizon,
+                "policy.candidates": cfg.horizon,
+                "policy.select": cfg.horizon,
+                "kappa.step": cfg.horizon,
+                "envs.step": cfg.horizon + buffer_steps,
+                "envs.risk": 2 * cfg.horizon + buffer_steps,  # the candidates' and the step's
+            }
+            assert {name: calls[name] for name in expected} == expected, (mode, adaptive_enabled)
+            if mode == "monitor":  # the task and zero rows only
+                assert counts["ensemble.forward.rows"] == 2 * cfg.horizon
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
         cq.rollout.write_trace(path, cfg, snapshot, result)
         cq.rollout.read_trace(path)

@@ -1,5 +1,7 @@
 """Policy tests: schedules, candidate generation, budgeted selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.policy import (
     PolicySettings,
+    _ramp,
     alpha_schedule,
     candidate_actions,
     composite_value,
@@ -16,7 +19,7 @@ from compound_uq.policy import (
     task_affinity,
 )
 
-from helpers import constant_ensemble
+from helpers import clamp_grid, constant_ensemble, float_bits
 
 THR = Thresholds(tau_low=0.2, tau_high=0.5)
 
@@ -34,6 +37,12 @@ def test_alpha_schedule_linear_ramp():
         alpha_schedule(float("nan"), THR, 1.0)
 
 
+def test_ramp_clamp_is_np_clip_bit_for_bit():
+    thresholds = Thresholds(tau_low=0.0, tau_high=1.0)  # the ramp's z is kappa itself
+    for z in clamp_grid(0.0, 1.0):
+        assert float_bits(_ramp(z, thresholds)) == float_bits(float(np.clip(z, 0.0, 1.0))), z
+
+
 def test_delta_budget_tightens_with_kappa():
     assert abs(delta_budget(0.35, THR, 2.0) - 1.0) < 1e-12
     assert delta_budget(0.1, THR, 2.0) == 2.0
@@ -47,7 +56,7 @@ def test_dis_score_matches_disagreement_identity():
     d = np.array([0.1, 0.2])
     e = np.array([0.6, 0.8])  # ||e||^2 = 1
     ens = constant_ensemble([d, d + e], in_dim=5)
-    scores = disagreement(ens.predict_members(np.zeros((3, 5))))
+    scores, _ = disagreement(ens.predict_members(np.zeros((3, 5))))
     np.testing.assert_allclose(scores, np.full(3, 0.25), rtol=0, atol=1e-12)
 
 
@@ -165,3 +174,17 @@ def test_policy_settings_validation():
         PolicySettings(n_candidates=1)
     with pytest.raises(InputError):
         PolicySettings(delta_max=-0.5)
+
+
+def test_select_action_checks_each_score_not_their_sum():
+    huge = np.array([1e308, 1.7e308])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.concatenate((huge, huge)).sum())  # a check on the sum would refuse these
+    choice = select_action(np.eye(2), huge, huge, np.zeros(2), 0.0, THR, PolicySettings())
+    assert choice.index == 1 and choice.info_gain == 1.7e308
+    for bad in (math.nan, math.inf, -math.inf):
+        for which in range(3):
+            scores = [np.zeros(2), np.zeros(2), np.zeros(2)]
+            scores[which] = np.array([0.0, bad])
+            with pytest.raises(InputError, match="candidate scores must be finite"):
+                select_action(np.eye(2), *scores, 0.0, THR, PolicySettings())

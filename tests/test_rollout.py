@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import constant_ensemble
+from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits
 
 from compound_uq import rollout
 from compound_uq.config import config_from_dict
@@ -25,7 +25,6 @@ from compound_uq.perturb import ConditionSpec
 from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, select_action, task_affinity
 from compound_uq.rollout import (
     build_degradation_records,
-    build_eval_rows,
     calibrate,
     collect_baseline_buffer,
     driftbot_controller,
@@ -89,6 +88,37 @@ def test_driftbot_controller_deadband_and_bounds():
     cmd = driftbot_controller(far)
     assert cmd.shape == (2,) and np.all(np.abs(cmd) <= 1.0)
     assert cmd[0] > 0 and cmd[1] > 0  # straight ahead, both wheels forward
+
+
+def test_controller_clamps_are_np_clip_bit_for_bit():
+    def driftbot_np_clip(obs):  # the controller as written with np.clip
+        heading = math.atan2(obs[2], obs[3])
+        dist = math.hypot(obs[6], obs[7])
+        if dist < rollout.DOCK_RADIUS:
+            return np.zeros(2)
+        bearing = math.atan2(obs[7], obs[6])
+        err = math.atan2(math.sin(bearing - heading), math.cos(bearing - heading))
+        forward = 0.9 * min(1.0, dist) * max(0.0, math.cos(err))
+        turn = float(np.clip(1.2 * err, -0.9, 0.9))
+        return np.clip(np.array([forward - turn, forward + turn]), -1.0, 1.0)
+
+    rng = np.random.default_rng(0)
+    observations = []
+    for _ in range(2000):
+        heading = rng.uniform(-math.pi, math.pi)
+        obs = np.zeros(8)
+        obs[2:4] = math.sin(heading), math.cos(heading)
+        obs[6:8] = rng.uniform(-5.0, 5.0, size=2) * rng.choice([1.0, 0.01])
+        observations.append(obs)
+    for heading in (0.0, -0.0, math.pi, 0.75, -0.75):  # straight on, behind, at the turn limit
+        observations.append(np.array([0.0, 0.0, math.sin(heading), math.cos(heading), 0.0, 0.0, 2.0, 0.0]))
+    for obs in observations:
+        assert driftbot_controller(obs).tobytes() == driftbot_np_clip(obs).tobytes(), obs
+
+    for z in clamp_grid(-1.0, 1.0):
+        obs = np.array([z * rollout.SLIDING_LAYER, 0.0])
+        expected = np.array([-np.clip((obs[0] + 0.5 * obs[1]) / rollout.SLIDING_LAYER, -1.0, 1.0)])
+        assert [float_bits(v) for v in mass_spring_controller(obs)] == [float_bits(v) for v in expected], z
 
 
 def test_driftbot_controller_closes_distance():
@@ -286,9 +316,10 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         for rows in (cands, cands[:2]):
             x = np.concatenate([np.repeat(base[None, :], rows.shape[0], axis=0), rows], axis=1)
             preds = snap.ensemble.predict_members(x)
-            risk = DriftBot.risk_from_obs(base[None, :obs_dim] + preds.mean(axis=0))
+            info_gain, mean = disagreement(preds)
+            risk = DriftBot.risk_from_obs(base[None, :obs_dim] + mean)
             choices.append(
-                select_action(rows, task_affinity(rows, task), disagreement(preds), risk, kappa, snap.thresholds, settings)
+                select_action(rows, task_affinity(rows, task), info_gain, risk, kappa, snap.thresholds, settings)
             )
         full, distinct = choices
         for f in fields(ActionChoice):
@@ -393,6 +424,33 @@ def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
     assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
     assert footer["violations"] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[mode]
+
+
+@pytest.fixture(scope="module")
+def driftbot_calibrated():
+    # The acceptance config; its compound cell at seed 0 drives the
+    # controller, the delay queue, the gain fault and both envs.step paths.
+    cfg = config_from_dict({"env_id": "DriftBot", "horizon": 220, "onset_t": 50, "ensemble": {"t_pre": 300, "m_members": 5}})
+    return cfg, calibrate(cfg), ConditionSpec(po_fraction=0.25, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
+
+
+# sha256 of the DriftBot trace of that cell, with (probing steps, forced
+# choices): monitor mode forces choices at the wall, adaptive mode probes.
+DRIFTBOT_PINNED_TRACES = {
+    "monitor": ("6a8bcf475971b7519ed501da87448e73e71e9b0b890cf57998eac8ef8cb9b644", 0, 88),
+    "adaptive": ("7a3695e61a042817363ba41be972d17050232d9736296994a15995306b3812a3", 171, 0),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DRIFTBOT_PINNED_TRACES))
+def test_driftbot_trace_bytes_are_pinned(driftbot_calibrated, mode, tmp_path):
+    cfg, snap, cond = driftbot_calibrated
+    res = run_condition(cfg, snap, cond, 0, policy_mode=mode)
+    path = tmp_path / "trace.jsonl"
+    write_trace(str(path), cfg, snap, res)
+    sha, n_probes, n_forced = DRIFTBOT_PINNED_TRACES[mode]
+    assert (sum(s.choice.index >= 2 for s in res.steps), res.n_forced) == (n_probes, n_forced)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibrated, tmp_path, monkeypatch):
