@@ -69,10 +69,9 @@ from .perturb import (
 from .policy import (
     ActionChoice,
     PolicySettings,
-    alpha_schedule,
+    Schedule,
     candidate_actions,
-    composite_value,
-    delta_budget,
+    schedule,
     select_action,
     task_affinity,
 )

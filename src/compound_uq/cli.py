@@ -240,6 +240,15 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+def _add_policy_mode(p: _Parser) -> None:
+    p.add_argument(
+        "--policy-mode",
+        choices=POLICY_MODES,
+        default="monitor",
+        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="compound-uq", description="Compound uncertainty toolkit batch runner")
     parser.add_argument("--version", action="version", version=TOOLKIT_VERSION)
@@ -257,12 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delay", type=int, default=0, help="action delay steps")
     p.add_argument("--shift", help="dynamics shift as param=value (or 'none')")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--policy-mode",
-        choices=POLICY_MODES,
-        default="monitor",
-        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
-    )
+    _add_policy_mode(p)
     p.add_argument("--out", help="trace output path")
     p.set_defaults(func=cmd_run)
 
@@ -271,12 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshot", help="snapshot path")
     p.add_argument("--out-dir", help="directory for traces and reports")
     p.add_argument("--no-resume", action="store_true", help="rerun cells even when traces exist")
-    p.add_argument(
-        "--policy-mode",
-        choices=POLICY_MODES,
-        default="monitor",
-        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
-    )
+    _add_policy_mode(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze", help="recompute synergy statistics from an existing trace directory")

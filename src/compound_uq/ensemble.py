@@ -63,9 +63,23 @@ def acc_feature(obs_history) -> np.ndarray:
     cur = np.asarray(hist[-1], dtype=float)
     if len(hist) < 3:
         return np.zeros_like(cur)
-    prev1 = np.asarray(hist[-2], dtype=float)
-    prev2 = np.asarray(hist[-3], dtype=float)
-    return cur - 2.0 * prev1 + prev2
+    return cur - 2.0 * np.asarray(hist[-2], dtype=float) + np.asarray(hist[-3], dtype=float)
+
+
+def input_rows(obs_history, actions) -> np.ndarray:
+    """Model input rows ``[obs ; acc ; action]``, one per row of ``actions``.
+
+    ``obs`` is the last observation of ``obs_history`` and ``acc`` is its
+    ``acc_feature``; training and candidate scoring build rows here alone.
+    """
+    acc = acc_feature(obs_history)
+    acts = np.atleast_2d(actions)
+    d = acc.shape[0]
+    x = np.empty((acts.shape[0], 2 * d + acts.shape[1]))
+    x[:, :d] = obs_history[-1]
+    x[:, d : 2 * d] = acc
+    x[:, 2 * d :] = acts
+    return x
 
 
 class ReplayBuffer:
@@ -92,12 +106,11 @@ class ReplayBuffer:
         xs, ys = [], []
         for ep in self._episodes:
             for i in range(2, len(ep)):
-                acc = ep[i].obs - 2.0 * ep[i - 1].obs + ep[i - 2].obs
-                xs.append(np.concatenate([ep[i].obs, acc, ep[i].action]))
+                xs.append(input_rows([tr.obs for tr in ep[i - 2 : i + 1]], ep[i].action))
                 ys.append(ep[i].delta)
         if not xs:
             return np.zeros((0, 0)), np.zeros((0, 0))
-        return np.stack(xs), np.stack(ys)
+        return np.concatenate(xs), np.stack(ys)
 
 
 @dataclass

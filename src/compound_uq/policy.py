@@ -11,7 +11,10 @@ budget delta shrinks linearly from delta_max to 0. Below tau_low the
 agent is a plain task policy with a full budget; above tau_high it probes
 as hard as the (now zero) budget allows. Probing is therefore paid for by
 caution, which is the point: information is bought while the blast radius
-is clamped down.
+is clamped down. The explorer spread of the candidate set follows the same
+ramp. ``schedule`` evaluates the ramp once per control step and returns
+all three; ``candidate_actions`` takes its spread and ``select_action``
+its alpha and delta.
 
 Selection maximizes the composite value
 
@@ -64,34 +67,34 @@ class ActionChoice:
     any_compliant: bool
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """One step's kappa schedule: exploration weight, risk budget, explorer spread."""
+
+    alpha: float
+    delta: float
+    spread: float
+
+
 def _ramp(kappa_value: float, thresholds: Thresholds) -> float:
     span = thresholds.tau_high - thresholds.tau_low
     # min(max()) is np.clip bit for bit, NaN included, without numpy's call overhead
     return float(min(max((kappa_value - thresholds.tau_low) / span, 0.0), 1.0))
 
 
-def alpha_schedule(kappa_value: float, thresholds: Thresholds, alpha_max: float) -> float:
-    """Exploration weight: 0 below tau_low, alpha_max at or above tau_high."""
+def schedule(kappa_value: float, thresholds: Thresholds, settings: PolicySettings) -> Schedule:
+    """alpha, delta and spread from one evaluation of the kappa ramp.
+
+    The spread is ``alpha / alpha_max`` rather than the ramp itself: the
+    two differ in the last bit for some ramps, and traces record what the
+    quotient gives.
+    """
     if not math.isfinite(kappa_value) or kappa_value < 0:
         raise InputError(f"kappa must be finite and nonnegative, got {kappa_value}")
-    return alpha_max * _ramp(kappa_value, thresholds)
-
-
-def delta_budget(kappa_value: float, thresholds: Thresholds, delta_max: float) -> float:
-    """Risk budget: delta_max below tau_low, 0 at or above tau_high."""
-    if not math.isfinite(kappa_value) or kappa_value < 0:
-        raise InputError(f"kappa must be finite and nonnegative, got {kappa_value}")
-    return delta_max * (1.0 - _ramp(kappa_value, thresholds))
-
-
-def composite_value(r_task, info_gain, risk, alpha: float, lambda_risk: float) -> np.ndarray:
-    """Task value plus weighted information bonus minus weighted risk."""
-    r = np.asarray(r_task, dtype=float)
-    g = np.asarray(info_gain, dtype=float)
-    k = np.asarray(risk, dtype=float)
-    if not (r.shape == g.shape == k.shape):
-        raise InputError(f"component shapes differ: {r.shape}, {g.shape}, {k.shape}")
-    return r + alpha * g - lambda_risk * k
+    ramp = _ramp(kappa_value, thresholds)
+    alpha = settings.alpha_max * ramp
+    spread = alpha / settings.alpha_max if settings.alpha_max > 0 else 0.0
+    return Schedule(alpha=alpha, delta=settings.delta_max * (1.0 - ramp), spread=spread)
 
 
 def candidate_actions(
@@ -111,18 +114,20 @@ def candidate_actions(
     candidates are exactly where the model is worst, so offering them at
     low deficit would let one noisy step lock the agent into probing.
 
-    The uniform draws are taken unconditionally so the RNG stream does not
-    depend on spread.
+    The uniform draws are taken at every spread, so the RNG stream does
+    not depend on it. At spread 0 every explorer would equal the task row,
+    and ``select_action`` breaks ties toward the lowest index, so only the
+    task and zero rows are returned: they give the choice the full set would.
     """
     if not (0.0 <= spread <= 1.0) or not math.isfinite(spread):
         raise InputError(f"spread must be in [0, 1], got {spread}")
     a = np.asarray(task_action, dtype=float).ravel()
     n = settings.n_candidates
-    out = np.empty((n, a.shape[0]))
+    draws = rng.uniform(-1.0, 1.0, size=(n - 2, a.shape[0]))
+    out = np.empty((2 if spread == 0.0 else n, a.shape[0]))
     out[0] = a
     out[1] = 0.0
-    if n > 2:
-        draws = rng.uniform(-1.0, 1.0, size=(n - 2, a.shape[0]))
+    if spread > 0.0:
         out[2:] = (1.0 - spread) * a[None, :] + spread * draws
     return out
 
@@ -138,14 +143,13 @@ def select_action(
     r_task: np.ndarray,
     info_gain: np.ndarray,
     predicted_risk: np.ndarray,
-    kappa_value: float,
-    thresholds: Thresholds,
+    sched: Schedule,
     settings: PolicySettings,
 ) -> ActionChoice:
     """Pick the budget-compliant candidate with the best composite value.
 
-    Candidates with predicted risk within the current budget are ranked by
-    composite value (first index wins ties). If none comply, the minimum
+    Candidates with predicted risk within the schedule's budget are ranked
+    by composite value (first index wins ties). If none comply, the minimum
     predicted-risk candidate is chosen and ``any_compliant`` is False so
     callers can count forced violations.
     """
@@ -160,11 +164,8 @@ def select_action(
     if not np.isfinite(np.concatenate((r, g, risk))).all():
         raise InputError("candidate scores must be finite")
 
-    alpha = alpha_schedule(kappa_value, thresholds, settings.alpha_max)
-    delta = delta_budget(kappa_value, thresholds, settings.delta_max)
-    values = composite_value(r, g, risk, alpha, settings.lambda_risk)
-
-    compliant = risk <= delta
+    values = r + sched.alpha * g - settings.lambda_risk * risk
+    compliant = risk <= sched.delta
     if compliant.any():
         masked = np.where(compliant, values, -np.inf)
         idx = int(np.argmax(masked))
@@ -178,7 +179,7 @@ def select_action(
         action=cand[idx].copy(),
         info_gain=float(g[idx]),
         predicted_risk=float(risk[idx]),
-        alpha=float(alpha),
-        delta=float(delta),
+        alpha=sched.alpha,
+        delta=sched.delta,
         any_compliant=any_compliant,
     )

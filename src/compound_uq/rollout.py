@@ -54,11 +54,11 @@ from .config import ExperimentConfig
 from .ensemble import (
     Ensemble,
     ReplayBuffer,
-    acc_feature,
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
     disagreement,
+    input_rows,
     member_mse,
 )
 from .envs import env_class, make_env
@@ -72,7 +72,7 @@ from .perturb import (
     mask_dims_for_fraction,
     shift_tag,
 )
-from .policy import ActionChoice, alpha_schedule, candidate_actions, select_action, task_affinity
+from .policy import ActionChoice, candidate_actions, schedule, select_action, task_affinity
 from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
 from .version import TOOLKIT_VERSION
 
@@ -239,8 +239,7 @@ def run_condition(
     onset = condition.onset_t
     dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
     delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=onset)
-    obs_dim = len(env_cls.OBS_NAMES)
-    po_active = len(dims) / obs_dim
+    po_active = len(dims) / len(env_cls.OBS_NAMES)
 
     policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
     adaptive = snapshot.ensemble.clone_unfrozen() if adaptive_enabled else None
@@ -266,30 +265,16 @@ def run_condition(
             env.set_param(*condition.shift)
 
         task_action = controller(visible)
-        spread = (
-            alpha_schedule(kappa_prev, thresholds, settings.alpha_max) / settings.alpha_max
-            if settings.alpha_max > 0
-            else 0.0
-        )
-        cands = candidate_actions(task_action, policy_rng, settings, spread=spread)
-        if spread == 0.0:
-            # Every explorer row equals the task row and selection breaks
-            # ties toward the lowest index, so scoring the task and zero
-            # rows picks the same candidate. The explorer draws above are
-            # still taken: later steps with spread > 0 read the same stream.
-            cands = cands[:2]
-        # One model input row per candidate: [visible ; acc ; candidate action].
-        x_cand = np.empty((cands.shape[0], 2 * obs_dim + cands.shape[1]))
-        x_cand[:, :obs_dim] = visible
-        x_cand[:, obs_dim : 2 * obs_dim] = acc_feature(history)
-        x_cand[:, 2 * obs_dim :] = cands
+        sched = schedule(kappa_prev, thresholds, settings)
+        cands = candidate_actions(task_action, policy_rng, settings, sched.spread)
+        x_cand = input_rows(history, cands)
         member_preds = snapshot.ensemble.predict_members(x_cand)
         info_gain, mean_delta = disagreement(member_preds)
         predicted_next = visible[None, :] + mean_delta
         predicted_risk = env_cls.risk_from_obs(predicted_next)
         r_task = task_affinity(cands, task_action)
 
-        choice = select_action(cands, r_task, info_gain, predicted_risk, kappa_prev, thresholds, settings)
+        choice = select_action(cands, r_task, info_gain, predicted_risk, sched, settings)
         if choice.any_compliant and choice.predicted_risk > choice.delta + RISK_TOL:
             raise InvariantViolation(
                 f"selected action breaches the risk budget at t={t}: "

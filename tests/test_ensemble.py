@@ -15,6 +15,7 @@ from compound_uq.ensemble import (
     bootstrap_train,
     calibrate_noise_floor,
     disagreement,
+    input_rows,
     member_mse,
     _sgd_epochs,
 )
@@ -35,6 +36,19 @@ def test_acc_feature_short_history_and_empty():
     assert np.all(acc_feature([np.ones(4), np.ones(4)]) == 0.0)
     with pytest.raises(InputError):
         acc_feature([])
+
+
+def test_input_rows_are_obs_acc_action():
+    rng = np.random.default_rng(0)
+    hist = [rng.normal(size=3) for _ in range(4)]
+    acts = rng.uniform(-1.0, 1.0, size=(5, 2))
+    for h in (hist[:1], hist):
+        want = [np.concatenate([h[-1], acc_feature(h), a]) for a in acts]
+        np.testing.assert_array_equal(input_rows(h, acts), want)
+    # one action vector gives one row
+    np.testing.assert_array_equal(input_rows(hist, acts[0]), [np.concatenate([hist[-1], acc_feature(hist), acts[0]])])
+    with pytest.raises(InputError):
+        input_rows([], acts)
 
 
 def test_replay_buffer_skips_first_two_per_episode():

@@ -58,6 +58,13 @@ def test_driftbot_kinematics_closed_form():
     assert tr.risk == 0.0
 
 
+def test_driftbot_control_cost_squares_with_pow():
+    # On this action the wheel commands squared by ``a * a`` give a reward
+    # one ulp off the ``a ** 2`` (libm pow) the trace pins were made with.
+    tr = DriftBot(seed=0).step(np.array([-0.7873486727448245, 0.6864316944347293]))
+    assert float(tr.reward).hex() == "-0x1.da1db3979c729p-9"
+
+
 def test_driftbot_deterministic_given_seed():
     actions = np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 2))
 

@@ -11,10 +11,8 @@ from compound_uq.kappa import Thresholds
 from compound_uq.policy import (
     PolicySettings,
     _ramp,
-    alpha_schedule,
     candidate_actions,
-    composite_value,
-    delta_budget,
+    schedule,
     select_action,
     task_affinity,
 )
@@ -24,17 +22,21 @@ from helpers import clamp_grid, constant_ensemble, float_bits
 THR = Thresholds(tau_low=0.2, tau_high=0.5)
 
 
+def alpha(kappa_value, alpha_max):
+    return schedule(kappa_value, THR, PolicySettings(alpha_max=alpha_max)).alpha
+
+
 def test_alpha_schedule_linear_ramp():
     # kappa=0.35 sits halfway between the thresholds.
-    assert abs(alpha_schedule(0.35, THR, 1.0) - 0.5) < 1e-12
-    assert alpha_schedule(0.1, THR, 1.0) == 0.0
-    assert alpha_schedule(0.2, THR, 1.0) == 0.0
-    assert alpha_schedule(0.5, THR, 1.0) == 1.0
-    assert alpha_schedule(2.0, THR, 200.0) == 200.0
+    assert abs(alpha(0.35, 1.0) - 0.5) < 1e-12
+    assert alpha(0.1, 1.0) == 0.0
+    assert alpha(0.2, 1.0) == 0.0
+    assert alpha(0.5, 1.0) == 1.0
+    assert alpha(2.0, 200.0) == 200.0
     with pytest.raises(InputError):
-        alpha_schedule(-0.1, THR, 1.0)
+        alpha(-0.1, 1.0)
     with pytest.raises(InputError):
-        alpha_schedule(float("nan"), THR, 1.0)
+        alpha(float("nan"), 1.0)
 
 
 def test_ramp_clamp_is_np_clip_bit_for_bit():
@@ -44,10 +46,27 @@ def test_ramp_clamp_is_np_clip_bit_for_bit():
 
 
 def test_delta_budget_tightens_with_kappa():
-    assert abs(delta_budget(0.35, THR, 2.0) - 1.0) < 1e-12
-    assert delta_budget(0.1, THR, 2.0) == 2.0
-    assert delta_budget(0.5, THR, 2.0) == 0.0
-    assert delta_budget(3.0, THR, 2.0) == 0.0
+    def delta(kappa_value):
+        return schedule(kappa_value, THR, PolicySettings(delta_max=2.0)).delta
+
+    assert abs(delta(0.35) - 1.0) < 1e-12
+    assert delta(0.1) == 2.0
+    assert delta(0.5) == 0.0
+    assert delta(3.0) == 0.0
+
+
+def test_schedule_spread_is_alpha_over_alpha_max():
+    settings = PolicySettings(alpha_max=200.0)
+    kappas = np.random.default_rng(0).uniform(THR.tau_low, THR.tau_high, size=1000)
+    moved = 0
+    for k in kappas.tolist():
+        sched = schedule(k, THR, settings)
+        assert float_bits(sched.spread) == float_bits(sched.alpha / 200.0)
+        moved += sched.spread != _ramp(k, THR)
+    # The quotient is not the ramp on every kappa, so traces pin the quotient.
+    assert moved > 0
+    assert schedule(0.1, THR, settings).spread == 0.0 and schedule(0.9, THR, settings).spread == 1.0
+    assert schedule(0.9, THR, PolicySettings(alpha_max=0.0)).spread == 0.0
 
 
 def test_dis_score_matches_disagreement_identity():
@@ -61,10 +80,17 @@ def test_dis_score_matches_disagreement_identity():
 
 
 def test_composite_value_arithmetic():
-    v = composite_value(np.array([1.0]), np.array([2.0]), np.array([0.5]), alpha=1.0, lambda_risk=2.0)
-    assert abs(v[0] - 2.0) < 1e-12
+    # alpha = 1 and delta = 1 at the ramp's midpoint; lambda = 2. Row 0 is
+    # worth 1 + 1 * 2 - 2 * 0.5 = 2, so it ties row 1's plain 2.0 (the lower
+    # index wins) and loses to the next float up.
+    settings = PolicySettings(alpha_max=2.0, lambda_risk=2.0, delta_max=2.0)
+    sched = schedule(0.5, Thresholds(tau_low=0.25, tau_high=0.75), settings)
+    assert (sched.alpha, sched.delta) == (1.0, 1.0)
+    for rival, winner in ((2.0, 0), (math.nextafter(2.0, 3.0), 1)):
+        r, g, k = np.array([1.0, rival]), np.array([2.0, 0.0]), np.array([0.5, 0.0])
+        assert select_action(np.eye(2), r, g, k, sched, settings).index == winner
     with pytest.raises(InputError):
-        composite_value(np.zeros(2), np.zeros(3), np.zeros(2), alpha=1.0, lambda_risk=1.0)
+        select_action(np.eye(2), np.zeros(2), np.zeros(3), np.zeros(2), sched, settings)
 
 
 def test_candidate_actions_layout():
@@ -82,8 +108,9 @@ def test_candidate_spread_grades_exploration():
     settings = PolicySettings(n_candidates=8)
     task = np.array([0.3, -0.7])
     local = candidate_actions(task, np.random.default_rng(1), settings, spread=0.0)
-    # Zero spread collapses every explorer onto the task action.
-    np.testing.assert_allclose(local[2:], np.tile(task, (6, 1)), atol=1e-12)
+    # Zero spread would collapse every explorer onto the task action, which
+    # the lowest-index tie-break never prefers: only rows 0 and 1 remain.
+    np.testing.assert_array_equal(local, [task, np.zeros(2)])
 
     half = candidate_actions(task, np.random.default_rng(1), settings, spread=0.5)
     full = candidate_actions(task, np.random.default_rng(1), settings, spread=1.0)
@@ -114,6 +141,7 @@ def test_task_affinity_negative_squared_distance():
 
 
 def select(risks, info, kappa_value, settings=None, r_task=None):
+    settings = settings or PolicySettings(alpha_max=10.0, lambda_risk=1.0, delta_max=0.5, n_candidates=4)
     n = len(risks)
     cands = np.linspace(-1.0, 1.0, n)[:, None]
     return select_action(
@@ -121,9 +149,8 @@ def select(risks, info, kappa_value, settings=None, r_task=None):
         np.zeros(n) if r_task is None else np.asarray(r_task, dtype=float),
         np.asarray(info, dtype=float),
         np.asarray(risks, dtype=float),
-        kappa_value,
-        THR,
-        settings or PolicySettings(alpha_max=10.0, lambda_risk=1.0, delta_max=0.5, n_candidates=4),
+        schedule(kappa_value, THR, settings),
+        settings,
     )
 
 
@@ -180,11 +207,13 @@ def test_select_action_checks_each_score_not_their_sum():
     huge = np.array([1e308, 1.7e308])
     with np.errstate(over="ignore"):
         assert np.isinf(np.concatenate((huge, huge)).sum())  # a check on the sum would refuse these
-    choice = select_action(np.eye(2), huge, huge, np.zeros(2), 0.0, THR, PolicySettings())
+    settings = PolicySettings()
+    sched = schedule(0.0, THR, settings)
+    choice = select_action(np.eye(2), huge, huge, np.zeros(2), sched, settings)
     assert choice.index == 1 and choice.info_gain == 1.7e308
     for bad in (math.nan, math.inf, -math.inf):
         for which in range(3):
             scores = [np.zeros(2), np.zeros(2), np.zeros(2)]
             scores[which] = np.array([0.0, bad])
             with pytest.raises(InputError, match="candidate scores must be finite"):
-                select_action(np.eye(2), *scores, 0.0, THR, PolicySettings())
+                select_action(np.eye(2), *scores, sched, settings)

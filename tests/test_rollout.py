@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits
 
-from compound_uq import rollout
+from compound_uq import policy, rollout
 from compound_uq.config import config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
 from compound_uq.envs import ENV_CLASSES, DriftBot, make_env
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
-from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, select_action, task_affinity
+from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, schedule, select_action, task_affinity
 from compound_uq.rollout import (
     build_degradation_records,
     calibrate,
@@ -259,17 +259,21 @@ def _record_forward_rows(monkeypatch) -> list[int]:
     return rows
 
 
-def _record_candidate_sets(monkeypatch) -> list[int]:
-    """Size of every candidate set the episode loop draws from now on."""
-    sizes: list[int] = []
+def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
+    """(rows returned, whether every explorer was drawn) for every
+    candidate set the episode loop draws from now on."""
+    sets: list[tuple[int, bool]] = []
 
-    def recording(*args, **kwargs):
-        cands = candidate_actions(*args, **kwargs)
-        sizes.append(cands.shape[0])
+    def recording(task_action, rng, settings, spread):
+        replay = np.random.Generator(type(rng.bit_generator)())
+        replay.bit_generator.state = rng.bit_generator.state
+        cands = candidate_actions(task_action, rng, settings, spread)
+        replay.uniform(-1.0, 1.0, size=(settings.n_candidates - 2, len(task_action)))
+        sets.append((cands.shape[0], replay.bit_generator.state == rng.bit_generator.state))
         return cands
 
     monkeypatch.setattr(rollout, "candidate_actions", recording)
-    return sizes
+    return sets
 
 
 def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeypatch):
@@ -279,8 +283,8 @@ def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeyp
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
     run_condition(cfg, snap, cond, seed=0)
     assert rows == [2] * cfg.horizon
-    # The full candidate set, explorer draws included, is still drawn.
-    assert drawn == [cfg.policy.n_candidates] * cfg.horizon
+    # Every explorer draw is still taken, so the policy stream does not move.
+    assert drawn == [(2, True)] * cfg.horizon
 
 
 def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, snap_ms, monkeypatch):
@@ -292,7 +296,23 @@ def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, 
     # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
     assert rows == [2 if s.choice.alpha == 0.0 else 8 for s in res.steps]
     assert 2 in rows and 8 in rows
-    assert drawn == [8] * cfg_ms.horizon
+    assert drawn == [(n, True) for n in rows]
+
+
+@pytest.mark.parametrize("mode", ["monitor", "adaptive"])
+def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, snap_ms, monkeypatch, mode):
+    calls = []
+    ramp = policy._ramp
+
+    def counting(*args):
+        calls.append(args)
+        return ramp(*args)
+
+    monkeypatch.setattr(policy, "_ramp", counting)
+    cfg = replace(cfg_ms, policy=replace(cfg_ms.policy, alpha_max=1.0))
+    res = run_condition(cfg, snap_ms, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0, policy_mode=mode)
+    assert any(s.choice.alpha > 0.0 for s in res.steps) == (mode == "adaptive")
+    assert len(calls) == cfg.horizon
 
 
 def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
@@ -312,15 +332,16 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         task = np.zeros(2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, size=2)
         kappa = float(rng.uniform(0.0, 1.5 * snap.thresholds.tau_high))
         cands = candidate_actions(task, rng, settings, spread=0.0)
+        # the full set: at zero spread every explorer equals the task row
+        full_set = np.concatenate([cands, np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
+        sched = schedule(kappa, snap.thresholds, settings)
         choices = []
-        for rows in (cands, cands[:2]):
+        for rows in (full_set, cands):
             x = np.concatenate([np.repeat(base[None, :], rows.shape[0], axis=0), rows], axis=1)
             preds = snap.ensemble.predict_members(x)
             info_gain, mean = disagreement(preds)
             risk = DriftBot.risk_from_obs(base[None, :obs_dim] + mean)
-            choices.append(
-                select_action(rows, task_affinity(rows, task), info_gain, risk, kappa, snap.thresholds, settings)
-            )
+            choices.append(select_action(rows, task_affinity(rows, task), info_gain, risk, sched, settings))
         full, distinct = choices
         for f in fields(ActionChoice):
             np.testing.assert_array_equal(getattr(full, f.name), getattr(distinct, f.name))
