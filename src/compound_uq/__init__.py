@@ -30,7 +30,6 @@ from .belief import (
 from .config import ExperimentConfig, GridSpec, config_from_dict, load_config
 from .ensemble import (
     Ensemble,
-    ReplayBuffer,
     TrainSettings,
     acc_feature,
     adaptive_update,
@@ -38,7 +37,7 @@ from .ensemble import (
     calibrate_noise_floor,
     disagreement,
 )
-from .envs import DriftBot, MassSpring1D, Transition, make_env
+from .envs import DriftBot, MassSpring1D, Transition
 from .errors import (
     CalibrationError,
     CompoundUQError,

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 from .ensemble import TrainSettings
 from .envs import env_class
-from .errors import InputError
-from .kappa import C_TAU, CLIP_C
+from .errors import InputError, SpecError
+from .kappa import C_TAU, CLIP_C, Thresholds
 from .parsing import parse_fields, parse_key
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
@@ -28,6 +28,7 @@ from .perturb import (
     DEFAULT_SEEDS,
     DEFAULT_SHIFT_LEVELS,
     ONSET_T,
+    condition_matrix,
 )
 from .policy import PolicySettings
 from .snapshot import open_input
@@ -53,6 +54,12 @@ class AdaptiveSettings:
     every: int = 10
     window: int = 120
     epochs: int = 10
+
+    def __post_init__(self):
+        if self.every < 1:
+            raise InputError(f"adaptive.every must be at least 1, got {self.every}")
+        if self.window < 0 or self.epochs < 0:
+            raise InputError("adaptive.window and adaptive.epochs must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise InputError("t_pre must be positive")
     if cfg.probe_episodes < 1:
         raise InputError("probe_episodes must be positive")
+    if cfg.clip_c <= 0 or cfg.c_tau < 0:
+        raise InputError(f"clip_c must be positive and c_tau nonnegative, got {cfg.clip_c} and {cfg.c_tau}")
     if min((cfg.calibration_seed, *cfg.grid.seeds)) < 0:
         raise InputError(
             f"seeds must be nonnegative, got calibration_seed {cfg.calibration_seed} and grid.seeds {list(cfg.grid.seeds)}"
@@ -173,6 +182,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for shift in cfg.grid.shift_levels:
         if shift is not None:
             env_cls.check_param(*shift)
+    grid = cfg.grid
+    try:
+        condition_matrix(grid.po_levels, grid.delay_levels, grid.shift_levels, grid.seeds, onset_t=cfg.onset_t)
+    except SpecError as e:
+        raise InputError(f"config grid: {e}") from None
+    if cfg.thresholds.tau_low is not None:
+        Thresholds(tau_low=cfg.thresholds.tau_low, tau_high=cfg.thresholds.tau_high)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -1,7 +1,7 @@
 """Bootstrapped ensemble of one-step dynamics models.
 
 Each member is a small two-layer ReLU network trained by minibatch SGD on
-its own bootstrap resample of the calibration buffer, so members disagree
+its own bootstrap resample of the calibration rows, so members disagree
 more where data is scarce. The model maps
 
     [observation ; acc ; action]  ->  next_observation - observation
@@ -18,7 +18,7 @@ ensemble; frozen weights are hashable so any later mutation is detectable.
 ``clone_unfrozen`` yields a warm-started copy that may keep learning
 online via ``adaptive_update``.
 
-Inputs and targets are z-scored with statistics from the training buffer,
+Inputs and targets are z-scored with statistics from the training rows,
 shared by all members; predictions are reported in raw units.
 """
 
@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .envs import Transition
 from .errors import CalibrationError, InputError, LifecycleError
 from .parsing import parse_fields, parse_key
 
@@ -48,6 +47,12 @@ class TrainSettings:
     epochs: int = 150
     learning_rate: float = 0.005
     batch_size: int = 32
+
+    def __post_init__(self):
+        if self.hidden_width < 1 or self.batch_size < 1:
+            raise InputError("hidden_width and batch_size must be at least 1")
+        if self.epochs < 0 or self.learning_rate < 0:
+            raise InputError("epochs and learning_rate must be nonnegative")
 
 
 def acc_feature(obs_history) -> np.ndarray:
@@ -80,37 +85,6 @@ def input_rows(obs_history, actions) -> np.ndarray:
     x[:, d : 2 * d] = acc
     x[:, 2 * d :] = acts
     return x
-
-
-class ReplayBuffer:
-    """Per-episode transition storage yielding training rows with acc.
-
-    Rows need two in-episode predecessors for the acc feature, so the
-    first two transitions of every episode are kept for context but never
-    become training targets.
-    """
-
-    def __init__(self):
-        self._episodes: list[list[Transition]] = []
-
-    def begin_episode(self) -> None:
-        self._episodes.append([])
-
-    def add(self, tr: Transition) -> None:
-        if not self._episodes:
-            self._episodes.append([])
-        self._episodes[-1].append(tr)
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack (input, target) training rows across episodes."""
-        xs, ys = [], []
-        for ep in self._episodes:
-            for i in range(2, len(ep)):
-                xs.append(input_rows([tr.obs for tr in ep[i - 2 : i + 1]], ep[i].action))
-                ys.append(ep[i].delta)
-        if not xs:
-            return np.zeros((0, 0)), np.zeros((0, 0))
-        return np.concatenate(xs), np.stack(ys)
 
 
 @dataclass
@@ -318,8 +292,8 @@ def _sgd_epochs(ens: Ensemble, xn: np.ndarray, yn: np.ndarray, perms: np.ndarray
                 p += v
 
 
-def bootstrap_train(buffer: ReplayBuffer, m_members: int, seed: int, settings: TrainSettings | None = None) -> Ensemble:
-    """Train M members, each on its own with-replacement resample.
+def bootstrap_train(x: np.ndarray, y: np.ndarray, m_members: int, seed: int, settings: TrainSettings | None = None) -> Ensemble:
+    """Train M members on the rows ``(x, y)``, each on its own with-replacement resample.
 
     Member m draws its resample, its weight init, and its minibatch order
     from an independent seeded stream, so ensembles are reproducible and
@@ -329,7 +303,6 @@ def bootstrap_train(buffer: ReplayBuffer, m_members: int, seed: int, settings: T
     settings = settings or TrainSettings()
     if m_members < 2:
         raise InputError(f"need at least 2 members for disagreement, got {m_members}")
-    x, y = buffer.rows()
     n = x.shape[0]
     if n < MIN_CALIBRATION_ROWS:
         raise CalibrationError(
@@ -361,15 +334,14 @@ def bootstrap_train(buffer: ReplayBuffer, m_members: int, seed: int, settings: T
     return ens
 
 
-def calibrate_noise_floor(ensemble: Ensemble, buffer: ReplayBuffer) -> tuple[float, float]:
-    """Baseline error statistics on unperturbed data; freezes the ensemble.
+def calibrate_noise_floor(ensemble: Ensemble, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Baseline error statistics on unperturbed rows ``(x, y)``; freezes the ensemble.
 
     Returns (mu0, sigma0): mean and population standard deviation of the
     per-transition ensemble error. sigma0 is floored at a tiny epsilon so
     downstream z-scores stay finite. Freezing afterwards is deliberate:
     the floor is only meaningful for exactly these weights.
     """
-    x, y = buffer.rows()
     if x.shape[0] < MIN_CALIBRATION_ROWS:
         raise CalibrationError(
             f"noise-floor buffer has {x.shape[0]} usable rows; need at least {MIN_CALIBRATION_ROWS}"

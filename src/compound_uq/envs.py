@@ -338,7 +338,3 @@ def env_class(env_id: str) -> type[_BaseEnv]:
         raise InputError(f"unknown env_id {env_id!r}; choose from {sorted(ENV_CLASSES)}")
     return ENV_CLASSES[env_id]
 
-
-def make_env(env_id: str, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON) -> _BaseEnv:
-    """Instantiate an environment by id; raises ``InputError`` for unknown ids."""
-    return env_class(env_id)(seed=seed, params=params, horizon=horizon)

@@ -1,5 +1,5 @@
 """Strict parsing, field by declared annotation, of every JSON document read back:
-the config, the snapshot and its ensemble, and a trace's condition. Nothing is
+the config, the snapshot and its ensemble, and a trace's footer. Nothing is
 coerced, numbers must be finite, and a refusal is an ``InputError`` naming
 document and field.
 """
@@ -60,6 +60,7 @@ PARSERS = {
     "float": _float,
     "bool": _bool,
     "str": _str,
+    "dict": _exactly(dict, "a JSON object"),
     "float | None": lambda value, name: None if value is None else _float(value, name),
     "tuple[str, float] | None": _shift_level,
     "tuple[float, ...]": _levels(_float),

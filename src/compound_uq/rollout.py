@@ -53,7 +53,6 @@ from .analysis import (
 from .config import ExperimentConfig
 from .ensemble import (
     Ensemble,
-    ReplayBuffer,
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
@@ -61,9 +60,10 @@ from .ensemble import (
     input_rows,
     member_mse,
 )
-from .envs import env_class, make_env
+from .envs import env_class
 from .errors import CalibrationError, InputError, InvariantViolation, SpecError
 from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
+from .parsing import parse_key
 from .perturb import (
     ActionDelayer,
     ConditionSpec,
@@ -127,11 +127,21 @@ TASK_CONTROLLERS = {
 
 POLICY_MODES = ("monitor", "adaptive")
 
-# The keys of a cell summary, in the order RolloutResult.summary() gives them.
-SUMMARY_KEYS = (
-    "cell_id", "condition", "seed", "label", "episode_return", "post_onset_kappa_mean",
-    "post_onset_mse_mean", "peak_kappa", "violations", "n_forced", "n_steps",
-)
+# The keys of a cell summary, in the order RolloutResult.summary() gives
+# them, each with the annotation its value in a trace footer parses by.
+SUMMARY_KEYS = {
+    "cell_id": "str",
+    "condition": "dict",
+    "seed": "int",
+    "label": "str",
+    "episode_return": "float",
+    "post_onset_kappa_mean": "float",
+    "post_onset_mse_mean": "float",
+    "peak_kappa": "float",
+    "violations": "int",
+    "n_forced": "int",
+    "n_steps": "int",
+}
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,7 @@ def run_condition(
         # of it alongside the live window on every update. Without the
         # anchor, fine-tuning on a hundred-ish recent rows drags the model
         # off everything it knew about states not in the window.
-        anchor_x, anchor_y = collect_baseline_buffer(config).rows()
+        anchor_x, anchor_y = collect_baseline_buffer(config)
         anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
 
     visible = apply_mask(env.observe(), dims, active=onset <= 0)
@@ -340,26 +350,29 @@ def _mixture_action(controller, obs, rng: np.random.Generator, action_dim: int) 
     return rng.uniform(-1.0, 1.0, size=action_dim)
 
 
-def collect_baseline_buffer(config: ExperimentConfig) -> ReplayBuffer:
-    """Exactly t_pre unperturbed transitions under the exploration mixture."""
+def collect_baseline_buffer(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Model rows ``(x, y)`` of exactly t_pre unperturbed transitions under the
+    exploration mixture. Rows are built as ``run_condition`` builds them; the
+    first two transitions of each episode give the acc feature its history
+    and yield no row."""
     env_cls = env_class(config.env_id)
     controller = TASK_CONTROLLERS[config.env_id]
-    buffer = ReplayBuffer()
+    xs, ys = [], []
     remaining = config.t_pre
     episode = 0
     while remaining > 0:
-        env = make_env(config.env_id, seed=config.calibration_seed * 10007 + episode, horizon=config.horizon)
+        env = env_cls(seed=config.calibration_seed * 10007 + episode, horizon=config.horizon)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 4, episode]))
-        buffer.begin_episode()
-        obs = env.observe()
+        history: deque = deque(maxlen=3)
         for _ in range(min(config.horizon, remaining)):
-            action = _mixture_action(controller, obs, rng, env_cls.ACTION_DIM)
-            tr = env.step(action)
-            buffer.add(tr)
-            obs = tr.next_obs
+            tr = env.step(_mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM))
+            history.append(tr.obs)
+            if len(history) == 3:
+                xs.append(input_rows(history, tr.action)[0])
+                ys.append(tr.delta)
             remaining -= 1
         episode += 1
-    return buffer
+    return np.array(xs), np.array(ys)
 
 
 def _probe_conditions(config: ExperimentConfig) -> tuple[ConditionSpec, dict[str, ConditionSpec], ConditionSpec]:
@@ -377,20 +390,15 @@ def _probe_conditions(config: ExperimentConfig) -> tuple[ConditionSpec, dict[str
     if not singles:
         raise CalibrationError("grid has no active stressor levels; thresholds cannot be calibrated")
     baseline = ConditionSpec(onset_t=config.onset_t)
-    compound = ConditionSpec(
-        po_fraction=po if po > 0 else 0.0,
-        delay_steps=delay if delay > 0 else 0,
-        shift=shift,
-        onset_t=config.onset_t,
-    )
+    compound = ConditionSpec(po_fraction=po, delay_steps=delay, shift=shift, onset_t=config.onset_t)
     return baseline, singles, compound
 
 
 def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
     """Full calibration: train, freeze the noise floor, place thresholds."""
-    buffer = collect_baseline_buffer(config)
-    ensemble = bootstrap_train(buffer, config.m_members, config.calibration_seed, config.train)
-    mu0, sigma0 = calibrate_noise_floor(ensemble, buffer)
+    x, y = collect_baseline_buffer(config)
+    ensemble = bootstrap_train(x, y, config.m_members, config.calibration_seed, config.train)
+    mu0, sigma0 = calibrate_noise_floor(ensemble, x, y)
 
     provisional = CalibrationSnapshot(
         config_hash=config.config_hash(),
@@ -489,19 +497,22 @@ def _kind(line) -> str | None:
 
 def read_trace(path: str) -> tuple[dict, list[dict], dict]:
     """Header, step lines and footer of a trace; ``InputError`` if unreadable,
-    or if the footer lacks a key of the cell summary or holds a bad condition."""
+    if a summary key of the footer does not parse by its ``SUMMARY_KEYS``
+    annotation, or if its cell_id or label is not what its condition and
+    seed give. The footer comes back with its summary values as parsed."""
     with open_input(path, "trace") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
         raise InputError(f"trace file {path} is missing header or footer")
-    missing = [key for key in SUMMARY_KEYS if key not in lines[-1]]
-    if missing:
-        raise InputError(f"trace file {path} footer lacks summary keys {missing}")
     try:
-        ConditionSpec.from_dict(lines[-1]["condition"])
+        summary = {key: parse_key(lines[-1], key, annotation, "footer") for key, annotation in SUMMARY_KEYS.items()}
+        cond = ConditionSpec.from_dict(summary["condition"])
     except (InputError, SpecError) as e:
-        raise InputError(f"trace file {path} footer: {e}") from None
-    return lines[0], lines[1:-1], lines[-1]
+        raise InputError(f"trace file {path} {e}") from None
+    named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
+    if named != given:
+        raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
+    return lines[0], lines[1:-1], {**lines[-1], **summary, "condition": cond.to_dict()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,14 @@
 
 import math
 import struct
+from collections import deque
 
 import numpy as np
 
-from compound_uq.ensemble import Ensemble, ReplayBuffer
-from compound_uq.envs import Transition, env_class, make_env
+from compound_uq.ensemble import Ensemble, input_rows
+from compound_uq.envs import env_class
 from compound_uq.errors import InputError
 from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action
-
-
-def make_transition(obs, delta, action=None, t=0):
-    obs = np.asarray(obs, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    action = np.zeros(1) if action is None else np.asarray(action, dtype=float)
-    return Transition(
-        obs=obs, action=action, next_obs=obs + delta, delta=delta, reward=0.0, risk=0.0, t=t
-    )
 
 
 def clamp_grid(lo, hi):
@@ -71,20 +63,24 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
     )
 
 
-def linear_system_buffer(n_steps=160, seed=0):
-    """Synthetic episode where delta is a fixed linear map of (obs, action)."""
+def linear_system_rows(n_steps=160, seed=0):
+    """Model rows ``(x, y)`` of a synthetic episode where delta is a fixed
+    linear map of (obs, action); the first two steps yield no row."""
     rng = np.random.default_rng(seed)
     w_obs = np.array([[0.05, -0.02], [0.03, 0.04]])
     w_act = np.array([[0.2], [-0.1]])
-    buf = ReplayBuffer()
-    buf.begin_episode()
+    history = deque(maxlen=3)
+    xs, ys = [], []
     obs = np.array([0.5, -0.3])
-    for t in range(n_steps):
+    for _ in range(n_steps):
         action = rng.uniform(-1.0, 1.0, size=1)
         delta = obs @ w_obs.T + (w_act @ action)
-        buf.add(make_transition(obs, delta, action=action, t=t))
+        history.append(obs)
+        if len(history) == 3:
+            xs.append(input_rows(history, action)[0])
+            ys.append(delta)
         obs = obs + delta
-    return buf
+    return np.array(xs), np.array(ys)
 
 
 def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
@@ -106,16 +102,16 @@ def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
         raise InputError("horizon must be at least 3 to yield usable rows")
     controller = TASK_CONTROLLERS[env_id]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 7]))
-    buffer = ReplayBuffer()
+    xs, ys = [], []
     episode = 0
-    usable = 0
-    while usable < n_rows:
-        env = make_env(env_id, seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
-        buffer.begin_episode()
+    while len(xs) < n_rows:
+        env = env_cls(seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
+        history = deque(maxlen=3)
         for _ in range(horizon):
-            action = _mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM)
-            buffer.add(env.step(action))
-        usable += horizon - 2
+            tr = env.step(_mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM))
+            history.append(tr.obs)
+            if len(history) == 3:
+                xs.append(input_rows(history, tr.action)[0])
+                ys.append(tr.delta)
         episode += 1
-    x, y = buffer.rows()
-    return x[:n_rows], y[:n_rows]
+    return np.array(xs[:n_rows]), np.array(ys[:n_rows])

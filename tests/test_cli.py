@@ -7,6 +7,7 @@ overrides skip the probe runs) and shared by the run/sweep/analyze tests.
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import replace
@@ -17,7 +18,7 @@ import pytest
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
 from compound_uq.cli import main
-from compound_uq.config import load_config
+from compound_uq.config import config_from_dict, load_config
 from compound_uq.ensemble import acc_feature
 from compound_uq.errors import InputError
 from compound_uq.perturb import ConditionSpec
@@ -108,6 +109,42 @@ def test_calibrate_refuses_negative_seeds(tmp_path, capsys, doc):
     path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path), **doc)))
     assert main(["calibrate", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: seeds must be nonnegative")
+    assert not (tmp_path / "calibration.json").exists()
+
+
+# Configs that parse, but that used to fail only later: with a traceback in
+# training or in the adapting loop, by writing a snapshot that sweep then
+# refuses, or with a refusal after the ensemble had trained.
+LATE_FAILING_CONFIGS = [
+    {"ensemble": {"batch_size": 0}},
+    {"ensemble": {"hidden_width": 0}},
+    {"ensemble": {"epochs": -1}},
+    {"ensemble": {"learning_rate": -0.5}},
+    {"ensemble": {"clip_c": 0}},
+    {"ensemble": {"c_tau": -1}},
+    {"adaptive": {"every": 0}},
+    {"adaptive": {"window": -1}},
+    {"adaptive": {"epochs": -1}},
+    {"grid": {"delay_levels": [-1]}},
+    {"grid": {"seeds": []}},
+    {"grid": {"po_levels": [1.5]}},
+    {"onset_t": -5},
+    {"thresholds": {"tau_low": 0.5, "tau_high": 0.2}},
+]
+
+
+@pytest.mark.parametrize("change", LATE_FAILING_CONFIGS)
+def test_configs_that_would_fail_later_are_refused_at_load(tmp_path, capsys, change):
+    doc = dict(TINY, output_dir=str(tmp_path))
+    for section, value in change.items():
+        doc[section] = {**doc.get(section, {}), **value} if isinstance(value, dict) else value
+    with pytest.raises(InputError):
+        config_from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["calibrate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "calibration.json").exists()
 
 
@@ -380,6 +417,55 @@ def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
     assert main(sweep) == 0
     capsys.readouterr()
     assert {path: path.read_bytes() for path in traces} == fresh
+
+
+@pytest.fixture(scope="module")
+def two_seed_tree(tmp_path_factory):
+    """A swept 8-cell tree of TINY over seeds 0 and 1: config path and fresh trace bytes."""
+    root = tmp_path_factory.mktemp("two_seeds")
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY, grid=dict(TINY["grid"], seeds=[0, 1]), output_dir=str(root))))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(root / "sweep")]) == 0
+    return str(cfg_path), {p.name: p.read_bytes() for p in sorted((root / "sweep").glob("trace_*.jsonl"))}
+
+
+# Footer values of the wrong type, not finite, or naming another cell than
+# the footer's condition and seed give; each goes on the seed-1 C4 cell.
+FOOTER_MUTANTS = [
+    ("episode_return", "abc"),
+    ("episode_return", True),
+    ("episode_return", "1.5"),
+    ("episode_return", math.nan),
+    ("post_onset_kappa_mean", "x"),
+    ("peak_kappa", math.inf),
+    ("seed", 1.7),
+    ("seed", "1"),
+    ("seed", True),
+    ("label", 5),
+    ("label", "C9"),
+    ("n_steps", "x"),
+    ("cell_id", "po0.5_delay1_shift-none_seed0"),
+]
+
+
+@pytest.mark.parametrize("key, value", FOOTER_MUTANTS)
+def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, capsys, key, value):
+    cfg_path, fresh = two_seed_tree
+    for name, data in fresh.items():
+        (tmp_path / name).write_bytes(data)
+    trace = tmp_path / "trace_po0.5_delay1_shift-none_seed1.jsonl"
+    footer = json.loads(fresh[trace.name].splitlines()[-1])
+    trace.write_bytes(_with_footer(fresh[trace.name], {**footer, key: value}))
+
+    capsys.readouterr()
+    assert main(["analyze", "--config", cfg_path, "--trace-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace file {trace} ") and len(err.splitlines()) == 1
+
+    assert main(["sweep", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
 
 
 LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit

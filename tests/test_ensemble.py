@@ -1,4 +1,4 @@
-"""Ensemble tests: features, replay accounting, training, noise floor."""
+"""Ensemble tests: features, model rows, training, noise floor."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from compound_uq.ensemble import (
     GRAD_NORM_CAP,
     Ensemble,
-    ReplayBuffer,
     TrainSettings,
     acc_feature,
     adaptive_update,
@@ -21,7 +20,7 @@ from compound_uq.ensemble import (
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
 
-from helpers import constant_ensemble, linear_system_buffer, make_transition
+from helpers import constant_ensemble, linear_system_rows
 
 
 def test_acc_feature_quadratic_ramp_is_twice_curvature():
@@ -49,20 +48,6 @@ def test_input_rows_are_obs_acc_action():
     np.testing.assert_array_equal(input_rows(hist, acts[0]), [np.concatenate([hist[-1], acc_feature(hist), acts[0]])])
     with pytest.raises(InputError):
         input_rows([], acts)
-
-
-def test_replay_buffer_skips_first_two_per_episode():
-    buf = ReplayBuffer()
-    buf.begin_episode()
-    for t in range(5):
-        buf.add(make_transition(np.full(2, float(t * t)), np.zeros(2), t=t))
-    buf.begin_episode()
-    for t in range(2):
-        buf.add(make_transition(np.zeros(2), np.zeros(2), t=t))
-    x, y = buf.rows()
-    assert x.shape == (3, 5) and y.shape == (3, 2)
-    # First usable row sits at t=2 of the quadratic episode: acc = 2.
-    np.testing.assert_allclose(x[0], [4.0, 4.0, 2.0, 2.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_ensemble_mse_is_member_mean_of_squared_norms():
@@ -109,14 +94,8 @@ def test_calibrate_noise_floor_population_stats():
     # 25 rows of squared error 1 and 25 of squared error 3: mu0 = 2 and
     # population sigma0 = 1, by hand.
     ens = constant_ensemble([[0.0, 0.0], [0.0, 0.0]], in_dim=5)
-    buf = ReplayBuffer()
-    buf.begin_episode()
-    buf.add(make_transition(np.zeros(2), np.zeros(2)))
-    buf.add(make_transition(np.zeros(2), np.zeros(2)))
-    for i in range(50):
-        delta = np.array([1.0, 0.0]) if i % 2 == 0 else np.array([math.sqrt(3.0), 0.0])
-        buf.add(make_transition(np.zeros(2), delta, t=i + 2))
-    mu0, sigma0 = calibrate_noise_floor(ens, buf)
+    y = [[1.0, 0.0] if i % 2 == 0 else [math.sqrt(3.0), 0.0] for i in range(50)]
+    mu0, sigma0 = calibrate_noise_floor(ens, np.zeros((50, 5)), np.array(y))
     assert abs(mu0 - 2.0) < 1e-12
     assert abs(sigma0 - 1.0) < 1e-12
     assert ens.frozen
@@ -124,20 +103,15 @@ def test_calibrate_noise_floor_population_stats():
 
 def test_calibrate_noise_floor_requires_enough_rows():
     ens = constant_ensemble([[0.0, 0.0], [0.0, 0.0]], in_dim=5)
-    buf = ReplayBuffer()
-    buf.begin_episode()
-    for t in range(10):
-        buf.add(make_transition(np.zeros(2), np.zeros(2), t=t))
     with pytest.raises(CalibrationError):
-        calibrate_noise_floor(ens, buf)
+        calibrate_noise_floor(ens, np.zeros((49, 5)), np.zeros((49, 2)))
 
 
 def test_bootstrap_train_learns_linear_system():
-    buf = linear_system_buffer()
+    x, y = linear_system_rows()
     settings = TrainSettings(hidden_width=32, epochs=60, batch_size=16)
-    untrained = bootstrap_train(buf, m_members=2, seed=0, settings=TrainSettings(hidden_width=32, epochs=0))
-    trained = bootstrap_train(buf, m_members=2, seed=0, settings=settings)
-    x, y = buf.rows()
+    untrained = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=32, epochs=0))
+    trained = bootstrap_train(x, y, m_members=2, seed=0, settings=settings)
     mse_untrained = float(untrained.mse(x, y).mean())
     mse_trained = float(trained.mse(x, y).mean())
     assert mse_trained < mse_untrained
@@ -146,41 +120,35 @@ def test_bootstrap_train_learns_linear_system():
 
 
 def test_bootstrap_train_members_differ():
-    buf = linear_system_buffer()
-    ens = bootstrap_train(buf, m_members=3, seed=1, settings=TrainSettings(hidden_width=16, epochs=20))
-    x, _ = buf.rows()
+    x, y = linear_system_rows()
+    ens = bootstrap_train(x, y, m_members=3, seed=1, settings=TrainSettings(hidden_width=16, epochs=20))
     preds = ens.predict_members(x[:8])
     assert not np.allclose(preds[0], preds[1])
     assert not np.allclose(preds[1], preds[2])
 
 
 def test_bootstrap_train_is_deterministic():
-    buf = linear_system_buffer()
+    x, y = linear_system_rows()
     settings = TrainSettings(hidden_width=16, epochs=10)
-    a = bootstrap_train(buf, m_members=2, seed=5, settings=settings)
-    b = bootstrap_train(buf, m_members=2, seed=5, settings=settings)
+    a = bootstrap_train(x, y, m_members=2, seed=5, settings=settings)
+    b = bootstrap_train(x, y, m_members=2, seed=5, settings=settings)
     assert a.weights_hash() == b.weights_hash()
-    c = bootstrap_train(buf, m_members=2, seed=6, settings=settings)
+    c = bootstrap_train(x, y, m_members=2, seed=6, settings=settings)
     assert a.weights_hash() != c.weights_hash()
 
 
 def test_bootstrap_train_input_validation():
-    buf = linear_system_buffer()
+    x, y = linear_system_rows()
     with pytest.raises(InputError):
-        bootstrap_train(buf, m_members=1, seed=0)
-    small = ReplayBuffer()
-    small.begin_episode()
-    for t in range(5):
-        small.add(make_transition(np.zeros(2), np.zeros(2), t=t))
+        bootstrap_train(x, y, m_members=1, seed=0)
     with pytest.raises(CalibrationError):
-        bootstrap_train(small, m_members=2, seed=0)
+        bootstrap_train(x[:49], y[:49], m_members=2, seed=0)
 
 
 def test_adaptive_update_refuses_frozen_and_learns_when_cloned():
-    buf = linear_system_buffer()
-    ens = bootstrap_train(buf, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=20))
-    calibrate_noise_floor(ens, buf)
-    x, y = buf.rows()
+    x, y = linear_system_rows()
+    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=20))
+    calibrate_noise_floor(ens, x, y)
     with pytest.raises(LifecycleError):
         adaptive_update(ens, x, y)
 
@@ -197,8 +165,8 @@ def test_adaptive_update_refuses_frozen_and_learns_when_cloned():
 
 
 def test_adaptive_update_edge_cases():
-    buf = linear_system_buffer()
-    ens = bootstrap_train(buf, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=5))
+    x, y = linear_system_rows()
+    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=5))
     clone = ens.clone_unfrozen()
     h = clone.weights_hash()
     adaptive_update(clone, np.zeros((0, 5)), np.zeros((0, 2)))
@@ -222,15 +190,14 @@ PINNED_SETTINGS = TrainSettings(hidden_width=16, epochs=12, learning_rate=0.01, 
     ],
 )
 def test_bootstrap_train_weights_are_pinned(m_members, expected):
-    buf = linear_system_buffer(n_steps=120, seed=3)
-    ens = bootstrap_train(buf, m_members=m_members, seed=7, settings=PINNED_SETTINGS)
+    x, y = linear_system_rows(n_steps=120, seed=3)
+    ens = bootstrap_train(x, y, m_members=m_members, seed=7, settings=PINNED_SETTINGS)
     assert ens.weights_hash() == expected
 
 
 def test_adaptive_update_weights_are_pinned():
-    buf = linear_system_buffer(n_steps=120, seed=3)
-    clone = bootstrap_train(buf, m_members=3, seed=7, settings=PINNED_SETTINGS).clone_unfrozen()
-    x, y = buf.rows()
+    x, y = linear_system_rows(n_steps=120, seed=3)
+    clone = bootstrap_train(x, y, m_members=3, seed=7, settings=PINNED_SETTINGS).clone_unfrozen()
     adaptive_update(clone, x[:45], y[:45] + 5.0, epochs=3)
     assert clone.weights_hash() == "c51c208d180c667f97c05d60e73ffdb941b64431934aaef6197653842dfd6c34"
     # the clone's stream carries on from where the first update left it
@@ -248,10 +215,9 @@ def _single_member_grads(w1, b1, w2, b2, x, y):
 
 
 def test_gradient_cap_applies_to_each_member_alone():
-    buf = linear_system_buffer()
-    ens = bootstrap_train(buf, m_members=2, seed=0, settings=TrainSettings(hidden_width=8, epochs=5)).clone_unfrozen()
+    x, y = linear_system_rows()
+    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=8, epochs=5)).clone_unfrozen()
     ens.w2[1] *= 1e3  # member 1's predictions, and so its gradient, blow up
-    x, y = buf.rows()
     xn, yn = ens.x_norm.encode(x[:20]), ens.y_norm.encode(y[:20])
     before = [[p[m].copy() for p in (ens.w1, ens.b1, ens.w2, ens.b2)] for m in range(2)]
     grads = [_single_member_grads(*before[m], xn, yn) for m in range(2)]
@@ -272,11 +238,10 @@ def test_gradient_cap_applies_to_each_member_alone():
 
 
 def test_ensemble_serialization_roundtrip():
-    buf = linear_system_buffer()
-    ens = bootstrap_train(buf, m_members=2, seed=2, settings=TrainSettings(hidden_width=8, epochs=5))
+    x, y = linear_system_rows()
+    ens = bootstrap_train(x, y, m_members=2, seed=2, settings=TrainSettings(hidden_width=8, epochs=5))
     ens.freeze()
     back = Ensemble.from_dict(ens.to_dict())
     assert back.weights_hash() == ens.weights_hash()
     assert back.frozen
-    x, _ = buf.rows()
     np.testing.assert_array_equal(back.predict_members(x[:4]), ens.predict_members(x[:4]))

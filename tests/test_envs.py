@@ -10,21 +10,21 @@ from compound_uq.envs import (
     ENV_CLASSES,
     DriftBot,
     MassSpring1D,
-    make_env,
+    env_class,
 )
 from compound_uq.errors import InputError, LifecycleError, ParameterError
 
 
-def test_make_env_rejects_unknown_id():
+def test_env_class_rejects_unknown_id():
     with pytest.raises(InputError):
-        make_env("HoverCraft", seed=0)
+        env_class("HoverCraft")
 
 
 def test_driftbot_initial_obs_ignores_gain_fault():
     # A weak wheel is invisible until the robot moves: the first
     # observation depends only on the initial pose.
-    healthy = make_env("DriftBot", seed=1)
-    faulty = make_env("DriftBot", seed=1, params={"gain_left": 0.5})
+    healthy = DriftBot(seed=1)
+    faulty = DriftBot(seed=1, params={"gain_left": 0.5})
     np.testing.assert_array_equal(healthy.observe(), faulty.observe())
 
 
@@ -32,9 +32,7 @@ def test_driftbot_kinematics_closed_form():
     # Hand-evaluated differential-drive step with noise disabled:
     #   v = (0.5*1 + 1.0*1) / 2 = 0.75
     #   w = (1.0*1 - 0.5*1) / 0.4 = 1.25
-    env = make_env(
-        "DriftBot", seed=0, params={"gain_left": 0.5, "gain_right": 1.0, "noise_scale": 0.0}
-    )
+    env = DriftBot(seed=0, params={"gain_left": 0.5, "gain_right": 1.0, "noise_scale": 0.0})
     tr = env.step(np.array([1.0, 1.0]))
 
     v = 0.75
@@ -69,7 +67,7 @@ def test_driftbot_deterministic_given_seed():
     actions = np.random.default_rng(7).uniform(-1.0, 1.0, size=(20, 2))
 
     def trace(seed):
-        env = make_env("DriftBot", seed=seed)
+        env = DriftBot(seed=seed)
         return np.stack([env.step(a).next_obs for a in actions])
 
     np.testing.assert_array_equal(trace(3), trace(3))
@@ -77,7 +75,7 @@ def test_driftbot_deterministic_given_seed():
 
 
 def test_step_after_horizon_raises():
-    env = make_env("DriftBot", seed=0, horizon=3)
+    env = DriftBot(seed=0, horizon=3)
     for _ in range(3):
         env.step(np.zeros(2))
     with pytest.raises(LifecycleError):
@@ -89,14 +87,14 @@ def test_step_after_horizon_raises():
     [np.zeros(3), np.array([1.5, 0.0]), np.array([np.nan, 0.0])],
 )
 def test_action_validation(action):
-    env = make_env("DriftBot", seed=0)
+    env = DriftBot(seed=0)
     with pytest.raises(InputError):
         env.step(action)
 
 
 @pytest.mark.parametrize("env_id", sorted(ENV_CLASSES))
 def test_action_entries_must_lie_in_the_closed_box(env_id):
-    env = make_env(env_id, seed=0)
+    env = env_class(env_id)(seed=0)
     for bad in (math.nan, math.inf, -math.inf, 1.0 + 2**-52, -(1.0 + 2**-52)):
         action = [bad] + [0.0] * (env.ACTION_DIM - 1)
         with pytest.raises(InputError) as err:
@@ -110,15 +108,15 @@ def test_action_entries_must_lie_in_the_closed_box(env_id):
 
 def test_parameter_bounds_enforced():
     with pytest.raises(ParameterError):
-        make_env("DriftBot", seed=0, params={"gain_left": 1.5})
+        DriftBot(seed=0, params={"gain_left": 1.5})
     with pytest.raises(ParameterError):
-        make_env("DriftBot", seed=0, params={"wheel_size": 1.0})
+        DriftBot(seed=0, params={"wheel_size": 1.0})
     with pytest.raises(ParameterError):
-        make_env("MassSpring1D", seed=0, params={"mass": 0.0})
+        MassSpring1D(seed=0, params={"mass": 0.0})
 
 
 def test_true_dynamics_reflects_set_param_and_copies():
-    env = make_env("DriftBot", seed=0)
+    env = DriftBot(seed=0)
     assert env.true_dynamics()["gain_left"] == 1.0
     env.set_param("gain_left", 0.25)
     snapshot = env.true_dynamics()
@@ -136,7 +134,7 @@ def test_mass_spring_closed_form_step():
     x0 = sign * rng.uniform(0.5, 1.5)
     noise = rng.normal() * MassSpring1D.FORCE_NOISE_STD
 
-    env = make_env("MassSpring1D", seed=seed)
+    env = MassSpring1D(seed=seed)
     np.testing.assert_allclose(env.observe(), [x0, 0.0], rtol=0, atol=1e-12)
 
     tr = env.step(np.array([0.3]))
@@ -149,7 +147,7 @@ def test_mass_spring_closed_form_step():
 
 def test_mass_spring_reset_distribution():
     for seed in range(6):
-        env = make_env("MassSpring1D", seed=seed)
+        env = MassSpring1D(seed=seed)
         x, v = env.observe()
         assert 0.5 <= abs(x) <= 1.5
         assert v == 0.0

@@ -1,10 +1,13 @@
-"""Import-cost guard: the CLI starts without scipy.
+"""Import guards: the CLI starts without scipy, and the agent side never
+reaches the environments.
 
 Only ``analysis.superadditive_rate`` and ``analysis.stratified_rate_test``
-need scipy, and they import ``scipy.special`` when called. Each check runs
-in a fresh interpreter, because this test process may already hold scipy.
+need scipy, and they import ``scipy.special`` when called. Each scipy check
+runs in a fresh interpreter, because this test process may already hold
+scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -65,3 +68,29 @@ def test_calibrate_run_and_oracle_check_work_with_scipy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("snap.json", "trace.jsonl", "oracle.csv"):
         assert (tmp_path / name).exists()
+
+
+# The modules an agent's decisions are computed in; privileged simulator
+# state must have no import path into them.
+AGENT_SIDE = ("policy", "kappa", "ensemble", "belief")
+
+
+def _package_imports(module: str) -> set[str]:
+    """The sibling modules that ``module``'s ``from .x import`` lines name."""
+    with open(os.path.join(os.path.dirname(compound_uq.__file__), f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_agent_side_modules_never_import_envs_or_rollout():
+    for start in AGENT_SIDE:
+        reached, todo = set(), [start]
+        while todo:
+            for name in _package_imports(todo.pop()) - reached:
+                reached.add(name)
+                todo.append(name)
+        assert not reached & {"envs", "rollout"}, f"{start} reaches {sorted(reached)}"

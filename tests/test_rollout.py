@@ -18,7 +18,7 @@ from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits
 from compound_uq import policy, rollout
 from compound_uq.config import config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
-from compound_uq.envs import ENV_CLASSES, DriftBot, make_env
+from compound_uq.envs import ENV_CLASSES, DriftBot
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
@@ -122,7 +122,7 @@ def test_controller_clamps_are_np_clip_bit_for_bit():
 
 
 def test_driftbot_controller_closes_distance():
-    env = make_env("DriftBot", seed=0, horizon=250)
+    env = DriftBot(seed=0, horizon=250)
     obs = env.observe()
     start = math.hypot(obs[6], obs[7])
     for _ in range(240):
@@ -133,14 +133,32 @@ def test_driftbot_controller_closes_distance():
 
 
 def test_collect_baseline_buffer_row_count_and_determinism(cfg_ms):
-    buf = collect_baseline_buffer(cfg_ms)
-    x, y = buf.rows()
+    x, y = collect_baseline_buffer(cfg_ms)
     # 60 transitions in episodes of up to 40 steps: 40 + 20, minus the
     # two warmup rows each episode needs for the acceleration feature.
     assert x.shape == (56, 5) and y.shape == (56, 2)
-    x2, y2 = collect_baseline_buffer(cfg_ms).rows()
+    x2, y2 = collect_baseline_buffer(cfg_ms)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
+    # Within an episode (rows 0-37, then 38-55) each row's target is the
+    # step to the next row's obs, and its acc is the second difference of
+    # its own obs and the two rows before, bit for bit.
+    obs = x[:, :2]
+    for first, last in ((0, 38), (38, 56)):
+        ep = obs[first:last]
+        assert np.array_equal(y[first : last - 1], ep[1:] - ep[:-1])
+        assert np.array_equal(x[first + 2 : last, 2:4], ep[2:] - 2.0 * ep[1:-1] + ep[:-2])
+    assert not np.array_equal(y[37], obs[38] - obs[37])  # a new episode starts at row 38
+
+
+# sha256 of the calibration rows' x bytes then y bytes, recorded when the
+# rows were still built from stored transitions after collection.
+PINNED_BASELINE_ROWS = "b9f43a1e747423e728c703b1523d61c41b20fd3c8a81ebd70e0971b822256757"
+
+
+def test_collect_baseline_buffer_rows_are_pinned(cfg_ms):
+    x, y = collect_baseline_buffer(cfg_ms)
+    assert hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest() == PINNED_BASELINE_ROWS
 
 
 def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
@@ -321,7 +339,7 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
     cfg, snap = db_snapshot
     settings = replace(cfg.policy, alpha_max=0.0)  # the monitor policy
     obs_dim = len(DriftBot.OBS_NAMES)
-    states, _ = collect_baseline_buffer(cfg).rows()
+    states, _ = collect_baseline_buffer(cfg)
     rng = np.random.default_rng(0)
     picked, n_forced = set(), 0
     inner = DriftBot.ARENA_HALF - DriftBot.RISK_ZONE
