@@ -44,8 +44,6 @@ from .errors import (
     InputError,
     InvariantViolation,
     LifecycleError,
-    ParameterError,
-    SpecError,
 )
 from .kappa import (
     KappaComponents,

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .perturb import ConditionSpec
 from .rollout import (
+    CELL_KEYS,
     POLICY_MODES,
     build_degradation_records,
     calibrate,
@@ -79,11 +80,17 @@ def _out_path(path: str) -> str:
 
 
 def _load_snapshot(cfg: ExperimentConfig, override: str | None) -> CalibrationSnapshot:
-    """Load the snapshot and refuse one calibrated for another config."""
+    """Load the snapshot; refuse one calibrated for another config, or whose copies of
+    the config's training settings, ``clip_c`` or ``c_tau`` are not the config's."""
     path = _snapshot_path(cfg, override)
     snap = CalibrationSnapshot.load(path)
     if (snap.env_id, snap.config_hash) != (cfg.env_id, cfg.config_hash()):
         raise InputError(f"snapshot {path} was calibrated for {snap.env_id} {snap.config_hash}, not this config")
+    if (snap.ensemble.settings, snap.clip_c, snap.c_tau) != (cfg.train, cfg.clip_c, cfg.c_tau):
+        raise InputError(
+            f"snapshot {path} holds {snap.ensemble.settings}, clip_c {snap.clip_c} and c_tau {snap.c_tau}, "
+            f"not this config's {cfg.train}, clip_c {cfg.clip_c} and c_tau {cfg.c_tau}"
+        )
     return snap
 
 
@@ -157,9 +164,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = _load_snapshot(cfg, args.snapshot)
     out_dir = args.out_dir or os.path.join(cfg.output_dir, "sweep")
-    outcome = run_sweep(
-        cfg, snapshot, out_dir=out_dir, resume=not args.no_resume, policy_mode=args.policy_mode
-    )
+    outcome = run_sweep(cfg, snapshot, out_dir=out_dir, policy_mode=args.policy_mode)
     print(f"cells={len(outcome.cell_summaries)} records={len(outcome.records)}")
     print(f"kappa_by_label={json.dumps(outcome.kappa_by_label, sort_keys=True)}")
     print(
@@ -175,7 +180,7 @@ def cmd_analyze(args) -> int:
     cfg = _load_cfg(args.config)
     trace_dir = args.trace_dir
     footers: list[dict] = []
-    origins: set[tuple] = set()
+    first = first_run = None  # the first trace's path, and its header keys but CELL_KEYS, JSON-encoded
     try:
         names = sorted(os.listdir(trace_dir))
     except OSError as e:
@@ -183,14 +188,17 @@ def cmd_analyze(args) -> int:
     for name in names:
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
-        header, _, footer = read_trace(os.path.join(trace_dir, name))
-        origins.add((str(header.get("config_hash")), str(header.get("policy_mode"))))
+        path = os.path.join(trace_dir, name)
+        header, _, footer = read_trace(path)
+        run = {k: json.dumps(v, sort_keys=True) for k, v in header.items() if k not in CELL_KEYS}
+        if first is None:
+            first, first_run = path, run
+        if differ := sorted({k for k, _ in run.items() ^ first_run.items()}):
+            raise InputError(f"trace file {path} and trace file {first} mix two runs: their headers differ in {differ}")
         footers.append(footer)
     if not footers:
         raise InputError(f"no trace files found in {trace_dir}")
-    if len(origins) > 1:
-        raise InputError(f"traces in {trace_dir} mix (config hash, policy mode) pairs: {sorted(origins)}")
-    [(trace_hash, _)] = origins
+    trace_hash = header.get("config_hash")  # every header holds the same one by now
     if trace_hash != cfg.config_hash():
         raise InputError(f"traces in {trace_dir} were made under config {trace_hash}, not this config")
     records = build_degradation_records(footers, cfg.grid)
@@ -274,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config path")
     p.add_argument("--snapshot", help="snapshot path")
     p.add_argument("--out-dir", help="directory for traces and reports")
-    p.add_argument("--no-resume", action="store_true", help="rerun cells even when traces exist")
     _add_policy_mode(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from .ensemble import TrainSettings
 from .envs import env_class
-from .errors import InputError, SpecError
+from .errors import InputError
 from .kappa import C_TAU, CLIP_C, Thresholds
 from .parsing import parse_fields, parse_key
 from .perturb import (
@@ -183,10 +183,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if shift is not None:
             env_cls.check_param(*shift)
     grid = cfg.grid
-    try:
-        condition_matrix(grid.po_levels, grid.delay_levels, grid.shift_levels, grid.seeds, onset_t=cfg.onset_t)
-    except SpecError as e:
-        raise InputError(f"config grid: {e}") from None
+    condition_matrix(grid.po_levels, grid.delay_levels, grid.shift_levels, grid.seeds, onset_t=cfg.onset_t)
     if cfg.thresholds.tau_low is not None:
         Thresholds(tau_low=cfg.thresholds.tau_low, tau_high=cfg.thresholds.tau_high)
 

@@ -204,6 +204,9 @@ class Ensemble:
                 raise InputError(f"snapshot value ensemble.{key} holds {len(flat)} numbers, which do not fill shape {shape}")
             return np.array(flat).reshape(shape)
 
+        settings = parse_fields(TrainSettings, d.get("settings"), "snapshot", "ensemble.settings.")
+        if settings.hidden_width != h:
+            raise InputError(f"snapshot value ensemble.settings.hidden_width is {settings.hidden_width}, but the weights are {h} wide")
         return cls(
             w1=dec("w1", (m, i, h)),
             b1=dec("b1", (m, h)),
@@ -211,7 +214,7 @@ class Ensemble:
             b2=dec("b2", (m, o)),
             x_norm=_Normalizer(dec("x_mean", (i,)), dec("x_std", (i,))),
             y_norm=_Normalizer(dec("y_mean", (o,)), dec("y_std", (o,))),
-            settings=parse_fields(TrainSettings, d.get("settings"), "snapshot", "ensemble.settings."),
+            settings=settings,
             seed=get("seed", "int"),
             frozen=get("frozen", "bool"),
         )

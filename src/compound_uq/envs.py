@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, LifecycleError, ParameterError
+from .errors import InputError, LifecycleError
 
 # Type aliases used across modules; observations and actions are plain
 # float64 vectors.
@@ -106,13 +106,13 @@ class _BaseEnv:
 
     @classmethod
     def check_param(cls, name: str, value: float) -> None:
-        """Raise ``ParameterError`` unless ``name`` is one of this environment's
+        """Raise ``InputError`` unless ``name`` is one of this environment's
         dynamics parameters and ``value`` lies within its bounds."""
         if name not in cls.PARAM_BOUNDS:
-            raise ParameterError(f"{cls.__name__} has no dynamics parameter {name!r}")
+            raise InputError(f"{cls.__name__} has no dynamics parameter {name!r}")
         lo, hi = cls.PARAM_BOUNDS[name]
         if not (lo <= value <= hi) or not math.isfinite(value):
-            raise ParameterError(f"parameter {name}={value} outside bounds [{lo}, {hi}]")
+            raise InputError(f"parameter {name}={value} outside bounds [{lo}, {hi}]")
 
     def set_param(self, name: str, value: float) -> None:
         """Change one dynamics parameter in place (used by shift schedules)."""

@@ -9,16 +9,8 @@ class CompoundUQError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ParameterError(CompoundUQError, ValueError):
-    """Dynamics parameter outside its declared bounds."""
-
-
 class InputError(CompoundUQError, ValueError):
-    """Operation input outside its declared domain (bad action, bad index, bad shape)."""
-
-
-class SpecError(CompoundUQError, ValueError):
-    """Malformed perturbation or condition specification."""
+    """Input outside its declared domain (bad action, shape, condition, parameter or document)."""
 
 
 class LifecycleError(CompoundUQError, RuntimeError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import ActionVec, ObservationVec
-from .errors import SpecError
+from .errors import InputError
 from .parsing import parse_fields
 
 ONSET_T = 50
@@ -55,7 +55,7 @@ def mask_dims_for_fraction(env_cls, fraction: float) -> tuple[int, ...]:
     should use, since it is what the agent actually loses.
     """
     if not (0.0 <= fraction <= 1.0) or not math.isfinite(fraction):
-        raise SpecError(f"mask fraction must be in [0, 1], got {fraction}")
+        raise InputError(f"mask fraction must be in [0, 1], got {fraction}")
     d = len(env_cls.OBS_NAMES)
     k = int(math.floor(fraction * d + 0.5))
     return tuple(env_cls.MASK_PRIORITY[:k])
@@ -71,7 +71,7 @@ def apply_mask(obs: ObservationVec, dims: tuple[int, ...], active: bool) -> Obse
     if not active or not dims:
         return out
     if max(dims) >= out.shape[0] or min(dims) < 0:
-        raise SpecError(f"mask dims {dims} out of range for obs of size {out.shape[0]}")
+        raise InputError(f"mask dims {dims} out of range for obs of size {out.shape[0]}")
     out[list(dims)] = 0.0
     return out
 
@@ -88,7 +88,7 @@ class ActionDelayer:
 
     def __init__(self, delay_steps: int, action_dim: int, onset_t: int = ONSET_T):
         if delay_steps < 0 or int(delay_steps) != delay_steps:
-            raise SpecError(f"delay_steps must be a nonnegative integer, got {delay_steps}")
+            raise InputError(f"delay_steps must be a nonnegative integer, got {delay_steps}")
         self.delay_steps = int(delay_steps)
         self.action_dim = int(action_dim)
         self.onset_t = int(onset_t)
@@ -124,15 +124,15 @@ class ConditionSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.po_fraction <= 1.0):
-            raise SpecError(f"po_fraction must be in [0, 1], got {self.po_fraction}")
+            raise InputError(f"po_fraction must be in [0, 1], got {self.po_fraction}")
         if self.delay_steps < 0 or int(self.delay_steps) != self.delay_steps:
-            raise SpecError(f"delay_steps must be a nonnegative integer, got {self.delay_steps}")
+            raise InputError(f"delay_steps must be a nonnegative integer, got {self.delay_steps}")
         if self.onset_t < 0:
-            raise SpecError(f"onset_t must be nonnegative, got {self.onset_t}")
+            raise InputError(f"onset_t must be nonnegative, got {self.onset_t}")
         if self.shift is not None:
             param, value = self.shift
             if not isinstance(param, str) or not math.isfinite(float(value)):
-                raise SpecError(f"shift must be (param_name, finite value), got {self.shift}")
+                raise InputError(f"shift must be (param_name, finite value), got {self.shift}")
 
     @property
     def n_active(self) -> int:
@@ -171,13 +171,21 @@ def condition_matrix(
 
     Iteration order is (po, delay, shift, seed) with the seed axis
     innermost, so cell lists and output filenames are stable across runs.
+    A level that repeats on an axis (``-0.0`` repeats ``0.0``) is refused,
+    and so are two that print alike in ``cell_id`` (which formats with
+    ``:g``): either way two cells would share one trace file or one record.
     """
     for name, levels in (("po_levels", po_levels), ("delay_levels", delay_levels), ("shift_levels", shift_levels), ("seeds", seeds)):
         if len(list(levels)) == 0:
-            raise SpecError(f"{name} must be nonempty")
+            raise InputError(f"{name} must be nonempty")
     cells: list[tuple[ConditionSpec, int]] = []
+    seen: set = set()  # cell ids and (po, delay, shift, seed) levels
     for po, delay, shift, seed in itertools.product(po_levels, delay_levels, shift_levels, seeds):
         spec = ConditionSpec(po_fraction=float(po), delay_steps=int(delay), shift=shift, onset_t=onset_t)
+        keys = {spec.cell_id(int(seed)), (spec.po_fraction, spec.delay_steps, spec.shift, int(seed))}
+        if keys & seen:
+            raise InputError(f"grid levels repeat: cell {spec.cell_id(int(seed))} repeats an earlier cell")
+        seen |= keys
         cells.append((spec, int(seed)))
     return cells
 

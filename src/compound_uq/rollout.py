@@ -61,7 +61,7 @@ from .ensemble import (
     member_mse,
 )
 from .envs import env_class
-from .errors import CalibrationError, InputError, InvariantViolation, SpecError
+from .errors import CalibrationError, InputError, InvariantViolation
 from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
 from .parsing import parse_key
 from .perturb import (
@@ -467,23 +467,32 @@ def _step_line(rec: StepRecord) -> dict:
     }
 
 
-def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapshot, result: RolloutResult) -> None:
-    """One JSONL file: a header, one line per step, and the summary as footer."""
-    header = {
+CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
+
+
+def trace_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, condition: ConditionSpec, seed: int, policy_mode: str) -> dict:
+    """The header line of a cell's trace, naming the cell (``CELL_KEYS``) and the run
+    that simulates it. A trace belongs to a run exactly when its header is this one."""
+    return {
         "kind": "header",
         "format_version": 1,
         "toolkit_version": TOOLKIT_VERSION,
         "config_hash": config.config_hash(),
         "env_id": config.env_id,
-        "cell_id": result.cell_id,
-        "seed": result.seed,
-        "condition": result.condition.to_dict(),
-        "policy_mode": result.policy_mode,
+        "cell_id": condition.cell_id(seed),
+        "seed": seed,
+        "condition": condition.to_dict(),
+        "policy_mode": policy_mode,
         "mu0": snapshot.mu0,
         "sigma0": snapshot.sigma0,
         "tau_low": snapshot.thresholds.tau_low,
         "tau_high": snapshot.thresholds.tau_high,
     }
+
+
+def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapshot, result: RolloutResult) -> None:
+    """One JSONL file: ``trace_header``, one line per step, and the summary as footer."""
+    header = trace_header(config, snapshot, result.condition, result.seed, result.policy_mode)
     footer = {"kind": "footer", **result.summary()}
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(_step_line(s), sort_keys=True) for s in result.steps)
@@ -496,10 +505,10 @@ def _kind(line) -> str | None:
 
 
 def read_trace(path: str) -> tuple[dict, list[dict], dict]:
-    """Header, step lines and footer of a trace; ``InputError`` if unreadable,
-    if a summary key of the footer does not parse by its ``SUMMARY_KEYS``
-    annotation, or if its cell_id or label is not what its condition and
-    seed give. The footer comes back with its summary values as parsed."""
+    """Header, step lines and footer of a trace; ``InputError`` if unreadable, if
+    a footer summary key does not parse by its ``SUMMARY_KEYS`` annotation, if
+    the footer's cell_id or label is not what its condition and seed give, or if
+    the header names another cell. The footer's summary values come back parsed."""
     with open_input(path, "trace") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
@@ -507,12 +516,16 @@ def read_trace(path: str) -> tuple[dict, list[dict], dict]:
     try:
         summary = {key: parse_key(lines[-1], key, annotation, "footer") for key, annotation in SUMMARY_KEYS.items()}
         cond = ConditionSpec.from_dict(summary["condition"])
-    except (InputError, SpecError) as e:
+    except InputError as e:
         raise InputError(f"trace file {path} {e}") from None
     named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
     if named != given:
         raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
-    return lines[0], lines[1:-1], {**lines[-1], **summary, "condition": cond.to_dict()}
+    footer = {**lines[-1], **summary, "condition": cond.to_dict()}
+    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (lines[0], footer))
+    if header_cell != footer_cell:
+        raise InputError(f"trace file {path} header names cell {header_cell}, but its footer names {footer_cell}")
+    return lines[0], lines[1:-1], footer
 
 
 # ---------------------------------------------------------------------------
@@ -558,31 +571,13 @@ def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
     for seed in grid.seeds:
         for po in po_levels:
             for delay, shift in dyn_combos:
-                key_c1 = (0.0, 0, None, seed)
-                key_c2 = (po, 0, None, seed)
-                key_c3 = (0.0, delay, shift, seed)
-                key_c4 = (po, delay, shift, seed)
-                if not all(k in cells for k in (key_c1, key_c2, key_c3, key_c4)):
-                    raise InputError(
-                        "grid is not a full factorial; missing cells for matched quadruple "
-                        f"{key_c2} / {key_c3}"
-                    )
+                # clean, masking only, dynamics only, both
+                keys = [(0.0, 0, None, seed), (po, 0, None, seed), (0.0, delay, shift, seed), (po, delay, shift, seed)]
+                if not all(k in cells for k in keys):
+                    raise InputError(f"grid is not a full factorial; missing cells for matched quadruple {keys[1]} / {keys[2]}")
                 config_id = f"po{po:g}_delay{delay}-shift-{shift_tag(shift)}_seed{seed}"
-                records.append(
-                    degradation(
-                        config_id,
-                        cells[key_c1],
-                        cells[key_c2],
-                        cells[key_c3],
-                        cells[key_c4],
-                        meta={
-                            "po_fraction": po,
-                            "delay_steps": delay,
-                            "shift": None if shift is None else list(shift),
-                            "seed": seed,
-                        },
-                    )
-                )
+                meta = {"po_fraction": po, "delay_steps": delay, "shift": None if shift is None else list(shift), "seed": seed}
+                records.append(degradation(config_id, *(cells[k] for k in keys), meta=meta))
     return records
 
 
@@ -590,7 +585,6 @@ def run_sweep(
     config: ExperimentConfig,
     snapshot: CalibrationSnapshot,
     out_dir: str | None = None,
-    resume: bool = True,
     policy_mode: str = "monitor",
 ) -> SweepOutcome:
     """Run the full condition matrix, then aggregate statistics.
@@ -608,12 +602,11 @@ def run_sweep(
     also the behavior the calibration transfers to directly.
 
     With ``out_dir`` set, each cell writes one JSONL trace plus summary
-    CSV/JSON artifacts at the end. On resume a cell reuses its trace only
-    when the trace reads back whole, its header holds this config hash and
-    policy mode, and its header and footer both name this cell; any other
-    cell runs again and overwrites its trace.
+    CSV/JSON artifacts at the end. A cell whose trace is already there
+    reuses it only when the trace reads back whole and its header encodes
+    as ``trace_header`` gives for this config, snapshot, cell and policy
+    mode; any other cell runs again and overwrites its trace.
     """
-    config_hash = config.config_hash() if out_dir else None  # only traces and reports carry it
     cells = condition_matrix(
         config.grid.po_levels,
         config.grid.delay_levels,
@@ -628,18 +621,15 @@ def run_sweep(
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
     def run_cell(cond: ConditionSpec, seed: int) -> dict:
-        if out_dir and resume:
+        if out_dir:
             try:
                 header, _, footer = read_trace(cell_path(cond, seed))
             except InputError:
-                header = footer = {}  # missing or incomplete: simulate the cell again
-            reusable = (
-                header.get("config_hash") == config_hash
-                and header.get("policy_mode") == policy_mode
-                and header.get("cell_id") == footer.get("cell_id") == cond.cell_id(seed)
-            )
-            if reusable:
-                footer.pop("kind", None)
+                header = None  # missing or unreadable: simulate the cell again
+            if header is not None and json.dumps(header, sort_keys=True) == json.dumps(
+                trace_header(config, snapshot, cond, seed, policy_mode), sort_keys=True
+            ):
+                footer.pop("kind")
                 return footer
         result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)
         if out_dir:
@@ -680,7 +670,7 @@ def run_sweep(
         sweep_doc = {
             "format_version": 1,
             "toolkit_version": TOOLKIT_VERSION,
-            "config_hash": config_hash,
+            "config_hash": config.config_hash(),
             "policy_mode": policy_mode,
             "kappa_by_label": kappa_by_label,
             "total_violations": 0,  # see RolloutResult.summary

@@ -309,8 +309,8 @@ def test_sweep_byte_determinism(driftbot, tmp_path_factory, capsys):
     )
     dir_a = tmp_path_factory.mktemp("det_a")
     dir_b = tmp_path_factory.mktemp("det_b")
-    run_sweep(cfg, snap, out_dir=str(dir_a), resume=False)
-    run_sweep(cfg, snap, out_dir=str(dir_b), resume=False)
+    run_sweep(cfg, snap, out_dir=str(dir_a))
+    run_sweep(cfg, snap, out_dir=str(dir_b))
     names_a = sorted(p.name for p in dir_a.iterdir())
     names_b = sorted(p.name for p in dir_b.iterdir())
     identical = names_a == names_b and all(

@@ -53,6 +53,19 @@ def workspace(tmp_path_factory):
     return {"root": root, "config": cfg_path, "snapshot": str(root / "runs" / "calibration.json")}
 
 
+def _edited_snapshot(workspace, path, edit) -> str:
+    """The workspace snapshot's document after ``edit``, saved at ``path``;
+    its weights_hash stays valid, since no weight changes."""
+    doc = json.loads(open(workspace["snapshot"]).read())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _other_thresholds(doc) -> None:
+    doc.update(tau_low=0.25, tau_high=0.6)
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
     assert "error" in capsys.readouterr().err
@@ -130,6 +143,11 @@ LATE_FAILING_CONFIGS = [
     {"grid": {"po_levels": [1.5]}},
     {"onset_t": -5},
     {"thresholds": {"tau_low": 0.5, "tau_high": 0.2}},
+    {"grid": {"po_levels": [0.0, 0.5, 0.5]}},
+    {"grid": {"delay_levels": [0, 1, 1]}},
+    {"grid": {"shift_levels": [None, None]}},
+    {"grid": {"seeds": [0, 0]}},
+    {"grid": {"po_levels": [0.0, -0.0, 0.5]}},
 ]
 
 
@@ -231,14 +249,29 @@ def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, capsys):
     assert main(["calibrate", "--config", str(other_cfg), "--out", foreign]) == 0
     wrong_env = str(tmp_path / "wrong_env.json")
     replace(CalibrationSnapshot.load(workspace["snapshot"]), env_id="DriftBot").save(wrong_env)
+    refusals = [
+        (foreign, "was calibrated for"),
+        (wrong_env, "was calibrated for"),
+        (
+            _edited_snapshot(workspace, tmp_path / "rate.json", lambda d: d["ensemble"]["settings"].update(learning_rate=0.9)),
+            "holds TrainSettings(hidden_width=64, epochs=5, learning_rate=0.9, batch_size=32), clip_c 5.0 and c_tau 0.3, not",
+        ),
+        (_edited_snapshot(workspace, tmp_path / "clip.json", lambda d: d.update(clip_c=9.0)), "clip_c 9.0 and c_tau 0.3, not"),
+        (_edited_snapshot(workspace, tmp_path / "c_tau.json", lambda d: d.update(c_tau=0.0)), "clip_c 5.0 and c_tau 0.0, not"),
+        (
+            _edited_snapshot(workspace, tmp_path / "width.json", lambda d: d["ensemble"]["settings"].update(hidden_width=7)),
+            "snapshot value ensemble.settings.hidden_width is 7, but the weights are 64 wide",
+        ),
+    ]
     capsys.readouterr()
-    for snap in (foreign, wrong_env):
+    for snap, message in refusals:
         run = ["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]
         assert main(run) == 1
-        assert "was calibrated for" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
         sweep = ["sweep", "--config", workspace["config"], "--snapshot", snap, "--out-dir", str(tmp_path / "s")]
         assert main(sweep) == 1
-        assert "was calibrated for" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "s").exists()
 
 
@@ -298,7 +331,7 @@ def test_run_monitor_trace_matches_sweep_cell(workspace, capsys):
     # `run` and `sweep` share one monitor-mode path, so a cell run on its
     # own writes exactly the bytes the sweep writes for that cell.
     sweep_dir = workspace["root"] / "sweep_monitor"
-    rc = main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir), "--no-resume"])
+    rc = main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir)])
     assert rc == 0
     out = workspace["root"] / "run_monitor.jsonl"
     rc = main(
@@ -362,6 +395,16 @@ def test_analyze_refuses_a_mixed_trace_directory(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(analyze) == 1
     assert "mix" in capsys.readouterr().err
+
+    # One cell re-run under a snapshot with other thresholds.
+    edited = _edited_snapshot(workspace, tmp_path / "edited.json", _other_thresholds)
+    assert main(["run", "--config", workspace["config"], "--snapshot", edited, "--po", "0.5", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(analyze) == 1
+    assert capsys.readouterr().err == (
+        f"error: trace file {trace_dir / 'trace_po0.5_delay1_shift-none_seed0.jsonl'} and trace file {out} "
+        "mix two runs: their headers differ in ['tau_high', 'tau_low']\n"
+    )
 
 
 def test_analyze_refuses_traces_from_another_config(workspace, tmp_path, capsys):
@@ -448,15 +491,34 @@ FOOTER_MUTANTS = [
     ("cell_id", "po0.5_delay1_shift-none_seed0"),
 ]
 
+# Header values of another run (snapshot, toolkit version, or a value of
+# another JSON type that compares equal in Python), or naming another cell.
+HEADER_MUTANTS = [
+    ("mu0", 0.5),
+    ("tau_low", 0.21),
+    ("toolkit_version", "0.0.0"),
+    ("format_version", True),
+    ("seed", 1.0),
+    ("cell_id", "po0_delay0_shift-none_seed1"),
+]
 
-@pytest.mark.parametrize("key, value", FOOTER_MUTANTS)
-def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, capsys, key, value):
+TRACE_MUTANTS = [("footer", *m) for m in FOOTER_MUTANTS] + [("header", *m) for m in HEADER_MUTANTS]
+
+
+@pytest.mark.parametrize(
+    "line, key, value",
+    TRACE_MUTANTS,
+    ids=[f"{key}-{value}" if line == "footer" else f"header-{key}-{value}" for line, key, value in TRACE_MUTANTS],
+)
+def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, capsys, line, key, value):
     cfg_path, fresh = two_seed_tree
     for name, data in fresh.items():
         (tmp_path / name).write_bytes(data)
     trace = tmp_path / "trace_po0.5_delay1_shift-none_seed1.jsonl"
-    footer = json.loads(fresh[trace.name].splitlines()[-1])
-    trace.write_bytes(_with_footer(fresh[trace.name], {**footer, key: value}))
+    lines = fresh[trace.name].splitlines(keepends=True)
+    at = 0 if line == "header" else -1
+    lines[at] = json.dumps({**json.loads(lines[at]), key: value}).encode() + b"\n"
+    trace.write_bytes(b"".join(lines))
 
     capsys.readouterr()
     assert main(["analyze", "--config", cfg_path, "--trace-dir", str(tmp_path)]) == 1
@@ -466,6 +528,34 @@ def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, 
     assert main(["sweep", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
+
+
+@pytest.mark.parametrize("change", ["thresholds", "toolkit_version"])
+def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monkeypatch, capsys, change):
+    extra = []
+
+    def sweep(out_dir) -> int:
+        return main(["sweep", "--config", workspace["config"], "--out-dir", str(out_dir), *extra])
+
+    assert sweep(tmp_path / "resumed") == 0
+    if change == "thresholds":
+        extra = ["--snapshot", _edited_snapshot(workspace, tmp_path / "edited.json", _other_thresholds)]
+    else:
+        monkeypatch.setattr(rollout, "TOOLKIT_VERSION", "0.0.0")
+    simulated = []
+    run_condition = rollout.run_condition
+
+    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
+        simulated.append(condition.cell_id(seed))
+        return run_condition(config, snapshot, condition, seed, **kwargs)
+
+    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
+    assert sweep(tmp_path / "resumed") == 0
+    assert len(simulated) == 4
+    assert sweep(tmp_path / "fresh") == 0
+    capsys.readouterr()
+    resumed, fresh = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("resumed", "fresh"))
+    assert len(resumed) == 8 and resumed == fresh
 
 
 LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit

@@ -13,7 +13,7 @@ from compound_uq.config import (
     config_from_dict,
     load_config,
 )
-from compound_uq.errors import InputError, ParameterError
+from compound_uq.errors import InputError
 
 
 def test_defaults():
@@ -97,11 +97,11 @@ def test_shift_level_shapes():
 
 def test_shift_levels_validated_against_env():
     # stiffness is a MassSpring1D parameter, not a DriftBot one.
-    with pytest.raises(ParameterError, match="DriftBot has no dynamics parameter 'stiffness'"):
+    with pytest.raises(InputError, match="DriftBot has no dynamics parameter 'stiffness'"):
         config_from_dict({"env_id": "DriftBot", "grid": {"shift_levels": [["stiffness", 3.0]]}})
-    with pytest.raises(ParameterError, match="MassSpring1D has no dynamics parameter 'gain_left'"):
+    with pytest.raises(InputError, match="MassSpring1D has no dynamics parameter 'gain_left'"):
         config_from_dict({"env_id": "MassSpring1D", "grid": {"shift_levels": [None, ["gain_left", 0.5]]}})
-    with pytest.raises(ParameterError, match=r"gain_left=1.5 outside bounds \[0.0, 1.0\]"):
+    with pytest.raises(InputError, match=r"gain_left=1.5 outside bounds \[0.0, 1.0\]"):
         config_from_dict({"grid": {"shift_levels": [None, ["gain_left", 1.5]]}})
     with pytest.raises(InputError, match="unknown env_id 'Rover'"):
         config_from_dict({"env_id": "Rover", "grid": {"shift_levels": [None, ["mass", 2.0]]}})

@@ -12,7 +12,7 @@ from compound_uq.envs import (
     MassSpring1D,
     env_class,
 )
-from compound_uq.errors import InputError, LifecycleError, ParameterError
+from compound_uq.errors import InputError, LifecycleError
 
 
 def test_env_class_rejects_unknown_id():
@@ -107,11 +107,11 @@ def test_action_entries_must_lie_in_the_closed_box(env_id):
 
 
 def test_parameter_bounds_enforced():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         DriftBot(seed=0, params={"gain_left": 1.5})
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         DriftBot(seed=0, params={"wheel_size": 1.0})
-    with pytest.raises(ParameterError):
+    with pytest.raises(InputError):
         MassSpring1D(seed=0, params={"mass": 0.0})
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from compound_uq.config import ExperimentConfig
 from compound_uq.envs import DriftBot, MassSpring1D
-from compound_uq.errors import InputError, SpecError
+from compound_uq.errors import InputError
 from compound_uq.perturb import (
     ActionDelayer,
     ConditionSpec,
@@ -43,7 +43,7 @@ def test_apply_mask_zeroes_dims_from_onset():
     np.testing.assert_array_equal(obs, np.ones(4))
 
     for dims in ((4,), (0, -1)):
-        with pytest.raises(SpecError):
+        with pytest.raises(InputError):
             apply_mask(obs, dims, active=True)
 
 
@@ -112,13 +112,13 @@ def test_default_matrix_is_120_cells():
 
 
 def test_condition_spec_validation():
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         ConditionSpec(po_fraction=1.5)
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         ConditionSpec(delay_steps=-1)
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         ConditionSpec(shift=("mass", float("inf")))
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         condition_matrix([], [0], [None], [0])
 
 

@@ -511,7 +511,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
         return run_condition(config, snapshot, condition, seed, **kwargs)
 
     monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
-    resumed = run_sweep(cfg, snap, out_dir=str(tmp_path), resume=True)
+    resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
     assert cell in simulated
     header, _, footer = read_trace(str(path))
     assert header["policy_mode"] == "monitor"
@@ -603,13 +603,13 @@ def test_run_sweep_in_memory(cfg_ms, snap_ms):
 
 def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
     out_dir = str(tmp_path / "runs")
-    first = run_sweep(cfg_ms, snap_ms, out_dir=out_dir, resume=True)
+    first = run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
     trace_files = sorted(p for p in (tmp_path / "runs").iterdir() if p.name.startswith("trace_"))
     assert len(trace_files) == 4
     before = {p.name: p.read_bytes() for p in trace_files}
     summary_before = (tmp_path / "runs" / "sweep_summary.json").read_bytes()
 
-    second = run_sweep(cfg_ms, snap_ms, out_dir=out_dir, resume=True)
+    second = run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
     assert second.cell_summaries == first.cell_summaries
     for p in trace_files:
         assert p.read_bytes() == before[p.name]
@@ -621,6 +621,6 @@ def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
     header = json.loads(lines[0])
     header["config_hash"] = "0" * 16
     victim.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
-    run_sweep(cfg_ms, snap_ms, out_dir=out_dir, resume=True)
+    run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
     healed, _, _ = read_trace(str(victim))
     assert healed["config_hash"] == cfg_ms.config_hash()

@@ -129,6 +129,10 @@ def _set(*path, value):
         (lambda d: dict(d, mu0="0.5"), "snapshot value mu0 must be a finite number, got '0.5'"),
         (lambda d: dict(d, env_id=None), "snapshot value env_id must be a string"),
         (_set("ensemble", "settings", "epochs", value=1.5), "snapshot value ensemble.settings.epochs must be an integer"),
+        (
+            _set("ensemble", "settings", "hidden_width", value=7),
+            "snapshot value ensemble.settings.hidden_width is 7, but the weights are 1 wide",
+        ),
     ],
 )
 def test_malformed_documents_are_input_errors(snap, edit, message):
