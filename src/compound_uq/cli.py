@@ -79,21 +79,6 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _load_snapshot(cfg: ExperimentConfig, override: str | None) -> CalibrationSnapshot:
-    """Load the snapshot; refuse one calibrated for another config, or whose copies of
-    the config's training settings, ``clip_c`` or ``c_tau`` are not the config's."""
-    path = _snapshot_path(cfg, override)
-    snap = CalibrationSnapshot.load(path)
-    if (snap.env_id, snap.config_hash) != (cfg.env_id, cfg.config_hash()):
-        raise InputError(f"snapshot {path} was calibrated for {snap.env_id} {snap.config_hash}, not this config")
-    if (snap.ensemble.settings, snap.clip_c, snap.c_tau) != (cfg.train, cfg.clip_c, cfg.c_tau):
-        raise InputError(
-            f"snapshot {path} holds {snap.ensemble.settings}, clip_c {snap.clip_c} and c_tau {snap.c_tau}, "
-            f"not this config's {cfg.train}, clip_c {cfg.clip_c} and c_tau {cfg.c_tau}"
-        )
-    return snap
-
-
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = calibrate(cfg)
@@ -130,7 +115,7 @@ def cmd_run(args) -> int:
     shift = _parse_shift(args.shift)
     if shift is not None:
         env_class(cfg.env_id).check_param(*shift)
-    snapshot = _load_snapshot(cfg, args.snapshot)
+    snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot), cfg)
     condition = ConditionSpec(po_fraction=args.po, delay_steps=args.delay, shift=shift, onset_t=cfg.onset_t)
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
     out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
@@ -162,7 +147,7 @@ def _print_mean_losses(records) -> None:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
-    snapshot = _load_snapshot(cfg, args.snapshot)
+    snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot), cfg)
     out_dir = args.out_dir or os.path.join(cfg.output_dir, "sweep")
     outcome = run_sweep(cfg, snapshot, out_dir=out_dir, policy_mode=args.policy_mode)
     print(f"cells={len(outcome.cell_summaries)} records={len(outcome.records)}")

@@ -27,12 +27,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CalibrationError, InputError, LifecycleError
-from .parsing import parse_fields, parse_key
+from .parsing import parse_key
 
 MIN_CALIBRATION_ROWS = 50
 STD_FLOOR = 1e-6
@@ -116,7 +116,6 @@ class Ensemble:
     b2: np.ndarray  # (M, out_dim)
     x_norm: _Normalizer
     y_norm: _Normalizer
-    settings: TrainSettings
     seed: int
     frozen: bool = False
     _adapt_rng: np.random.Generator | None = field(default=None, repr=False)
@@ -165,7 +164,6 @@ class Ensemble:
             b2=self.b2.copy(),
             x_norm=_Normalizer(self.x_norm.mean.copy(), self.x_norm.std.copy()),
             y_norm=_Normalizer(self.y_norm.mean.copy(), self.y_norm.std.copy()),
-            settings=self.settings,
             seed=self.seed,
             frozen=False,
         )
@@ -177,11 +175,10 @@ class Ensemble:
         return {
             "m_members": self.m_members,
             "in_dim": self.in_dim,
-            "hidden_width": self.settings.hidden_width,
+            "hidden_width": self.w1.shape[2],
             "out_dim": self.out_dim,
             "seed": self.seed,
             "frozen": self.frozen,
-            "settings": asdict(self.settings),
             "w1": enc(self.w1),
             "b1": enc(self.b1),
             "w2": enc(self.w2),
@@ -204,9 +201,6 @@ class Ensemble:
                 raise InputError(f"snapshot value ensemble.{key} holds {len(flat)} numbers, which do not fill shape {shape}")
             return np.array(flat).reshape(shape)
 
-        settings = parse_fields(TrainSettings, d.get("settings"), "snapshot", "ensemble.settings.")
-        if settings.hidden_width != h:
-            raise InputError(f"snapshot value ensemble.settings.hidden_width is {settings.hidden_width}, but the weights are {h} wide")
         return cls(
             w1=dec("w1", (m, i, h)),
             b1=dec("b1", (m, h)),
@@ -214,7 +208,6 @@ class Ensemble:
             b2=dec("b2", (m, o)),
             x_norm=_Normalizer(dec("x_mean", (i,)), dec("x_std", (i,))),
             y_norm=_Normalizer(dec("y_mean", (o,)), dec("y_std", (o,))),
-            settings=settings,
             seed=get("seed", "int"),
             frozen=get("frozen", "bool"),
         )
@@ -332,7 +325,7 @@ def bootstrap_train(x: np.ndarray, y: np.ndarray, m_members: int, seed: int, set
         for e in range(settings.epochs):
             perms[m, e] = rng.permutation(n)
 
-    ens = Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm, settings=settings, seed=seed)
+    ens = Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm, seed=seed)
     _sgd_epochs(ens, xn_full[resamples], yn_full[resamples], perms, settings.learning_rate, settings.batch_size)
     return ens
 
@@ -356,8 +349,9 @@ def calibrate_noise_floor(ensemble: Ensemble, x: np.ndarray, y: np.ndarray) -> t
     return mu0, sigma0
 
 
-def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, epochs: int = 1) -> None:
-    """A few in-place SGD epochs on fresh rows; refuses frozen ensembles."""
+def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, settings: TrainSettings, epochs: int = 1) -> None:
+    """A few in-place SGD epochs on fresh rows, at the step size and batch size of
+    ``settings`` (the ones the ensemble was trained with); refuses frozen ensembles."""
     if ensemble.frozen:
         raise LifecycleError("adaptive_update on a frozen ensemble; use clone_unfrozen() first")
     xb = np.atleast_2d(np.asarray(x, dtype=float))
@@ -374,4 +368,4 @@ def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, epochs: in
     perms = np.array([rng.permutation(n) for _ in range(m * epochs)], dtype=np.int64).reshape(m, epochs, n)
     xn = np.broadcast_to(ensemble.x_norm.encode(xb), (m, n, ensemble.in_dim))
     yn = np.broadcast_to(ensemble.y_norm.encode(yb), (m, n, ensemble.out_dim))
-    _sgd_epochs(ensemble, xn, yn, perms, ensemble.settings.learning_rate, ensemble.settings.batch_size)
+    _sgd_epochs(ensemble, xn, yn, perms, settings.learning_rate, settings.batch_size)

@@ -307,8 +307,8 @@ def run_condition(
             po=po_active if active else 0.0,
             delay_steps=condition.delay_steps if active else 0,
             thresholds=thresholds,
-            clip_c=snapshot.clip_c,
-            c_tau=snapshot.c_tau,
+            clip_c=config.clip_c,
+            c_tau=config.c_tau,
         )
         steps.append(StepRecord(comp, choice, visible, visible_next, executed, float(tr.reward), float(tr.risk)))
 
@@ -320,7 +320,7 @@ def run_condition(
                 idx = anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
                 x_up = np.concatenate([np.stack(recent_x), anchor_x[idx]])
                 y_up = np.concatenate([np.stack(recent_y), anchor_y[idx]])
-                adaptive_update(adaptive, x_up, y_up, epochs=config.adaptive.epochs)
+                adaptive_update(adaptive, x_up, y_up, config.train, epochs=config.adaptive.epochs)
 
         kappa_prev = comp.kappa
         visible = visible_next
@@ -403,13 +403,10 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
     provisional = CalibrationSnapshot(
         config_hash=config.config_hash(),
         env_id=config.env_id,
-        seed=config.calibration_seed,
         mu0=mu0,
         sigma0=sigma0,
         thresholds=DEFAULT_THRESHOLDS,
         ensemble=ensemble,
-        clip_c=config.clip_c,
-        c_tau=config.c_tau,
     )
 
     if config.thresholds.tau_low is not None:
@@ -470,18 +467,17 @@ def _step_line(rec: StepRecord) -> dict:
 CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
 
 
-def trace_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, condition: ConditionSpec, seed: int, policy_mode: str) -> dict:
-    """The header line of a cell's trace, naming the cell (``CELL_KEYS``) and the run
-    that simulates it. A trace belongs to a run exactly when its header is this one."""
+def run_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, policy_mode: str) -> dict:
+    """The keys of a trace header that name the run, all but ``CELL_KEYS``. Refuses a
+    snapshot not calibrated for ``config`` (``CalibrationSnapshot.check_config``), so
+    no trace is written or reused under a pair that does not belong together."""
+    snapshot.check_config(config, "snapshot")
     return {
         "kind": "header",
         "format_version": 1,
         "toolkit_version": TOOLKIT_VERSION,
-        "config_hash": config.config_hash(),
-        "env_id": config.env_id,
-        "cell_id": condition.cell_id(seed),
-        "seed": seed,
-        "condition": condition.to_dict(),
+        "config_hash": snapshot.config_hash,  # the config's, as checked
+        "env_id": snapshot.env_id,
         "policy_mode": policy_mode,
         "mu0": snapshot.mu0,
         "sigma0": snapshot.sigma0,
@@ -490,9 +486,15 @@ def trace_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, condit
     }
 
 
+def trace_header(run: dict, condition: ConditionSpec, seed: int) -> dict:
+    """The header line of a cell's trace: the ``run_header`` keys and the cell's
+    (``CELL_KEYS``). A trace belongs to a run exactly when its header is this one."""
+    return {**run, "cell_id": condition.cell_id(seed), "seed": seed, "condition": condition.to_dict()}
+
+
 def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapshot, result: RolloutResult) -> None:
     """One JSONL file: ``trace_header``, one line per step, and the summary as footer."""
-    header = trace_header(config, snapshot, result.condition, result.seed, result.policy_mode)
+    header = trace_header(run_header(config, snapshot, result.policy_mode), result.condition, result.seed)
     footer = {"kind": "footer", **result.summary()}
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(_step_line(s), sort_keys=True) for s in result.steps)
@@ -601,12 +603,15 @@ def run_sweep(
     Thresholds are calibrated under the task policy, so monitor mode is
     also the behavior the calibration transfers to directly.
 
-    With ``out_dir`` set, each cell writes one JSONL trace plus summary
-    CSV/JSON artifacts at the end. A cell whose trace is already there
-    reuses it only when the trace reads back whole and its header encodes
-    as ``trace_header`` gives for this config, snapshot, cell and policy
-    mode; any other cell runs again and overwrites its trace.
+    A snapshot not calibrated for ``config`` is refused before any cell
+    runs (see ``run_header``). With ``out_dir`` set, each cell writes one
+    JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
+    trace is already there reuses it only when the trace reads back whole
+    and its header encodes as ``trace_header`` gives for this run's
+    ``run_header`` and the cell; any other cell runs again and overwrites
+    its trace.
     """
+    run = run_header(config, snapshot, policy_mode)
     cells = condition_matrix(
         config.grid.po_levels,
         config.grid.delay_levels,
@@ -627,7 +632,7 @@ def run_sweep(
             except InputError:
                 header = None  # missing or unreadable: simulate the cell again
             if header is not None and json.dumps(header, sort_keys=True) == json.dumps(
-                trace_header(config, snapshot, cond, seed, policy_mode), sort_keys=True
+                trace_header(run, cond, seed), sort_keys=True
             ):
                 footer.pop("kind")
                 return footer
@@ -670,7 +675,7 @@ def run_sweep(
         sweep_doc = {
             "format_version": 1,
             "toolkit_version": TOOLKIT_VERSION,
-            "config_hash": config.config_hash(),
+            "config_hash": run["config_hash"],
             "policy_mode": policy_mode,
             "kappa_by_label": kappa_by_label,
             "total_violations": 0,  # see RolloutResult.summary

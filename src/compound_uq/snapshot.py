@@ -1,9 +1,10 @@
 """Calibration snapshots: frozen ensemble, noise floor, thresholds.
 
-A snapshot is the single artifact a run needs besides its config: the
-frozen ensemble weights, the noise floor (mu0, sigma0), the calibrated
-regime thresholds, and reproducibility metadata (config hash, seed,
-toolkit version, weights hash).
+A snapshot holds what calibration measured: the frozen ensemble, the
+noise floor (mu0, sigma0) and the regime thresholds, with the env id,
+config hash, toolkit version and weights hash that identify it. It copies
+no config value: a run reads ``clip_c``, ``c_tau`` and the training
+settings from its config, and ``check_config`` binds the two.
 
 Serialization is canonical JSON (sorted keys, shortest round-trip float
 repr), so equal calibrations produce byte-identical files, and loading a
@@ -25,7 +26,7 @@ from .kappa import Thresholds
 from .parsing import parse_fields, parse_key
 from .version import TOOLKIT_VERSION
 
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -59,13 +60,10 @@ def open_input(path: str, what: str):
 class CalibrationSnapshot:
     config_hash: str
     env_id: str
-    seed: int
     mu0: float
     sigma0: float
     thresholds: Thresholds
     ensemble: Ensemble
-    clip_c: float
-    c_tau: float
 
     def to_dict(self) -> dict:
         return {
@@ -73,16 +71,24 @@ class CalibrationSnapshot:
             "toolkit_version": TOOLKIT_VERSION,
             "config_hash": self.config_hash,
             "env_id": self.env_id,
-            "seed": self.seed,
             "mu0": float(self.mu0),
             "sigma0": float(self.sigma0),
             "tau_low": float(self.thresholds.tau_low),
             "tau_high": float(self.thresholds.tau_high),
-            "clip_c": float(self.clip_c),
-            "c_tau": float(self.c_tau),
             "weights_hash": self.ensemble.weights_hash(),
             "ensemble": self.ensemble.to_dict(),
         }
+
+    def check_config(self, config, what: str) -> None:
+        """Refuse ``config`` unless this snapshot was calibrated for it: its env id and
+        config hash, and its ``thresholds`` overrides if set. ``what`` names the snapshot."""
+        if (self.env_id, self.config_hash) != (config.env_id, config.config_hash()):
+            raise InputError(f"{what} was calibrated for {self.env_id} {self.config_hash}, not this config")
+        held, given = self.thresholds, config.thresholds
+        if given.tau_low is not None and (given.tau_low, given.tau_high) != (held.tau_low, held.tau_high):
+            raise InputError(
+                f"{what} holds thresholds {held.tau_low}, {held.tau_high}, not this config's overrides {given.tau_low}, {given.tau_high}"
+            )
 
     def save(self, path: str) -> None:
         atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
@@ -91,7 +97,7 @@ class CalibrationSnapshot:
     def from_dict(cls, d) -> "CalibrationSnapshot":
         """The snapshot ``d`` describes; its ensemble must be frozen and match ``weights_hash``."""
         if parse_key(d, "format_version", "int", "snapshot") != SNAPSHOT_FORMAT_VERSION:
-            raise InputError(f"unsupported snapshot format_version {d['format_version']!r}")
+            raise InputError(f"unsupported snapshot format_version {d['format_version']!r}; calibrate again")
         thresholds = parse_fields(Thresholds, d, "snapshot")
         snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
         if snapshot.ensemble.weights_hash() != d.get("weights_hash"):
@@ -101,7 +107,10 @@ class CalibrationSnapshot:
         return snapshot
 
     @classmethod
-    def load(cls, path: str) -> "CalibrationSnapshot":
+    def load(cls, path: str, config) -> "CalibrationSnapshot":
+        """The snapshot at ``path``, refused unless it was calibrated for ``config``; see ``check_config``."""
         with open_input(path, "snapshot") as fh:
             d = json.load(fh)
-        return cls.from_dict(d)
+        snapshot = cls.from_dict(d)
+        snapshot.check_config(config, f"snapshot {path}")
+        return snapshot

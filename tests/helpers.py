@@ -45,12 +45,6 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
             "out_dim": out_dim,
             "seed": 0,
             "frozen": bool(frozen),
-            "settings": {
-                "hidden_width": hidden,
-                "epochs": 1,
-                "learning_rate": 0.01,
-                "batch_size": 8,
-            },
             "w1": [0.0] * (m * in_dim * hidden),
             "b1": [0.0] * (m * hidden),
             "w2": [0.0] * (m * hidden * out_dim),

@@ -20,7 +20,7 @@ from compound_uq.config import config_from_dict
 from compound_uq.ensemble import acc_feature
 from compound_uq.kappa import Regime, classify_regime, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
-from compound_uq.rollout import RISK_TOL, calibrate, run_condition, run_sweep
+from compound_uq.rollout import RISK_TOL, calibrate, read_trace, run_condition, run_sweep
 
 EXACT = 1e-12
 BOUND_TOL = 1e-9
@@ -296,8 +296,7 @@ def test_probing_speeds_dynamics_identification(driftbot, capsys):
     assert ok
 
 
-def test_sweep_byte_determinism(driftbot, tmp_path_factory, capsys):
-    _, snap = driftbot
+def test_sweep_byte_determinism(tmp_path_factory, capsys):
     cfg = config_from_dict(
         {
             "env_id": "DriftBot",
@@ -307,6 +306,7 @@ def test_sweep_byte_determinism(driftbot, tmp_path_factory, capsys):
             "ensemble": {"t_pre": 300, "m_members": 5},
         }
     )
+    snap = calibrate(cfg)  # a snapshot binds one config; the acceptance snapshot's grid differs
     dir_a = tmp_path_factory.mktemp("det_a")
     dir_b = tmp_path_factory.mktemp("det_b")
     run_sweep(cfg, snap, out_dir=str(dir_a))
@@ -322,5 +322,35 @@ def test_sweep_byte_determinism(driftbot, tmp_path_factory, capsys):
         10,
         ok,
         f"4-cell sweep run twice: {len(names_a)} output files byte-identical={identical}",
+    )
+    assert ok
+
+
+def test_learned_deficit_rises_under_a_shift_alone(driftbot, driftbot_sweep, capsys):
+    # sigma_theta is the only part of kappa that the model's error sets. With no
+    # masking and no delay, a gain fault must raise it above the clean cell's.
+    cfg, _ = driftbot
+    _, _, trace_dir = driftbot_sweep
+    mean_by_cell, at_clip = {}, {}
+    for path in sorted(trace_dir.glob("trace_*.jsonl")):
+        _, steps, footer = read_trace(str(path))
+        post = [s["sigma_theta"] for s in steps if s["t"] >= cfg.onset_t]
+        cond = ConditionSpec.from_dict(footer["condition"])
+        mean_by_cell[cond.po_fraction, cond.delay_steps, cond.shift, footer["seed"]] = float(np.mean(post))
+        counts = at_clip.setdefault(footer["label"], [0, 0])
+        counts[0] += sum(v == 1.0 for v in post)
+        counts[1] += len(post)
+    shift = next(s for s in cfg.grid.shift_levels if s is not None)
+    shifted = [mean_by_cell[0.0, 0, shift, seed] for seed in cfg.grid.seeds]
+    clean = [mean_by_cell[0.0, 0, None, seed] for seed in cfg.grid.seeds]
+    wins = sum(a > b for a, b in zip(shifted, clean))
+    ok = wins >= 9 and len(cfg.grid.seeds) >= 10
+    clip = ", ".join(f"{label} {n / total:.1%}" for label, (n, total) in sorted(at_clip.items()))
+    _report(
+        capsys,
+        11,
+        ok,
+        f"shift-only post-onset sigma_theta mean exceeds the clean cell's in {wins}/{len(clean)} seeds (need >=9): "
+        f"{min(shifted):.4f}-{max(shifted):.4f} against <= {max(clean):.4f}; post-onset steps at the clip: {clip}",
     )
     assert ok

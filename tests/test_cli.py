@@ -18,9 +18,10 @@ import pytest
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
 from compound_uq.cli import main
-from compound_uq.config import config_from_dict, load_config
+from compound_uq.config import ExperimentConfig, config_from_dict, load_config
 from compound_uq.ensemble import acc_feature
 from compound_uq.errors import InputError
+from compound_uq.kappa import Thresholds, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
 from compound_uq.rollout import read_trace
 from compound_uq.snapshot import CalibrationSnapshot
@@ -50,7 +51,8 @@ def workspace(tmp_path_factory):
         json.dump(cfg, fh)
     rc = main(["calibrate", "--config", cfg_path])
     assert rc == 0
-    return {"root": root, "config": cfg_path, "snapshot": str(root / "runs" / "calibration.json")}
+    snapshot = str(root / "runs" / "calibration.json")
+    return {"root": root, "config": cfg_path, "cfg": load_config(cfg_path), "snapshot": snapshot}
 
 
 def _edited_snapshot(workspace, path, edit) -> str:
@@ -64,6 +66,10 @@ def _edited_snapshot(workspace, path, edit) -> str:
 
 def _other_thresholds(doc) -> None:
     doc.update(tau_low=0.25, tau_high=0.6)
+
+
+def _other_mu0(doc) -> None:
+    doc.update(mu0=2.0 * doc["mu0"])  # a run key of the trace header, not covered by weights_hash
 
 
 def test_no_command_is_usage_error(capsys):
@@ -84,7 +90,7 @@ def test_version_flag_exits_zero(capsys):
 
 
 def test_calibrate_writes_a_loadable_snapshot(workspace, capsys):
-    snap = CalibrationSnapshot.load(workspace["snapshot"])
+    snap = CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"])
     assert snap.env_id == "MassSpring1D"
     assert snap.thresholds.tau_low == 0.2 and snap.thresholds.tau_high == 0.5
     assert snap.ensemble.frozen
@@ -228,7 +234,7 @@ def test_adaptive_commands_skip_online_adaptation(workspace, monkeypatch, capsys
 
 
 def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
-    snapshot = CalibrationSnapshot.load(workspace["snapshot"])
+    snapshot = CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"])
     for mode in ("monitor", "adaptive"):
         out = str(workspace["root"] / f"trace_mse_{mode}.jsonl")
         argv = ["run", "--config", workspace["config"], "--policy-mode", mode, "--po", "0.5", "--delay", "1"]
@@ -241,38 +247,62 @@ def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
     capsys.readouterr()
 
 
-def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, capsys):
+def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, monkeypatch, capsys):
     other = dict(TINY, horizon=50, output_dir=str(tmp_path))
     other_cfg = tmp_path / "other.json"
     other_cfg.write_text(json.dumps(other))
     foreign = str(tmp_path / "foreign.json")
     assert main(["calibrate", "--config", str(other_cfg), "--out", foreign]) == 0
     wrong_env = str(tmp_path / "wrong_env.json")
-    replace(CalibrationSnapshot.load(workspace["snapshot"]), env_id="DriftBot").save(wrong_env)
+    replace(CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"]), env_id="DriftBot").save(wrong_env)
     refusals = [
         (foreign, "was calibrated for"),
         (wrong_env, "was calibrated for"),
+        # TINY overrides the thresholds with 0.2 and 0.5
         (
-            _edited_snapshot(workspace, tmp_path / "rate.json", lambda d: d["ensemble"]["settings"].update(learning_rate=0.9)),
-            "holds TrainSettings(hidden_width=64, epochs=5, learning_rate=0.9, batch_size=32), clip_c 5.0 and c_tau 0.3, not",
-        ),
-        (_edited_snapshot(workspace, tmp_path / "clip.json", lambda d: d.update(clip_c=9.0)), "clip_c 9.0 and c_tau 0.3, not"),
-        (_edited_snapshot(workspace, tmp_path / "c_tau.json", lambda d: d.update(c_tau=0.0)), "clip_c 5.0 and c_tau 0.0, not"),
-        (
-            _edited_snapshot(workspace, tmp_path / "width.json", lambda d: d["ensemble"]["settings"].update(hidden_width=7)),
-            "snapshot value ensemble.settings.hidden_width is 7, but the weights are 64 wide",
+            _edited_snapshot(workspace, tmp_path / "thresholds.json", _other_thresholds),
+            "holds thresholds 0.25, 0.6, not this config's overrides 0.2, 0.5",
         ),
     ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was simulated under a refused snapshot")
+
+    monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
+    monkeypatch.setattr(rollout, "run_condition", refuse)
     capsys.readouterr()
     for snap, message in refusals:
         run = ["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]
         assert main(run) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: snapshot {snap} ") and message in err and len(err.splitlines()) == 1
         sweep = ["sweep", "--config", workspace["config"], "--snapshot", snap, "--out-dir", str(tmp_path / "s")]
         assert main(sweep) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: snapshot {snap} ") and message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "s").exists()
+
+
+def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
+    # The snapshot holds none of the three, so a run can only take them from
+    # the config it is given: here one that differs from the calibration's.
+    cfg, snapshot = workspace["cfg"], CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"])
+    cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=cfg.onset_t)
+    other = replace(cfg, clip_c=2.5, c_tau=0.7)
+    for config in (cfg, other):
+        res = rollout.run_condition(config, snapshot, cond, 0)
+        for c in res.kappas:
+            active = c.t >= cond.onset_t
+            assert c.sigma_theta == sigma_theta(c.mse, snapshot.mu0, snapshot.sigma0, clip_c=config.clip_c)
+            assert c.sigma_s == sigma_s(0.5 if active else 0.0, 1 if active else 0, c_tau=config.c_tau)
+    assert max(c.sigma_theta for c in res.kappas) == 1.0  # the clip is reached, so clip_c matters
+
+    # online updates step at the config's learning rate: at 0 the clone does not move
+    frozen_hash = snapshot.ensemble.weights_hash()
+    for rate, moves in ((0.0, False), (cfg.train.learning_rate, True)):
+        config = replace(cfg, train=replace(cfg.train, learning_rate=rate))
+        adapted = rollout.run_condition(config, snapshot, cond, 0, adaptive_enabled=True).adaptive_ensemble
+        assert (adapted.weights_hash() != frozen_hash) == moves
 
 
 def test_run_rejects_bad_shift(workspace, capsys):
@@ -396,14 +426,14 @@ def test_analyze_refuses_a_mixed_trace_directory(workspace, tmp_path, capsys):
     assert main(analyze) == 1
     assert "mix" in capsys.readouterr().err
 
-    # One cell re-run under a snapshot with other thresholds.
-    edited = _edited_snapshot(workspace, tmp_path / "edited.json", _other_thresholds)
+    # One cell re-run under a snapshot with another noise floor.
+    edited = _edited_snapshot(workspace, tmp_path / "edited.json", _other_mu0)
     assert main(["run", "--config", workspace["config"], "--snapshot", edited, "--po", "0.5", "--out", out]) == 0
     capsys.readouterr()
     assert main(analyze) == 1
     assert capsys.readouterr().err == (
         f"error: trace file {trace_dir / 'trace_po0.5_delay1_shift-none_seed0.jsonl'} and trace file {out} "
-        "mix two runs: their headers differ in ['tau_high', 'tau_low']\n"
+        "mix two runs: their headers differ in ['mu0']\n"
     )
 
 
@@ -432,7 +462,7 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     assert main(["analyze", *cfg, "--trace-dir", sweep_dir, "--out", str(report)]) == 0
     assert main(["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(bounds)]) == 0
     capsys.readouterr()
-    assert CalibrationSnapshot.load(str(snap)).env_id == "MassSpring1D"
+    assert CalibrationSnapshot.load(str(snap), workspace["cfg"]).env_id == "MassSpring1D"
     assert len(read_trace(str(trace))[1]) == TINY["horizon"]
     assert json.loads(report.read_text())["n_configs"] == 1
     # csv rows end in \r\n, as csv.writer writes them.
@@ -530,7 +560,7 @@ def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, 
     assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
 
 
-@pytest.mark.parametrize("change", ["thresholds", "toolkit_version"])
+@pytest.mark.parametrize("change", ["mu0", "toolkit_version"])
 def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monkeypatch, capsys, change):
     extra = []
 
@@ -538,8 +568,8 @@ def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monke
         return main(["sweep", "--config", workspace["config"], "--out-dir", str(out_dir), *extra])
 
     assert sweep(tmp_path / "resumed") == 0
-    if change == "thresholds":
-        extra = ["--snapshot", _edited_snapshot(workspace, tmp_path / "edited.json", _other_thresholds)]
+    if change == "mu0":
+        extra = ["--snapshot", _edited_snapshot(workspace, tmp_path / "edited.json", _other_mu0)]
     else:
         monkeypatch.setattr(rollout, "TOOLKIT_VERSION", "0.0.0")
     simulated = []
@@ -556,6 +586,46 @@ def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monke
     capsys.readouterr()
     resumed, fresh = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("resumed", "fresh"))
     assert len(resumed) == 8 and resumed == fresh
+
+
+def test_run_sweep_refuses_a_snapshot_of_another_config_before_any_cell(workspace, tmp_path, monkeypatch):
+    cfg_a = workspace["cfg"]
+    snapshot = rollout.calibrate(cfg_a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran under a snapshot of another config")
+
+    monkeypatch.setattr(rollout, "run_condition", refuse)
+    cases = [
+        (config_from_dict(dict(TINY, horizon=50)), snapshot, "was calibrated for MassSpring1D"),
+        (cfg_a, replace(snapshot, thresholds=Thresholds(tau_low=0.25, tau_high=0.6)), "holds thresholds 0.25, 0.6"),
+    ]
+    for config, snap, message in cases:
+        for out_dir in (None, str(tmp_path / "sweep")):
+            with pytest.raises(InputError, match=f"^snapshot {message}"):
+                rollout.run_sweep(config, snap, out_dir=out_dir)
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_a_resumed_sweep_hashes_its_config_once(workspace, tmp_path, monkeypatch):
+    cfg = workspace["cfg"]
+    snapshot = CalibrationSnapshot.load(workspace["snapshot"], cfg)
+    out_dir = str(tmp_path / "sweep")
+    rollout.run_sweep(cfg, snapshot, out_dir=out_dir)
+    calls = []
+    config_hash = ExperimentConfig.config_hash
+
+    def counting_config_hash(self):
+        calls.append(self)
+        return config_hash(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complete trace was simulated again")
+
+    monkeypatch.setattr(ExperimentConfig, "config_hash", counting_config_hash)
+    monkeypatch.setattr(rollout, "run_condition", refuse)
+    outcome = rollout.run_sweep(cfg, snapshot, out_dir=out_dir)
+    assert len(outcome.cell_summaries) == 4 and len(calls) == 1
 
 
 LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit
@@ -579,7 +649,7 @@ def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
     }
     for path, text in bad.values():
         path.write_text(text)
-    loaders = {"config": load_config, "snapshot": CalibrationSnapshot.load, "trace": read_trace}
+    loaders = {"config": load_config, "snapshot": lambda path: CalibrationSnapshot.load(path, workspace["cfg"]), "trace": read_trace}
     for what, (path, _) in bad.items():
         with pytest.raises(InputError, match=f"^{what} file {path} is not valid JSON: Exceeds the limit"):
             loaders[what](str(path))
@@ -655,8 +725,8 @@ def test_sweep_and_analyze_print_the_mean_losses(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg_path), "--trace-dir", str(trace_dir)]) == 0
     printed_by_analyze = _mean_loss_line(capsys.readouterr().out)
 
-    snapshot = CalibrationSnapshot.load(str(tmp_path / "calibration.json"))
-    outcome = rollout.run_sweep(load_config(str(cfg_path)), snapshot, out_dir=str(trace_dir))
+    cfg = load_config(str(cfg_path))
+    outcome = rollout.run_sweep(cfg, CalibrationSnapshot.load(str(tmp_path / "calibration.json"), cfg), out_dir=str(trace_dir))
     kept = [r for r in outcome.records if not r.baseline_degenerate]
     assert len(kept) == 3
     po, theta, compound = (float(np.mean([getattr(r, f) for r in kept])) for f in ("delta_po", "delta_theta", "delta_compound"))

@@ -147,17 +147,18 @@ def test_bootstrap_train_input_validation():
 
 def test_adaptive_update_refuses_frozen_and_learns_when_cloned():
     x, y = linear_system_rows()
-    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=20))
+    settings = TrainSettings(hidden_width=16, epochs=20)
+    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=settings)
     calibrate_noise_floor(ens, x, y)
     with pytest.raises(LifecycleError):
-        adaptive_update(ens, x, y)
+        adaptive_update(ens, x, y, settings)
 
     # A shifted target the frozen weights have never seen.
     y_shift = y + 0.3
     clone = ens.clone_unfrozen()
     before = float(clone.mse(x, y_shift).mean())
     for _ in range(10):
-        adaptive_update(clone, x, y_shift, epochs=2)
+        adaptive_update(clone, x, y_shift, settings, epochs=2)
     after = float(clone.mse(x, y_shift).mean())
     assert after < before
     # The frozen original is untouched.
@@ -166,13 +167,13 @@ def test_adaptive_update_refuses_frozen_and_learns_when_cloned():
 
 def test_adaptive_update_edge_cases():
     x, y = linear_system_rows()
-    ens = bootstrap_train(x, y, m_members=2, seed=0, settings=TrainSettings(hidden_width=16, epochs=5))
-    clone = ens.clone_unfrozen()
+    settings = TrainSettings(hidden_width=16, epochs=5)
+    clone = bootstrap_train(x, y, m_members=2, seed=0, settings=settings).clone_unfrozen()
     h = clone.weights_hash()
-    adaptive_update(clone, np.zeros((0, 5)), np.zeros((0, 2)))
+    adaptive_update(clone, np.zeros((0, 5)), np.zeros((0, 2)), settings)
     assert clone.weights_hash() == h
     with pytest.raises(InputError):
-        adaptive_update(clone, np.zeros((4, 3)), np.zeros((4, 2)))
+        adaptive_update(clone, np.zeros((4, 3)), np.zeros((4, 2)), settings)
 
 
 # weights_hash() values recorded with the member-at-a-time SGD loop that
@@ -198,10 +199,10 @@ def test_bootstrap_train_weights_are_pinned(m_members, expected):
 def test_adaptive_update_weights_are_pinned():
     x, y = linear_system_rows(n_steps=120, seed=3)
     clone = bootstrap_train(x, y, m_members=3, seed=7, settings=PINNED_SETTINGS).clone_unfrozen()
-    adaptive_update(clone, x[:45], y[:45] + 5.0, epochs=3)
+    adaptive_update(clone, x[:45], y[:45] + 5.0, PINNED_SETTINGS, epochs=3)
     assert clone.weights_hash() == "c51c208d180c667f97c05d60e73ffdb941b64431934aaef6197653842dfd6c34"
     # the clone's stream carries on from where the first update left it
-    adaptive_update(clone, x[45:90], y[45:90] * 2.0, epochs=2)
+    adaptive_update(clone, x[45:90], y[45:90] * 2.0, PINNED_SETTINGS, epochs=2)
     assert clone.weights_hash() == "faad502ceb9d51ff09b62a8b6ac3c255407e078168558d521fc5502fc8ed2689"
 
 

@@ -64,13 +64,10 @@ def snap_ms(cfg_ms):
     return CalibrationSnapshot(
         config_hash=cfg_ms.config_hash(),
         env_id="MassSpring1D",
-        seed=0,
         mu0=0.0,
         sigma0=1.0,
         thresholds=Thresholds(tau_low=0.1, tau_high=0.5),
         ensemble=ens,
-        clip_c=5.0,
-        c_tau=0.3,
     )
 
 

@@ -1,41 +1,43 @@
 """Calibration snapshot persistence and integrity tests."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import constant_ensemble
 
+from compound_uq.config import ExperimentConfig, ThresholdOverrides, config_from_dict
 from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds
+from compound_uq.rollout import calibrate
 from compound_uq.snapshot import SNAPSHOT_FORMAT_VERSION, CalibrationSnapshot, atomic_write_text
+
+CFG = ExperimentConfig()  # the config the fixture snapshot claims to be calibrated for
 
 
 @pytest.fixture
 def snap():
     ens = constant_ensemble([[0.1, -0.2], [0.3, 0.05]], in_dim=3, frozen=True)
     return CalibrationSnapshot(
-        config_hash="a" * 16,
+        config_hash=CFG.config_hash(),
         env_id="DriftBot",
-        seed=3,
         mu0=0.02,
         sigma0=0.01,
         thresholds=Thresholds(tau_low=0.1, tau_high=0.5),
         ensemble=ens,
-        clip_c=5.0,
-        c_tau=0.3,
     )
 
 
 def test_save_load_roundtrip(snap, tmp_path):
     path = str(tmp_path / "calibration.json")
     snap.save(path)
-    loaded = CalibrationSnapshot.load(path)
+    loaded = CalibrationSnapshot.load(path, CFG)
     assert loaded.config_hash == snap.config_hash
-    assert loaded.env_id == snap.env_id and loaded.seed == snap.seed
+    assert loaded.env_id == snap.env_id and loaded.ensemble.seed == snap.ensemble.seed
     assert loaded.mu0 == snap.mu0 and loaded.sigma0 == snap.sigma0
     assert loaded.thresholds == snap.thresholds
-    assert loaded.clip_c == snap.clip_c and loaded.c_tau == snap.c_tau
     assert loaded.ensemble.frozen
     assert loaded.ensemble.weights_hash() == snap.ensemble.weights_hash()
     x = np.array([[0.5, -0.5, 2.0]])
@@ -55,7 +57,7 @@ def test_tampered_weights_rejected(snap, tmp_path):
     path = tmp_path / "calibration.json"
     path.write_text(json.dumps(d))
     with pytest.raises(InputError, match="hash mismatch"):
-        CalibrationSnapshot.load(str(path))
+        CalibrationSnapshot.load(str(path), CFG)
 
 
 def test_missing_weights_hash_rejected(snap):
@@ -86,16 +88,16 @@ def test_format_version_mismatch(snap):
 
 def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(InputError, match="not found"):
-        CalibrationSnapshot.load(str(tmp_path / "nope.json"))
+        CalibrationSnapshot.load(str(tmp_path / "nope.json"), CFG)
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     with pytest.raises(InputError, match="JSON"):
-        CalibrationSnapshot.load(str(bad))
+        CalibrationSnapshot.load(str(bad), CFG)
     bad.write_bytes(b'{"mu0": "\xff"}')
     with pytest.raises(InputError, match="cannot be read"):
-        CalibrationSnapshot.load(str(bad))
+        CalibrationSnapshot.load(str(bad), CFG)
     with pytest.raises(InputError, match="cannot be read"):
-        CalibrationSnapshot.load(str(tmp_path))
+        CalibrationSnapshot.load(str(tmp_path), CFG)
 
 
 def _truncate_w1(d):
@@ -122,22 +124,63 @@ def _set(*path, value):
         (lambda d: dict(d, mu0="abc"), "snapshot value mu0 must be a finite number, got 'abc'"),
         (lambda d: dict(d, ensemble=None), "snapshot ensemble must be a JSON object"),
         (_truncate_w1, "snapshot value ensemble.w1 holds 5 numbers"),
-        (lambda d: dict(d, clip_c=float("inf")), "snapshot value clip_c must be a finite number"),
+        (lambda d: dict(d, format_version=1), "unsupported snapshot format_version 1; calibrate again"),
         (_set("ensemble", "frozen", value="false"), "snapshot value ensemble.frozen must be true or false"),
-        (lambda d: dict(d, seed=1.9), "snapshot value seed must be an integer, got 1.9"),
-        (lambda d: dict(d, seed=True), "snapshot value seed must be an integer, got True"),
+        (_set("ensemble", "seed", value=1.9), "snapshot value ensemble.seed must be an integer, got 1.9"),
+        (_set("ensemble", "seed", value=True), "snapshot value ensemble.seed must be an integer, got True"),
         (lambda d: dict(d, mu0="0.5"), "snapshot value mu0 must be a finite number, got '0.5'"),
         (lambda d: dict(d, env_id=None), "snapshot value env_id must be a string"),
-        (_set("ensemble", "settings", "epochs", value=1.5), "snapshot value ensemble.settings.epochs must be an integer"),
-        (
-            _set("ensemble", "settings", "hidden_width", value=7),
-            "snapshot value ensemble.settings.hidden_width is 7, but the weights are 1 wide",
-        ),
+        (_set("ensemble", "hidden_width", value=7), "snapshot value ensemble.w1 holds 6 numbers, which do not fill shape"),
     ],
 )
 def test_malformed_documents_are_input_errors(snap, edit, message):
     with pytest.raises(InputError, match=message):
         CalibrationSnapshot.from_dict(edit(snap.to_dict()))
+
+
+def test_load_binds_the_snapshot_to_its_config(snap, tmp_path):
+    path = str(tmp_path / "calibration.json")
+    refused_for_cfg = f"snapshot {path} was calibrated for "
+    replace(snap, env_id="MassSpring1D").save(path)
+    with pytest.raises(InputError, match=re.escape(refused_for_cfg + f"MassSpring1D {snap.config_hash}, not this config")):
+        CalibrationSnapshot.load(path, CFG)
+    snap.save(path)
+    assert CalibrationSnapshot.load(path, CFG).thresholds == snap.thresholds  # CFG sets no overrides
+    with pytest.raises(InputError, match=re.escape(refused_for_cfg + f"DriftBot {snap.config_hash}, not this config")):
+        CalibrationSnapshot.load(path, replace(CFG, horizon=500))
+
+    # a config overriding the thresholds binds a snapshot holding exactly those
+    overriding = replace(CFG, thresholds=ThresholdOverrides(tau_low=0.2, tau_high=0.5))
+    replace(snap, config_hash=overriding.config_hash()).save(path)
+    with pytest.raises(InputError, match=f"^snapshot {re.escape(path)} holds thresholds 0.1, 0.5, not this config's overrides 0.2, 0.5$"):
+        CalibrationSnapshot.load(path, overriding)
+    replace(snap, config_hash=overriding.config_hash(), thresholds=Thresholds(tau_low=0.2, tau_high=0.5)).save(path)
+    assert CalibrationSnapshot.load(path, overriding).thresholds == Thresholds(tau_low=0.2, tau_high=0.5)
+
+
+def test_a_snapshot_copies_no_config_value():
+    # A config value the snapshot held again would have to be checked against
+    # the config on every load; the run reads it from the config instead.
+    cfg = config_from_dict(
+        {
+            "env_id": "MassSpring1D",
+            "horizon": 40,
+            "onset_t": 10,
+            "grid": {"po_levels": [0.0, 0.5], "delay_levels": [0, 1], "shift_levels": [None], "seeds": [0]},
+            "ensemble": {"t_pre": 60, "m_members": 2, "epochs": 2},
+            "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+        }
+    )
+    doc = calibrate(cfg).to_dict()
+    assert set(doc) == {
+        "format_version", "toolkit_version", "config_hash", "env_id", "mu0", "sigma0",
+        "tau_low", "tau_high", "weights_hash", "ensemble",
+    }
+    assert set(doc["ensemble"]) == {
+        "m_members", "in_dim", "hidden_width", "out_dim", "seed", "frozen",
+        "w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std",
+    }
+    assert doc["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):
