@@ -119,7 +119,7 @@ def cmd_run(args) -> int:
     condition = ConditionSpec(po_fraction=args.po, delay_steps=args.delay, shift=shift, onset_t=cfg.onset_t)
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
     out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
-    write_trace(out, cfg, snapshot, result)
+    write_trace(out, result)
     print(
         f"{result.cell_id} [{condition.label}]: return={result.episode_return!r} "
         f"post_onset_kappa_mean={result.post_onset_kappa_mean!r}"
@@ -238,7 +238,7 @@ def _add_policy_mode(p: _Parser) -> None:
         "--policy-mode",
         choices=POLICY_MODES,
         default="monitor",
-        help="monitor: scripted task policy; adaptive: probing policy; both against the frozen ensemble",
+        help="monitor: task controller behind the kappa-scheduled risk budget; adaptive: probing policy; both against the frozen ensemble",
     )
 
 

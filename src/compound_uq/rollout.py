@@ -163,7 +163,7 @@ class RolloutResult:
 
     condition: ConditionSpec
     seed: int
-    policy_mode: str
+    run: dict  # run_header(config, snapshot, policy_mode) of the run that made it
     steps: list[StepRecord]
     adaptive_ensemble: Ensemble | None = None
 
@@ -232,14 +232,15 @@ def run_condition(
 ) -> RolloutResult:
     """Run one full episode under a condition and score it step by step.
 
-    ``policy_mode`` "monitor" is the task-only policy (no information bonus,
-    so explorers collapse onto the task action); "adaptive" is the config's
-    own probing policy. Both select and score kappa with the frozen
-    ensemble; ``adaptive_enabled`` also fine-tunes a clone online and
-    returns it as ``adaptive_ensemble``.
+    It first builds ``run_header``, which refuses a bad mode or snapshot, and
+    keeps it as the result's ``run``. "monitor" has no information bonus but
+    keeps the kappa-scheduled risk budget: of the task and zero actions it takes
+    the better scored one within the budget, or the less risky when neither is.
+    "adaptive" is the config's own probing policy. Both select and score kappa
+    with the frozen ensemble; ``adaptive_enabled`` also fine-tunes a clone
+    online and returns it as ``adaptive_ensemble``.
     """
-    if policy_mode not in POLICY_MODES:
-        raise InputError(f"unknown policy_mode: {policy_mode!r}")
+    run = run_header(config, snapshot, policy_mode)
     settings = replace(config.policy, alpha_max=0.0) if policy_mode == "monitor" else config.policy
     env_cls = env_class(config.env_id)
     env = env_cls(seed=seed, horizon=config.horizon)
@@ -329,7 +330,7 @@ def run_condition(
     return RolloutResult(
         condition=condition,
         seed=seed,
-        policy_mode=policy_mode,
+        run=run,
         steps=steps,
         adaptive_ensemble=adaptive,
     )
@@ -468,9 +469,11 @@ CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the ce
 
 
 def run_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, policy_mode: str) -> dict:
-    """The keys of a trace header that name the run, all but ``CELL_KEYS``. Refuses a
-    snapshot not calibrated for ``config`` (``CalibrationSnapshot.check_config``), so
-    no trace is written or reused under a pair that does not belong together."""
+    """The keys of a trace header that name the run, all but ``CELL_KEYS``. Refuses an unknown
+    ``policy_mode`` and a snapshot not calibrated for ``config`` (``CalibrationSnapshot.check_config``),
+    so no episode runs and no trace is written or reused under a pair that does not belong together."""
+    if policy_mode not in POLICY_MODES:
+        raise InputError(f"unknown policy_mode: {policy_mode!r}")
     snapshot.check_config(config, "snapshot")
     return {
         "kind": "header",
@@ -492,9 +495,9 @@ def trace_header(run: dict, condition: ConditionSpec, seed: int) -> dict:
     return {**run, "cell_id": condition.cell_id(seed), "seed": seed, "condition": condition.to_dict()}
 
 
-def write_trace(path: str, config: ExperimentConfig, snapshot: CalibrationSnapshot, result: RolloutResult) -> None:
-    """One JSONL file: ``trace_header``, one line per step, and the summary as footer."""
-    header = trace_header(run_header(config, snapshot, result.policy_mode), result.condition, result.seed)
+def write_trace(path: str, result: RolloutResult) -> None:
+    """One JSONL file: ``trace_header`` of the result's run, one line per step, and the summary as footer."""
+    header = trace_header(result.run, result.condition, result.seed)
     footer = {"kind": "footer", **result.summary()}
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(_step_line(s), sort_keys=True) for s in result.steps)
@@ -592,20 +595,16 @@ def run_sweep(
     """Run the full condition matrix, then aggregate statistics.
 
     policy_mode picks what the degradation study measures. "monitor"
-    (default) runs the scripted task controller with kappa recorded
-    alongside, so returns expose how the fixed behavior degrades under
-    each stressor combination; this is the mode whose quadruples exhibit
-    super-additive losses. "adaptive" runs the regime-adaptive probing
-    policy from the config's policy settings, which trades task return for
-    information when kappa rises and thereby flattens exactly the
-    compound-versus-single contrast the degradation records are meant to
-    expose. Both modes score with the frozen ensemble and adapt no model.
-    Thresholds are calibrated under the task policy, so monitor mode is
-    also the behavior the calibration transfers to directly.
+    (default) runs the task controller behind ``run_condition``'s
+    kappa-scheduled risk filter, with no information bonus; its quadruples
+    show super-additive losses, and calibration's probes run in it.
+    "adaptive" runs the config's probing policy, which trades task return
+    for information when kappa rises and flattens the compound-versus-single
+    contrast. Both modes score with the frozen ensemble and adapt no model.
 
-    A snapshot not calibrated for ``config`` is refused before any cell
-    runs (see ``run_header``). With ``out_dir`` set, each cell writes one
-    JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
+    ``run_header`` refuses an unknown mode, or a snapshot not calibrated for
+    ``config``, before any cell runs. With ``out_dir`` set, each cell writes
+    one JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
     trace is already there reuses it only when the trace reads back whole
     and its header encodes as ``trace_header`` gives for this run's
     ``run_header`` and the cell; any other cell runs again and overwrites
@@ -638,7 +637,7 @@ def run_sweep(
                 return footer
         result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)
         if out_dir:
-            write_trace(cell_path(cond, seed), config, snapshot, result)
+            write_trace(cell_path(cond, seed), result)
         return result.summary()
 
     summaries = [run_cell(cond, seed) for cond, seed in cells]

@@ -4,7 +4,8 @@ A snapshot holds what calibration measured: the frozen ensemble, the
 noise floor (mu0, sigma0) and the regime thresholds, with the env id,
 config hash, toolkit version and weights hash that identify it. It copies
 no config value: a run reads ``clip_c``, ``c_tau`` and the training
-settings from its config, and ``check_config`` binds the two.
+settings from its config. ``check_config`` binds the two; ``load`` calls it,
+and so does ``rollout.run_header`` at the start of every episode and sweep.
 
 Serialization is canonical JSON (sorted keys, shortest round-trip float
 repr), so equal calibrations produce byte-identical files, and loading a

@@ -285,24 +285,29 @@ def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, monkeypatc
 
 def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
     # The snapshot holds none of the three, so a run can only take them from
-    # the config it is given: here one that differs from the calibration's.
+    # the config it is given. Each config runs with a snapshot calibrated for it.
     cfg, snapshot = workspace["cfg"], CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"])
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=cfg.onset_t)
     other = replace(cfg, clip_c=2.5, c_tau=0.7)
-    for config in (cfg, other):
-        res = rollout.run_condition(config, snapshot, cond, 0)
+    for config, snap in ((cfg, snapshot), (other, rollout.calibrate(other))):
+        res = rollout.run_condition(config, snap, cond, 0)
         for c in res.kappas:
             active = c.t >= cond.onset_t
-            assert c.sigma_theta == sigma_theta(c.mse, snapshot.mu0, snapshot.sigma0, clip_c=config.clip_c)
+            assert c.sigma_theta == sigma_theta(c.mse, snap.mu0, snap.sigma0, clip_c=config.clip_c)
             assert c.sigma_s == sigma_s(0.5 if active else 0.0, 1 if active else 0, c_tau=config.c_tau)
     assert max(c.sigma_theta for c in res.kappas) == 1.0  # the clip is reached, so clip_c matters
 
     # online updates step at the config's learning rate: at 0 the clone does not move
-    frozen_hash = snapshot.ensemble.weights_hash()
-    for rate, moves in ((0.0, False), (cfg.train.learning_rate, True)):
-        config = replace(cfg, train=replace(cfg.train, learning_rate=rate))
-        adapted = rollout.run_condition(config, snapshot, cond, 0, adaptive_enabled=True).adaptive_ensemble
-        assert (adapted.weights_hash() != frozen_hash) == moves
+    frozen = replace(cfg, train=replace(cfg.train, learning_rate=0.0))
+    for config, moves in ((frozen, False), (cfg, True)):
+        snap = rollout.calibrate(config)
+        adapted = rollout.run_condition(config, snap, cond, 0, adaptive_enabled=True).adaptive_ensemble
+        assert (adapted.weights_hash() != snap.ensemble.weights_hash()) == moves
+
+    # a snapshot runs only under the config it was calibrated for
+    for config in (other, frozen):
+        with pytest.raises(InputError, match="^snapshot was calibrated for MassSpring1D"):
+            rollout.run_condition(config, snapshot, cond, 0)
 
 
 def test_run_rejects_bad_shift(workspace, capsys):

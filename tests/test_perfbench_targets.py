@@ -84,7 +84,7 @@ def test_every_tracing_target_resolves(tmp_path):
             if mode == "monitor":  # the task and zero rows only
                 assert counts["ensemble.forward.rows"] == 2 * cfg.horizon
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
-        cq.rollout.write_trace(path, cfg, snapshot, result)
+        cq.rollout.write_trace(path, result)
         cq.rollout.read_trace(path)
     assert [name for name in EPISODE_SPANS if tracer.calls[name] == 0] == []
     for fn, _, _, _ in functions:

@@ -7,6 +7,7 @@ scoring, trace files).
 """
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import fields, replace
@@ -16,14 +17,15 @@ import pytest
 from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits
 
 from compound_uq import policy, rollout
-from compound_uq.config import config_from_dict
+from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
-from compound_uq.envs import ENV_CLASSES, DriftBot
+from compound_uq.envs import ENV_CLASSES, DriftBot, MassSpring1D
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
 from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, schedule, select_action, task_affinity
 from compound_uq.rollout import (
+    RolloutResult,
     build_degradation_records,
     calibrate,
     collect_baseline_buffer,
@@ -31,7 +33,9 @@ from compound_uq.rollout import (
     mass_spring_controller,
     read_trace,
     run_condition,
+    run_header,
     run_sweep,
+    trace_header,
     write_trace,
 )
 from compound_uq.snapshot import CalibrationSnapshot
@@ -56,19 +60,24 @@ def cfg_ms():
     )
 
 
-@pytest.fixture
-def snap_ms(cfg_ms):
-    # Two members that always predict a zero delta: mse is the squared
-    # transition norm and disagreement is identically zero.
+def zero_delta_snapshot(cfg) -> CalibrationSnapshot:
+    """A hand-built MassSpring1D snapshot for ``cfg``: two members that always
+    predict a zero delta, so mse is the squared transition norm and
+    disagreement is identically zero."""
     ens = constant_ensemble([[0.0, 0.0], [0.0, 0.0]], in_dim=5, frozen=True)
     return CalibrationSnapshot(
-        config_hash=cfg_ms.config_hash(),
+        config_hash=cfg.config_hash(),
         env_id="MassSpring1D",
         mu0=0.0,
         sigma0=1.0,
         thresholds=Thresholds(tau_low=0.1, tau_high=0.5),
         ensemble=ens,
     )
+
+
+@pytest.fixture
+def snap_ms(cfg_ms):
+    return zero_delta_snapshot(cfg_ms)
 
 
 def test_mass_spring_controller_is_saturated_relay():
@@ -163,7 +172,7 @@ def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     res = run_condition(cfg_ms, snap_ms, cond, seed=0)
     assert res.n_steps == 40 and len(res.kappas) == 40 and len(res.steps) == 40
     assert res.cell_id == cond.cell_id(0)
-    assert res.policy_mode == "monitor"
+    assert res.run == run_header(cfg_ms, snap_ms, "monitor")
     assert res.summary()["violations"] == 0
     # No stressors anywhere: every step's structural term is zero.
     assert all(c.sigma_s == 0.0 for c in res.kappas)
@@ -174,9 +183,9 @@ def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     assert res.adaptive_ensemble is None
 
 
-def _trace_steps(path, cfg, snap, res) -> list[dict]:
+def _trace_steps(path, res) -> list[dict]:
     """The step lines of ``res`` as a written trace holds them."""
-    write_trace(str(path), cfg, snap, res)
+    write_trace(str(path), res)
     return read_trace(str(path))[1]
 
 
@@ -186,8 +195,8 @@ def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
     b = run_condition(cfg_ms, snap_ms, cond, seed=3)
     assert a.episode_return == b.episode_return
     assert [c.kappa for c in a.kappas] == [c.kappa for c in b.kappas]
-    steps_a = _trace_steps(tmp_path / "a.jsonl", cfg_ms, snap_ms, a)
-    assert steps_a == _trace_steps(tmp_path / "b.jsonl", cfg_ms, snap_ms, b)
+    steps_a = _trace_steps(tmp_path / "a.jsonl", a)
+    assert steps_a == _trace_steps(tmp_path / "b.jsonl", b)
 
 
 def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
@@ -207,8 +216,8 @@ def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
 def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms, tmp_path):
     clean_res = run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0)
     shifted_res = run_condition(cfg_ms, snap_ms, ConditionSpec(shift=("stiffness", 3.0), onset_t=10), seed=0)
-    clean = _trace_steps(tmp_path / "clean.jsonl", cfg_ms, snap_ms, clean_res)
-    shifted = _trace_steps(tmp_path / "shifted.jsonl", cfg_ms, snap_ms, shifted_res)
+    clean = _trace_steps(tmp_path / "clean.jsonl", clean_res)
+    shifted = _trace_steps(tmp_path / "shifted.jsonl", shifted_res)
     # Every pre-onset step is the unshifted one; the plant steps on the
     # new stiffness from the onset step itself.
     assert shifted[:10] == clean[:10]
@@ -302,12 +311,12 @@ def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeyp
     assert drawn == [(2, True)] * cfg.horizon
 
 
-def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, snap_ms, monkeypatch):
+def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, monkeypatch):
     cfg = replace(cfg_ms, policy=PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8))
     rows = _record_forward_rows(monkeypatch)
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
-    res = run_condition(cfg, snap_ms, cond, seed=0, policy_mode="adaptive")
+    res = run_condition(cfg, zero_delta_snapshot(cfg), cond, seed=0, policy_mode="adaptive")
     # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
     assert rows == [2 if s.choice.alpha == 0.0 else 8 for s in res.steps]
     assert 2 in rows and 8 in rows
@@ -315,7 +324,7 @@ def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, 
 
 
 @pytest.mark.parametrize("mode", ["monitor", "adaptive"])
-def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, snap_ms, monkeypatch, mode):
+def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, monkeypatch, mode):
     calls = []
     ramp = policy._ramp
 
@@ -325,7 +334,8 @@ def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, snap_ms, monkeypatch, mod
 
     monkeypatch.setattr(policy, "_ramp", counting)
     cfg = replace(cfg_ms, policy=replace(cfg_ms.policy, alpha_max=1.0))
-    res = run_condition(cfg, snap_ms, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0, policy_mode=mode)
+    snap = zero_delta_snapshot(cfg)
+    res = run_condition(cfg, snap, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0, policy_mode=mode)
     assert any(s.choice.alpha > 0.0 for s in res.steps) == (mode == "adaptive")
     assert len(calls) == cfg.horizon
 
@@ -407,12 +417,30 @@ def test_calibrate_needs_an_active_stressor():
         calibrate(cfg)
 
 
-def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path):
+def _record_calls(monkeypatch, cls, name: str) -> list[tuple]:
+    """The arguments of every call of ``cls.name`` made from now on."""
+    calls: list[tuple] = []
+    method = getattr(cls, name)
+
+    def recording(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     cond = ConditionSpec(po_fraction=0.5, onset_t=10)
     res = run_condition(cfg_ms, snap_ms, cond, seed=2)
     path = str(tmp_path / "trace.jsonl")
-    write_trace(path, cfg_ms, snap_ms, res)
+    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
+    write_trace(path, res)
+    assert hashes == []  # the writer takes the run header its episode built
+    assert list(inspect.signature(write_trace).parameters) == ["path", "result"]
+    assert "policy_mode" not in {f.name for f in fields(RolloutResult)}
     header, steps, footer = read_trace(path)
+    assert header == json.loads(json.dumps(trace_header(run_header(cfg_ms, snap_ms, "monitor"), cond, 2)))
     assert header["kind"] == "header"
     assert header["config_hash"] == cfg_ms.config_hash()
     assert header["policy_mode"] == "monitor"
@@ -422,6 +450,24 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path):
     footer.pop("kind")
     assert footer == json.loads(json.dumps(res.summary()))
     assert footer["violations"] == 0
+
+
+def test_run_condition_refuses_a_foreign_snapshot_before_any_step(cfg_ms, snap_ms, monkeypatch):
+    steps = _record_calls(monkeypatch, MassSpring1D, "step")
+    overridden = replace(cfg_ms, thresholds=replace(cfg_ms.thresholds, tau_low=0.2, tau_high=0.5))
+    cases = [
+        (replace(cfg_ms, horizon=50), snap_ms, "monitor", "^snapshot was calibrated for MassSpring1D"),
+        (replace(cfg_ms, clip_c=2.5), snap_ms, "adaptive", "^snapshot was calibrated for MassSpring1D"),
+        (overridden, zero_delta_snapshot(overridden), "monitor", "^snapshot holds thresholds 0.1, 0.5"),
+        (cfg_ms, snap_ms, "bogus", "^unknown policy_mode: 'bogus'$"),
+    ]
+    cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
+    for config, snap, mode, message in cases:
+        with pytest.raises(InputError, match=message):
+            run_condition(config, snap, cond, 0, policy_mode=mode)
+    assert steps == []
+    run_condition(cfg_ms, snap_ms, cond, 0)  # the counter sees the steps of a matched pair
+    assert len(steps) == cfg_ms.horizon
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +500,7 @@ def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
     cfg, snap, cond = ms_calibrated
     res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=mode == "adaptive")
     path = tmp_path / "trace.jsonl"
-    write_trace(str(path), cfg, snap, res)
+    write_trace(str(path), res)
     _, steps, footer = read_trace(str(path))
     assert all(s["info_gain"] > 0.0 for s in steps)
     assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
@@ -483,7 +529,7 @@ def test_driftbot_trace_bytes_are_pinned(driftbot_calibrated, mode, tmp_path):
     cfg, snap, cond = driftbot_calibrated
     res = run_condition(cfg, snap, cond, 0, policy_mode=mode)
     path = tmp_path / "trace.jsonl"
-    write_trace(str(path), cfg, snap, res)
+    write_trace(str(path), res)
     sha, n_probes, n_forced = DRIFTBOT_PINNED_TRACES[mode]
     assert (sum(s.choice.index >= 2 for s in res.steps), res.n_forced) == (n_probes, n_forced)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
@@ -494,7 +540,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     cell = cond.cell_id(0)
     path = tmp_path / f"trace_{cell}.jsonl"
     probing = run_condition(cfg, snap, cond, 0, policy_mode="adaptive")
-    write_trace(str(path), cfg, snap, probing)
+    write_trace(str(path), probing)
     header, _, footer = read_trace(str(path))
     assert header["policy_mode"] == "adaptive" and footer["violations"] == 0
 
@@ -589,13 +635,20 @@ def test_build_degradation_records_quadruples(cfg_ms):
         build_degradation_records([s for s in summaries if s["condition"]["po_fraction"] == 0.0], grid)
 
 
-def test_run_sweep_in_memory(cfg_ms, snap_ms):
+def test_run_sweep_in_memory(cfg_ms, snap_ms, tmp_path, monkeypatch):
     out = run_sweep(cfg_ms, snap_ms)
     assert len(out.cell_summaries) == 4
     assert set(out.kappa_by_label) == {"C1", "C2", "C3"}
     assert out.report.n_configs == 1
-    with pytest.raises(InputError):
-        run_sweep(cfg_ms, snap_ms, policy_mode="bogus")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran under an unknown policy mode")
+
+    monkeypatch.setattr(rollout, "run_condition", refuse)
+    for out_dir in (None, str(tmp_path / "runs")):
+        with pytest.raises(InputError, match="^unknown policy_mode: 'bogus'$"):
+            run_sweep(cfg_ms, snap_ms, out_dir=out_dir, policy_mode="bogus")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
