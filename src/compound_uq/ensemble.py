@@ -15,8 +15,9 @@ reversals.
 Calibration fixes a noise floor (mean and population standard deviation of
 the per-transition ensemble error on unperturbed data) and freezes the
 ensemble; frozen weights are hashable so any later mutation is detectable.
-``clone_unfrozen`` yields a warm-started copy that may keep learning
-online via ``adaptive_update``.
+``clone_unfrozen`` yields a warm-started copy that ``adaptive_update`` may
+train online with the generator its caller passes: an ensemble holds its
+weights and normalizers, and no seed or random state.
 
 Inputs and targets are z-scored with statistics from the training rows,
 shared by all members; predictions are reported in raw units.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +117,7 @@ class Ensemble:
     b2: np.ndarray  # (M, out_dim)
     x_norm: _Normalizer
     y_norm: _Normalizer
-    seed: int
     frozen: bool = False
-    _adapt_rng: np.random.Generator | None = field(default=None, repr=False)
 
     @property
     def m_members(self) -> int:
@@ -164,8 +163,6 @@ class Ensemble:
             b2=self.b2.copy(),
             x_norm=_Normalizer(self.x_norm.mean.copy(), self.x_norm.std.copy()),
             y_norm=_Normalizer(self.y_norm.mean.copy(), self.y_norm.std.copy()),
-            seed=self.seed,
-            frozen=False,
         )
 
     def to_dict(self) -> dict:
@@ -177,8 +174,6 @@ class Ensemble:
             "in_dim": self.in_dim,
             "hidden_width": self.w1.shape[2],
             "out_dim": self.out_dim,
-            "seed": self.seed,
-            "frozen": self.frozen,
             "w1": enc(self.w1),
             "b1": enc(self.b1),
             "w2": enc(self.w2),
@@ -191,7 +186,7 @@ class Ensemble:
 
     @classmethod
     def from_dict(cls, d) -> "Ensemble":
-        """The ensemble of a snapshot's ``ensemble`` section, parsed strictly."""
+        """The frozen ensemble of a snapshot's ``ensemble`` section, parsed strictly."""
         get = functools.partial(parse_key, d, document="snapshot", prefix="ensemble.")
         m, i, h, o = (get(key, "int") for key in ("m_members", "in_dim", "hidden_width", "out_dim"))
 
@@ -208,8 +203,7 @@ class Ensemble:
             b2=dec("b2", (m, o)),
             x_norm=_Normalizer(dec("x_mean", (i,)), dec("x_std", (i,))),
             y_norm=_Normalizer(dec("y_mean", (o,)), dec("y_std", (o,))),
-            seed=get("seed", "int"),
-            frozen=get("frozen", "bool"),
+            frozen=True,
         )
 
 
@@ -325,7 +319,7 @@ def bootstrap_train(x: np.ndarray, y: np.ndarray, m_members: int, seed: int, set
         for e in range(settings.epochs):
             perms[m, e] = rng.permutation(n)
 
-    ens = Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm, seed=seed)
+    ens = Ensemble(w1=w1, b1=b1, w2=w2, b2=b2, x_norm=x_norm, y_norm=y_norm)
     _sgd_epochs(ens, xn_full[resamples], yn_full[resamples], perms, settings.learning_rate, settings.batch_size)
     return ens
 
@@ -349,9 +343,11 @@ def calibrate_noise_floor(ensemble: Ensemble, x: np.ndarray, y: np.ndarray) -> t
     return mu0, sigma0
 
 
-def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, settings: TrainSettings, epochs: int = 1) -> None:
-    """A few in-place SGD epochs on fresh rows, at the step size and batch size of
-    ``settings`` (the ones the ensemble was trained with); refuses frozen ensembles."""
+def adaptive_update(
+    ensemble: Ensemble, x: np.ndarray, y: np.ndarray, settings: TrainSettings, rng: np.random.Generator, epochs: int = 1
+) -> None:
+    """A few in-place SGD epochs on fresh rows, at the step and batch size of ``settings`` (the
+    ones the ensemble was trained with), in minibatch orders drawn from ``rng``; refuses frozen ensembles."""
     if ensemble.frozen:
         raise LifecycleError("adaptive_update on a frozen ensemble; use clone_unfrozen() first")
     xb = np.atleast_2d(np.asarray(x, dtype=float))
@@ -360,10 +356,7 @@ def adaptive_update(ensemble: Ensemble, x: np.ndarray, y: np.ndarray, settings: 
         return
     if xb.shape[1] != ensemble.in_dim or yb.shape[1] != ensemble.out_dim:
         raise InputError("adaptive_update rows do not match ensemble dimensions")
-    if ensemble._adapt_rng is None:
-        ensemble._adapt_rng = np.random.default_rng(np.random.SeedSequence(entropy=[ensemble.seed, 1]))
     m, n = ensemble.m_members, xb.shape[0]
-    rng = ensemble._adapt_rng
     # drawn member-major: all of member 0's epoch orders, then member 1's, ...
     perms = np.array([rng.permutation(n) for _ in range(m * epochs)], dtype=np.int64).reshape(m, epochs, n)
     xn = np.broadcast_to(ensemble.x_norm.encode(xb), (m, n, ensemble.in_dim))

@@ -46,19 +46,14 @@ HORIZON = 1000
 
 @dataclass(frozen=True)
 class Transition:
-    """One (observation, action, next observation) record.
-
-    ``delta`` is stored, not recomputed, and always equals
-    ``next_obs - obs`` exactly for the vectors recorded here.
-    """
+    """One (observation, action, next observation) record; the model's
+    target is ``next_obs - obs``."""
 
     obs: ObservationVec
     action: ActionVec
     next_obs: ObservationVec
-    delta: ObservationVec
     reward: float
     risk: float
-    t: int
 
 
 def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
@@ -140,10 +135,8 @@ class _BaseEnv:
             obs=obs_before,
             action=act,
             next_obs=next_obs,
-            delta=next_obs - obs_before,
             reward=float(reward),
             risk=float(self.risk_from_obs(next_obs)),
-            t=self.t,
         )
         self.t += 1
         if self.t >= self.horizon:

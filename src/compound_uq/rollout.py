@@ -257,7 +257,7 @@ def run_condition(
     recent_x: deque = deque(maxlen=config.adaptive.window)
     recent_y: deque = deque(maxlen=config.adaptive.window)
     anchor_x = anchor_y = None
-    anchor_rng = None
+    anchor_rng = update_rng = None
     if adaptive_enabled:
         # The agent keeps its pre-deployment experience and replays a slice
         # of it alongside the live window on every update. Without the
@@ -265,6 +265,8 @@ def run_condition(
         # off everything it knew about states not in the window.
         anchor_x, anchor_y = collect_baseline_buffer(config)
         anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
+        # seeded by the calibration seed, not the cell's: every cell's clone draws this one stream
+        update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
 
     visible = apply_mask(env.observe(), dims, active=onset <= 0)
     history: deque = deque([visible], maxlen=3)
@@ -321,7 +323,7 @@ def run_condition(
                 idx = anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
                 x_up = np.concatenate([np.stack(recent_x), anchor_x[idx]])
                 y_up = np.concatenate([np.stack(recent_y), anchor_y[idx]])
-                adaptive_update(adaptive, x_up, y_up, config.train, epochs=config.adaptive.epochs)
+                adaptive_update(adaptive, x_up, y_up, config.train, update_rng, epochs=config.adaptive.epochs)
 
         kappa_prev = comp.kappa
         visible = visible_next
@@ -370,7 +372,7 @@ def collect_baseline_buffer(config: ExperimentConfig) -> tuple[np.ndarray, np.nd
             history.append(tr.obs)
             if len(history) == 3:
                 xs.append(input_rows(history, tr.action)[0])
-                ys.append(tr.delta)
+                ys.append(tr.next_obs - tr.obs)
             remaining -= 1
         episode += 1
     return np.array(xs), np.array(ys)
@@ -510,10 +512,10 @@ def _kind(line) -> str | None:
 
 
 def read_trace(path: str) -> tuple[dict, list[dict], dict]:
-    """Header, step lines and footer of a trace; ``InputError`` if unreadable, if
-    a footer summary key does not parse by its ``SUMMARY_KEYS`` annotation, if
-    the footer's cell_id or label is not what its condition and seed give, or if
-    the header names another cell. The footer's summary values come back parsed."""
+    """Header, step lines and footer of a trace; ``InputError`` if unreadable, if a footer
+    summary key does not parse by its ``SUMMARY_KEYS`` annotation, if the lines between
+    are not ``n_steps`` step lines, if the footer's cell_id or label is not what its condition
+    and seed give, or if the header names another cell. Footer summary values come back parsed."""
     with open_input(path, "trace") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
@@ -523,6 +525,9 @@ def read_trace(path: str) -> tuple[dict, list[dict], dict]:
         cond = ConditionSpec.from_dict(summary["condition"])
     except InputError as e:
         raise InputError(f"trace file {path} {e}") from None
+    steps = lines[1:-1]
+    if len(steps) != summary["n_steps"] or any(_kind(line) != "step" for line in steps):
+        raise InputError(f"trace file {path} does not hold its footer's {summary['n_steps']} step lines")
     named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
     if named != given:
         raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
@@ -530,7 +535,7 @@ def read_trace(path: str) -> tuple[dict, list[dict], dict]:
     header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (lines[0], footer))
     if header_cell != footer_cell:
         raise InputError(f"trace file {path} header names cell {header_cell}, but its footer names {footer_cell}")
-    return lines[0], lines[1:-1], footer
+    return lines[0], steps, footer
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Calibration snapshots: frozen ensemble, noise floor, thresholds.
 
-A snapshot holds what calibration measured: the frozen ensemble, the
-noise floor (mu0, sigma0) and the regime thresholds, with the env id,
-config hash, toolkit version and weights hash that identify it. It copies
-no config value: a run reads ``clip_c``, ``c_tau`` and the training
-settings from its config. ``check_config`` binds the two; ``load`` calls it,
-and so does ``rollout.run_header`` at the start of every episode and sweep.
+A snapshot holds what calibration measured: the frozen ensemble's weights and
+normalizers, the noise floor (mu0, sigma0) and the regime thresholds, with the
+env id, config hash, toolkit version and weights hash that identify it. It
+copies no config value and no seed: a run reads them from its config.
+``check_config`` binds the two; ``load`` calls it, and so does
+``rollout.run_header`` at the start of every episode and sweep.
 
 Serialization is canonical JSON (sorted keys, shortest round-trip float
 repr), so equal calibrations produce byte-identical files, and loading a
@@ -27,7 +27,7 @@ from .kappa import Thresholds
 from .parsing import parse_fields, parse_key
 from .version import TOOLKIT_VERSION
 
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -96,15 +96,13 @@ class CalibrationSnapshot:
 
     @classmethod
     def from_dict(cls, d) -> "CalibrationSnapshot":
-        """The snapshot ``d`` describes; its ensemble must be frozen and match ``weights_hash``."""
+        """The snapshot ``d`` describes, with a frozen ensemble that must match ``weights_hash``."""
         if parse_key(d, "format_version", "int", "snapshot") != SNAPSHOT_FORMAT_VERSION:
             raise InputError(f"unsupported snapshot format_version {d['format_version']!r}; calibrate again")
         thresholds = parse_fields(Thresholds, d, "snapshot")
         snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
         if snapshot.ensemble.weights_hash() != d.get("weights_hash"):
             raise InputError("snapshot weights hash mismatch; file corrupted or edited")
-        if not snapshot.ensemble.frozen:
-            raise InputError("snapshot must contain a frozen ensemble")
         return snapshot
 
     @classmethod

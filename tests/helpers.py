@@ -32,19 +32,18 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
 
     All weights are zero and the normalizers are identity, so the output
     biases pass straight through. Built via the documented serialization
-    format rather than by poking private state.
+    format rather than by poking private state; it loads frozen, and
+    ``frozen=False`` gives its ``clone_unfrozen()``.
     """
     outputs = np.asarray(member_outputs, dtype=float)
     m, out_dim = outputs.shape
     hidden = 1
-    return Ensemble.from_dict(
+    ens = Ensemble.from_dict(
         {
             "m_members": m,
             "in_dim": in_dim,
             "hidden_width": hidden,
             "out_dim": out_dim,
-            "seed": 0,
-            "frozen": bool(frozen),
             "w1": [0.0] * (m * in_dim * hidden),
             "b1": [0.0] * (m * hidden),
             "w2": [0.0] * (m * hidden * out_dim),
@@ -55,6 +54,7 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
             "y_std": [1.0] * out_dim,
         }
     )
+    return ens if frozen else ens.clone_unfrozen()
 
 
 def linear_system_rows(n_steps=160, seed=0):
@@ -106,6 +106,6 @@ def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
             history.append(tr.obs)
             if len(history) == 3:
                 xs.append(input_rows(history, tr.action)[0])
-                ys.append(tr.delta)
+                ys.append(tr.next_obs - tr.obs)
         episode += 1
     return np.array(xs[:n_rows]), np.array(ys[:n_rows])

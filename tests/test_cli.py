@@ -523,6 +523,7 @@ FOOTER_MUTANTS = [
     ("label", 5),
     ("label", "C9"),
     ("n_steps", "x"),
+    ("n_steps", 59),
     ("cell_id", "po0.5_delay1_shift-none_seed0"),
 ]
 
@@ -537,13 +538,24 @@ HEADER_MUTANTS = [
     ("cell_id", "po0_delay0_shift-none_seed1"),
 ]
 
-TRACE_MUTANTS = [("footer", *m) for m in FOOTER_MUTANTS] + [("header", *m) for m in HEADER_MUTANTS]
+# Lines between header and footer that are not the footer's n_steps step
+# lines: the first step line given another kind or none, or ("cut", n) for n
+# step lines cut out.
+STEP_MUTANTS = [
+    ("kind", "header"),
+    ("kind", None),
+    ("cut", 5),
+]
+
+TRACE_MUTANTS = (
+    [("footer", *m) for m in FOOTER_MUTANTS] + [("header", *m) for m in HEADER_MUTANTS] + [("step", *m) for m in STEP_MUTANTS]
+)
 
 
 @pytest.mark.parametrize(
     "line, key, value",
     TRACE_MUTANTS,
-    ids=[f"{key}-{value}" if line == "footer" else f"header-{key}-{value}" for line, key, value in TRACE_MUTANTS],
+    ids=[f"{key}-{value}" if line == "footer" else f"{line}-{key}-{value}" for line, key, value in TRACE_MUTANTS],
 )
 def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, capsys, line, key, value):
     cfg_path, fresh = two_seed_tree
@@ -551,8 +563,11 @@ def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, 
         (tmp_path / name).write_bytes(data)
     trace = tmp_path / "trace_po0.5_delay1_shift-none_seed1.jsonl"
     lines = fresh[trace.name].splitlines(keepends=True)
-    at = 0 if line == "header" else -1
-    lines[at] = json.dumps({**json.loads(lines[at]), key: value}).encode() + b"\n"
+    if key == "cut":
+        del lines[1 : 1 + value]
+    else:
+        at = {"header": 0, "step": 1, "footer": -1}[line]
+        lines[at] = json.dumps({**json.loads(lines[at]), key: value}).encode() + b"\n"
     trace.write_bytes(b"".join(lines))
 
     capsys.readouterr()
@@ -649,7 +664,7 @@ def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
     trace = sorted(sweep_dir.glob("trace_*.jsonl"))[0]
     bad = {
         "config": (tmp_path / "config.json", _with_long_int(json.dumps(TINY), "horizon")),
-        "snapshot": (tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "seed")),
+        "snapshot": (tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "m_members")),
         "trace": (tmp_path / "trace.jsonl", _with_long_int(trace.read_text(), "t")),
     }
     for path, text in bad.values():

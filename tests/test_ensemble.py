@@ -145,20 +145,26 @@ def test_bootstrap_train_input_validation():
         bootstrap_train(x[:49], y[:49], m_members=2, seed=0)
 
 
+def _update_rng(seed):
+    """The stream ``run_condition`` gives ``adaptive_update`` under calibration seed ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 1]))
+
+
 def test_adaptive_update_refuses_frozen_and_learns_when_cloned():
     x, y = linear_system_rows()
     settings = TrainSettings(hidden_width=16, epochs=20)
     ens = bootstrap_train(x, y, m_members=2, seed=0, settings=settings)
     calibrate_noise_floor(ens, x, y)
+    rng = _update_rng(0)
     with pytest.raises(LifecycleError):
-        adaptive_update(ens, x, y, settings)
+        adaptive_update(ens, x, y, settings, rng)
 
     # A shifted target the frozen weights have never seen.
     y_shift = y + 0.3
     clone = ens.clone_unfrozen()
     before = float(clone.mse(x, y_shift).mean())
     for _ in range(10):
-        adaptive_update(clone, x, y_shift, settings, epochs=2)
+        adaptive_update(clone, x, y_shift, settings, rng, epochs=2)
     after = float(clone.mse(x, y_shift).mean())
     assert after < before
     # The frozen original is untouched.
@@ -170,10 +176,10 @@ def test_adaptive_update_edge_cases():
     settings = TrainSettings(hidden_width=16, epochs=5)
     clone = bootstrap_train(x, y, m_members=2, seed=0, settings=settings).clone_unfrozen()
     h = clone.weights_hash()
-    adaptive_update(clone, np.zeros((0, 5)), np.zeros((0, 2)), settings)
+    adaptive_update(clone, np.zeros((0, 5)), np.zeros((0, 2)), settings, _update_rng(0))
     assert clone.weights_hash() == h
     with pytest.raises(InputError):
-        adaptive_update(clone, np.zeros((4, 3)), np.zeros((4, 2)), settings)
+        adaptive_update(clone, np.zeros((4, 3)), np.zeros((4, 2)), settings, _update_rng(0))
 
 
 # weights_hash() values recorded with the member-at-a-time SGD loop that
@@ -199,10 +205,11 @@ def test_bootstrap_train_weights_are_pinned(m_members, expected):
 def test_adaptive_update_weights_are_pinned():
     x, y = linear_system_rows(n_steps=120, seed=3)
     clone = bootstrap_train(x, y, m_members=3, seed=7, settings=PINNED_SETTINGS).clone_unfrozen()
-    adaptive_update(clone, x[:45], y[:45] + 5.0, PINNED_SETTINGS, epochs=3)
+    rng = _update_rng(7)
+    adaptive_update(clone, x[:45], y[:45] + 5.0, PINNED_SETTINGS, rng, epochs=3)
     assert clone.weights_hash() == "c51c208d180c667f97c05d60e73ffdb941b64431934aaef6197653842dfd6c34"
-    # the clone's stream carries on from where the first update left it
-    adaptive_update(clone, x[45:90], y[45:90] * 2.0, PINNED_SETTINGS, epochs=2)
+    # the stream carries on from where the first update left it
+    adaptive_update(clone, x[45:90], y[45:90] * 2.0, PINNED_SETTINGS, rng, epochs=2)
     assert clone.weights_hash() == "faad502ceb9d51ff09b62a8b6ac3c255407e078168558d521fc5502fc8ed2689"
 
 
@@ -241,8 +248,7 @@ def test_gradient_cap_applies_to_each_member_alone():
 def test_ensemble_serialization_roundtrip():
     x, y = linear_system_rows()
     ens = bootstrap_train(x, y, m_members=2, seed=2, settings=TrainSettings(hidden_width=8, epochs=5))
-    ens.freeze()
     back = Ensemble.from_dict(ens.to_dict())
     assert back.weights_hash() == ens.weights_hash()
-    assert back.frozen
+    assert back.frozen and not ens.frozen  # a loaded ensemble is always frozen
     np.testing.assert_array_equal(back.predict_members(x[:4]), ens.predict_members(x[:4]))

@@ -45,7 +45,6 @@ def test_driftbot_kinematics_closed_form():
         [x1, 0.0, math.sin(heading1), math.cos(heading1), v, w, 3.0 - x1, 0.0]
     )
     np.testing.assert_allclose(tr.next_obs, expected_next, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tr.delta, expected_next - tr.obs, rtol=0, atol=1e-12)
 
     # The weak LEFT wheel turns the robot toward the left (positive,
     # counterclockwise heading).

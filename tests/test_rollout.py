@@ -488,24 +488,43 @@ def ms_calibrated():
 
 
 # sha256 of whole trace files: a change to the step loop or the trace
-# encoding that moves any byte fails here, not only in the benchmark.
+# encoding that moves any byte fails here, not only in the benchmark. Each
+# episode also adapts a clone online, whose weights_hash() comes second.
 PINNED_TRACES = {
-    "monitor": "85667dc30cc61aa9541eefd15d4670efd68d581a289e1ddeb9baa329b126544c",
-    "adaptive": "9039be0211e268553d98943aa97b0e27482467fd0d24b5cd914ec8675f49ca9e",
+    "monitor": (
+        "85667dc30cc61aa9541eefd15d4670efd68d581a289e1ddeb9baa329b126544c",
+        "7386edc73e8c38823efe466a9edd47cb599952e5770dd2bda45a9dbeceb3fe89",
+    ),
+    "adaptive": (
+        "9039be0211e268553d98943aa97b0e27482467fd0d24b5cd914ec8675f49ca9e",
+        "5d1d4de1ed41f845c75b6a036bfa88b421f23a1ccd9191d426ef6154de140163",
+    ),
 }
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_TRACES))
 def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
     cfg, snap, cond = ms_calibrated
-    res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=mode == "adaptive")
+    res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=True)
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), res)
     _, steps, footer = read_trace(str(path))
     assert all(s["info_gain"] > 0.0 for s in steps)
     assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
     assert footer["violations"] == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[mode]
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(), res.adaptive_ensemble.weights_hash()) == PINNED_TRACES[mode]
+
+
+def test_an_adapted_clone_depends_on_the_snapshot_weights_alone(ms_calibrated):
+    # Online updates draw from the run's calibration seed, so a key the
+    # document carries beyond the weights, such as the ensemble seed that
+    # format 2 wrote, cannot steer them.
+    cfg, snap, cond = ms_calibrated
+    seeded = snap.to_dict()
+    seeded["ensemble"]["seed"] = 7
+    for doc in (snap.to_dict(), seeded):
+        res = run_condition(cfg, CalibrationSnapshot.from_dict(doc), cond, 0, policy_mode="adaptive", adaptive_enabled=True)
+        assert res.adaptive_ensemble.weights_hash() == PINNED_TRACES["adaptive"][1]
 
 
 @pytest.fixture(scope="module")

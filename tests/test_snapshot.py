@@ -35,7 +35,7 @@ def test_save_load_roundtrip(snap, tmp_path):
     snap.save(path)
     loaded = CalibrationSnapshot.load(path, CFG)
     assert loaded.config_hash == snap.config_hash
-    assert loaded.env_id == snap.env_id and loaded.ensemble.seed == snap.ensemble.seed
+    assert loaded.env_id == snap.env_id
     assert loaded.mu0 == snap.mu0 and loaded.sigma0 == snap.sigma0
     assert loaded.thresholds == snap.thresholds
     assert loaded.ensemble.frozen
@@ -70,15 +70,6 @@ def test_missing_weights_hash_rejected(snap):
         CalibrationSnapshot.from_dict(d)
 
 
-def test_unfrozen_ensemble_rejected(snap):
-    d = snap.to_dict()
-    live = constant_ensemble([[0.1, -0.2], [0.3, 0.05]], in_dim=3, frozen=False)
-    d["ensemble"] = live.to_dict()
-    d["weights_hash"] = live.weights_hash()
-    with pytest.raises(InputError, match="frozen"):
-        CalibrationSnapshot.from_dict(d)
-
-
 def test_format_version_mismatch(snap):
     d = snap.to_dict()
     d["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
@@ -105,6 +96,12 @@ def _truncate_w1(d):
     return d
 
 
+def _as_format_2(d):
+    """The document as format 2 wrote it: with the ensemble's seed and frozen flag."""
+    d["ensemble"].update(seed=0, frozen=True)
+    return dict(d, format_version=2)
+
+
 def _set(*path, value):
     def edit(d):
         section = d
@@ -125,9 +122,7 @@ def _set(*path, value):
         (lambda d: dict(d, ensemble=None), "snapshot ensemble must be a JSON object"),
         (_truncate_w1, "snapshot value ensemble.w1 holds 5 numbers"),
         (lambda d: dict(d, format_version=1), "unsupported snapshot format_version 1; calibrate again"),
-        (_set("ensemble", "frozen", value="false"), "snapshot value ensemble.frozen must be true or false"),
-        (_set("ensemble", "seed", value=1.9), "snapshot value ensemble.seed must be an integer, got 1.9"),
-        (_set("ensemble", "seed", value=True), "snapshot value ensemble.seed must be an integer, got True"),
+        (_as_format_2, "unsupported snapshot format_version 2; calibrate again"),
         (lambda d: dict(d, mu0="0.5"), "snapshot value mu0 must be a finite number, got '0.5'"),
         (lambda d: dict(d, env_id=None), "snapshot value env_id must be a string"),
         (_set("ensemble", "hidden_width", value=7), "snapshot value ensemble.w1 holds 6 numbers, which do not fill shape"),
@@ -177,10 +172,10 @@ def test_a_snapshot_copies_no_config_value():
         "tau_low", "tau_high", "weights_hash", "ensemble",
     }
     assert set(doc["ensemble"]) == {
-        "m_members", "in_dim", "hidden_width", "out_dim", "seed", "frozen",
+        "m_members", "in_dim", "hidden_width", "out_dim",
         "w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std",
     }
-    assert doc["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
+    assert doc["format_version"] == SNAPSHOT_FORMAT_VERSION == 3
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):
