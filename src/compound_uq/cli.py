@@ -174,7 +174,7 @@ def cmd_analyze(args) -> int:
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
         path = os.path.join(trace_dir, name)
-        header, _, footer = read_trace(path)
+        header, footer = read_trace(path)
         run = {k: json.dumps(v, sort_keys=True) for k, v in header.items() if k not in CELL_KEYS}
         if first is None:
             first, first_run = path, run

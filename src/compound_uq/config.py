@@ -21,7 +21,7 @@ from .ensemble import TrainSettings
 from .envs import env_class
 from .errors import InputError
 from .kappa import C_TAU, CLIP_C, Thresholds
-from .parsing import parse_fields, parse_key
+from .parsing import parse_fields, parse_key, refuse_unknown
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
     DEFAULT_PO_LEVELS,
@@ -121,9 +121,7 @@ def _merge(doc, schema: dict, where: str) -> dict:
     """``schema`` with ``doc``'s values laid over it, section by section."""
     if not isinstance(doc, dict):
         raise InputError(f"{where} must be a JSON object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise InputError(f"unknown config keys in {where}: {sorted(unknown)}")
+    refuse_unknown(doc, schema, "config", where)
     merged = {}
     for key, default in schema.items():
         value = doc.get(key, default)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, InputError, LifecycleError
-from .parsing import parse_key
+from .parsing import parse_key, refuse_unknown
 
 MIN_CALIBRATION_ROWS = 50
 STD_FLOOR = 1e-6
@@ -186,7 +186,7 @@ class Ensemble:
 
     @classmethod
     def from_dict(cls, d) -> "Ensemble":
-        """The frozen ensemble of a snapshot's ``ensemble`` section, parsed strictly."""
+        """The frozen ensemble of a snapshot's ``ensemble`` section, parsed strictly, unknown keys refused."""
         get = functools.partial(parse_key, d, document="snapshot", prefix="ensemble.")
         m, i, h, o = (get(key, "int") for key in ("m_members", "in_dim", "hidden_width", "out_dim"))
 
@@ -196,7 +196,7 @@ class Ensemble:
                 raise InputError(f"snapshot value ensemble.{key} holds {len(flat)} numbers, which do not fill shape {shape}")
             return np.array(flat).reshape(shape)
 
-        return cls(
+        ensemble = cls(
             w1=dec("w1", (m, i, h)),
             b1=dec("b1", (m, h)),
             w2=dec("w2", (m, h, o)),
@@ -205,6 +205,8 @@ class Ensemble:
             y_norm=_Normalizer(dec("y_mean", (o,)), dec("y_std", (o,))),
             frozen=True,
         )
+        refuse_unknown(d, ensemble.to_dict(), "snapshot", "ensemble")  # the keys to_dict writes
+        return ensemble
 
 
 def disagreement(member_preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -78,6 +78,12 @@ def parse_key(doc, key: str, annotation: str, document: str, prefix: str = ""):
     return PARSERS[annotation](doc[key], f"{document} value {prefix}{key}")
 
 
+def refuse_unknown(doc: dict, known, document: str, where: str) -> None:
+    """``InputError`` if ``doc`` has a key outside ``known``; ``where`` names its section."""
+    if unknown := set(doc) - set(known):
+        raise InputError(f"unknown {document} keys in {where}: {sorted(unknown)}")
+
+
 def parse_fields(cls, doc, document: str, prefix: str = "", **given):
     """``cls`` with each field not in ``given`` parsed from ``doc``; see ``parse_key``."""
     parsed = {f.name: parse_key(doc, f.name, f.type, document, prefix) for f in fields(cls) if f.name not in given}

@@ -468,6 +468,8 @@ def _step_line(rec: StepRecord) -> dict:
 
 
 CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
+# read_trace checks step lines but returns none, so floats stay text; the JSON grammar, int() and NaN still apply
+_STEP_DECODER = json.JSONDecoder(parse_float=str)
 
 
 def run_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, policy_mode: str) -> dict:
@@ -511,31 +513,33 @@ def _kind(line) -> str | None:
     return line.get("kind") if isinstance(line, dict) else None
 
 
-def read_trace(path: str) -> tuple[dict, list[dict], dict]:
-    """Header, step lines and footer of a trace; ``InputError`` if unreadable, if a footer
-    summary key does not parse by its ``SUMMARY_KEYS`` annotation, if the lines between
-    are not ``n_steps`` step lines, if the footer's cell_id or label is not what its condition
-    and seed give, or if the header names another cell. Footer summary values come back parsed."""
+def read_trace(path: str) -> tuple[dict, dict]:
+    """Header and footer of a trace; ``InputError`` if unreadable, if a footer summary key does
+    not parse by its ``SUMMARY_KEYS`` annotation, if the lines between are not ``n_steps`` step
+    lines (each decoded and checked, none returned), if the footer's cell_id or label is not what
+    its condition and seed give, or if the header names another cell. Footer values come back parsed."""
     with open_input(path, "trace") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if len(lines) < 2 or [_kind(lines[0]), _kind(lines[-1])] != ["header", "footer"]:
+        lines = (line for line in fh if line.strip())  # one held at a time: a held list raises peak RSS
+        header, last = json.loads(next(lines, "null")), None
+        kinds = [_kind(_STEP_DECODER.decode(last := line)) for line in lines]  # the footer's kind comes last
+        last = None if last is None else json.loads(last)
+    if last is None or [_kind(header), _kind(last)] != ["header", "footer"]:
         raise InputError(f"trace file {path} is missing header or footer")
     try:
-        summary = {key: parse_key(lines[-1], key, annotation, "footer") for key, annotation in SUMMARY_KEYS.items()}
+        summary = {key: parse_key(last, key, annotation, "footer") for key, annotation in SUMMARY_KEYS.items()}
         cond = ConditionSpec.from_dict(summary["condition"])
     except InputError as e:
         raise InputError(f"trace file {path} {e}") from None
-    steps = lines[1:-1]
-    if len(steps) != summary["n_steps"] or any(_kind(line) != "step" for line in steps):
+    if len(kinds) - 1 != summary["n_steps"] or kinds.count("step") != summary["n_steps"]:
         raise InputError(f"trace file {path} does not hold its footer's {summary['n_steps']} step lines")
     named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
     if named != given:
         raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
-    footer = {**lines[-1], **summary, "condition": cond.to_dict()}
-    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (lines[0], footer))
+    footer = {**last, **summary, "condition": cond.to_dict()}
+    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (header, footer))
     if header_cell != footer_cell:
         raise InputError(f"trace file {path} header names cell {header_cell}, but its footer names {footer_cell}")
-    return lines[0], steps, footer
+    return header, footer
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +614,9 @@ def run_sweep(
     ``run_header`` refuses an unknown mode, or a snapshot not calibrated for
     ``config``, before any cell runs. With ``out_dir`` set, each cell writes
     one JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
-    trace is already there reuses it only when the trace reads back whole
-    and its header encodes as ``trace_header`` gives for this run's
+    trace is already there reuses it only when ``read_trace`` accepts it (its
+    step lines are checked, not returned: the cell's summary comes from the
+    footer) and its header encodes as ``trace_header`` gives for this run's
     ``run_header`` and the cell; any other cell runs again and overwrites
     its trace.
     """
@@ -632,12 +637,10 @@ def run_sweep(
     def run_cell(cond: ConditionSpec, seed: int) -> dict:
         if out_dir:
             try:
-                header, _, footer = read_trace(cell_path(cond, seed))
+                header, footer = read_trace(cell_path(cond, seed))
             except InputError:
                 header = None  # missing or unreadable: simulate the cell again
-            if header is not None and json.dumps(header, sort_keys=True) == json.dumps(
-                trace_header(run, cond, seed), sort_keys=True
-            ):
+            if json.dumps(header, sort_keys=True) == json.dumps(trace_header(run, cond, seed), sort_keys=True):
                 footer.pop("kind")
                 return footer
         result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .ensemble import Ensemble
 from .errors import InputError
 from .kappa import Thresholds
-from .parsing import parse_fields, parse_key
+from .parsing import parse_fields, parse_key, refuse_unknown
 from .version import TOOLKIT_VERSION
 
 SNAPSHOT_FORMAT_VERSION = 3
@@ -96,12 +96,14 @@ class CalibrationSnapshot:
 
     @classmethod
     def from_dict(cls, d) -> "CalibrationSnapshot":
-        """The snapshot ``d`` describes, with a frozen ensemble that must match ``weights_hash``."""
+        """The snapshot ``d`` describes, unknown keys refused, with a frozen ensemble that must match ``weights_hash``."""
         if parse_key(d, "format_version", "int", "snapshot") != SNAPSHOT_FORMAT_VERSION:
             raise InputError(f"unsupported snapshot format_version {d['format_version']!r}; calibrate again")
         thresholds = parse_fields(Thresholds, d, "snapshot")
         snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
-        if snapshot.ensemble.weights_hash() != d.get("weights_hash"):
+        written = snapshot.to_dict()
+        refuse_unknown(d, written, "snapshot", "root")  # the keys to_dict writes
+        if written["weights_hash"] != d.get("weights_hash"):
             raise InputError("snapshot weights hash mismatch; file corrupted or edited")
         return snapshot
 

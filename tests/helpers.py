@@ -1,5 +1,6 @@
 """Shared builders for hand-crafted fixtures used across test modules."""
 
+import json
 import math
 import struct
 from collections import deque
@@ -9,7 +10,7 @@ import numpy as np
 from compound_uq.ensemble import Ensemble, input_rows
 from compound_uq.envs import env_class
 from compound_uq.errors import InputError
-from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action
+from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action, read_trace
 
 
 def clamp_grid(lo, hi):
@@ -55,6 +56,15 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
         }
     )
     return ens if frozen else ens.clone_unfrozen()
+
+
+def trace_steps(path):
+    """The step lines of the trace at ``path``, decoded by ``json.loads``, once
+    ``read_trace`` accepts the trace; it checks step lines but returns none."""
+    read_trace(str(path))
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip()]
+    return [json.loads(line) for line in lines[1:-1]]
 
 
 def linear_system_rows(n_steps=160, seed=0):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import build_eval_rows
+from helpers import build_eval_rows, trace_steps
 
 from compound_uq.analysis import degradation, superadditive_rate
 from compound_uq.belief import coupling_family, exact_mi, random_bound_checks
@@ -333,8 +333,8 @@ def test_learned_deficit_rises_under_a_shift_alone(driftbot, driftbot_sweep, cap
     _, _, trace_dir = driftbot_sweep
     mean_by_cell, at_clip = {}, {}
     for path in sorted(trace_dir.glob("trace_*.jsonl")):
-        _, steps, footer = read_trace(str(path))
-        post = [s["sigma_theta"] for s in steps if s["t"] >= cfg.onset_t]
+        _, footer = read_trace(str(path))
+        post = [s["sigma_theta"] for s in trace_steps(path) if s["t"] >= cfg.onset_t]
         cond = ConditionSpec.from_dict(footer["condition"])
         mean_by_cell[cond.po_fraction, cond.delay_steps, cond.shift, footer["seed"]] = float(np.mean(post))
         counts = at_clip.setdefault(footer["label"], [0, 0])

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import trace_steps
 
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
@@ -204,9 +205,9 @@ def test_run_writes_trace(workspace, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "[C3]" in text and f"wrote {out}" in text
-    header, steps, footer = read_trace(out)
+    header, footer = read_trace(out)
     assert header["policy_mode"] == "monitor"
-    assert len(steps) == 60
+    assert len(trace_steps(out)) == 60
     assert footer["seed"] == 2
 
 
@@ -214,7 +215,7 @@ def test_run_adaptive_mode(workspace, capsys):
     out = str(workspace["root"] / "trace_adaptive.jsonl")
     rc = main(["run", "--config", workspace["config"], "--policy-mode", "adaptive", "--out", out])
     assert rc == 0
-    header, _, _ = read_trace(out)
+    header, _ = read_trace(out)
     assert header["policy_mode"] == "adaptive"
     capsys.readouterr()
 
@@ -239,7 +240,7 @@ def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
         out = str(workspace["root"] / f"trace_mse_{mode}.jsonl")
         argv = ["run", "--config", workspace["config"], "--policy-mode", mode, "--po", "0.5", "--delay", "1"]
         assert main([*argv, "--seed", "1", "--out", out]) == 0
-        _, steps, _ = read_trace(out)
+        steps = trace_steps(out)
         obs = [np.array(s["obs"]) for s in steps]
         for t, step in enumerate(steps):
             x = np.concatenate([obs[t], acc_feature(obs[max(0, t - 2) : t + 1]), step["action"]])
@@ -281,6 +282,27 @@ def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, monkeypatc
         err = capsys.readouterr().err
         assert err.startswith(f"error: snapshot {snap} ") and message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, unknown",
+    [
+        ("ensemble", "seed", "in ensemble: ['seed']"),  # the key format 2 wrote, in a format-3 document
+        (None, "tau_hihg", "in root: ['tau_hihg']"),
+        ("ensemble", "x_stdev", "in ensemble: ['x_stdev']"),
+    ],
+)
+def test_a_snapshot_with_an_unknown_key_is_refused(workspace, tmp_path, capsys, section, key, unknown):
+    def add_key(doc):
+        (doc[section] if section else doc)[key] = 7
+
+    snap = _edited_snapshot(workspace, tmp_path / "extra_key.json", add_key)
+    with pytest.raises(InputError, match=f"^unknown snapshot keys {re.escape(unknown)}$"):
+        CalibrationSnapshot.load(snap, workspace["cfg"])
+    capsys.readouterr()
+    assert main(["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: unknown snapshot keys {unknown}\n"
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
@@ -468,7 +490,7 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     assert main(["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(bounds)]) == 0
     capsys.readouterr()
     assert CalibrationSnapshot.load(str(snap), workspace["cfg"]).env_id == "MassSpring1D"
-    assert len(read_trace(str(trace))[1]) == TINY["horizon"]
+    assert len(trace_steps(trace)) == TINY["horizon"]
     assert json.loads(report.read_text())["n_configs"] == 1
     # csv rows end in \r\n, as csv.writer writes them.
     raw = bounds.read_bytes()
@@ -544,6 +566,7 @@ HEADER_MUTANTS = [
 STEP_MUTANTS = [
     ("kind", "header"),
     ("kind", None),
+    ("kind", ["step"]),
     ("cut", 5),
 ]
 

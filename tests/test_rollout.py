@@ -10,11 +10,12 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits
+from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, trace_steps
 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
@@ -186,7 +187,7 @@ def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
 def _trace_steps(path, res) -> list[dict]:
     """The step lines of ``res`` as a written trace holds them."""
     write_trace(str(path), res)
-    return read_trace(str(path))[1]
+    return trace_steps(path)
 
 
 def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
@@ -439,7 +440,8 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert hashes == []  # the writer takes the run header its episode built
     assert list(inspect.signature(write_trace).parameters) == ["path", "result"]
     assert "policy_mode" not in {f.name for f in fields(RolloutResult)}
-    header, steps, footer = read_trace(path)
+    header, footer = read_trace(path)
+    steps = trace_steps(path)
     assert header == json.loads(json.dumps(trace_header(run_header(cfg_ms, snap_ms, "monitor"), cond, 2)))
     assert header["kind"] == "header"
     assert header["config_hash"] == cfg_ms.config_hash()
@@ -450,6 +452,55 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     footer.pop("kind")
     assert footer == json.loads(json.dumps(res.summary()))
     assert footer["violations"] == 0
+
+
+def _with_reward(line: bytes, token: bytes) -> bytes:
+    return re.sub(rb'"reward": [^,}]+', b'"reward": ' + token, line)
+
+
+# Edits of one step line's bytes (without its newline), each with whether
+# json.loads reads the edited line as a step line: read_trace must accept
+# exactly the traces whose step lines it reads so.
+STEP_LINE_EDITS = {
+    "float 1e400": (lambda line: _with_reward(line, b"1e400"), True),
+    "float -0.0": (lambda line: _with_reward(line, b"-0.0"), True),
+    "float of 17 digits": (lambda line: _with_reward(line, b"0.12345678901234567"), True),
+    "NaN": (lambda line: _with_reward(line, b"NaN"), True),
+    "-Infinity": (lambda line: _with_reward(line, b"-Infinity"), True),
+    "kind twice, step last": (lambda line: b'{"kind": "header", ' + line[1:], True),
+    "integer of 5000 digits": (lambda line: _with_reward(line, b"7" * 5000), False),
+    "trailing text": (lambda line: line + b" x", False),
+    "cut mid-number": (lambda line: _with_reward(line, b"0.125")[: line.index(b'"reward": ') + 12], False),
+    "float 1.": (lambda line: _with_reward(line, b"1."), False),
+    "float .5": (lambda line: _with_reward(line, b".5"), False),
+    "bare array": (lambda line: b"[" + line + b"]", False),
+    "kind twice, header last": (lambda line: line[:-1] + b', "kind": "header"}', False),
+    "kind a list": (lambda line: line.replace(b'"kind": "step"', b'"kind": ["step"]'), False),
+    "kind an object": (lambda line: line.replace(b'"kind": "step"', b'"kind": {"step": 1}'), False),
+    "non-UTF-8 byte": (lambda line: line.replace(b'"kind": "step"', b'"kind": "st\xffep"'), False),
+    "byte order mark": (lambda line: "\ufeff".encode() + line, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_LINE_EDITS))
+def test_step_lines_are_refused_exactly_when_json_loads_refuses_them(cfg_ms, snap_ms, tmp_path, name):
+    edit, accepted = STEP_LINE_EDITS[name]
+    path = tmp_path / "trace.jsonl"
+    write_trace(str(path), run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = edit(lines[1].rstrip(b"\n")) + b"\n"
+    path.write_bytes(b"".join(lines))
+    try:
+        step = json.loads(lines[1].decode("utf-8"))
+        read_as_step = isinstance(step, dict) and step.get("kind") == "step"
+    except ValueError:  # a JSONDecodeError, a too-long integer or a UnicodeDecodeError
+        read_as_step = False
+    assert read_as_step == accepted
+    if accepted:
+        read_trace(str(path))
+    else:
+        with pytest.raises(InputError, match=f"^trace file {re.escape(str(path))} "):
+            read_trace(str(path))
 
 
 def test_run_condition_refuses_a_foreign_snapshot_before_any_step(cfg_ms, snap_ms, monkeypatch):
@@ -508,7 +559,8 @@ def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
     res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=True)
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), res)
-    _, steps, footer = read_trace(str(path))
+    _, footer = read_trace(str(path))
+    steps = trace_steps(path)
     assert all(s["info_gain"] > 0.0 for s in steps)
     assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
     assert footer["violations"] == 0
@@ -516,15 +568,16 @@ def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
 
 
 def test_an_adapted_clone_depends_on_the_snapshot_weights_alone(ms_calibrated):
-    # Online updates draw from the run's calibration seed, so a key the
-    # document carries beyond the weights, such as the ensemble seed that
-    # format 2 wrote, cannot steer them.
+    # Online updates draw from the run's calibration seed, and a document
+    # carrying a key beyond the weights, such as the ensemble seed that format
+    # 2 wrote, is refused, so nothing but the weights can steer them.
     cfg, snap, cond = ms_calibrated
     seeded = snap.to_dict()
     seeded["ensemble"]["seed"] = 7
-    for doc in (snap.to_dict(), seeded):
-        res = run_condition(cfg, CalibrationSnapshot.from_dict(doc), cond, 0, policy_mode="adaptive", adaptive_enabled=True)
-        assert res.adaptive_ensemble.weights_hash() == PINNED_TRACES["adaptive"][1]
+    with pytest.raises(InputError, match=r"^unknown snapshot keys in ensemble: \['seed'\]$"):
+        CalibrationSnapshot.from_dict(seeded)
+    res = run_condition(cfg, CalibrationSnapshot.from_dict(snap.to_dict()), cond, 0, policy_mode="adaptive", adaptive_enabled=True)
+    assert res.adaptive_ensemble.weights_hash() == PINNED_TRACES["adaptive"][1]
 
 
 @pytest.fixture(scope="module")
@@ -560,7 +613,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     path = tmp_path / f"trace_{cell}.jsonl"
     probing = run_condition(cfg, snap, cond, 0, policy_mode="adaptive")
     write_trace(str(path), probing)
-    header, _, footer = read_trace(str(path))
+    header, footer = read_trace(str(path))
     assert header["policy_mode"] == "adaptive" and footer["violations"] == 0
 
     fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
@@ -575,7 +628,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
     resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
     assert cell in simulated
-    header, _, footer = read_trace(str(path))
+    header, footer = read_trace(str(path))
     assert header["policy_mode"] == "monitor"
     footer.pop("kind")
     assert footer == fresh[cell]
@@ -691,5 +744,5 @@ def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
     header["config_hash"] = "0" * 16
     victim.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
     run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
-    healed, _, _ = read_trace(str(victim))
+    healed, _ = read_trace(str(victim))
     assert healed["config_hash"] == cfg_ms.config_hash()
