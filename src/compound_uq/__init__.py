@@ -9,11 +9,9 @@ fully seeded environments.
 
 from .analysis import (
     DegradationRecord,
-    KappaTraceStats,
     StratifiedRateResult,
     SynergyReport,
     degradation,
-    kappa_trace_stats,
     stratified_rate_test,
     superadditive_rate,
 )

@@ -35,7 +35,6 @@ from .errors import InputError
 from .snapshot import atomic_write_text
 
 SCHEMA_VERSION = 1
-COLLAPSE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -283,66 +282,6 @@ def stratified_rate_test(
 
         p = float(chdtrc(df, chi2))
     return StratifiedRateResult(stratum_key=stratum_key, strata=strata_summary, chi2=chi2, df=df, p_value=p)
-
-
-@dataclass(frozen=True)
-class KappaTraceStats:
-    post_onset_mean: float
-    peak: float
-    peak_t: int
-    spike_lead_times: tuple[int, ...]
-
-
-def kappa_trace_stats(
-    trace,
-    onset_t: int,
-    task_signal=None,
-    tau_high: float | None = None,
-    collapse_fraction: float = COLLAPSE_FRACTION,
-) -> KappaTraceStats:
-    """Summarize a per-step kappa trace around a stressor onset.
-
-    ``trace`` may hold per-step kappa floats or records with a ``kappa``
-    attribute, indexed by step. Returns the post-onset mean (steps with
-    t >= onset, matching when stressors engage), the global peak and its
-    step, and, when a task signal and tau_high are supplied, the lead
-    time from the nearest preceding kappa spike above tau_high to each
-    collapse event. A collapse event starts where the task signal first
-    drops below ``collapse_fraction`` times its pre-onset mean; detection
-    assumes a predominantly positive signal. Events with no preceding
-    spike contribute no lead time.
-    """
-    values = np.array([getattr(k, "kappa", k) for k in trace], dtype=float)
-    if values.shape[0] <= onset_t:
-        raise InputError(f"trace of length {values.shape[0]} does not reach onset {onset_t}")
-    post = values[onset_t:]
-    peak_t = int(np.argmax(values))
-    leads: list[int] = []
-    if task_signal is not None and tau_high is not None:
-        sig = np.asarray(task_signal, dtype=float)
-        if sig.shape[0] != values.shape[0]:
-            raise InputError("task_signal must align with the kappa trace")
-        if onset_t < 1:
-            raise InputError("collapse detection needs a pre-onset baseline window")
-        pre_mean = float(sig[:onset_t].mean())
-        collapse_level = collapse_fraction * pre_mean
-        collapsed = sig < collapse_level
-        spike_ts = np.flatnonzero(values > tau_high)
-        in_event = False
-        for t, is_c in enumerate(collapsed):
-            if is_c and not in_event:
-                in_event = True
-                earlier = spike_ts[spike_ts <= t]
-                if earlier.size:
-                    leads.append(int(t - earlier[-1]))
-            elif not is_c:
-                in_event = False
-    return KappaTraceStats(
-        post_onset_mean=float(post.mean()),
-        peak=float(values.max()),
-        peak_t=peak_t,
-        spike_lead_times=tuple(leads),
-    )
 
 
 DEGRADATION_CSV_FIELDS = tuple(f.name for f in fields(DegradationRecord) if f.name != "meta")

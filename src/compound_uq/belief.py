@@ -62,14 +62,6 @@ class DiscreteJointBelief:
         _check_probabilities(arr[None])
         object.__setattr__(self, "table", arr)
 
-    @property
-    def n_s(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_theta(self) -> int:
-        return self.table.shape[1]
-
     def marginal_s(self) -> np.ndarray:
         return self.table.sum(axis=1)
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -162,9 +163,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise InputError(f"threshold must be finite, got {args.threshold}")
     cfg = _load_cfg(args.config)
     trace_dir = args.trace_dir
-    footers: list[dict] = []
+    summaries: list[dict] = []
     first = first_run = None  # the first trace's path, and its header keys but CELL_KEYS, JSON-encoded
     try:
         names = sorted(os.listdir(trace_dir))
@@ -174,19 +177,19 @@ def cmd_analyze(args) -> int:
         if not (name.startswith("trace_") and name.endswith(".jsonl")):
             continue
         path = os.path.join(trace_dir, name)
-        header, footer = read_trace(path)
+        header, summary = read_trace(path)
         run = {k: json.dumps(v, sort_keys=True) for k, v in header.items() if k not in CELL_KEYS}
         if first is None:
             first, first_run = path, run
         if differ := sorted({k for k, _ in run.items() ^ first_run.items()}):
             raise InputError(f"trace file {path} and trace file {first} mix two runs: their headers differ in {differ}")
-        footers.append(footer)
-    if not footers:
+        summaries.append(summary)
+    if not summaries:
         raise InputError(f"no trace files found in {trace_dir}")
     trace_hash = header.get("config_hash")  # every header holds the same one by now
     if trace_hash != cfg.config_hash():
         raise InputError(f"traces in {trace_dir} were made under config {trace_hash}, not this config")
-    records = build_degradation_records(footers, cfg.grid)
+    records = build_degradation_records(summaries, cfg.grid)
     report = superadditive_rate(records, threshold=args.threshold, units=args.units)
     out = _out_path(args.out or os.path.join(trace_dir, "synergy_report.json"))
     atomic_write_text(out, report.to_json() + "\n")

@@ -188,5 +188,4 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 def load_config(path: str) -> ExperimentConfig:
     with open_input(path, "config") as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw)
+        return config_from_dict(json.load(fh))

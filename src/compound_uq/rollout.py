@@ -514,10 +514,12 @@ def _kind(line) -> str | None:
 
 
 def read_trace(path: str) -> tuple[dict, dict]:
-    """Header and footer of a trace; ``InputError`` if unreadable, if a footer summary key does
-    not parse by its ``SUMMARY_KEYS`` annotation, if the lines between are not ``n_steps`` step
-    lines (each decoded and checked, none returned), if the footer's cell_id or label is not what
-    its condition and seed give, or if the header names another cell. Footer values come back parsed."""
+    """Header and cell summary of a trace; ``InputError`` if unreadable, if a footer summary key
+    does not parse by its ``SUMMARY_KEYS`` annotation, if the footer does not encode as
+    ``{"kind": "footer", **summary}`` for the summary it parses to (its condition as
+    ``ConditionSpec.to_dict`` gives it), if the lines between are not ``n_steps`` step lines (each
+    decoded and checked, none returned), if the footer's cell_id or label is not what its condition
+    and seed give, or if the header names another cell. The summary is the footer without ``kind``."""
     with open_input(path, "trace") as fh:
         lines = (line for line in fh if line.strip())  # one held at a time: a held list raises peak RSS
         header, last = json.loads(next(lines, "null")), None
@@ -530,16 +532,19 @@ def read_trace(path: str) -> tuple[dict, dict]:
         cond = ConditionSpec.from_dict(summary["condition"])
     except InputError as e:
         raise InputError(f"trace file {path} {e}") from None
+    summary["condition"] = cond.to_dict()
+    footer = {"kind": "footer", **summary}  # what write_trace writes for this summary
+    if json.dumps(last, sort_keys=True) != json.dumps(footer, sort_keys=True):
+        raise InputError(f"trace file {path} footer does not encode as the summary it parses to")
     if len(kinds) - 1 != summary["n_steps"] or kinds.count("step") != summary["n_steps"]:
         raise InputError(f"trace file {path} does not hold its footer's {summary['n_steps']} step lines")
     named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
     if named != given:
         raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
-    footer = {**last, **summary, "condition": cond.to_dict()}
-    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (header, footer))
+    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (header, summary))
     if header_cell != footer_cell:
         raise InputError(f"trace file {path} header names cell {header_cell}, but its footer names {footer_cell}")
-    return header, footer
+    return header, summary
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +563,7 @@ class SweepOutcome:
 def build_degradation_records(summaries, grid) -> list[DegradationRecord]:
     """Assemble matched-seed quadruples from per-cell summaries.
 
-    ``summaries`` are ``RolloutResult.summary()`` dicts or trace footers;
+    ``summaries`` are ``RolloutResult.summary()`` dicts, as ``read_trace`` also returns;
     each gives its cell's condition, seed and episode return. For every
     seed, masking level > 0, and dynamics stressor combination (delay
     and/or shift active) present in the grid, the quadruple is
@@ -615,10 +620,10 @@ def run_sweep(
     ``config``, before any cell runs. With ``out_dir`` set, each cell writes
     one JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
     trace is already there reuses it only when ``read_trace`` accepts it (its
-    step lines are checked, not returned: the cell's summary comes from the
-    footer) and its header encodes as ``trace_header`` gives for this run's
-    ``run_header`` and the cell; any other cell runs again and overwrites
-    its trace.
+    step lines are checked, not returned, and its footer must encode as the
+    cell summary it parses to, which the cell then returns) and its header
+    encodes as ``trace_header`` gives for this run's ``run_header`` and the
+    cell; any other cell runs again and overwrites its trace.
     """
     run = run_header(config, snapshot, policy_mode)
     cells = condition_matrix(
@@ -637,12 +642,11 @@ def run_sweep(
     def run_cell(cond: ConditionSpec, seed: int) -> dict:
         if out_dir:
             try:
-                header, footer = read_trace(cell_path(cond, seed))
+                header, summary = read_trace(cell_path(cond, seed))
             except InputError:
                 header = None  # missing or unreadable: simulate the cell again
             if json.dumps(header, sort_keys=True) == json.dumps(trace_header(run, cond, seed), sort_keys=True):
-                footer.pop("kind")
-                return footer
+                return summary
         result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)
         if out_dir:
             write_trace(cell_path(cond, seed), result)

@@ -41,7 +41,9 @@ def atomic_write_text(path: str, text: str) -> None:
 @contextmanager
 def open_input(path: str, what: str):
     """Open a UTF-8 input file for the ``with`` block; failing to open,
-    decode or parse it as JSON raises an ``InputError`` that names ``what``.
+    decode or parse it as JSON raises an ``InputError`` that names ``what``
+    and ``path``, and so does an ``InputError`` the block raises itself
+    (a document its parser refuses).
 
     A ``ValueError`` raised in the block counts as a JSON failure: ``json``
     raises a bare one for an integer literal longer than Python's
@@ -53,6 +55,8 @@ def open_input(path: str, what: str):
         raise InputError(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"{what} file {path} cannot be read: {e}") from None
+    except InputError as e:  # before ValueError, which InputError subclasses
+        raise InputError(f"{what} file {path}: {e}") from None
     except ValueError as e:  # a JSONDecodeError, or an integer literal too long to convert
         raise InputError(f"{what} file {path} is not valid JSON: {e}") from None
 
@@ -111,7 +115,6 @@ class CalibrationSnapshot:
     def load(cls, path: str, config) -> "CalibrationSnapshot":
         """The snapshot at ``path``, refused unless it was calibrated for ``config``; see ``check_config``."""
         with open_input(path, "snapshot") as fh:
-            d = json.load(fh)
-        snapshot = cls.from_dict(d)
+            snapshot = cls.from_dict(json.load(fh))
         snapshot.check_config(config, f"snapshot {path}")
         return snapshot

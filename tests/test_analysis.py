@@ -1,4 +1,4 @@
-"""Degradation, synergy-rate, stratified-rate, and trace-summary tests."""
+"""Degradation, synergy-rate and stratified-rate tests."""
 
 import csv
 import math
@@ -9,7 +9,6 @@ import pytest
 from compound_uq.analysis import (
     DEGRADATION_CSV_FIELDS,
     degradation,
-    kappa_trace_stats,
     records_to_csv,
     stratified_rate_test,
     superadditive_rate,
@@ -193,58 +192,6 @@ def test_stratified_requires_two_strata():
         stratified_rate_test(only_delay, stratum_key="delay_level")
     with pytest.raises(InputError):
         stratified_rate_test(only_delay, stratum_key="badkey")
-
-
-def test_kappa_trace_stats_constant_trace():
-    stats = kappa_trace_stats([0.3] * 100, onset_t=50)
-    assert stats.post_onset_mean == pytest.approx(0.3, abs=1e-12)
-    assert stats.peak == pytest.approx(0.3, abs=1e-12)
-    assert stats.spike_lead_times == ()
-
-
-def test_kappa_trace_post_onset_window_includes_onset_step():
-    values = [0.0] * 50 + [1.0] * 50
-    stats = kappa_trace_stats(values, onset_t=50)
-    # Stressors engage at t = onset, so the window is values[50:].
-    assert stats.post_onset_mean == pytest.approx(1.0, abs=1e-12)
-    assert stats.peak_t == 50
-
-
-def test_kappa_trace_spike_lead_time():
-    values = [0.0] * 200
-    values[100] = 1.0  # spike above tau_high
-    signal = [1.0] * 200
-    for t in range(110, 120):
-        signal[t] = 0.1  # collapse below 25% of the pre-onset mean
-    stats = kappa_trace_stats(values, onset_t=50, task_signal=signal, tau_high=0.5)
-    assert stats.spike_lead_times == (10,)
-    assert stats.peak_t == 100
-
-
-def test_kappa_trace_collapse_without_spike_contributes_nothing():
-    values = [0.0] * 200
-    signal = [1.0] * 200
-    signal[150] = 0.0
-    stats = kappa_trace_stats(values, onset_t=50, task_signal=signal, tau_high=0.5)
-    assert stats.spike_lead_times == ()
-
-
-def test_kappa_trace_accepts_records_with_kappa_attr():
-    class Rec:
-        def __init__(self, k):
-            self.kappa = k
-
-    stats = kappa_trace_stats([Rec(0.1)] * 60, onset_t=10)
-    assert stats.post_onset_mean == pytest.approx(0.1, abs=1e-12)
-
-
-def test_kappa_trace_validation():
-    with pytest.raises(InputError):
-        kappa_trace_stats([0.1] * 10, onset_t=10)
-    with pytest.raises(InputError):
-        kappa_trace_stats([0.1] * 10, onset_t=0, task_signal=[1.0] * 10, tau_high=0.5)
-    with pytest.raises(InputError):
-        kappa_trace_stats([0.1] * 10, onset_t=2, task_signal=[1.0] * 9, tau_high=0.5)
 
 
 def test_records_to_csv_schema(tmp_path):

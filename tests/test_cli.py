@@ -120,7 +120,7 @@ def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["calibrate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
 
 
 @pytest.mark.parametrize("doc", [{"grid": dict(TINY["grid"], seeds=[-1, 0])}, {"calibration_seed": -1}])
@@ -128,7 +128,7 @@ def test_calibrate_refuses_negative_seeds(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path), **doc)))
     assert main(["calibrate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: seeds must be nonnegative")
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: seeds must be nonnegative")
     assert not (tmp_path / "calibration.json").exists()
 
 
@@ -297,11 +297,11 @@ def test_a_snapshot_with_an_unknown_key_is_refused(workspace, tmp_path, capsys, 
         (doc[section] if section else doc)[key] = 7
 
     snap = _edited_snapshot(workspace, tmp_path / "extra_key.json", add_key)
-    with pytest.raises(InputError, match=f"^unknown snapshot keys {re.escape(unknown)}$"):
+    with pytest.raises(InputError, match=f"^snapshot file {re.escape(snap)}: unknown snapshot keys {re.escape(unknown)}$"):
         CalibrationSnapshot.load(snap, workspace["cfg"])
     capsys.readouterr()
     assert main(["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]) == 1
-    assert capsys.readouterr().err == f"error: unknown snapshot keys {unknown}\n"
+    assert capsys.readouterr().err == f"error: snapshot file {snap}: unknown snapshot keys {unknown}\n"
     assert not (tmp_path / "t.jsonl").exists()
 
 
@@ -348,19 +348,26 @@ def test_run_rejects_bad_shift(workspace, capsys):
         (["oracle-check", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["oracle-check", "--grid-points", "1"], "grid_points must be >= 2, got 1"),
         (["oracle-check", "--grid-points", "0"], "grid_points must be >= 2, got 0"),
+        (["analyze", "--threshold=nan"], "threshold must be finite, got nan"),
+        (["analyze", "--threshold=inf"], "threshold must be finite, got inf"),
+        (["analyze", "--threshold=-inf"], "threshold must be finite, got -inf"),
     ],
 )
-def test_bad_numbers_are_refused_before_any_work(workspace, monkeypatch, capsys, argv, message):
+def test_bad_numbers_are_refused_before_any_work(workspace, tmp_path, monkeypatch, capsys, argv, message):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
     monkeypatch.setattr("compound_uq.cli.random_bound_checks", refuse)
-    if argv[0] == "run":
+    monkeypatch.setattr("compound_uq.cli.os.listdir", refuse)
+    if argv[0] in ("run", "analyze"):
         argv = [*argv, "--config", workspace["config"]]
+    if argv[0] == "analyze":
+        argv = [*argv, "--trace-dir", str(tmp_path), "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_missing_snapshot(workspace, capsys):
@@ -531,7 +538,8 @@ def two_seed_tree(tmp_path_factory):
 
 
 # Footer values of the wrong type, not finite, or naming another cell than
-# the footer's condition and seed give; each goes on the seed-1 C4 cell.
+# the footer's condition and seed give, and keys the writer never writes;
+# each goes on the seed-1 C3 cell (po 0.5, delay 1). A key "condition.x" edits x in the condition.
 FOOTER_MUTANTS = [
     ("episode_return", "abc"),
     ("episode_return", True),
@@ -547,6 +555,9 @@ FOOTER_MUTANTS = [
     ("n_steps", "x"),
     ("n_steps", 59),
     ("cell_id", "po0.5_delay1_shift-none_seed0"),
+    ("injected", 123),
+    ("condition.injected", 123),
+    ("condition.label", "C9"),
 ]
 
 # Header values of another run (snapshot, toolkit version, or a value of
@@ -590,7 +601,10 @@ def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, 
         del lines[1 : 1 + value]
     else:
         at = {"header": 0, "step": 1, "footer": -1}[line]
-        lines[at] = json.dumps({**json.loads(lines[at]), key: value}).encode() + b"\n"
+        doc = json.loads(lines[at])
+        section, _, inner = key.rpartition(".")
+        (doc[section] if section else doc)[inner] = value
+        lines[at] = json.dumps(doc).encode() + b"\n"
     trace.write_bytes(b"".join(lines))
 
     capsys.readouterr()

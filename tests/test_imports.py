@@ -1,5 +1,5 @@
-"""Import guards: the CLI starts without scipy, and the agent side never
-reaches the environments.
+"""Import guards: the CLI starts without scipy, the agent side never
+reaches the environments, and every public name has a caller.
 
 Only ``analysis.superadditive_rate`` and ``analysis.stratified_rate_test``
 need scipy, and they import ``scipy.special`` when called. Each scipy check
@@ -94,3 +94,43 @@ def test_agent_side_modules_never_import_envs_or_rollout():
                 reached.add(name)
                 todo.append(name)
         assert not reached & {"envs", "rollout"}, f"{start} reaches {sorted(reached)}"
+
+
+def _parse_modules(root: str) -> dict[str, ast.Module]:
+    """The syntax tree of each module in directory ``root`` but ``__init__.py`` and tests, by path."""
+    trees = {}
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py") and name != "__init__.py" and not name.startswith("test_"):
+            with open(os.path.join(root, name)) as fh:
+                trees[f"{os.path.basename(root)}/{name}"] = ast.parse(fh.read())
+    return trees
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """``(name, node, attribute_only)`` for each public module-level function and class of
+    ``tree``, and each public method or property of those classes (found by attribute only)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}:{node.name}", node, False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{module}:{node.name}.{member.name}", member, True
+
+
+def test_every_public_name_has_a_caller():
+    # The system is the package and the benchmark, not their tests: a name only tests use has no caller.
+    trees = {**_parse_modules(os.path.dirname(compound_uq.__file__)), **_parse_modules(os.path.join(os.path.dirname(SRC), "perfbench"))}
+    references = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, definition, attribute_only in _public_definitions(module, tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = definition.name
+            if not any(
+                id(node) not in inside
+                and (node.attr == name if isinstance(node, ast.Attribute) else not attribute_only and node.id == name)
+                for node in references
+            ):
+                uncalled.append(qualname)
+    assert not uncalled, f"public names that nothing in the package or perfbench references: {uncalled}"

@@ -440,7 +440,7 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert hashes == []  # the writer takes the run header its episode built
     assert list(inspect.signature(write_trace).parameters) == ["path", "result"]
     assert "policy_mode" not in {f.name for f in fields(RolloutResult)}
-    header, footer = read_trace(path)
+    header, summary = read_trace(path)
     steps = trace_steps(path)
     assert header == json.loads(json.dumps(trace_header(run_header(cfg_ms, snap_ms, "monitor"), cond, 2)))
     assert header["kind"] == "header"
@@ -449,9 +449,8 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert header["cell_id"] == res.cell_id
     assert header["tau_low"] == snap_ms.thresholds.tau_low
     assert len(steps) == 40 and steps[0]["t"] == 0 and steps[-1]["t"] == 39
-    footer.pop("kind")
-    assert footer == json.loads(json.dumps(res.summary()))
-    assert footer["violations"] == 0
+    assert summary == json.loads(json.dumps(res.summary()))
+    assert summary["violations"] == 0
 
 
 def _with_reward(line: bytes, token: bytes) -> bytes:
@@ -559,11 +558,11 @@ def test_trace_bytes_are_pinned(ms_calibrated, mode, tmp_path):
     res = run_condition(cfg, snap, cond, 0, policy_mode=mode, adaptive_enabled=True)
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), res)
-    _, footer = read_trace(str(path))
+    _, summary = read_trace(str(path))
     steps = trace_steps(path)
     assert all(s["info_gain"] > 0.0 for s in steps)
     assert any(s["alpha"] > 0.0 for s in steps) == (mode == "adaptive")
-    assert footer["violations"] == 0
+    assert summary["violations"] == 0
     assert (hashlib.sha256(path.read_bytes()).hexdigest(), res.adaptive_ensemble.weights_hash()) == PINNED_TRACES[mode]
 
 
@@ -613,8 +612,8 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     path = tmp_path / f"trace_{cell}.jsonl"
     probing = run_condition(cfg, snap, cond, 0, policy_mode="adaptive")
     write_trace(str(path), probing)
-    header, footer = read_trace(str(path))
-    assert header["policy_mode"] == "adaptive" and footer["violations"] == 0
+    header, summary = read_trace(str(path))
+    assert header["policy_mode"] == "adaptive" and summary["violations"] == 0
 
     fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
     assert probing.summary() != fresh[cell]  # reusing the probing trace would show
@@ -628,10 +627,9 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
     resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
     assert cell in simulated
-    header, footer = read_trace(str(path))
+    header, summary = read_trace(str(path))
     assert header["policy_mode"] == "monitor"
-    footer.pop("kind")
-    assert footer == fresh[cell]
+    assert summary == fresh[cell]
     assert resumed.cell_summaries == list(fresh.values())
 
 
