@@ -74,6 +74,7 @@ from .rollout import (
     RolloutResult,
     SweepOutcome,
     calibrate,
+    run_cells,
     run_condition,
     run_sweep,
 )

@@ -133,7 +133,8 @@ class SynergyReport:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """The report as JSON; a non-finite number raises ``ValueError`` rather than writing ``NaN``."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _synergy_of(record: DegradationRecord, units: str) -> float:
@@ -153,8 +154,10 @@ def superadditive_rate(records, threshold: float = 0.0, units: str = "frac") -> 
     count is reported. The one-sample t statistic tests the flagged
     synergies against zero mean with a two-sided p-value and a 95%
     confidence interval; fewer than two flagged records leave the test
-    fields empty.
+    fields empty. A non-finite ``threshold`` is refused.
     """
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
     recs = list(records)
     if not recs:
         raise InputError("superadditive_rate needs at least one record")

@@ -77,10 +77,12 @@ def input_rows(obs_history, actions) -> np.ndarray:
 
     ``obs`` is the last observation of ``obs_history`` and ``acc`` is its
     ``acc_feature``; training and candidate scoring build rows here alone.
+    Each history entry is one observation, shared by every row, or a stack
+    holding one observation per row.
     """
     acc = acc_feature(obs_history)
     acts = np.atleast_2d(actions)
-    d = acc.shape[0]
+    d = acc.shape[-1]
     x = np.empty((acts.shape[0], 2 * d + acts.shape[1]))
     x[:, :d] = obs_history[-1]
     x[:, d : 2 * d] = acc

@@ -133,8 +133,9 @@ def candidate_actions(
 
 
 def task_affinity(candidates: np.ndarray, task_action: np.ndarray) -> np.ndarray:
-    """Task reward surrogate: negative squared distance to the task action."""
-    diff = np.atleast_2d(candidates) - np.asarray(task_action, dtype=float)[None, :]
+    """Task reward surrogate: negative squared distance to the task action, or to
+    each row's own task action when ``task_action`` holds one per candidate."""
+    diff = np.atleast_2d(candidates) - np.asarray(task_action, dtype=float)
     return -(diff ** 2).sum(axis=1)
 
 

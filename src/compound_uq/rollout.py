@@ -7,7 +7,10 @@ side of the fence. The episode loop itself never reads
 ``true_dynamics()``: a dynamics shift reaches the plant through
 ``set_param`` alone.
 
-Per-step order within ``run_condition``:
+``run_cells`` is the one episode loop. It steps a batch of cells together
+(``run_condition`` runs a batch of one, a sweep one batch per cell seed,
+calibration one batch of probes), with one forward pass per control step
+over every cell's candidate rows. Per-step order within each cell:
 
 1. the dynamics shift (if due) is applied to the plant;
 2. the agent picks an action from masked observations using the kappa
@@ -27,8 +30,8 @@ single stressor, compound) executed in monitor mode with provisional
 default thresholds.
 
 All seeds derive from (cell seed, fixed stream tags), so every cell is
-reproducible in isolation and sweep results do not depend on execution
-order.
+reproducible in isolation, and sweep results depend neither on execution
+order nor on which cells share a batch.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .ensemble import (
 )
 from .envs import env_class
 from .errors import CalibrationError, InputError, InvariantViolation
-from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Thresholds, calibrate_thresholds, compute_step
+from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Regime, Thresholds, calibrate_thresholds, compute_step
 from .parsing import parse_key
 from .perturb import (
     ActionDelayer,
@@ -157,14 +160,72 @@ class StepRecord:
     risk: float
 
 
+_REGIMES = tuple(Regime)
+
+
+class StepTable:
+    """An episode's per-step values, in arrays preallocated for ``n_steps`` steps.
+
+    A batch holds every cell's steps until its traces are written, so the
+    values live in arrays rather than in one object per step. Indexing and
+    iterating give ``StepRecord`` copies; ``write_trace`` and the
+    ``RolloutResult`` aggregates read the arrays. ``obs`` has one row more
+    than there are steps: step t's masked observation is row t and its next
+    observation row t + 1.
+    """
+
+    def __init__(self, n_steps: int, obs: np.ndarray, action_dim: int):
+        self.obs = np.empty((n_steps + 1, obs.shape[0]))
+        self.obs[0] = obs
+        self.action = np.empty((n_steps, action_dim))
+        self.executed = np.empty((n_steps, action_dim))
+        self.index = np.empty(n_steps, dtype=np.int64)
+        self.any_compliant = np.empty(n_steps, dtype=bool)
+        self.regime = np.empty(n_steps, dtype=np.int8)  # the position in _REGIMES
+        (self.mse, self.sigma_theta, self.sigma_s, self.kappa, self.info_gain, self.predicted_risk,
+         self.alpha, self.delta, self.reward, self.risk) = np.empty((10, n_steps))
+
+    def record(self, comp: KappaComponents, choice: ActionChoice, executed: np.ndarray, next_obs: np.ndarray, reward: float, risk: float) -> None:
+        """Store step ``comp.t``."""
+        t = comp.t
+        self.mse[t], self.sigma_theta[t], self.sigma_s[t], self.kappa[t] = comp.mse, comp.sigma_theta, comp.sigma_s, comp.kappa
+        self.regime[t] = _REGIMES.index(comp.regime)
+        self.index[t], self.action[t], self.any_compliant[t] = choice.index, choice.action, choice.any_compliant
+        self.info_gain[t], self.predicted_risk[t] = choice.info_gain, choice.predicted_risk
+        self.alpha[t], self.delta[t] = choice.alpha, choice.delta
+        self.executed[t], self.obs[t + 1], self.reward[t], self.risk[t] = executed, next_obs, reward, risk
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def __getitem__(self, t: int) -> StepRecord:
+        t = range(len(self))[t]
+        kappa = KappaComponents(
+            t, float(self.mse[t]), float(self.sigma_theta[t]), float(self.sigma_s[t]), float(self.kappa[t]), _REGIMES[self.regime[t]]
+        )
+        choice = ActionChoice(
+            int(self.index[t]),
+            self.action[t].copy(),
+            float(self.info_gain[t]),
+            float(self.predicted_risk[t]),
+            float(self.alpha[t]),
+            float(self.delta[t]),
+            bool(self.any_compliant[t]),
+        )
+        return StepRecord(kappa, choice, self.obs[t].copy(), self.obs[t + 1].copy(), self.executed[t].copy(), float(self.reward[t]), float(self.risk[t]))
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
 @dataclass
 class RolloutResult:
-    """One condition run: its per-step records and the aggregates they give."""
+    """One condition run: its per-step values and the aggregates they give."""
 
     condition: ConditionSpec
     seed: int
     run: dict  # run_header(config, snapshot, policy_mode) of the run that made it
-    steps: list[StepRecord]
+    steps: StepTable
     adaptive_ensemble: Ensemble | None = None
 
     @property
@@ -172,35 +233,31 @@ class RolloutResult:
         return self.condition.cell_id(self.seed)
 
     @property
-    def kappas(self) -> list[KappaComponents]:
-        return [s.kappa for s in self.steps]
-
-    @property
     def n_steps(self) -> int:
         return len(self.steps)
 
     @property
     def n_forced(self) -> int:
-        return sum(not s.choice.any_compliant for s in self.steps)
+        return int(np.count_nonzero(~self.steps.any_compliant))
 
     @property
     def episode_return(self) -> float:
         total = 0.0  # added in step order; sum() compensates on Python 3.12+ and moves bits
-        for s in self.steps:
-            total += s.reward
+        for reward in self.steps.reward.tolist():
+            total += reward
         return total
 
     @property
     def peak_kappa(self) -> float:
-        return float(max(c.kappa for c in self.kappas))
+        return float(max(self.steps.kappa.tolist()))
 
     @property
     def post_onset_kappa_mean(self) -> float:
-        return float(np.mean([c.kappa for c in self.kappas if c.t >= self.condition.onset_t]))
+        return float(np.mean(self.steps.kappa[self.condition.onset_t :]))
 
     @property
     def post_onset_mse_mean(self) -> float:
-        return float(np.mean([c.mse for c in self.kappas if c.t >= self.condition.onset_t]))
+        return float(np.mean(self.steps.mse[self.condition.onset_t :]))
 
     def summary(self) -> dict:
         """The cell summary, which a trace's footer holds, keyed by ``SUMMARY_KEYS``."""
@@ -222,6 +279,148 @@ class RolloutResult:
         return dict(zip(SUMMARY_KEYS, values, strict=True))
 
 
+class _Episode:
+    """One cell of a lock-step batch: its plant, stressors, generators, clone and records."""
+
+    def __init__(self, config: ExperimentConfig, env_cls, condition: ConditionSpec, seed: int, clone: Ensemble | None):
+        self.condition = condition
+        self.seed = seed
+        self.env = env_cls(seed=seed, horizon=config.horizon)
+        self.dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
+        self.delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=condition.onset_t)
+        self.po_active = len(self.dims) / len(env_cls.OBS_NAMES)
+        self.policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
+        self.visible = apply_mask(self.env.observe(), self.dims, active=condition.onset_t <= 0)
+        self.kappa_prev = 0.0
+        self.steps = StepTable(config.horizon, self.visible, env_cls.ACTION_DIM)
+        self.adaptive = clone
+        if clone is not None:
+            self.recent_x: deque = deque(maxlen=config.adaptive.window)
+            self.recent_y: deque = deque(maxlen=config.adaptive.window)
+            self.anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
+            # seeded by the calibration seed, not the cell's: every cell's clone draws this one stream
+            self.update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
+
+
+def run_cells(
+    config: ExperimentConfig,
+    snapshot: CalibrationSnapshot,
+    run: dict,
+    cells: list[tuple[ConditionSpec, int]],
+    adaptive_enabled: bool = False,
+) -> list[RolloutResult]:
+    """Run one full episode per ``(condition, seed)`` cell, all cells stepping together.
+
+    ``run`` is ``run_header(config, snapshot, policy_mode)``, which the caller
+    builds once and which names the policy mode. Each control step stacks the
+    candidate rows of every cell and makes one ``predict_members``, one
+    ``disagreement`` and one ``risk_from_obs`` call over the stack, and one
+    ``member_mse`` call over the cells' chosen rows. The controller, the
+    schedule, the candidate draws, ``select_action``, the delay queue, the
+    plant, masking and kappa stay per cell. Every batched operation is
+    row-independent, and each cell keeps its own plant, generators, delay
+    queue and clone, so a cell's result does not depend on which cells share
+    its batch. An ``InvariantViolation`` in any cell aborts the whole batch.
+
+    "monitor" has no information bonus but keeps the kappa-scheduled risk
+    budget: of the task and zero actions it takes the better scored one within
+    the budget, or the less risky when neither is. "adaptive" is the config's
+    own probing policy. Both select and score kappa with the frozen ensemble;
+    ``adaptive_enabled`` also fine-tunes a clone per cell online and returns it
+    as that cell's ``adaptive_ensemble``.
+    """
+    settings = replace(config.policy, alpha_max=0.0) if run["policy_mode"] == "monitor" else config.policy
+    env_cls = env_class(config.env_id)
+    controller = TASK_CONTROLLERS[config.env_id]
+    thresholds = snapshot.thresholds
+    ensemble = snapshot.ensemble
+    if adaptive_enabled:
+        # The agent keeps its pre-deployment experience and replays a slice
+        # of it alongside the live window on every update. Without the
+        # anchor, fine-tuning on a hundred-ish recent rows drags the model
+        # off everything it knew about states not in the window.
+        anchor_x, anchor_y = collect_baseline_buffer(config)
+    eps = [
+        _Episode(config, env_cls, cond, seed, ensemble.clone_unfrozen() if adaptive_enabled else None)
+        for cond, seed in cells
+    ]
+    if not eps:
+        return []
+    obs_dim = len(env_cls.OBS_NAMES)
+    history: deque = deque([np.stack([e.visible for e in eps])], maxlen=3)  # one row per cell
+
+    for t in range(config.horizon):
+        tasks, scheds, cands = [], [], []
+        for e in eps:
+            if t == e.condition.onset_t and e.condition.shift is not None:
+                e.env.set_param(*e.condition.shift)
+            task_action = controller(e.visible)
+            sched = schedule(e.kappa_prev, thresholds, settings)
+            tasks.append(task_action)
+            scheds.append(sched)
+            cands.append(candidate_actions(task_action, e.policy_rng, settings, sched.spread))
+        counts = [c.shape[0] for c in cands]
+        owner = np.repeat(np.arange(len(eps)), counts)  # the cell of each stacked row
+        actions = np.concatenate(cands)
+        x = input_rows([h[owner] for h in history], actions)
+        member_preds = ensemble.predict_members(x)
+        info_gain, mean_delta = disagreement(member_preds)
+        predicted_risk = env_cls.risk_from_obs(x[:, :obs_dim] + mean_delta)
+        r_task = task_affinity(actions, np.stack(tasks)[owner])
+
+        picks, chosen, nexts = [], [], []
+        start = 0
+        for e, cand, sched in zip(eps, cands, scheds):
+            stop = start + cand.shape[0]
+            choice = select_action(cand, r_task[start:stop], info_gain[start:stop], predicted_risk[start:stop], sched, settings)
+            if choice.any_compliant and choice.predicted_risk > choice.delta + RISK_TOL:
+                raise InvariantViolation(
+                    f"selected action breaches the risk budget at t={t} in cell {e.condition.cell_id(e.seed)}: "
+                    f"{choice.predicted_risk} > {choice.delta}"
+                )
+            executed = e.delayer.submit(choice.action, t)
+            tr = e.env.step(executed)
+            nexts.append(apply_mask(tr.next_obs, e.dims, active=t + 1 >= e.condition.onset_t))
+            picks.append((choice, executed, tr))
+            chosen.append(start + choice.index)
+            start = stop
+        visible_next = np.stack(nexts)
+        delta_vis = visible_next - history[-1]
+        # The candidate pass already scored the chosen rows; a row's
+        # prediction does not depend on the rest of its batch.
+        mse = member_mse(member_preds[:, chosen], delta_vis)
+
+        for i, e in enumerate(eps):
+            active = t >= e.condition.onset_t
+            comp = compute_step(
+                t=t,
+                mse=float(mse[i]),
+                mu0=snapshot.mu0,
+                sigma0=snapshot.sigma0,
+                po=e.po_active if active else 0.0,
+                delay_steps=e.condition.delay_steps if active else 0,
+                thresholds=thresholds,
+                clip_c=config.clip_c,
+                c_tau=config.c_tau,
+            )
+            choice, executed, tr = picks[i]
+            e.steps.record(comp, choice, executed, nexts[i], float(tr.reward), float(tr.risk))
+            if e.adaptive is not None:
+                e.recent_x.append(x[chosen[i]].copy())
+                e.recent_y.append(delta_vis[i])
+                if active and (t - e.condition.onset_t) % config.adaptive.every == 0 and len(e.recent_x) >= 8:
+                    take = min(len(e.recent_x), anchor_x.shape[0])
+                    idx = e.anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
+                    x_up = np.concatenate([np.stack(e.recent_x), anchor_x[idx]])
+                    y_up = np.concatenate([np.stack(e.recent_y), anchor_y[idx]])
+                    adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)
+            e.kappa_prev = comp.kappa
+            e.visible = nexts[i]
+        history.append(visible_next)
+
+    return [RolloutResult(e.condition, e.seed, run, e.steps, e.adaptive) for e in eps]
+
+
 def run_condition(
     config: ExperimentConfig,
     snapshot: CalibrationSnapshot,
@@ -230,112 +429,13 @@ def run_condition(
     policy_mode: str = "monitor",
     adaptive_enabled: bool = False,
 ) -> RolloutResult:
-    """Run one full episode under a condition and score it step by step.
+    """Run one full episode under a condition and score it step by step: ``run_cells`` with one cell.
 
     It first builds ``run_header``, which refuses a bad mode or snapshot, and
-    keeps it as the result's ``run``. "monitor" has no information bonus but
-    keeps the kappa-scheduled risk budget: of the task and zero actions it takes
-    the better scored one within the budget, or the less risky when neither is.
-    "adaptive" is the config's own probing policy. Both select and score kappa
-    with the frozen ensemble; ``adaptive_enabled`` also fine-tunes a clone
-    online and returns it as ``adaptive_ensemble``.
+    keeps it as the result's ``run``.
     """
     run = run_header(config, snapshot, policy_mode)
-    settings = replace(config.policy, alpha_max=0.0) if policy_mode == "monitor" else config.policy
-    env_cls = env_class(config.env_id)
-    env = env_cls(seed=seed, horizon=config.horizon)
-    controller = TASK_CONTROLLERS[config.env_id]
-    thresholds = snapshot.thresholds
-
-    onset = condition.onset_t
-    dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
-    delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=onset)
-    po_active = len(dims) / len(env_cls.OBS_NAMES)
-
-    policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
-    adaptive = snapshot.ensemble.clone_unfrozen() if adaptive_enabled else None
-    recent_x: deque = deque(maxlen=config.adaptive.window)
-    recent_y: deque = deque(maxlen=config.adaptive.window)
-    anchor_x = anchor_y = None
-    anchor_rng = update_rng = None
-    if adaptive_enabled:
-        # The agent keeps its pre-deployment experience and replays a slice
-        # of it alongside the live window on every update. Without the
-        # anchor, fine-tuning on a hundred-ish recent rows drags the model
-        # off everything it knew about states not in the window.
-        anchor_x, anchor_y = collect_baseline_buffer(config)
-        anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
-        # seeded by the calibration seed, not the cell's: every cell's clone draws this one stream
-        update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
-
-    visible = apply_mask(env.observe(), dims, active=onset <= 0)
-    history: deque = deque([visible], maxlen=3)
-    kappa_prev = 0.0
-    steps: list[StepRecord] = []
-
-    for t in range(config.horizon):
-        if t == onset and condition.shift is not None:
-            env.set_param(*condition.shift)
-
-        task_action = controller(visible)
-        sched = schedule(kappa_prev, thresholds, settings)
-        cands = candidate_actions(task_action, policy_rng, settings, sched.spread)
-        x_cand = input_rows(history, cands)
-        member_preds = snapshot.ensemble.predict_members(x_cand)
-        info_gain, mean_delta = disagreement(member_preds)
-        predicted_next = visible[None, :] + mean_delta
-        predicted_risk = env_cls.risk_from_obs(predicted_next)
-        r_task = task_affinity(cands, task_action)
-
-        choice = select_action(cands, r_task, info_gain, predicted_risk, sched, settings)
-        if choice.any_compliant and choice.predicted_risk > choice.delta + RISK_TOL:
-            raise InvariantViolation(
-                f"selected action breaches the risk budget at t={t}: "
-                f"{choice.predicted_risk} > {choice.delta}"
-            )
-        executed = delayer.submit(choice.action, t)
-        tr = env.step(executed)
-        visible_next = apply_mask(tr.next_obs, dims, active=t + 1 >= onset)
-        delta_vis = visible_next - visible
-        # The candidate pass already scored the chosen row; a row's
-        # prediction does not depend on the rest of its batch.
-        mse = float(member_mse(member_preds[:, choice.index : choice.index + 1], delta_vis)[0])
-
-        active = t >= onset
-        comp = compute_step(
-            t=t,
-            mse=mse,
-            mu0=snapshot.mu0,
-            sigma0=snapshot.sigma0,
-            po=po_active if active else 0.0,
-            delay_steps=condition.delay_steps if active else 0,
-            thresholds=thresholds,
-            clip_c=config.clip_c,
-            c_tau=config.c_tau,
-        )
-        steps.append(StepRecord(comp, choice, visible, visible_next, executed, float(tr.reward), float(tr.risk)))
-
-        if adaptive is not None:
-            recent_x.append(x_cand[choice.index])
-            recent_y.append(delta_vis)
-            if active and (t - onset) % config.adaptive.every == 0 and len(recent_x) >= 8:
-                take = min(len(recent_x), anchor_x.shape[0])
-                idx = anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
-                x_up = np.concatenate([np.stack(recent_x), anchor_x[idx]])
-                y_up = np.concatenate([np.stack(recent_y), anchor_y[idx]])
-                adaptive_update(adaptive, x_up, y_up, config.train, update_rng, epochs=config.adaptive.epochs)
-
-        kappa_prev = comp.kappa
-        visible = visible_next
-        history.append(visible_next)
-
-    return RolloutResult(
-        condition=condition,
-        seed=seed,
-        run=run,
-        steps=steps,
-        adaptive_ensemble=adaptive,
-    )
+    return run_cells(config, snapshot, run, [(condition, seed)], adaptive_enabled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +519,20 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
         # Probes run in monitor mode: information-seeking selects the
         # model's own worst inputs, so probing during probes would measure
         # policy feedback instead of the deficit signal being thresholded.
-        def probe_kappas(cond: ConditionSpec) -> list[float]:
-            values: list[float] = []
-            for ep in range(config.probe_episodes):
-                res = run_condition(
-                    config,
-                    provisional,
-                    cond,
-                    seed=90001 + config.calibration_seed * 131 + ep,
-                    policy_mode="monitor",
-                )
-                values.extend(c.kappa for c in res.kappas if c.t >= cond.onset_t)
-            return values
-
+        # Every probe episode runs in one lock-step batch.
+        probes = [baseline_cond, *singles.values(), compound_cond]
+        seeds = [90001 + config.calibration_seed * 131 + ep for ep in range(config.probe_episodes)]
+        results = run_cells(config, provisional, run_header(config, provisional, "monitor"), [(c, s) for c in probes for s in seeds])
+        n = len(seeds)
+        # each probe's post-onset kappas, its episodes in order
+        kappas = [
+            [k for res in results[i * n : (i + 1) * n] for k in res.steps.kappa[cond.onset_t :].tolist()]
+            for i, cond in enumerate(probes)
+        ]
         thresholds = calibrate_thresholds(
-            probe_kappas(baseline_cond),
-            {name: probe_kappas(cond) for name, cond in singles.items()},
-            probe_kappas(compound_cond),
+            kappas[0],
+            dict(zip(singles, kappas[1:-1])),
+            kappas[-1],
             round_to_decimal=config.thresholds.round_to_decimal,
         )
 
@@ -446,25 +543,31 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
 # Trace files
 
 
-def _step_line(rec: StepRecord) -> dict:
-    choice = rec.choice
-    return {
-        "kind": "step",
-        **rec.kappa.to_dict(),
-        "obs": rec.obs.tolist(),
-        "action": choice.action.tolist(),
-        "executed_action": rec.executed.tolist(),
-        "next_obs": rec.next_obs.tolist(),
-        "delta": (rec.next_obs - rec.obs).tolist(),
-        "reward": rec.reward,
-        "risk": rec.risk,
-        "alpha": choice.alpha,
-        "delta_budget": choice.delta,
-        "chosen_index": choice.index,
-        "predicted_risk": choice.predicted_risk,
-        "info_gain": choice.info_gain,
-        "any_compliant": choice.any_compliant,
+def _step_lines(steps: StepTable):
+    """A trace's step lines, one dict per step, keyed as the trace names the values."""
+    columns = {
+        "mse": steps.mse,
+        "sigma_theta": steps.sigma_theta,
+        "sigma_s": steps.sigma_s,
+        "kappa": steps.kappa,
+        "obs": steps.obs[:-1],
+        "action": steps.action,
+        "executed_action": steps.executed,
+        "next_obs": steps.obs[1:],
+        "delta": steps.obs[1:] - steps.obs[:-1],
+        "reward": steps.reward,
+        "risk": steps.risk,
+        "alpha": steps.alpha,
+        "delta_budget": steps.delta,
+        "chosen_index": steps.index,
+        "predicted_risk": steps.predicted_risk,
+        "info_gain": steps.info_gain,
+        "any_compliant": steps.any_compliant,
     }
+    values = {key: column.tolist() for key, column in columns.items()}
+    values["regime"] = [_REGIMES[r].value for r in steps.regime.tolist()]
+    for t in range(len(steps)):
+        yield {"kind": "step", "t": t, **{key: column[t] for key, column in values.items()}}
 
 
 CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
@@ -504,7 +607,7 @@ def write_trace(path: str, result: RolloutResult) -> None:
     header = trace_header(result.run, result.condition, result.seed)
     footer = {"kind": "footer", **result.summary()}
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(_step_line(s), sort_keys=True) for s in result.steps)
+    lines.extend(json.dumps(line, sort_keys=True) for line in _step_lines(result.steps))
     lines.append(json.dumps(footer, sort_keys=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -609,7 +712,7 @@ def run_sweep(
     """Run the full condition matrix, then aggregate statistics.
 
     policy_mode picks what the degradation study measures. "monitor"
-    (default) runs the task controller behind ``run_condition``'s
+    (default) runs the task controller behind ``run_cells``'s
     kappa-scheduled risk filter, with no information bonus; its quadruples
     show super-additive losses, and calibration's probes run in it.
     "adaptive" runs the config's probing policy, which trades task return
@@ -624,6 +727,13 @@ def run_sweep(
     cell summary it parses to, which the cell then returns) and its header
     encodes as ``trace_header`` gives for this run's ``run_header`` and the
     cell; any other cell runs again and overwrites its trace.
+
+    The cells that run form one ``run_cells`` batch per cell seed, in grid
+    order, so memory holds one seed's block of episodes at a time. A batch's
+    traces are written once all of its cells have run: an
+    ``InvariantViolation`` in any cell leaves none of them, and a resumed
+    sweep simulates that batch again. Summaries keep ``condition_matrix``
+    order.
     """
     run = run_header(config, snapshot, policy_mode)
     cells = condition_matrix(
@@ -639,20 +749,25 @@ def run_sweep(
     def cell_path(cond: ConditionSpec, seed: int) -> str:
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
-    def run_cell(cond: ConditionSpec, seed: int) -> dict:
-        if out_dir:
-            try:
-                header, summary = read_trace(cell_path(cond, seed))
-            except InputError:
-                header = None  # missing or unreadable: simulate the cell again
-            if json.dumps(header, sort_keys=True) == json.dumps(trace_header(run, cond, seed), sort_keys=True):
-                return summary
-        result = run_condition(config, snapshot, cond, seed, policy_mode=policy_mode)
-        if out_dir:
-            write_trace(cell_path(cond, seed), result)
-        return result.summary()
+    def reused(cond: ConditionSpec, seed: int) -> dict | None:
+        try:
+            header, summary = read_trace(cell_path(cond, seed))
+        except InputError:
+            return None  # missing or unreadable: simulate the cell again
+        if json.dumps(header, sort_keys=True) == json.dumps(trace_header(run, cond, seed), sort_keys=True):
+            return summary
+        return None
 
-    summaries = [run_cell(cond, seed) for cond, seed in cells]
+    summaries = [reused(cond, seed) if out_dir else None for cond, seed in cells]
+    batches: dict[int, list[int]] = {}  # the cells each seed still has to simulate, in grid order
+    for i, (_, seed) in enumerate(cells):
+        if summaries[i] is None:
+            batches.setdefault(seed, []).append(i)
+    for batch in batches.values():
+        for i, result in zip(batch, run_cells(config, snapshot, run, [cells[i] for i in batch])):
+            if out_dir:
+                write_trace(cell_path(*cells[i]), result)
+            summaries[i] = result.summary()
     records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")
     stratified: dict[str, StratifiedRateResult] = {}

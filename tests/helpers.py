@@ -7,6 +7,7 @@ from collections import deque
 
 import numpy as np
 
+from compound_uq import rollout
 from compound_uq.ensemble import Ensemble, input_rows
 from compound_uq.envs import env_class
 from compound_uq.errors import InputError
@@ -65,6 +66,20 @@ def trace_steps(path):
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     return [json.loads(line) for line in lines[1:-1]]
+
+
+def record_batches(monkeypatch) -> list[list[str]]:
+    """The cell ids of every lock-step batch ``rollout.run_cells`` simulates from now on,
+    one list per call, so a ``run_condition`` call shows as a batch of one."""
+    batches: list[list[str]] = []
+    run_cells = rollout.run_cells
+
+    def recording(config, snapshot, run, cells, *args, **kwargs):
+        batches.append([cond.cell_id(seed) for cond, seed in cells])
+        return run_cells(config, snapshot, run, cells, *args, **kwargs)
+
+    monkeypatch.setattr(rollout, "run_cells", recording)
+    return batches
 
 
 def linear_system_rows(n_steps=160, seed=0):

@@ -1,7 +1,9 @@
 """Degradation, synergy-rate and stratified-rate tests."""
 
 import csv
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,11 +94,18 @@ def test_superadditive_rate_recovers_planted_fraction():
 
 def test_superadditive_rate_threshold_extremes():
     records = [record(1.0, 0.9, 0.9, 0.5, config_id=f"r{i}") for i in range(5)]
-    assert superadditive_rate(records, threshold=float("inf")).rate == 0.0
-    assert superadditive_rate(records, threshold=float("-inf")).rate == 1.0
-    empty = superadditive_rate(records, threshold=float("inf"))
+    # a non-finite threshold would be written as NaN or Infinity, which is not JSON
+    for threshold in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InputError, match=f"^threshold must be finite, got {threshold}$"):
+            superadditive_rate(records, threshold=threshold)
+    assert superadditive_rate(records, threshold=-1e308).rate == 1.0
+    empty = superadditive_rate(records, threshold=1e308)
+    assert empty.rate == 0.0
     assert "no records exceeded" in empty.notes
     assert empty.mean_synergy is None
+    assert json.loads(empty.to_json())["threshold"] == 1e308
+    with pytest.raises(ValueError):
+        replace(empty, mean_synergy=float("nan")).to_json()
 
 
 def test_superadditive_rate_t_test_rejects_injected_synergy():
@@ -226,7 +235,8 @@ def test_tails_match_scipy_stats_bit_for_bit():
         for loc in (0.0, 0.05, 0.5, 3.0):
             syn = rng.normal(loc, 1.0, size=df + 1)
             recs = [record(1.0, 1.0, 1.0 + s, 1.0) for s in syn]
-            rep = superadditive_rate(recs, threshold=-math.inf, units="units")
+            # every record flagged: no synergy lies below -1e308, and a threshold must be finite
+            rep = superadditive_rate(recs, threshold=-1e308, units="units")
             vals = np.array([r.synergy_units for r in recs])
             se = float(vals.std(ddof=1)) / math.sqrt(df + 1)
             t_crit = float(stats.t.ppf(0.975, df))

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import trace_steps
+from helpers import record_batches, trace_steps
 
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
@@ -270,7 +270,7 @@ def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, monkeypatc
         raise AssertionError("a cell was simulated under a refused snapshot")
 
     monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
-    monkeypatch.setattr(rollout, "run_condition", refuse)
+    monkeypatch.setattr(rollout, "run_cells", refuse)
     capsys.readouterr()
     for snap, message in refusals:
         run = ["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]
@@ -313,11 +313,11 @@ def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
     other = replace(cfg, clip_c=2.5, c_tau=0.7)
     for config, snap in ((cfg, snapshot), (other, rollout.calibrate(other))):
         res = rollout.run_condition(config, snap, cond, 0)
-        for c in res.kappas:
+        for c in (s.kappa for s in res.steps):
             active = c.t >= cond.onset_t
             assert c.sigma_theta == sigma_theta(c.mse, snap.mu0, snap.sigma0, clip_c=config.clip_c)
             assert c.sigma_s == sigma_s(0.5 if active else 0.0, 1 if active else 0, c_tau=config.c_tau)
-    assert max(c.sigma_theta for c in res.kappas) == 1.0  # the clip is reached, so clip_c matters
+    assert max(s.kappa.sigma_theta for s in res.steps) == 1.0  # the clip is reached, so clip_c matters
 
     # online updates step at the config's learning rate: at 0 the clone does not move
     frozen = replace(cfg, train=replace(cfg.train, learning_rate=0.0))
@@ -629,16 +629,9 @@ def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monke
         extra = ["--snapshot", _edited_snapshot(workspace, tmp_path / "edited.json", _other_mu0)]
     else:
         monkeypatch.setattr(rollout, "TOOLKIT_VERSION", "0.0.0")
-    simulated = []
-    run_condition = rollout.run_condition
-
-    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
-        simulated.append(condition.cell_id(seed))
-        return run_condition(config, snapshot, condition, seed, **kwargs)
-
-    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
+    batches = record_batches(monkeypatch)
     assert sweep(tmp_path / "resumed") == 0
-    assert len(simulated) == 4
+    assert [len(batch) for batch in batches] == [4]
     assert sweep(tmp_path / "fresh") == 0
     capsys.readouterr()
     resumed, fresh = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("resumed", "fresh"))
@@ -652,7 +645,7 @@ def test_run_sweep_refuses_a_snapshot_of_another_config_before_any_cell(workspac
     def refuse(*args, **kwargs):
         raise AssertionError("a cell ran under a snapshot of another config")
 
-    monkeypatch.setattr(rollout, "run_condition", refuse)
+    monkeypatch.setattr(rollout, "run_cells", refuse)
     cases = [
         (config_from_dict(dict(TINY, horizon=50)), snapshot, "was calibrated for MassSpring1D"),
         (cfg_a, replace(snapshot, thresholds=Thresholds(tau_low=0.25, tau_high=0.6)), "holds thresholds 0.25, 0.6"),
@@ -680,7 +673,7 @@ def test_a_resumed_sweep_hashes_its_config_once(workspace, tmp_path, monkeypatch
         raise AssertionError("a complete trace was simulated again")
 
     monkeypatch.setattr(ExperimentConfig, "config_hash", counting_config_hash)
-    monkeypatch.setattr(rollout, "run_condition", refuse)
+    monkeypatch.setattr(rollout, "run_cells", refuse)
     outcome = rollout.run_sweep(cfg, snapshot, out_dir=out_dir)
     assert len(outcome.cell_summaries) == 4 and len(calls) == 1
 

@@ -4,11 +4,13 @@
 wrappers by name. A renamed or moved target would otherwise break only a
 traced benchmark run, so this test loads the package the way the
 benchmark does, enters ``instrument``, checks that every target was
-swapped, and drives one calibration and three episodes through the
-wrappers. Each episode must pass every control step through the wrapped
-entry points: a loop that called a private shortcut instead would read
-zero or half of the benchmark's per-layer counts, so the per-episode
-counts are checked exactly.
+swapped, and drives one calibration, three episodes and one 4-cell sweep
+through the wrappers. Each episode must pass every control step through
+the wrapped entry points: a loop that called a private shortcut instead
+would read zero or half of the benchmark's per-layer counts, so the
+per-episode counts are checked exactly. The sweep's cells step in lock
+step, so it must make one forward pass per control step and one
+selection per cell and step.
 """
 
 import os
@@ -83,6 +85,25 @@ def test_every_tracing_target_resolves(tmp_path):
             assert {name: calls[name] for name in expected} == expected, (mode, adaptive_enabled)
             if mode == "monitor":  # the task and zero rows only
                 assert counts["ensemble.forward.rows"] == 2 * cfg.horizon
+        # A sweep steps its seed's cells together: one forward pass per control
+        # step over every cell's rows, and one selection per cell and step.
+        calls, counts = Counter(tracer.calls), Counter(tracer.counts)
+        outcome = cq.package.run_sweep(cfg, snapshot)
+        calls, counts = Counter(tracer.calls) - calls, Counter(tracer.counts) - counts
+        n_cells = len(outcome.cell_summaries)
+        expected = {
+            "rollout.sweep": 1,
+            "ensemble.forward": cfg.horizon,
+            "policy.candidates": n_cells * cfg.horizon,
+            "policy.select": n_cells * cfg.horizon,
+            "kappa.step": n_cells * cfg.horizon,
+            "envs.step": n_cells * cfg.horizon,
+            "envs.risk": (1 + n_cells) * cfg.horizon,  # the stacked candidates' and each step's
+            "config.hash": 1,
+        }
+        assert n_cells == 4 and {name: calls[name] for name in expected} == expected
+        assert calls["rollout.episode"] == 0
+        assert counts["ensemble.forward.rows"] == 2 * n_cells * cfg.horizon  # monitor: task and zero rows
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
         cq.rollout.write_trace(path, result)
         cq.rollout.read_trace(path)

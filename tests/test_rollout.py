@@ -11,17 +11,17 @@ import inspect
 import json
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, trace_steps
+from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, record_batches, trace_steps
 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
 from compound_uq.envs import ENV_CLASSES, DriftBot, MassSpring1D
-from compound_uq.errors import CalibrationError, InputError
+from compound_uq.errors import CalibrationError, InputError, InvariantViolation
 from compound_uq.kappa import Thresholds
 from compound_uq.perturb import ConditionSpec
 from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, schedule, select_action, task_affinity
@@ -33,6 +33,7 @@ from compound_uq.rollout import (
     driftbot_controller,
     mass_spring_controller,
     read_trace,
+    run_cells,
     run_condition,
     run_header,
     run_sweep,
@@ -171,16 +172,16 @@ def test_collect_baseline_buffer_rows_are_pinned(cfg_ms):
 def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     cond = ConditionSpec(onset_t=10)
     res = run_condition(cfg_ms, snap_ms, cond, seed=0)
-    assert res.n_steps == 40 and len(res.kappas) == 40 and len(res.steps) == 40
+    assert res.n_steps == 40 and len(res.steps) == 40 and [s.kappa.t for s in res.steps] == list(range(40))
     assert res.cell_id == cond.cell_id(0)
     assert res.run == run_header(cfg_ms, snap_ms, "monitor")
     assert res.summary()["violations"] == 0
     # No stressors anywhere: every step's structural term is zero.
-    assert all(c.sigma_s == 0.0 for c in res.kappas)
+    assert all(s.kappa.sigma_s == 0.0 for s in res.steps)
     assert res.post_onset_kappa_mean == pytest.approx(
-        np.mean([c.kappa for c in res.kappas[10:]]), abs=1e-12
+        np.mean([s.kappa.kappa for s in res.steps][10:]), abs=1e-12
     )
-    assert res.peak_kappa == max(c.kappa for c in res.kappas)
+    assert res.peak_kappa == max(s.kappa.kappa for s in res.steps)
     assert res.adaptive_ensemble is None
 
 
@@ -195,7 +196,7 @@ def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
     a = run_condition(cfg_ms, snap_ms, cond, seed=3)
     b = run_condition(cfg_ms, snap_ms, cond, seed=3)
     assert a.episode_return == b.episode_return
-    assert [c.kappa for c in a.kappas] == [c.kappa for c in b.kappas]
+    assert [s.kappa.kappa for s in a.steps] == [s.kappa.kappa for s in b.steps]
     steps_a = _trace_steps(tmp_path / "a.jsonl", a)
     assert steps_a == _trace_steps(tmp_path / "b.jsonl", b)
 
@@ -606,6 +607,94 @@ def test_driftbot_trace_bytes_are_pinned(driftbot_calibrated, mode, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+def _bits(value):
+    """A step record, or any of its fields, as bytes: -0.0, NaN and the last bit all count."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return float_bits(value)
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
+@pytest.mark.parametrize("env_id", ["MassSpring1D", "DriftBot"])
+@pytest.mark.parametrize("mode", ["monitor", "adaptive"])
+def test_a_cell_does_not_depend_on_the_cells_in_its_batch(request, tmp_path, env_id, mode):
+    cfg, snap, compound = request.getfixturevalue("ms_calibrated" if env_id == "MassSpring1D" else "driftbot_calibrated")
+    adaptive_enabled = env_id == "MassSpring1D"  # a clone per cell; DriftBot's online SGD would cost seconds
+    onset = cfg.onset_t
+    cells = [(compound, 0), (ConditionSpec(onset_t=onset), 0), (ConditionSpec(po_fraction=0.5, onset_t=onset), 1), (compound, 2)]
+    batch = run_cells(cfg, snap, run_header(cfg, snap, mode), cells, adaptive_enabled)
+    rows = {frozenset(2 if r.steps[t].choice.alpha == 0.0 else cfg.policy.n_candidates for r in batch) for t in range(cfg.horizon)}
+    # adaptive steps where one cell scores its task and zero rows and another every candidate
+    assert (frozenset({2, cfg.policy.n_candidates}) in rows) == (mode == "adaptive")
+    for (cond, seed), mixed in zip(cells, batch):
+        alone = run_condition(cfg, snap, cond, seed, policy_mode=mode, adaptive_enabled=adaptive_enabled)
+        assert [_bits(s) for s in mixed.steps] == [_bits(s) for s in alone.steps]
+        write_trace(str(tmp_path / "mixed.jsonl"), mixed)
+        write_trace(str(tmp_path / "alone.jsonl"), alone)
+        assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+        if adaptive_enabled:
+            assert mixed.adaptive_ensemble.weights_hash() == alone.adaptive_ensemble.weights_hash()
+    if adaptive_enabled:  # each cell fine-tunes its own clone
+        assert batch[0].adaptive_ensemble.weights_hash() != batch[3].adaptive_ensemble.weights_hash()
+
+
+def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatch):
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
+    batches = record_batches(monkeypatch)
+    outcome = run_sweep(cfg, snap)
+    assert len(hashes) == 1
+    assert batches == [[c["cell_id"] for c in outcome.cell_summaries if c["seed"] == seed] for seed in (0, 1)]
+    assert [c["seed"] for c in outcome.cell_summaries] == [0, 1] * 4  # condition_matrix order, seed innermost
+
+
+def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tmp_path, monkeypatch):
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    fresh = run_sweep(cfg, snap, out_dir=str(tmp_path / "fresh"))
+    calls = []
+
+    def breaching(*args):
+        choice = select_action(*args)
+        calls.append(choice)
+        # the second batch's (seed 1's) third step breaches the budget in its second cell
+        return replace(choice, any_compliant=True, predicted_risk=choice.delta + 1.0) if len(calls) == 4 * 40 + 4 * 2 + 2 else choice
+
+    monkeypatch.setattr(rollout, "select_action", breaching)
+    out_dir = tmp_path / "runs"
+    with pytest.raises(InvariantViolation, match="^selected action breaches the risk budget at t=2 in cell .*_seed1: "):
+        run_sweep(cfg, snap, out_dir=str(out_dir))
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
+    monkeypatch.setattr(rollout, "select_action", select_action)
+    batches = record_batches(monkeypatch)
+    assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
+    assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
+
+def test_calibration_runs_its_probes_as_one_batch(monkeypatch):
+    cfg = config_from_dict(
+        {
+            "env_id": "MassSpring1D",
+            "horizon": 40,
+            "onset_t": 10,
+            "grid": {"po_levels": [0.0, 0.5], "delay_levels": [0, 1], "shift_levels": [None], "seeds": [0]},
+            "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 2},
+            "probe_episodes": 2,
+        }
+    )
+    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
+    batches = record_batches(monkeypatch)
+    calibrate(cfg)
+    # baseline, masking, delay and compound, two episodes each
+    assert [len(batch) for batch in batches] == [8]
+    assert len(hashes) == 2  # the snapshot's hash, and the probe batch's run header
+
+
 def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibrated, tmp_path, monkeypatch):
     cfg, snap, cond = ms_calibrated
     cell = cond.cell_id(0)
@@ -618,42 +707,37 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
     assert probing.summary() != fresh[cell]  # reusing the probing trace would show
 
-    simulated = []
-
-    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
-        simulated.append(condition.cell_id(seed))
-        return run_condition(config, snapshot, condition, seed, **kwargs)
-
-    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
+    batches = record_batches(monkeypatch)
     resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
-    assert cell in simulated
+    assert cell in [c for batch in batches for c in batch]
     header, summary = read_trace(str(path))
     assert header["policy_mode"] == "monitor"
     assert summary == fresh[cell]
     assert resumed.cell_summaries == list(fresh.values())
 
 
-def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, snap_ms, tmp_path, monkeypatch):
+def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkeypatch):
+    # Two seeds: the first run simulates two batches of four cells, the
+    # resumed run one of one cell per seed, and the traces must not tell.
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
     out_dir = tmp_path / "runs"
-    run_sweep(cfg_ms, snap_ms, out_dir=str(out_dir))
+    first = record_batches(monkeypatch)
+    run_sweep(cfg, snap, out_dir=str(out_dir))
+    assert [len(batch) for batch in first] == [4, 4]
     traces = sorted(p for p in out_dir.iterdir() if p.name.startswith("trace_"))
     before = {p.name: p.read_bytes() for p in traces}
-    truncated, missing = traces[0], traces[1]
+    truncated = next(p for p in traces if p.name.endswith("_seed0.jsonl"))
+    missing = next(p for p in traces if p.name.endswith("_seed1.jsonl"))
     lines = truncated.read_text().splitlines()
     truncated.write_text("\n".join(lines[:-1]) + "\n")  # drop the footer
     missing.unlink()
 
-    simulated = []
-
-    def counting_run_condition(config, snapshot, condition, seed, **kwargs):
-        simulated.append(condition.cell_id(seed))
-        return run_condition(config, snapshot, condition, seed, **kwargs)
-
-    monkeypatch.setattr(rollout, "run_condition", counting_run_condition)
-    run_sweep(cfg_ms, snap_ms, out_dir=str(out_dir))
+    batches = record_batches(monkeypatch)
+    run_sweep(cfg, snap, out_dir=str(out_dir))
     # Complete traces are reused; the footer-less and the missing one are
-    # simulated again and come back byte for byte.
-    assert sorted(f"trace_{c}.jsonl" for c in simulated) == sorted([truncated.name, missing.name])
+    # simulated again, each in its own seed's batch, and come back byte for byte.
+    assert [[f"trace_{c}.jsonl" for c in batch] for batch in batches] == [[truncated.name], [missing.name]]
     assert {p.name: p.read_bytes() for p in traces} == before
 
 
@@ -714,7 +798,7 @@ def test_run_sweep_in_memory(cfg_ms, snap_ms, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cell ran under an unknown policy mode")
 
-    monkeypatch.setattr(rollout, "run_condition", refuse)
+    monkeypatch.setattr(rollout, "run_cells", refuse)
     for out_dir in (None, str(tmp_path / "runs")):
         with pytest.raises(InputError, match="^unknown policy_mode: 'bogus'$"):
             run_sweep(cfg_ms, snap_ms, out_dir=out_dir, policy_mode="bogus")
