@@ -134,13 +134,32 @@ class Ensemble:
         return self.w2.shape[2]
 
     def predict_members(self, x: np.ndarray) -> np.ndarray:
-        """Per-member delta predictions, raw units; shape (M, B, out_dim)."""
+        """Per-member delta predictions, raw units; shape (M, B, out_dim), C-contiguous.
+
+        The layout gives ``einsum`` long contiguous inner loops: layer 1 is one
+        product against ``w1`` with its members side by side, shape
+        (in_dim, M * hidden), and layer 2 one product per member with the row
+        axis innermost. Without ``optimize``, ``einsum`` sums each output
+        element over the contracted index in increasing order, a multiply and
+        an add at a time, in any layout, so every bit equals the per-member
+        form ``einsum("bi,mih->mbh")`` then ``einsum("mbh,mho->mbo")``, and a
+        row's output depends on that row alone.
+        """
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         if xb.shape[1] != self.in_dim:
             raise InputError(f"input dim {xb.shape[1]} != expected {self.in_dim}")
-        xn = self.x_norm.encode(xb)
-        h = np.maximum(0.0, np.einsum("bi,mih->mbh", xn, self.w1) + self.b1[:, None, :])
-        yn = np.einsum("mbh,mho->mbo", h, self.w2) + self.b2[:, None, :]
+        m, in_dim, hidden = self.w1.shape
+        h = np.einsum("bi,ik->bk", self.x_norm.encode(xb), self.w1.transpose(1, 0, 2).reshape(in_dim, m * hidden))
+        h += self.b1.reshape(-1)
+        np.maximum(0.0, h, out=h)
+        h_t = np.ascontiguousarray(h.T)  # (M * hidden, B)
+        y_t = np.empty((m, self.out_dim, xb.shape[0]))
+        for k in range(m):
+            np.einsum("ho,hb->ob", self.w2[k], h_t[k * hidden : (k + 1) * hidden], out=y_t[k])
+        # C-contiguous before the sums over output dims that follow: numpy sums a
+        # contiguous axis pairwise and a strided one in order, and the bits differ
+        yn = np.ascontiguousarray(y_t.transpose(0, 2, 1))
+        yn += self.b2[:, None, :]
         return self.y_norm.decode(yn)
 
     def mse(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -543,9 +543,21 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
 # Trace files
 
 
-def _step_lines(steps: StepTable):
-    """A trace's step lines, one dict per step, keyed as the trace names the values."""
-    columns = {
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)
+_REGIME_TEXT = np.array([json.dumps(r.value) for r in _REGIMES], dtype=object)
+
+
+def _step_lines(steps: StepTable) -> list[str]:
+    """A trace's step lines: for each step, the text ``json.dumps(line, sort_keys=True)``
+    gives for the dict of its values, keyed as the trace names them.
+
+    The lines fill one template that holds the keys in sorted order. Each distinct float
+    of the trace, told apart by its bits so that -0.0 and every NaN keep their own text,
+    is rendered once: by ``float.__repr__``, as ``json.dumps`` renders it, and as ``NaN``,
+    ``Infinity`` or ``-Infinity`` where ``repr`` gives no JSON.
+    """
+    n = len(steps)
+    fields = {
         "mse": steps.mse,
         "sigma_theta": steps.sigma_theta,
         "sigma_s": steps.sigma_s,
@@ -559,15 +571,34 @@ def _step_lines(steps: StepTable):
         "risk": steps.risk,
         "alpha": steps.alpha,
         "delta_budget": steps.delta,
-        "chosen_index": steps.index,
         "predicted_risk": steps.predicted_risk,
         "info_gain": steps.info_gain,
-        "any_compliant": steps.any_compliant,
     }
-    values = {key: column.tolist() for key, column in columns.items()}
-    values["regime"] = [_REGIMES[r].value for r in steps.regime.tolist()]
-    for t in range(len(steps)):
-        yield {"kind": "step", "t": t, **{key: column[t] for key, column in values.items()}}
+    flat = np.concatenate([column.ravel() for column in fields.values()])
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    values = distinct.view(np.float64)
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    texts[np.isnan(values)] = "NaN"
+    texts[values == math.inf] = "Infinity"
+    texts[values == -math.inf] = "-Infinity"
+    flat_text = texts[inverse]
+    start = 0
+    for key, column in fields.items():
+        fields[key] = flat_text[start : start + column.size].reshape(column.shape)
+        start += column.size
+    fields["t"] = np.array(list(map(str, range(n))), dtype=object)
+    fields["chosen_index"] = np.array(list(map(str, steps.index.tolist())), dtype=object)
+    fields["any_compliant"] = _BOOL_TEXT[steps.any_compliant.view(np.int8)]
+    fields["regime"] = _REGIME_TEXT[steps.regime]
+    fields["kind"] = np.full(n, '"step"', dtype=object)
+    parts, columns = [], []
+    for key in sorted(fields):
+        column = fields[key].reshape(n, -1)
+        slots = ", ".join(["%s"] * column.shape[1])
+        parts.append(f'"{key}": ' + (slots if fields[key].ndim == 1 else f"[{slots}]"))
+        columns.append(column)
+    template = "{" + ", ".join(parts) + "}"
+    return [template % tuple(row) for row in np.concatenate(columns, axis=1).tolist()]
 
 
 CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
@@ -606,9 +637,7 @@ def write_trace(path: str, result: RolloutResult) -> None:
     """One JSONL file: ``trace_header`` of the result's run, one line per step, and the summary as footer."""
     header = trace_header(result.run, result.condition, result.seed)
     footer = {"kind": "footer", **result.summary()}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(line, sort_keys=True) for line in _step_lines(result.steps))
-    lines.append(json.dumps(footer, sort_keys=True))
+    lines = [json.dumps(header, sort_keys=True), *_step_lines(result.steps), json.dumps(footer, sort_keys=True)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

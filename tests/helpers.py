@@ -59,6 +59,15 @@ def constant_ensemble(member_outputs, in_dim, frozen=False):
     return ens if frozen else ens.clone_unfrozen()
 
 
+def predict_members_oracle(ens, x):
+    """``Ensemble.predict_members`` in its two-``einsum`` form, one product per layer over
+    (M, B, hidden): the reference its re-laid-out form must equal bit for bit."""
+    xn = ens.x_norm.encode(np.atleast_2d(np.asarray(x, dtype=float)))
+    h = np.maximum(0.0, np.einsum("bi,mih->mbh", xn, ens.w1) + ens.b1[:, None, :])
+    yn = np.einsum("mbh,mho->mbo", h, ens.w2) + ens.b2[:, None, :]
+    return ens.y_norm.decode(yn)
+
+
 def trace_steps(path):
     """The step lines of the trace at ``path``, decoded by ``json.loads``, once
     ``read_trace`` accepts the trace; it checks step lines but returns none."""

@@ -20,7 +20,7 @@ from compound_uq.ensemble import (
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
 
-from helpers import constant_ensemble, linear_system_rows
+from helpers import constant_ensemble, linear_system_rows, predict_members_oracle
 
 
 def test_acc_feature_quadratic_ramp_is_twice_curvature():
@@ -82,6 +82,40 @@ def test_disagreement_mean_and_member_mse_equal_their_numpy_forms_bit_for_bit():
             # the loop scores one chosen row against a 1-D target
             one = ((preds[:, :1] - y[:1][None]) ** 2).sum(axis=-1).mean(axis=0)
             assert member_mse(preds[:, :1], y[0]).tobytes() == one.tobytes()
+
+
+def _random_ensemble(rng, m, in_dim, hidden, out_dim, scale):
+    """A frozen ensemble of normal draws times ``scale``; input dims 0 and 1 have mean 0."""
+    shapes = {"w1": m * in_dim * hidden, "b1": m * hidden, "w2": m * hidden * out_dim, "b2": m * out_dim}
+    d = {key: (rng.normal(size=n) * scale).tolist() for key, n in shapes.items()}
+    x_mean = rng.normal(size=in_dim)
+    x_mean[:2] = 0.0
+    return Ensemble.from_dict({
+        "m_members": m, "in_dim": in_dim, "hidden_width": hidden, "out_dim": out_dim, **d,
+        "x_mean": x_mean.tolist(), "x_std": rng.uniform(0.5, 2.0, size=in_dim).tolist(),
+        "y_mean": rng.normal(size=out_dim).tolist(), "y_std": rng.uniform(0.5, 2.0, size=out_dim).tolist(),
+    })
+
+
+@pytest.mark.parametrize("m, in_dim, hidden, out_dim", [(2, 5, 1, 2), (3, 5, 7, 2), (5, 18, 64, 8), (4, 18, 13, 8), (2, 18, 64, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, out_dim, scale):
+    rng = np.random.default_rng(m * 1000 + hidden)
+    ens = _random_ensemble(rng, m, in_dim, hidden, out_dim, scale)
+    for b in (0, 1, 2, 3, 5, 8, 13, 16, 24, 31, 64, 69, 255, 256, 300):
+        x = rng.normal(size=(b, in_dim)) * scale
+        x[:, 0] = 0.0  # masked dims: they encode to 0.0 and -0.0
+        x[:, 1] = -0.0
+        y = rng.normal(size=(b, out_dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # at 1e100, inf and NaN flow through both forms
+            got, want = ens.predict_members(x), predict_members_oracle(ens, x)
+            # the scores sum over output dims, pairwise only along a contiguous axis
+            scores = [(*disagreement(p), member_mse(p, y)) for p in (got, want)]
+        assert got.shape == want.shape == (m, b, out_dim)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        for score, score_want in zip(*scores):  # info gain, mean, error
+            assert score.tobytes() == score_want.tobytes()
 
 
 def test_predict_rejects_wrong_input_dim():

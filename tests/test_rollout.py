@@ -22,7 +22,7 @@ from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
 from compound_uq.envs import ENV_CLASSES, DriftBot, MassSpring1D
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
-from compound_uq.kappa import Thresholds
+from compound_uq.kappa import KappaComponents, Regime, Thresholds
 from compound_uq.perturb import ConditionSpec
 from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, schedule, select_action, task_affinity
 from compound_uq.rollout import (
@@ -452,6 +452,46 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert len(steps) == 40 and steps[0]["t"] == 0 and steps[-1]["t"] == 39
     assert summary == json.loads(json.dumps(res.summary()))
     assert summary["violations"] == 0
+
+
+def _step_dict(t, rec):
+    """A step line as the trace format names its values, built from the ``StepRecord``."""
+    return {
+        "kind": "step", "t": t, "mse": rec.kappa.mse, "sigma_theta": rec.kappa.sigma_theta,
+        "sigma_s": rec.kappa.sigma_s, "kappa": rec.kappa.kappa, "regime": rec.kappa.regime.value,
+        "obs": rec.obs.tolist(), "action": rec.choice.action.tolist(), "executed_action": rec.executed.tolist(),
+        "next_obs": rec.next_obs.tolist(), "delta": (rec.next_obs - rec.obs).tolist(), "reward": rec.reward,
+        "risk": rec.risk, "alpha": rec.choice.alpha, "delta_budget": rec.choice.delta, "chosen_index": rec.choice.index,
+        "predicted_risk": rec.choice.predicted_risk, "info_gain": rec.choice.info_gain, "any_compliant": rec.choice.any_compliant,
+    }
+
+
+def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
+    # Every column meets every value: NaN (in delta also as inf - inf, whatever its bits),
+    # both infinities, 0.0 next to -0.0, the smallest subnormal, exponent and long forms.
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5, 1e-7, 2.0]
+    regimes = list(Regime)
+    n, obs_dim, action_dim = 2 * len(values), 3, 2
+
+    def take(t, k, size=None):
+        picks = [values[(t + k + j) % len(values)] for j in range(size or 1)]
+        return np.array(picks) if size else picks[0]
+
+    table = rollout.StepTable(n, take(0, 0, obs_dim), action_dim)
+    for t in range(n):
+        comp = KappaComponents(t, take(t, 1), take(t, 2), take(t, 3), take(t, 4), regimes[t % len(regimes)])
+        choice = ActionChoice(t % 5, take(t, 5, action_dim), take(t, 6), take(t, 7), take(t, 8), take(t, 9), t % 2 == 0)
+        table.record(comp, choice, take(t, 10, action_dim), take(t + 1, 0, obs_dim), take(t, 2), take(t, 3))
+    result = RolloutResult(ConditionSpec(onset_t=3), 0, {"kind": "header"}, table)
+    path = tmp_path / "trace.jsonl"
+    with np.errstate(invalid="ignore"):
+        write_trace(str(path), result)
+        header = json.dumps(trace_header(result.run, result.condition, 0), sort_keys=True)
+        steps = [json.dumps(_step_dict(t, rec), sort_keys=True) for t, rec in enumerate(table)]
+        footer = json.dumps({"kind": "footer", **result.summary()}, sort_keys=True)
+    assert path.read_text().splitlines() == [header, *steps, footer]
+    texts = ["NaN", "-Infinity", " 0.0", "-0.0", "5e-324", "1e+16", "0.30000000000000004", "true", "false"]
+    assert all(text in "".join(steps) for text in texts + [f'"{r.value}"' for r in regimes])
 
 
 def _with_reward(line: bytes, token: bytes) -> bytes:
