@@ -20,9 +20,9 @@ construction; identical ``(env_id, seed, params, actions)`` reproduce
 traces bit for bit. Noise draws happen unconditionally each step so that
 parameter shifts never desynchronise the stream.
 
-``true_dynamics()`` is the evaluator-only channel: it reports the exact
-parameters in effect and must never be routed into a policy. The policy
-layer has no access path to environment instances.
+The dynamics parameters in effect are private to the plant: ``set_param``
+changes them and nothing reads them back. The policy layer has no access
+path to environment instances.
 """
 
 from __future__ import annotations
@@ -114,14 +114,6 @@ class _BaseEnv:
         value = float(value)
         self.check_param(name, value)
         self._params[name] = value
-
-    def true_dynamics(self) -> DynamicsParams:
-        """Evaluator-only channel: exact parameters in effect right now.
-
-        Policies must never see this; only evaluation and analysis code may
-        call it.
-        """
-        return dict(self._params)
 
     def _pre_step(self, action: ActionVec) -> np.ndarray:
         if self.terminal:

@@ -78,16 +78,6 @@ class KappaComponents:
     kappa: float
     regime: Regime
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "mse": float(self.mse),
-            "sigma_theta": float(self.sigma_theta),
-            "sigma_s": float(self.sigma_s),
-            "kappa": float(self.kappa),
-            "regime": self.regime.value,
-        }
-
 
 def sigma_theta(mse: float, mu0: float, sigma0: float, clip_c: float = CLIP_C) -> float:
     """Normalized, clipped z-score of ensemble error against the noise floor."""

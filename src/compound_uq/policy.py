@@ -14,7 +14,8 @@ caution, which is the point: information is bought while the blast radius
 is clamped down. The explorer spread of the candidate set follows the same
 ramp. ``schedule`` evaluates the ramp once per control step and returns
 all three; ``candidate_actions`` takes its spread and ``select_action``
-its alpha and delta.
+its alpha and delta. alpha and delta live on the ``Schedule`` alone: the
+``ActionChoice`` does not copy them.
 
 Selection maximizes the composite value
 
@@ -56,14 +57,12 @@ class PolicySettings:
 
 @dataclass(frozen=True)
 class ActionChoice:
-    """Outcome of one selection step: the chosen row and what the trace records."""
+    """Outcome of one selection step: the chosen row and its scores. Its alpha and delta live on the ``Schedule``."""
 
     index: int
     action: np.ndarray
     info_gain: float
     predicted_risk: float
-    alpha: float
-    delta: float
     any_compliant: bool
 
 
@@ -180,7 +179,5 @@ def select_action(
         action=cand[idx].copy(),
         info_gain=float(g[idx]),
         predicted_risk=float(risk[idx]),
-        alpha=sched.alpha,
-        delta=sched.delta,
         any_compliant=any_compliant,
     )

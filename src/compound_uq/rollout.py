@@ -3,8 +3,7 @@
 This module owns all plumbing between the agent side and the evaluator
 side. The policy layer only ever sees masked observations, the commanded
 action, and model-derived numbers; environment instances stay on this
-side of the fence. The episode loop itself never reads
-``true_dynamics()``: a dynamics shift reaches the plant through
+side of the fence. A dynamics shift reaches the plant through
 ``set_param`` alone.
 
 ``run_cells`` is the one episode loop. It steps a batch of cells together
@@ -75,7 +74,7 @@ from .perturb import (
     mask_dims_for_fraction,
     shift_tag,
 )
-from .policy import ActionChoice, candidate_actions, schedule, select_action, task_affinity
+from .policy import ActionChoice, Schedule, candidate_actions, schedule, select_action, task_affinity
 from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
 from .version import TOOLKIT_VERSION
 
@@ -147,19 +146,6 @@ SUMMARY_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One control step: what the agent saw, chose and executed, and its score."""
-
-    kappa: KappaComponents
-    choice: ActionChoice
-    obs: np.ndarray
-    next_obs: np.ndarray
-    executed: np.ndarray
-    reward: float
-    risk: float
-
-
 _REGIMES = tuple(Regime)
 
 
@@ -167,10 +153,11 @@ class StepTable:
     """An episode's per-step values, in arrays preallocated for ``n_steps`` steps.
 
     A batch holds every cell's steps until its traces are written, so the
-    values live in arrays rather than in one object per step. Indexing and
-    iterating give ``StepRecord`` copies; ``write_trace`` and the
-    ``RolloutResult`` aggregates read the arrays. ``obs`` has one row more
-    than there are steps: step t's masked observation is row t and its next
+    values live in arrays rather than in one object per step. The arrays are
+    the per-step API: ``write_trace``, the ``RolloutResult`` aggregates and
+    callers read their columns (``kappa``, ``sigma_s``, ``alpha``, ``index``,
+    ``action``, ``executed`` and the rest). ``obs`` has one row more than
+    there are steps: step t's masked observation is row t and its next
     observation row t + 1.
     """
 
@@ -185,37 +172,18 @@ class StepTable:
         (self.mse, self.sigma_theta, self.sigma_s, self.kappa, self.info_gain, self.predicted_risk,
          self.alpha, self.delta, self.reward, self.risk) = np.empty((10, n_steps))
 
-    def record(self, comp: KappaComponents, choice: ActionChoice, executed: np.ndarray, next_obs: np.ndarray, reward: float, risk: float) -> None:
-        """Store step ``comp.t``."""
+    def record(self, comp: KappaComponents, choice: ActionChoice, sched: Schedule, executed: np.ndarray, next_obs: np.ndarray, reward: float, risk: float) -> None:
+        """Store step ``comp.t``, whose choice ``select_action`` made under ``sched``."""
         t = comp.t
         self.mse[t], self.sigma_theta[t], self.sigma_s[t], self.kappa[t] = comp.mse, comp.sigma_theta, comp.sigma_s, comp.kappa
         self.regime[t] = _REGIMES.index(comp.regime)
         self.index[t], self.action[t], self.any_compliant[t] = choice.index, choice.action, choice.any_compliant
         self.info_gain[t], self.predicted_risk[t] = choice.info_gain, choice.predicted_risk
-        self.alpha[t], self.delta[t] = choice.alpha, choice.delta
+        self.alpha[t], self.delta[t] = sched.alpha, sched.delta
         self.executed[t], self.obs[t + 1], self.reward[t], self.risk[t] = executed, next_obs, reward, risk
 
     def __len__(self) -> int:
         return self.index.shape[0]
-
-    def __getitem__(self, t: int) -> StepRecord:
-        t = range(len(self))[t]
-        kappa = KappaComponents(
-            t, float(self.mse[t]), float(self.sigma_theta[t]), float(self.sigma_s[t]), float(self.kappa[t]), _REGIMES[self.regime[t]]
-        )
-        choice = ActionChoice(
-            int(self.index[t]),
-            self.action[t].copy(),
-            float(self.info_gain[t]),
-            float(self.predicted_risk[t]),
-            float(self.alpha[t]),
-            float(self.delta[t]),
-            bool(self.any_compliant[t]),
-        )
-        return StepRecord(kappa, choice, self.obs[t].copy(), self.obs[t + 1].copy(), self.executed[t].copy(), float(self.reward[t]), float(self.risk[t]))
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
 
 
 @dataclass
@@ -373,10 +341,10 @@ def run_cells(
         for e, cand, sched in zip(eps, cands, scheds):
             stop = start + cand.shape[0]
             choice = select_action(cand, r_task[start:stop], info_gain[start:stop], predicted_risk[start:stop], sched, settings)
-            if choice.any_compliant and choice.predicted_risk > choice.delta + RISK_TOL:
+            if choice.any_compliant and choice.predicted_risk > sched.delta + RISK_TOL:
                 raise InvariantViolation(
                     f"selected action breaches the risk budget at t={t} in cell {e.condition.cell_id(e.seed)}: "
-                    f"{choice.predicted_risk} > {choice.delta}"
+                    f"{choice.predicted_risk} > {sched.delta}"
                 )
             executed = e.delayer.submit(choice.action, t)
             tr = e.env.step(executed)
@@ -404,7 +372,7 @@ def run_cells(
                 c_tau=config.c_tau,
             )
             choice, executed, tr = picks[i]
-            e.steps.record(comp, choice, executed, nexts[i], float(tr.reward), float(tr.risk))
+            e.steps.record(comp, choice, scheds[i], executed, nexts[i], float(tr.reward), float(tr.risk))
             if e.adaptive is not None:
                 e.recent_x.append(x[chosen[i]].copy())
                 e.recent_y.append(delta_vis[i])

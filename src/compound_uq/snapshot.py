@@ -45,9 +45,11 @@ def open_input(path: str, what: str):
     and ``path``, and so does an ``InputError`` the block raises itself
     (a document its parser refuses).
 
-    A ``ValueError`` raised in the block counts as a JSON failure: ``json``
-    raises a bare one for an integer literal longer than Python's
-    int-conversion limit (4,300 digits by default)."""
+    A ``ValueError`` or ``RecursionError`` raised in the block counts as a
+    JSON failure: ``json`` raises a bare ``ValueError`` for an integer literal
+    longer than Python's int-conversion limit (4,300 digits by default), and a
+    ``RecursionError`` for arrays or objects nested deeper than the
+    interpreter's recursion limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
@@ -57,7 +59,7 @@ def open_input(path: str, what: str):
         raise InputError(f"{what} file {path} cannot be read: {e}") from None
     except InputError as e:  # before ValueError, which InputError subclasses
         raise InputError(f"{what} file {path}: {e}") from None
-    except ValueError as e:  # a JSONDecodeError, or an integer literal too long to convert
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, an integer literal too long to convert, or nesting too deep
         raise InputError(f"{what} file {path} is not valid JSON: {e}") from None
 
 

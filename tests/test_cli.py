@@ -313,11 +313,12 @@ def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
     other = replace(cfg, clip_c=2.5, c_tau=0.7)
     for config, snap in ((cfg, snapshot), (other, rollout.calibrate(other))):
         res = rollout.run_condition(config, snap, cond, 0)
-        for c in (s.kappa for s in res.steps):
-            active = c.t >= cond.onset_t
-            assert c.sigma_theta == sigma_theta(c.mse, snap.mu0, snap.sigma0, clip_c=config.clip_c)
-            assert c.sigma_s == sigma_s(0.5 if active else 0.0, 1 if active else 0, c_tau=config.c_tau)
-    assert max(s.kappa.sigma_theta for s in res.steps) == 1.0  # the clip is reached, so clip_c matters
+        steps = res.steps
+        for t, (mse, st, ss) in enumerate(zip(steps.mse.tolist(), steps.sigma_theta.tolist(), steps.sigma_s.tolist())):
+            active = t >= cond.onset_t
+            assert st == sigma_theta(mse, snap.mu0, snap.sigma0, clip_c=config.clip_c)
+            assert ss == sigma_s(0.5 if active else 0.0, 1 if active else 0, c_tau=config.c_tau)
+    assert max(res.steps.sigma_theta) == 1.0  # the clip is reached, so clip_c matters
 
     # online updates step at the config's learning rate: at 0 the clone does not move
     frozen = replace(cfg, train=replace(cfg.train, learning_rate=0.0))
@@ -688,28 +689,23 @@ def _with_long_int(doc: str, key: str) -> str:
     return head + sep + LONG_INT + tail.lstrip("0123456789")
 
 
-def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
-    sweep_dir = tmp_path / "sweep"
-    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir)]) == 0
-    trace = sorted(sweep_dir.glob("trace_*.jsonl"))[0]
-    bad = {
-        "config": (tmp_path / "config.json", _with_long_int(json.dumps(TINY), "horizon")),
-        "snapshot": (tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "m_members")),
-        "trace": (tmp_path / "trace.jsonl", _with_long_int(trace.read_text(), "t")),
-    }
-    for path, text in bad.values():
-        path.write_text(text)
+def _refused_with_one_error_line(workspace, tmp_path, capsys, bad: dict, reason: str) -> None:
+    """Write each ``(what, path, text)`` of ``bad``. Loading it raises an ``InputError`` that names the
+    file and says it is not valid JSON for ``reason``, and ``calibrate``, ``run`` and ``analyze`` on
+    the first bad config, snapshot and trace exit 1 with one ``error:`` line that says so."""
     loaders = {"config": load_config, "snapshot": lambda path: CalibrationSnapshot.load(path, workspace["cfg"]), "trace": read_trace}
-    for what, (path, _) in bad.items():
-        with pytest.raises(InputError, match=f"^{what} file {path} is not valid JSON: Exceeds the limit"):
+    first = {}
+    for what, path, text in bad.values():
+        first.setdefault(what, path)
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^{what} file {re.escape(str(path))} is not valid JSON: {reason}"):
             loaders[what](str(path))
-
     trace_dir = tmp_path / "traces"
     trace_dir.mkdir()
-    (trace_dir / trace.name).write_text(bad["trace"][1])
+    (trace_dir / "trace_bad.jsonl").write_bytes(first["trace"].read_bytes())
     commands = [
-        ["calibrate", "--config", str(bad["config"][0])],
-        ["run", "--config", workspace["config"], "--snapshot", str(bad["snapshot"][0])],
+        ["calibrate", "--config", str(first["config"])],
+        ["run", "--config", workspace["config"], "--snapshot", str(first["snapshot"])],
         ["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir)],
     ]
     capsys.readouterr()
@@ -717,6 +713,19 @@ def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert f"is not valid JSON: {reason}" in err
+
+
+def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir)]) == 0
+    trace = sorted(sweep_dir.glob("trace_*.jsonl"))[0]
+    bad = {
+        "config": ("config", tmp_path / "config.json", _with_long_int(json.dumps(TINY), "horizon")),
+        "snapshot": ("snapshot", tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "m_members")),
+        "trace": ("trace", tmp_path / "trace.jsonl", _with_long_int(trace.read_text(), "t")),
+    }
+    _refused_with_one_error_line(workspace, tmp_path, capsys, bad, "Exceeds the limit")
 
 
 def test_sweep_resimulates_a_trace_with_an_over_long_integer(workspace, tmp_path, capsys):
@@ -729,6 +738,31 @@ def test_sweep_resimulates_a_trace_with_an_over_long_integer(workspace, tmp_path
     assert main(sweep) == 0
     capsys.readouterr()
     assert trace.read_bytes() == fresh
+
+
+DEEP = "[" * 100_000  # nested past the interpreter's recursion limit, where json raises RecursionError
+
+
+def test_json_nested_too_deep_is_an_input_error(workspace, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
+    assert main(sweep) == 0
+    trace = sorted(out_dir.glob("trace_*.jsonl"))[1]
+    fresh = trace.read_bytes()
+    header, step, *rest = fresh.decode().splitlines(keepends=True)
+    bad = {
+        "config": ("config", tmp_path / "config.json", DEEP),
+        "snapshot": ("snapshot", tmp_path / "snapshot.json", DEEP),
+        "trace header": ("trace", tmp_path / "header.jsonl", "".join([DEEP + "\n", step, *rest])),
+        "trace step": ("trace", tmp_path / "step.jsonl", "".join([header, DEEP + "\n", *rest])),
+    }
+    _refused_with_one_error_line(workspace, tmp_path, capsys, bad, "maximum recursion depth exceeded")
+    # a resumed sweep simulates the cell again, as a fresh sweep wrote it
+    for case in ("trace header", "trace step"):
+        trace.write_text(bad[case][2])
+        assert main(sweep) == 0
+        assert trace.read_bytes() == fresh
+    capsys.readouterr()
 
 
 def test_a_trace_filed_under_another_cell(workspace, tmp_path, capsys):

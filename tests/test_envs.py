@@ -114,16 +114,6 @@ def test_parameter_bounds_enforced():
         MassSpring1D(seed=0, params={"mass": 0.0})
 
 
-def test_true_dynamics_reflects_set_param_and_copies():
-    env = DriftBot(seed=0)
-    assert env.true_dynamics()["gain_left"] == 1.0
-    env.set_param("gain_left", 0.25)
-    snapshot = env.true_dynamics()
-    assert snapshot["gain_left"] == 0.25
-    snapshot["gain_left"] = 9.0
-    assert env.true_dynamics()["gain_left"] == 0.25
-
-
 def test_mass_spring_closed_form_step():
     # Independent replay of the documented semi-implicit Euler update,
     # including the seeded force noise stream.

@@ -108,14 +108,15 @@ def _parse_modules(root: str) -> dict[str, ast.Module]:
 
 def _public_definitions(module: str, tree: ast.Module):
     """``(name, node, attribute_only)`` for each public module-level function and class of
-    ``tree``, and each public method or property of those classes (found by attribute only)."""
+    ``tree``, and each public method or property of any of its classes, ``_``-prefixed
+    ones included (found by attribute only)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield f"{module}:{node.name}", node, False
-            if isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                        yield f"{module}:{node.name}.{member.name}", member, True
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{module}:{node.name}.{member.name}", member, True
 
 
 def test_every_public_name_has_a_caller():

@@ -140,8 +140,11 @@ def test_task_affinity_negative_squared_distance():
     np.testing.assert_allclose(aff, [0.0, -0.25, -1.25], rtol=0, atol=1e-12)
 
 
+SELECT_SETTINGS = PolicySettings(alpha_max=10.0, lambda_risk=1.0, delta_max=0.5, n_candidates=4)
+
+
 def select(risks, info, kappa_value, settings=None, r_task=None):
-    settings = settings or PolicySettings(alpha_max=10.0, lambda_risk=1.0, delta_max=0.5, n_candidates=4)
+    settings = settings or SELECT_SETTINGS
     n = len(risks)
     cands = np.linspace(-1.0, 1.0, n)[:, None]
     return select_action(
@@ -159,7 +162,7 @@ def test_low_deficit_ties_break_to_task_action():
     # must win so the plain controller passes through unchanged.
     choice = select([0.0, 0.0, 0.0], [0.0, 0.5, 0.9], kappa_value=0.05)
     assert choice.index == 0
-    assert choice.alpha == 0.0
+    assert schedule(0.05, THR, SELECT_SETTINGS).alpha == 0.0  # the alpha it was chosen under
     assert choice.any_compliant
 
 
@@ -168,7 +171,7 @@ def test_high_deficit_prefers_disagreement():
     choice = select([0.0, 0.0], [0.1, 0.9], kappa_value=0.9)
     assert choice.index == 1
     assert choice.info_gain == 0.9
-    assert choice.delta == 0.0
+    assert schedule(0.9, THR, SELECT_SETTINGS).delta == 0.0  # the budget it was chosen under
 
 
 def test_budget_excludes_risky_candidates():

