@@ -20,6 +20,11 @@ normalized deficits:
 Regime boundaries are inclusive on the Transition side: kappa equal to a
 threshold is Transition, not the neighboring regime.
 
+Each formula also works entry by entry on arrays, so a lock-step batch
+scores every cell's step with one call of each; ``compute_step`` puts
+them together for one step, and ``classify_regime`` is ``regime_code``
+for one value. A regime code is a position in ``REGIMES``.
+
 Threshold calibration follows a three-step recipe on post-onset kappa
 samples from probe runs: anchor tau_low just above the no-stressor
 distribution (nearest-rank 95th percentile plus a margin), then place
@@ -79,47 +84,64 @@ class KappaComponents:
     regime: Regime
 
 
-def sigma_theta(mse: float, mu0: float, sigma0: float, clip_c: float = CLIP_C) -> float:
-    """Normalized, clipped z-score of ensemble error against the noise floor."""
+# The code order of the regimes: a regime code is a position in this tuple.
+REGIMES = tuple(Regime)
+
+
+def sigma_theta(mse, mu0: float, sigma0: float, clip_c: float = CLIP_C):
+    """Normalized, clipped z-score of ensemble error against the noise floor, entry by entry for an array ``mse``."""
     if sigma0 <= 0 or not math.isfinite(sigma0):
         raise InputError(f"sigma0 must be positive and finite, got {sigma0}")
     if clip_c <= 0:
         raise InputError(f"clip_c must be positive, got {clip_c}")
-    if not math.isfinite(mse) or mse < 0:
+    mse = np.asarray(mse, dtype=float)
+    if not (np.isfinite(mse) & (mse >= 0.0)).all():
         raise InputError(f"mse must be finite and nonnegative, got {mse}")
     z = (mse - mu0) / sigma0
-    # np.clip bit for bit; a NaN z (from a NaN mu0) passes through to kappa()'s refusal
-    return float(min(max(z, 0.0), clip_c) / clip_c)
+    # min(max(z, 0), clip_c), which is np.clip bit for bit, both zeros included;
+    # a NaN z (from a NaN mu0) passes through to kappa()'s refusal
+    z = np.where(z < 0.0, 0.0, z)
+    return (np.where(z > clip_c, clip_c, z) / clip_c)[()]
 
 
-def sigma_s(po: float, delay_steps: float, c_tau: float = C_TAU) -> float:
-    """Observability deficit from masking fraction and action delay."""
-    if not (0.0 <= po <= 1.0):
+def sigma_s(po, delay_steps, c_tau: float = C_TAU):
+    """Observability deficit from masking fraction and action delay, entry by entry for arrays."""
+    po = np.asarray(po, dtype=float)
+    delay_steps = np.asarray(delay_steps, dtype=float)
+    if not ((po >= 0.0) & (po <= 1.0)).all():
         raise InputError(f"po must be in [0, 1], got {po}")
-    if delay_steps < 0 or not math.isfinite(delay_steps):
+    if not ((delay_steps >= 0.0) & np.isfinite(delay_steps)).all():
         raise InputError(f"delay_steps must be nonnegative, got {delay_steps}")
     if c_tau < 0 or not math.isfinite(c_tau):
         raise InputError(f"c_tau must be nonnegative, got {c_tau}")
-    delay_term = min(1.0, delay_steps * c_tau)
-    return float(po + delay_term * (1.0 + po))
+    delay_term = delay_steps * c_tau
+    delay_term = np.where(delay_term < 1.0, delay_term, 1.0)  # min(1, tau * c_tau)
+    return (po + delay_term * (1.0 + po))[()]
 
 
-def kappa(sig_theta: float, sig_s: float) -> float:
-    """Compound uncertainty coefficient: the sum of the two deficits."""
-    if sig_theta < 0 or sig_s < 0 or not (math.isfinite(sig_theta) and math.isfinite(sig_s)):
+def kappa(sig_theta, sig_s):
+    """Compound uncertainty coefficient: the sum of the two deficits, entry by entry for arrays."""
+    sig_theta, sig_s = np.asarray(sig_theta, dtype=float), np.asarray(sig_s, dtype=float)
+    total = sig_theta + sig_s
+    # the sum of two nonnegative deficits is finite exactly when both are; NaN fails the >= 0
+    if not ((np.minimum(sig_theta, sig_s) >= 0.0) & np.isfinite(total)).all():
         raise InputError(f"deficit components must be finite and nonnegative, got ({sig_theta}, {sig_s})")
-    return float(sig_theta + sig_s)
+    return total[()]
+
+
+def regime_code(value, thresholds: Thresholds):
+    """The position in ``REGIMES`` of kappa's regime, entry by entry for an array;
+    threshold values themselves are Transition."""
+    value = np.asarray(value, dtype=float)
+    if not (np.isfinite(value) & (value >= 0.0)).all():
+        raise InputError(f"kappa must be finite and nonnegative, got {value}")
+    # LOW below tau_low, TRANSITION from tau_low to tau_high, HIGH above (tau_high > tau_low)
+    return ((value >= thresholds.tau_low).astype(np.int8) + (value > thresholds.tau_high))[()]
 
 
 def classify_regime(value: float, thresholds: Thresholds) -> Regime:
     """Map kappa to a regime; threshold values themselves are Transition."""
-    if not math.isfinite(value) or value < 0:
-        raise InputError(f"kappa must be finite and nonnegative, got {value}")
-    if value < thresholds.tau_low:
-        return Regime.LOW
-    if value > thresholds.tau_high:
-        return Regime.HIGH
-    return Regime.TRANSITION
+    return REGIMES[regime_code(value, thresholds)]
 
 
 def compute_step(
@@ -137,7 +159,7 @@ def compute_step(
     st = sigma_theta(mse, mu0, sigma0, clip_c)
     ss = sigma_s(po, delay_steps, c_tau)
     k = kappa(st, ss)
-    return KappaComponents(t=t, mse=float(mse), sigma_theta=st, sigma_s=ss, kappa=k, regime=classify_regime(k, thresholds))
+    return KappaComponents(t=t, mse=float(mse), sigma_theta=float(st), sigma_s=float(ss), kappa=float(k), regime=classify_regime(k, thresholds))
 
 
 def nearest_rank_percentile(values, q: float) -> float:

@@ -23,7 +23,9 @@ Selection maximizes the composite value
 
 over candidates whose predicted risk fits the budget. Ties take the
 lowest candidate index; when no candidate is compliant the least risky
-one is taken and the choice is flagged.
+one is taken and the choice is flagged. ``select_actions`` makes every
+cell's choice of a lock-step batch in one pass over the stacked rows;
+``select_action`` is its one-cell form.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class PolicySettings:
 
 @dataclass(frozen=True)
 class ActionChoice:
-    """Outcome of one selection step: the chosen row and its scores. Its alpha and delta live on the ``Schedule``."""
+    """Outcome of one selection step: the chosen row and its scores. Its alpha and delta live on the ``Schedule``.
+
+    ``select_actions`` returns one for a whole batch, with an array per field and one entry per cell.
+    """
 
     index: int
     action: np.ndarray
@@ -138,6 +143,59 @@ def task_affinity(candidates: np.ndarray, task_action: np.ndarray) -> np.ndarray
     return -(diff ** 2).sum(axis=1)
 
 
+def select_actions(
+    candidates: np.ndarray,
+    r_task: np.ndarray,
+    info_gain: np.ndarray,
+    predicted_risk: np.ndarray,
+    counts,
+    alpha: np.ndarray,
+    delta: np.ndarray,
+    settings: PolicySettings,
+) -> ActionChoice:
+    """``select_action`` for a batch of cells in one pass over their stacked candidate rows.
+
+    Cell i owns the next ``counts[i]`` rows and is scored with exploration
+    weight ``alpha[i]`` and risk budget ``delta[i]``. The returned choice
+    holds one entry per cell in each field: ``index`` counts within the
+    cell's own rows, and ``action`` has one row per cell.
+    """
+    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
+    r = np.asarray(r_task, dtype=float).ravel()
+    g = np.asarray(info_gain, dtype=float).ravel()
+    risk = np.asarray(predicted_risk, dtype=float).ravel()
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    alpha = np.asarray(alpha, dtype=float).ravel()
+    delta = np.asarray(delta, dtype=float).ravel()
+    n = cand.shape[0]
+    if not (r.shape[0] == g.shape[0] == risk.shape[0] == n) or n == 0:
+        raise InputError("candidates and per-candidate scores must have equal nonzero length")
+    if counts.shape[0] == 0 or counts.min() < 1 or counts.sum() != n or not (alpha.shape == delta.shape == counts.shape):
+        raise InputError("counts must split the candidates into nonempty cells, with one alpha and one delta per cell")
+    # each entry is checked: a check on the sum could overflow to inf on finite scores
+    if not np.isfinite(np.concatenate((r, g, risk))).all():
+        raise InputError("candidate scores must be finite")
+
+    owner = np.repeat(np.arange(counts.shape[0]), counts)  # the cell of each row
+    starts = np.cumsum(counts) - counts
+    values = r + alpha[owner] * g - settings.lambda_risk * risk
+    compliant = risk <= delta[owner]
+    # Each cell's scores in one row of a grid padded past its own rows, so one
+    # argmax (argmin) per grid row ranks the cell: first index on ties, the
+    # padding (-inf for the values, +inf for the risks) after every real row.
+    slot = (owner, np.arange(n) - starts[owner])
+    grid = np.full((counts.shape[0], counts.max()), -np.inf)
+    grid[slot] = np.where(compliant, values, -np.inf)
+    index = grid.argmax(axis=1)
+    any_compliant = np.logical_or.reduceat(compliant, starts)
+    if not any_compliant.all():
+        grid.fill(np.inf)
+        grid[slot] = risk
+        index = np.where(any_compliant, index, grid.argmin(axis=1))
+    rows = starts + index
+    return ActionChoice(index=index, action=cand[rows], info_gain=g[rows], predicted_risk=risk[rows], any_compliant=any_compliant)
+
+
 def select_action(
     candidates: np.ndarray,
     r_task: np.ndarray,
@@ -146,38 +204,19 @@ def select_action(
     sched: Schedule,
     settings: PolicySettings,
 ) -> ActionChoice:
-    """Pick the budget-compliant candidate with the best composite value.
+    """Pick the budget-compliant candidate with the best composite value: ``select_actions`` for one cell.
 
     Candidates with predicted risk within the schedule's budget are ranked
     by composite value (first index wins ties). If none comply, the minimum
     predicted-risk candidate is chosen and ``any_compliant`` is False so
     callers can count forced violations.
     """
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    r = np.asarray(r_task, dtype=float).ravel()
-    g = np.asarray(info_gain, dtype=float).ravel()
-    risk = np.asarray(predicted_risk, dtype=float).ravel()
-    n = cand.shape[0]
-    if not (r.shape[0] == g.shape[0] == risk.shape[0] == n) or n == 0:
-        raise InputError("candidates and per-candidate scores must have equal nonzero length")
-    # each entry is checked: a check on the sum could overflow to inf on finite scores
-    if not np.isfinite(np.concatenate((r, g, risk))).all():
-        raise InputError("candidate scores must be finite")
-
-    values = r + sched.alpha * g - settings.lambda_risk * risk
-    compliant = risk <= sched.delta
-    if compliant.any():
-        masked = np.where(compliant, values, -np.inf)
-        idx = int(np.argmax(masked))
-        any_compliant = True
-    else:
-        idx = int(np.argmin(risk))
-        any_compliant = False
-
+    n = np.atleast_2d(np.asarray(candidates)).shape[0]
+    batch = select_actions(candidates, r_task, info_gain, predicted_risk, [n], [sched.alpha], [sched.delta], settings)
     return ActionChoice(
-        index=idx,
-        action=cand[idx].copy(),
-        info_gain=float(g[idx]),
-        predicted_risk=float(risk[idx]),
-        any_compliant=any_compliant,
+        index=int(batch.index[0]),
+        action=batch.action[0],
+        info_gain=float(batch.info_gain[0]),
+        predicted_risk=float(batch.predicted_risk[0]),
+        any_compliant=bool(batch.any_compliant[0]),
     )

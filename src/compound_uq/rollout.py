@@ -8,8 +8,10 @@ side of the fence. A dynamics shift reaches the plant through
 
 ``run_cells`` is the one episode loop. It steps a batch of cells together
 (``run_condition`` runs a batch of one, a sweep one batch per cell seed,
-calibration one batch of probes), with one forward pass per control step
-over every cell's candidate rows. Per-step order within each cell:
+calibration one batch of probes), with one forward pass, one selection and
+one kappa scoring per control step over every cell's rows, and runs the
+steps before onset once for all cells that share a seed and an onset.
+Per-step order within each cell:
 
 1. the dynamics shift (if due) is applied to the plant;
 2. the agent picks an action from masked observations using the kappa
@@ -35,6 +37,7 @@ order nor on which cells share a batch.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -64,7 +67,7 @@ from .ensemble import (
 )
 from .envs import env_class
 from .errors import CalibrationError, InputError, InvariantViolation
-from .kappa import DEFAULT_THRESHOLDS, KappaComponents, Regime, Thresholds, calibrate_thresholds, compute_step
+from .kappa import DEFAULT_THRESHOLDS, REGIMES, Thresholds, calibrate_thresholds, kappa, regime_code, sigma_s, sigma_theta
 from .parsing import parse_key
 from .perturb import (
     ActionDelayer,
@@ -74,7 +77,7 @@ from .perturb import (
     mask_dims_for_fraction,
     shift_tag,
 )
-from .policy import ActionChoice, Schedule, candidate_actions, schedule, select_action, task_affinity
+from .policy import candidate_actions, schedule, select_actions, task_affinity
 from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
 from .version import TOOLKIT_VERSION
 
@@ -146,44 +149,40 @@ SUMMARY_KEYS = {
 }
 
 
-_REGIMES = tuple(Regime)
-
-
 class StepTable:
-    """An episode's per-step values, in arrays preallocated for ``n_steps`` steps.
+    """The per-step values of a batch of episodes, in arrays preallocated for ``n_steps`` steps.
 
     A batch holds every cell's steps until its traces are written, so the
-    values live in arrays rather than in one object per step. The arrays are
-    the per-step API: ``write_trace``, the ``RolloutResult`` aggregates and
-    callers read their columns (``kappa``, ``sigma_s``, ``alpha``, ``index``,
-    ``action``, ``executed`` and the rest). ``obs`` has one row more than
-    there are steps: step t's masked observation is row t and its next
-    observation row t + 1.
+    values live in arrays rather than in one object per step. Each array has
+    a leading cell axis, and a control step writes each column once for all
+    of its cells. ``table[i]`` is cell i's own table: its columns are views of
+    row i, indexed by step alone. The columns are the per-step API:
+    ``write_trace``, the ``RolloutResult`` aggregates and callers read them
+    (``kappa``, ``sigma_s``, ``alpha``, ``index``, ``action``, ``executed``,
+    ``regime`` and the rest). ``regime`` holds codes, positions in
+    ``REGIMES``. ``obs`` has one row more than there are steps: step t's
+    masked observation is row t and its next observation row t + 1.
     """
 
     def __init__(self, n_steps: int, obs: np.ndarray, action_dim: int):
-        self.obs = np.empty((n_steps + 1, obs.shape[0]))
-        self.obs[0] = obs
-        self.action = np.empty((n_steps, action_dim))
-        self.executed = np.empty((n_steps, action_dim))
-        self.index = np.empty(n_steps, dtype=np.int64)
-        self.any_compliant = np.empty(n_steps, dtype=bool)
-        self.regime = np.empty(n_steps, dtype=np.int8)  # the position in _REGIMES
+        n_cells = obs.shape[0]  # obs: each cell's first masked observation
+        self.obs = np.empty((n_cells, n_steps + 1, obs.shape[1]))
+        self.obs[:, 0] = obs
+        self.action = np.empty((n_cells, n_steps, action_dim))
+        self.executed = np.empty((n_cells, n_steps, action_dim))
+        self.index = np.empty((n_cells, n_steps), dtype=np.int64)
+        self.any_compliant = np.empty((n_cells, n_steps), dtype=bool)
+        self.regime = np.empty((n_cells, n_steps), dtype=np.int8)
         (self.mse, self.sigma_theta, self.sigma_s, self.kappa, self.info_gain, self.predicted_risk,
-         self.alpha, self.delta, self.reward, self.risk) = np.empty((10, n_steps))
+         self.alpha, self.delta, self.reward, self.risk) = np.empty((10, n_cells, n_steps))
 
-    def record(self, comp: KappaComponents, choice: ActionChoice, sched: Schedule, executed: np.ndarray, next_obs: np.ndarray, reward: float, risk: float) -> None:
-        """Store step ``comp.t``, whose choice ``select_action`` made under ``sched``."""
-        t = comp.t
-        self.mse[t], self.sigma_theta[t], self.sigma_s[t], self.kappa[t] = comp.mse, comp.sigma_theta, comp.sigma_s, comp.kappa
-        self.regime[t] = _REGIMES.index(comp.regime)
-        self.index[t], self.action[t], self.any_compliant[t] = choice.index, choice.action, choice.any_compliant
-        self.info_gain[t], self.predicted_risk[t] = choice.info_gain, choice.predicted_risk
-        self.alpha[t], self.delta[t] = sched.alpha, sched.delta
-        self.executed[t], self.obs[t + 1], self.reward[t], self.risk[t] = executed, next_obs, reward, risk
+    def __getitem__(self, cell: int) -> "StepTable":
+        view = object.__new__(StepTable)
+        view.__dict__.update((name, column[cell]) for name, column in vars(self).items())
+        return view
 
     def __len__(self) -> int:
-        return self.index.shape[0]
+        return self.index.shape[-1]
 
 
 @dataclass
@@ -248,7 +247,7 @@ class RolloutResult:
 
 
 class _Episode:
-    """One cell of a lock-step batch: its plant, stressors, generators, clone and records."""
+    """One cell of a lock-step batch: its plant, stressors, generators and clone."""
 
     def __init__(self, config: ExperimentConfig, env_cls, condition: ConditionSpec, seed: int, clone: Ensemble | None):
         self.condition = condition
@@ -258,9 +257,6 @@ class _Episode:
         self.delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=condition.onset_t)
         self.po_active = len(self.dims) / len(env_cls.OBS_NAMES)
         self.policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
-        self.visible = apply_mask(self.env.observe(), self.dims, active=condition.onset_t <= 0)
-        self.kappa_prev = 0.0
-        self.steps = StepTable(config.horizon, self.visible, env_cls.ACTION_DIM)
         self.adaptive = clone
         if clone is not None:
             self.recent_x: deque = deque(maxlen=config.adaptive.window)
@@ -268,6 +264,17 @@ class _Episode:
             self.anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
             # seeded by the calibration seed, not the cell's: every cell's clone draws this one stream
             self.update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
+
+    def follow(self, leader: "_Episode") -> None:
+        """Take over what ``leader``'s steps before onset changed: its plant, its policy
+        stream and its adaptation windows. Nothing else moves before onset: the delay
+        queue passes actions straight through, and the clone and its anchor and update
+        streams are first used at onset."""
+        self.env = copy.deepcopy(leader.env)
+        self.policy_rng = copy.deepcopy(leader.policy_rng)
+        if self.adaptive is not None:
+            self.recent_x = copy.copy(leader.recent_x)  # the rows themselves are never written again
+            self.recent_y = copy.copy(leader.recent_y)
 
 
 def run_cells(
@@ -281,14 +288,24 @@ def run_cells(
 
     ``run`` is ``run_header(config, snapshot, policy_mode)``, which the caller
     builds once and which names the policy mode. Each control step stacks the
-    candidate rows of every cell and makes one ``predict_members``, one
-    ``disagreement`` and one ``risk_from_obs`` call over the stack, and one
-    ``member_mse`` call over the cells' chosen rows. The controller, the
-    schedule, the candidate draws, ``select_action``, the delay queue, the
-    plant, masking and kappa stay per cell. Every batched operation is
-    row-independent, and each cell keeps its own plant, generators, delay
-    queue and clone, so a cell's result does not depend on which cells share
-    its batch. An ``InvariantViolation`` in any cell aborts the whole batch.
+    candidate rows of every stepping cell and makes one ``predict_members``,
+    one ``disagreement``, one ``risk_from_obs`` and one ``select_actions``
+    call over the stack, one ``member_mse`` call over the cells' chosen rows
+    and one ``sigma_theta``, ``kappa`` and ``regime_code`` call over their
+    errors, and writes each ``StepTable`` column once. The controller, the schedule,
+    the candidate draws, the delay queue, the plant and masking stay per cell.
+    Every batched operation is row-independent, and each cell keeps its own plant,
+    generators, delay queue and clone, so a cell's result does not depend on
+    which cells share its batch. An ``InvariantViolation`` in any cell aborts
+    the whole batch.
+
+    Cells that share ``(seed, onset_t)`` take identical steps until the next
+    observation of step ``onset_t - 1`` may be masked, so the first of them
+    (the leader) runs steps ``0 ... onset_t - 2`` alone. At the start of step
+    ``onset_t - 1`` each of the others takes over the leader's plant, policy
+    stream, adaptation windows, kappa, observation history and table rows
+    (``_Episode.follow``), and steps on its own from there. A cell with
+    ``onset_t`` 0 or 1 shares nothing.
 
     "monitor" has no information bonus but keeps the kappa-scheduled risk
     budget: of the task and zero actions it takes the better scored one within
@@ -308,85 +325,112 @@ def run_cells(
         # anchor, fine-tuning on a hundred-ish recent rows drags the model
         # off everything it knew about states not in the window.
         anchor_x, anchor_y = collect_baseline_buffer(config)
+    # The step each cell starts stepping at, and its leader: the first cell of its (seed, onset_t).
+    leaders: dict[tuple[int, int], int] = {}
+    lead = [leaders.setdefault((seed, cond.onset_t), i) for i, (cond, seed) in enumerate(cells)]
+    joins = [0 if lead[i] == i else max(min(cond.onset_t, config.horizon) - 1, 0) for i, (cond, _) in enumerate(cells)]
+    # A batch keeps its cells in the order they start stepping, so the cells that step are always its first rows.
+    order = sorted(range(len(cells)), key=joins.__getitem__)
+    row_of = {cell: row for row, cell in enumerate(order)}
+    forks: dict[int, list[tuple[int, int]]] = {}  # (follower row, leader row) pairs by the step they fork at
+    for cell in order:
+        if joins[cell] > 0:
+            forks.setdefault(joins[cell], []).append((row_of[cell], row_of[lead[cell]]))
     eps = [
-        _Episode(config, env_cls, cond, seed, ensemble.clone_unfrozen() if adaptive_enabled else None)
-        for cond, seed in cells
+        _Episode(config, env_cls, *cells[cell], ensemble.clone_unfrozen() if adaptive_enabled else None)
+        for cell in order
     ]
     if not eps:
         return []
+    onset = np.array([e.condition.onset_t for e in eps])
+    # each cell's observability deficit before onset and from onset on
+    off = sigma_s(np.zeros(len(eps)), np.zeros(len(eps)), config.c_tau)
+    on = sigma_s(np.array([e.po_active for e in eps]), np.array([e.condition.delay_steps for e in eps]), config.c_tau)
+    k = joins.count(0)  # the cells that step: rows 0 ... k - 1
+    # one row per cell, its masked observation
+    history: deque = deque([np.stack([apply_mask(e.env.observe(), e.dims, active=e.condition.onset_t <= 0) for e in eps])], maxlen=3)
+    table = StepTable(config.horizon, history[-1], env_cls.ACTION_DIM)
+    kappa_prev = np.zeros(len(eps))
     obs_dim = len(env_cls.OBS_NAMES)
-    history: deque = deque([np.stack([e.visible for e in eps])], maxlen=3)  # one row per cell
 
     for t in range(config.horizon):
-        tasks, scheds, cands = [], [], []
-        for e in eps:
+        for i, leader in forks.get(t, ()):
+            eps[i].follow(eps[leader])
+            kappa_prev[i] = kappa_prev[leader]
+            for rows in history:
+                rows[i] = rows[leader]
+            for column in vars(table).values():  # rows 0 ... t of obs; step t's rows are written below
+                column[i, : t + 1] = column[leader, : t + 1]
+            k += 1
+        stepping = eps[:k]
+        visible = history[-1]
+        tasks, cands, alpha, delta = [], [], [], []
+        for e, row, kappa_value in zip(stepping, visible, kappa_prev[:k].tolist()):
             if t == e.condition.onset_t and e.condition.shift is not None:
                 e.env.set_param(*e.condition.shift)
-            task_action = controller(e.visible)
-            sched = schedule(e.kappa_prev, thresholds, settings)
+            task_action = controller(row)
+            sched = schedule(kappa_value, thresholds, settings)
             tasks.append(task_action)
-            scheds.append(sched)
+            alpha.append(sched.alpha)
+            delta.append(sched.delta)
             cands.append(candidate_actions(task_action, e.policy_rng, settings, sched.spread))
         counts = [c.shape[0] for c in cands]
-        owner = np.repeat(np.arange(len(eps)), counts)  # the cell of each stacked row
+        owner = np.repeat(np.arange(k), counts)  # the row of each stacked candidate
         actions = np.concatenate(cands)
         x = input_rows([h[owner] for h in history], actions)
         member_preds = ensemble.predict_members(x)
         info_gain, mean_delta = disagreement(member_preds)
         predicted_risk = env_cls.risk_from_obs(x[:, :obs_dim] + mean_delta)
         r_task = task_affinity(actions, np.stack(tasks)[owner])
+        alpha, delta = np.array(alpha), np.array(delta)
+        choice = select_actions(actions, r_task, info_gain, predicted_risk, counts, alpha, delta, settings)
+        breach = choice.any_compliant & (choice.predicted_risk > delta + RISK_TOL)
+        if breach.any():
+            j = int(np.argmax(breach))
+            raise InvariantViolation(
+                f"selected action breaches the risk budget at t={t} in cell {stepping[j].condition.cell_id(stepping[j].seed)}: "
+                f"{float(choice.predicted_risk[j])} > {float(delta[j])}"
+            )
 
-        picks, chosen, nexts = [], [], []
-        start = 0
-        for e, cand, sched in zip(eps, cands, scheds):
-            stop = start + cand.shape[0]
-            choice = select_action(cand, r_task[start:stop], info_gain[start:stop], predicted_risk[start:stop], sched, settings)
-            if choice.any_compliant and choice.predicted_risk > sched.delta + RISK_TOL:
-                raise InvariantViolation(
-                    f"selected action breaches the risk budget at t={t} in cell {e.condition.cell_id(e.seed)}: "
-                    f"{choice.predicted_risk} > {sched.delta}"
-                )
-            executed = e.delayer.submit(choice.action, t)
-            tr = e.env.step(executed)
+        executed, nexts, rewards, risks = [], [], [], []
+        for e, action in zip(stepping, choice.action):
+            executed.append(e.delayer.submit(action, t))
+            tr = e.env.step(executed[-1])
             nexts.append(apply_mask(tr.next_obs, e.dims, active=t + 1 >= e.condition.onset_t))
-            picks.append((choice, executed, tr))
-            chosen.append(start + choice.index)
-            start = stop
+            rewards.append(tr.reward)
+            risks.append(tr.risk)
         visible_next = np.stack(nexts)
-        delta_vis = visible_next - history[-1]
+        delta_vis = visible_next - visible[:k]
         # The candidate pass already scored the chosen rows; a row's
         # prediction does not depend on the rest of its batch.
+        chosen = np.cumsum(counts) - counts + choice.index
         mse = member_mse(member_preds[:, chosen], delta_vis)
+        active = t >= onset[:k]
+        sig_theta = sigma_theta(mse, snapshot.mu0, snapshot.sigma0, config.clip_c)
+        sig_s = np.where(active, on[:k], off[:k])
+        kappa_now = kappa(sig_theta, sig_s)
 
-        for i, e in enumerate(eps):
-            active = t >= e.condition.onset_t
-            comp = compute_step(
-                t=t,
-                mse=float(mse[i]),
-                mu0=snapshot.mu0,
-                sigma0=snapshot.sigma0,
-                po=e.po_active if active else 0.0,
-                delay_steps=e.condition.delay_steps if active else 0,
-                thresholds=thresholds,
-                clip_c=config.clip_c,
-                c_tau=config.c_tau,
-            )
-            choice, executed, tr = picks[i]
-            e.steps.record(comp, choice, scheds[i], executed, nexts[i], float(tr.reward), float(tr.risk))
-            if e.adaptive is not None:
-                e.recent_x.append(x[chosen[i]].copy())
-                e.recent_y.append(delta_vis[i])
-                if active and (t - e.condition.onset_t) % config.adaptive.every == 0 and len(e.recent_x) >= 8:
+        table.obs[:k, t + 1] = visible_next
+        table.action[:k, t], table.executed[:k, t], table.index[:k, t] = choice.action, executed, choice.index
+        table.any_compliant[:k, t], table.info_gain[:k, t], table.predicted_risk[:k, t] = choice.any_compliant, choice.info_gain, choice.predicted_risk
+        table.alpha[:k, t], table.delta[:k, t], table.reward[:k, t], table.risk[:k, t] = alpha, delta, rewards, risks
+        table.mse[:k, t], table.sigma_theta[:k, t], table.sigma_s[:k, t], table.kappa[:k, t] = mse, sig_theta, sig_s, kappa_now
+        table.regime[:k, t] = regime_code(kappa_now, thresholds)
+        if adaptive_enabled:
+            for j, e in enumerate(stepping):
+                e.recent_x.append(x[chosen[j]].copy())
+                e.recent_y.append(delta_vis[j])
+                if active[j] and (t - e.condition.onset_t) % config.adaptive.every == 0 and len(e.recent_x) >= 8:
                     take = min(len(e.recent_x), anchor_x.shape[0])
                     idx = e.anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
                     x_up = np.concatenate([np.stack(e.recent_x), anchor_x[idx]])
                     y_up = np.concatenate([np.stack(e.recent_y), anchor_y[idx]])
                     adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)
-            e.kappa_prev = comp.kappa
-            e.visible = nexts[i]
-        history.append(visible_next)
+        kappa_prev[:k] = kappa_now
+        # the rows of cells not yet stepping are rewritten when they fork
+        history.append(visible_next if k == len(eps) else np.concatenate([visible_next, visible[k:]]))
 
-    return [RolloutResult(e.condition, e.seed, run, e.steps, e.adaptive) for e in eps]
+    return [RolloutResult(eps[row].condition, eps[row].seed, run, table[row], eps[row].adaptive) for row in map(row_of.get, range(len(cells)))]
 
 
 def run_condition(
@@ -512,7 +556,7 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
 
 
 _BOOL_TEXT = np.array(["false", "true"], dtype=object)
-_REGIME_TEXT = np.array([json.dumps(r.value) for r in _REGIMES], dtype=object)
+_REGIME_TEXT = np.array([json.dumps(r.value) for r in REGIMES], dtype=object)
 
 
 def _step_lines(steps: StepTable) -> list[str]:

@@ -9,6 +9,7 @@ from helpers import clamp_grid, float_bits
 from compound_uq.errors import CalibrationError, InputError
 from compound_uq.kappa import (
     CLIP_C,
+    REGIMES,
     Regime,
     Thresholds,
     calibrate_thresholds,
@@ -16,6 +17,7 @@ from compound_uq.kappa import (
     compute_step,
     kappa,
     nearest_rank_percentile,
+    regime_code,
     sigma_s,
     sigma_theta,
 )
@@ -148,3 +150,31 @@ def test_thresholds_validation():
         Thresholds(tau_low=0.5, tau_high=0.2)
     with pytest.raises(InputError):
         Thresholds(tau_low=-0.1, tau_high=0.2)
+
+
+def test_the_array_forms_are_compute_step_entry_by_entry_bit_for_bit():
+    # mse at and around every clamp bound, both zeros included, against several noise floors,
+    # each masking and delay level
+    mse = np.array([z for z in clamp_grid(0.0, CLIP_C) if z >= 0.0])
+    for po, delay in ((0.0, 0), (0.25, 1), (0.5, 1), (1.0, 10)):
+        ss = sigma_s(np.full(mse.shape, po), np.full(mse.shape, delay))
+        for m0 in (0.0, 1.0, CLIP_C, 1e308):
+            st = sigma_theta(mse, m0, 1.0)
+            k = kappa(st, ss)
+            codes = regime_code(k, THR)
+            for i, value in enumerate(mse.tolist()):
+                rec = compute_step(t=i, mse=value, mu0=m0, sigma0=1.0, po=po, delay_steps=delay, thresholds=THR)
+                got = (float_bits(st[i]), float_bits(ss[i]), float_bits(k[i]), REGIMES[codes[i]])
+                assert got == (float_bits(rec.sigma_theta), float_bits(rec.sigma_s), float_bits(rec.kappa), rec.regime)
+    with pytest.raises(InputError, match="deficit components must be finite"):
+        kappa(np.array([0.5, math.inf]), np.zeros(2))
+
+
+def test_regime_codes_put_both_thresholds_in_transition():
+    below, above = math.nextafter(THR.tau_low, 0.0), math.nextafter(THR.tau_high, 1.0)
+    values = np.array([0.0, below, THR.tau_low, 0.35, THR.tau_high, above, 3.0])
+    assert regime_code(values, THR).tolist() == [0, 0, 1, 1, 1, 2, 2]
+    assert [REGIMES[c] for c in regime_code(values, THR)] == [classify_regime(v, THR) for v in values.tolist()]
+    assert REGIMES == (Regime.LOW, Regime.TRANSITION, Regime.HIGH)
+    with pytest.raises(InputError):
+        regime_code(np.array([0.1, math.nan]), THR)

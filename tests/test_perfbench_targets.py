@@ -9,13 +9,19 @@ through the wrappers. Each episode must pass every control step through
 the wrapped entry points: a loop that called a private shortcut instead
 would read zero or half of the benchmark's per-layer counts, so the
 per-episode counts are checked exactly. The sweep's cells step in lock
-step, so it must make one forward pass per control step and one
-selection per cell and step.
+step, so it must make one forward pass per control step, and its cells
+share one seed and onset, so one of them steps alone until the step
+before onset. The episode loop selects with the batched ``select_actions``
+and scores kappa with the array forms of the kappa formulas, so the spans
+of ``select_action`` and ``compute_step``, the one-cell forms, read exactly
+zero there; one direct call of each checks that their wrappers still record.
 """
 
 import os
 import sys
 from collections import Counter
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -38,8 +44,6 @@ EPISODE_SPANS = (
     "envs.step",
     "envs.risk",
     "policy.candidates",
-    "policy.select",
-    "kappa.step",
     "perturb.mask",
     "config.hash",
 )
@@ -77,8 +81,8 @@ def test_every_tracing_target_resolves(tmp_path):
                 "rollout.episode": 1,
                 "ensemble.forward": cfg.horizon,
                 "policy.candidates": cfg.horizon,
-                "policy.select": cfg.horizon,
-                "kappa.step": cfg.horizon,
+                "policy.select": 0,
+                "kappa.step": 0,
                 "envs.step": cfg.horizon + buffer_steps,
                 "envs.risk": 2 * cfg.horizon + buffer_steps,  # the candidates' and the step's
             }
@@ -86,24 +90,31 @@ def test_every_tracing_target_resolves(tmp_path):
             if mode == "monitor":  # the task and zero rows only
                 assert counts["ensemble.forward.rows"] == 2 * cfg.horizon
         # A sweep steps its seed's cells together: one forward pass per control
-        # step over every cell's rows, and one selection per cell and step.
+        # step over every stepping cell's rows. Its 4 cells share seed 0 and
+        # onset 10, so the first steps 0 ... 8 alone and each cell steps 9 ... 39.
         calls, counts = Counter(tracer.calls), Counter(tracer.counts)
         outcome = cq.package.run_sweep(cfg, snapshot)
         calls, counts = Counter(tracer.calls) - calls, Counter(tracer.counts) - counts
         n_cells = len(outcome.cell_summaries)
+        cell_steps = (cfg.onset_t - 1) + n_cells * (cfg.horizon - cfg.onset_t + 1)
         expected = {
             "rollout.sweep": 1,
             "ensemble.forward": cfg.horizon,
-            "policy.candidates": n_cells * cfg.horizon,
-            "policy.select": n_cells * cfg.horizon,
-            "kappa.step": n_cells * cfg.horizon,
-            "envs.step": n_cells * cfg.horizon,
-            "envs.risk": (1 + n_cells) * cfg.horizon,  # the stacked candidates' and each step's
+            "policy.candidates": cell_steps,
+            "policy.select": 0,
+            "kappa.step": 0,
+            "envs.step": cell_steps,
+            "envs.risk": cfg.horizon + cell_steps,  # the stacked candidates' and each step's
             "config.hash": 1,
         }
         assert n_cells == 4 and {name: calls[name] for name in expected} == expected
         assert calls["rollout.episode"] == 0
-        assert counts["ensemble.forward.rows"] == 2 * n_cells * cfg.horizon  # monitor: task and zero rows
+        assert counts["ensemble.forward.rows"] == 2 * cell_steps  # monitor: task and zero rows
+        # the one-cell forms, called directly, still record through their wrappers
+        sched = cq.policy.schedule(0.0, snapshot.thresholds, cfg.policy)
+        cq.policy.select_action(np.eye(2), np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), sched, cfg.policy)
+        cq.kappa.compute_step(0, 0.0, snapshot.mu0, snapshot.sigma0, 0.0, 0, snapshot.thresholds)
+        assert (tracer.calls["policy.select"], tracer.calls["kappa.step"], tracer.counts["policy.select.forced"]) == (1, 1, 1)
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")
         cq.rollout.write_trace(path, result)
         cq.rollout.read_trace(path)

@@ -10,10 +10,12 @@ from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.policy import (
     PolicySettings,
+    Schedule,
     _ramp,
     candidate_actions,
     schedule,
     select_action,
+    select_actions,
     task_affinity,
 )
 
@@ -220,3 +222,73 @@ def test_select_action_checks_each_score_not_their_sum():
             scores[which] = np.array([0.0, bad])
             with pytest.raises(InputError, match="candidate scores must be finite"):
                 select_action(np.eye(2), *scores, sched, settings)
+
+
+def select_oracle(r, g, risk, alpha, delta, lambda_risk):
+    """The selection rule in its per-cell numpy form: ``(index, any_compliant)``."""
+    values = r + alpha * g - lambda_risk * risk
+    compliant = risk <= delta
+    if compliant.any():
+        return int(np.argmax(np.where(compliant, values, -np.inf))), True
+    return int(np.argmin(risk)), False
+
+
+def _random_cell(seed, n):
+    """A cell of ``n`` candidates whose budget binds on some rows: (r_task, info_gain, risk, alpha, delta)."""
+    rng = np.random.default_rng(seed)
+    risk = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+    return rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 0.1, n), risk, float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 0.5))
+
+
+# Cells as (r_task, info_gain, risk, alpha, delta); lambda_risk is 1.
+TIE = (np.array([0.0, 1.0, 3.0, 3.0, 2.0]), np.zeros(5), np.zeros(5), 0.0, 0.5)  # rows 2 and 3 tie: row 2
+# -0.0 + 0 * -1.0 - 0.0 is -0.0 and 0.0 + 0 * -1.0 - 0.0 is 0.0: equal values, so row 0 wins either way round
+SIGNED_ZEROS = (np.array([-0.0, 0.0]), np.array([-1.0, -1.0]), np.zeros(2), 0.0, 0.5)
+ZEROS_SIGNED = (np.array([0.0, -0.0]), np.array([-1.0, -1.0]), np.zeros(2), 0.0, 0.5)
+FORCED = (np.array([5.0, 0.0, 1.0, 0.0]), np.zeros(4), np.array([0.9, 0.7, 0.8, 0.7]), 0.0, 0.5)  # least risky, first of two
+LAST_BEST = (np.array([-1.0, -1.0, 0.0]), np.zeros(3), np.array([0.0, 0.0, 0.4]), 0.0, 0.5)  # the best row is compliant and last
+OVER_BUDGET = (np.array([0.0, -1.0]), np.zeros(2), np.array([0.6, 0.0]), 0.0, 0.5)  # the better row breaches the budget
+SELECT_BATCHES = {
+    "mixed sizes": [_random_cell(s, n) for s, n in enumerate([2, 32, 32, 2, 2, 32])],
+    "ties": [TIE, _random_cell(7, 2), TIE],
+    "signed zeros": [SIGNED_ZEROS, ZEROS_SIGNED, _random_cell(8, 32)],
+    "all forced": [FORCED, FORCED[:3] + (0.0, 0.6)],
+    "forced beside compliant": [_random_cell(9, 32), FORCED, LAST_BEST, OVER_BUDGET, FORCED],
+    "one cell": [LAST_BEST],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECT_BATCHES))
+def test_select_actions_equals_select_action_cell_by_cell(name):
+    cells = SELECT_BATCHES[name]
+    settings = PolicySettings(alpha_max=10.0, lambda_risk=1.0)
+    rng = np.random.default_rng(1)
+    cands = [rng.uniform(-1.0, 1.0, size=(len(cell[0]), 2)) for cell in cells]
+    r, g, risk, alpha, delta = (np.concatenate([np.atleast_1d(cell[k]) for cell in cells]) for k in range(5))
+    batch = select_actions(np.concatenate(cands), r, g, risk, [len(c) for c in cands], alpha, delta, settings)
+    assert batch.index.shape == batch.any_compliant.shape == (len(cells),) and batch.action.shape == (len(cells), 2)
+    for i, (cand, (cr, cg, crisk, calpha, cdelta)) in enumerate(zip(cands, cells)):
+        one = select_action(cand, cr, cg, crisk, Schedule(alpha=calpha, delta=cdelta, spread=0.0), settings)
+        assert (int(batch.index[i]), bool(batch.any_compliant[i])) == (one.index, one.any_compliant)
+        assert (one.index, one.any_compliant) == select_oracle(cr, cg, crisk, calpha, cdelta, settings.lambda_risk)
+        assert batch.action[i].tobytes() == one.action.tobytes() == cand[one.index].tobytes()
+        assert float_bits(batch.info_gain[i]) == float_bits(one.info_gain) == float_bits(cg[one.index])
+        assert float_bits(batch.predicted_risk[i]) == float_bits(one.predicted_risk) == float_bits(crisk[one.index])
+    expected = {"ties": [2, None, 2], "signed zeros": [0, 0, None], "all forced": [1, 1], "forced beside compliant": [None, 1, 2, 1, 1]}
+    for i, index in enumerate(expected.get(name, [])):
+        assert index is None or batch.index[i] == index, (name, i)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", range(3))
+def test_select_actions_refuses_a_non_finite_score_in_any_cell(bad, which):
+    scores = [np.zeros(34), np.zeros(34), np.zeros(34)]
+    scores[which][33] = bad  # the last row of the second cell
+    with pytest.raises(InputError, match="candidate scores must be finite"):
+        select_actions(np.zeros((34, 1)), *scores, [2, 32], np.zeros(2), np.full(2, 0.5), PolicySettings())
+
+
+def test_select_actions_refuses_counts_that_do_not_split_the_rows():
+    for counts, n_cells in (([2, 3], 2), ([0, 4], 2), ([4], 2)):
+        with pytest.raises(InputError, match="counts must split"):
+            select_actions(np.zeros((4, 1)), np.zeros(4), np.zeros(4), np.zeros(4), counts, np.zeros(n_cells), np.zeros(n_cells), PolicySettings())

@@ -20,10 +20,10 @@ from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement
-from compound_uq.envs import DriftBot, MassSpring1D
+from compound_uq.envs import DriftBot, MassSpring1D, env_class
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
-from compound_uq.kappa import KappaComponents, Regime, Thresholds
-from compound_uq.perturb import ConditionSpec
+from compound_uq.kappa import KappaComponents, Regime, Thresholds, classify_regime
+from compound_uq.perturb import ConditionSpec, condition_matrix
 from compound_uq.policy import ActionChoice, PolicySettings, Schedule, candidate_actions, schedule, select_action, task_affinity
 from compound_uq.rollout import (
     RolloutResult,
@@ -450,13 +450,17 @@ def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
         return np.array(picks) if size else picks[0]
 
     obs = take(0, 0, obs_dim)
-    table, lines = rollout.StepTable(n, obs, action_dim), []
+    table, lines = rollout.StepTable(n, obs[None], action_dim)[0], []
     for t in range(n):
         comp = KappaComponents(t, take(t, 1), take(t, 2), take(t, 3), take(t, 4), regimes[t % len(regimes)])
         choice = ActionChoice(t % 5, take(t, 5, action_dim), take(t, 6), take(t, 7), t % 2 == 0)
         sched = Schedule(alpha=take(t, 8), delta=take(t, 9), spread=0.0)
         executed, next_obs, reward, risk = take(t, 10, action_dim), take(t + 1, 0, obs_dim), take(t, 2), take(t, 3)
-        table.record(comp, choice, sched, executed, next_obs, reward, risk)
+        table.mse[t], table.sigma_theta[t], table.sigma_s[t], table.kappa[t] = comp.mse, comp.sigma_theta, comp.sigma_s, comp.kappa
+        table.regime[t] = rollout.REGIMES.index(comp.regime)
+        table.index[t], table.action[t], table.any_compliant[t] = choice.index, choice.action, choice.any_compliant
+        table.info_gain[t], table.predicted_risk[t], table.alpha[t], table.delta[t] = choice.info_gain, choice.predicted_risk, sched.alpha, sched.delta
+        table.executed[t], table.obs[t + 1], table.reward[t], table.risk[t] = executed, next_obs, reward, risk
         # the step line as the trace format names its values, built from what was recorded
         lines.append({
             "kind": "step", "t": t, "mse": comp.mse, "sigma_theta": comp.sigma_theta, "sigma_s": comp.sigma_s,
@@ -659,6 +663,47 @@ def test_a_cell_does_not_depend_on_the_cells_in_its_batch(request, tmp_path, env
         assert batch[0].adaptive_ensemble.weights_hash() != batch[3].adaptive_ensemble.weights_hash()
 
 
+@pytest.mark.parametrize("env_id", ["MassSpring1D", "DriftBot"])
+@pytest.mark.parametrize("onset", [10, 1, 0])
+def test_cells_that_share_a_seed_and_onset_share_their_prefix(request, tmp_path, monkeypatch, env_id, onset):
+    # Four cells on seed 0 and one on seed 1, all with one onset: the first cell of each
+    # seed runs steps 0 ... onset - 2 once, and every cell still equals itself run alone.
+    cfg, snap, compound = request.getfixturevalue("ms_calibrated" if env_id == "MassSpring1D" else "driftbot_calibrated")
+    adaptive_enabled = env_id == "MassSpring1D"  # a clone per cell; DriftBot's online SGD would cost seconds
+    mode = "adaptive" if adaptive_enabled else "monitor"
+    conds = [replace(compound, onset_t=onset), ConditionSpec(onset_t=onset), ConditionSpec(po_fraction=0.5, onset_t=onset), ConditionSpec(delay_steps=1, onset_t=onset)]
+    cells = [(cond, 0) for cond in conds] + [(conds[0], 1)]
+    env_steps = _record_calls(monkeypatch, env_class(env_id), "step")
+    batch = run_cells(cfg, snap, run_header(cfg, snap, mode), cells, adaptive_enabled)
+    shared = max(onset - 1, 0)  # the steps a leader takes for its seed's cells
+    n_leaders = 2
+    buffer_steps = cfg.t_pre if adaptive_enabled else 0  # collect_baseline_buffer's own
+    assert len(env_steps) == shared * n_leaders + (cfg.horizon - shared) * len(cells) + buffer_steps
+    monkeypatch.undo()
+    for (cond, seed), shared_cell in zip(cells, batch):
+        alone = run_condition(cfg, snap, cond, seed, policy_mode=mode, adaptive_enabled=adaptive_enabled)
+        assert {k: _bits(v) for k, v in vars(shared_cell.steps).items()} == {k: _bits(v) for k, v in vars(alone.steps).items()}
+        write_trace(str(tmp_path / "shared.jsonl"), shared_cell)
+        write_trace(str(tmp_path / "alone.jsonl"), alone)
+        assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+        if adaptive_enabled:
+            assert shared_cell.adaptive_ensemble.weights_hash() == alone.adaptive_ensemble.weights_hash()
+    # the cells differ from onset on
+    assert len({batch[i].steps.obs.tobytes() for i in range(4)}) == 4
+
+
+def test_every_step_regime_is_the_classified_kappa(ms_calibrated):
+    cfg, snap, _ = ms_calibrated
+    g = cfg.grid
+    cells = condition_matrix(g.po_levels, g.delay_levels, g.shift_levels, g.seeds, onset_t=cfg.onset_t)
+    regimes = set()
+    for res in run_cells(cfg, snap, run_header(cfg, snap, "monitor"), cells):
+        for code, value in zip(res.steps.regime.tolist(), res.steps.kappa.tolist()):
+            assert rollout.REGIMES[code] is classify_regime(value, snap.thresholds)
+            regimes.add(rollout.REGIMES[code])
+    assert regimes == set(Regime)
+
+
 def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatch):
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
@@ -674,21 +719,27 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
     fresh = run_sweep(cfg, snap, out_dir=str(tmp_path / "fresh"))
+    second = [c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1][1]
     calls = []
 
     def breaching(*args):
-        choice = select_action(*args)
+        choice = policy.select_actions(*args)
         calls.append(choice)
-        # the second batch's (seed 1's) third step breaches the budget in its second cell
-        sched = args[4]
-        return replace(choice, any_compliant=True, predicted_risk=sched.delta + 1.0) if len(calls) == 4 * 40 + 4 * 2 + 2 else choice
+        # one call per control step and batch: the second batch's (seed 1's) step 12,
+        # after every cell has forked from the prefix, breaches the budget in its second cell
+        if len(calls) != cfg.horizon + 13:
+            return choice
+        assert choice.index.shape == (4,)
+        breach = np.arange(4) == 1
+        delta = args[6]
+        return replace(choice, any_compliant=choice.any_compliant | breach, predicted_risk=np.where(breach, delta + 1.0, choice.predicted_risk))
 
-    monkeypatch.setattr(rollout, "select_action", breaching)
+    monkeypatch.setattr(rollout, "select_actions", breaching)
     out_dir = tmp_path / "runs"
-    with pytest.raises(InvariantViolation, match="^selected action breaches the risk budget at t=2 in cell .*_seed1: "):
+    with pytest.raises(InvariantViolation, match=f"^selected action breaches the risk budget at t=12 in cell {re.escape(second)}: "):
         run_sweep(cfg, snap, out_dir=str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
-    monkeypatch.setattr(rollout, "select_action", select_action)
+    monkeypatch.setattr(rollout, "select_actions", policy.select_actions)
     batches = record_batches(monkeypatch)
     assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
     assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
