@@ -189,7 +189,8 @@ def random_bound_checks(seed: int, n_samples: int) -> Iterator[tuple[int, int, B
     """Yield ``(n_s, n_theta, verify_bound(belief))`` for ``n_samples`` random beliefs.
 
     One generator seeded with ``seed`` draws, per sample, ``n_s`` and
-    ``n_theta`` from 2..8 and then the table as ``random_belief`` does.
+    ``n_theta`` from 2..8 and then the table, taking the same stream and
+    bits as ``rng.integers(2, 9)`` twice and ``random_belief`` would.
     Each batch of ``ORACLE_BATCH`` samples is checked in stacks of one
     shape; every row equals ``verify_bound(random_belief(...))`` on the
     same draws bit for bit. Rows come out a batch at a time, so a caller
@@ -201,9 +202,12 @@ def random_bound_checks(seed: int, n_samples: int) -> Iterator[tuple[int, int, B
         shapes: list[tuple[int, int]] = []
         by_shape: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
         for i in range(min(ORACLE_BATCH, n_samples - start)):
-            shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+            shape = tuple(rng.integers(2, 9, size=2).tolist())
             shapes.append(shape)
-            by_shape.setdefault(shape, []).append((i, rng.dirichlet(np.ones(shape[0] * shape[1]))))
+            # random_belief's rng.dirichlet(np.ones(k)): for unit alphas it draws k gamma(1), that is
+            # standard exponential, variates, sums them in order and scales by the sum's reciprocal
+            e = rng.standard_exponential(shape[0] * shape[1])
+            by_shape.setdefault(shape, []).append((i, e * (1.0 / np.add.accumulate(e)[-1])))
         checks: list[BoundCheck | None] = [None] * len(shapes)
         for shape, drawn in by_shape.items():
             tables = np.stack([flat for _, flat in drawn]).reshape(len(drawn), *shape)

@@ -614,8 +614,9 @@ def _step_lines(steps: StepTable) -> list[str]:
 
 
 CELL_KEYS = ("cell_id", "seed", "condition")  # the header keys that name the cell; the rest name the run
-# read_trace checks step lines but returns none, so floats stay text; the JSON grammar, int() and NaN still apply
-_STEP_DECODER = json.JSONDecoder(parse_float=str)
+# read_trace checks step lines but returns none, so a float is only measured (len), never converted;
+# parse_int and parse_constant keep their defaults, so int()'s digit limit and NaN/Infinity still apply
+_STEP_DECODER = json.JSONDecoder(parse_float=len)
 
 
 def run_header(config: ExperimentConfig, snapshot: CalibrationSnapshot, policy_mode: str) -> dict:
@@ -657,17 +658,32 @@ def _kind(line) -> str | None:
     return line.get("kind") if isinstance(line, dict) else None
 
 
+def _step_kind(line: str) -> str | None:
+    """``_kind`` of ``_STEP_DECODER.decode(line)``. A value that starts at 0 and ends the line, or
+    ends just before its newline, is taken from the scanner alone; any other line (padding, extra
+    data, no value) goes to ``decode``, whose verdict stands."""
+    try:
+        value, end = _STEP_DECODER.scan_once(line, 0)
+    except StopIteration:  # no value starts at 0
+        return _kind(_STEP_DECODER.decode(line))
+    return _kind(value if line[end:] in ("", "\n") else _STEP_DECODER.decode(line))
+
+
 def read_trace(path: str) -> tuple[dict, dict]:
     """Header and cell summary of a trace; ``InputError`` if unreadable, if a footer summary key
     does not parse by its ``SUMMARY_KEYS`` annotation, if the footer does not encode as
     ``{"kind": "footer", **summary}`` for the summary it parses to (its condition as
     ``ConditionSpec.to_dict`` gives it), if the lines between are not ``n_steps`` step lines (each
     decoded and checked, none returned), if the footer's cell_id or label is not what its condition
-    and seed give, or if the header names another cell. The summary is the footer without ``kind``."""
+    and seed give, or if the header names another cell. The summary is the footer without ``kind``.
+
+    A step line is checked against the whole JSON grammar, but its floats are only measured, never
+    converted. A line whose value starts at its first character and ends at its newline is checked
+    by the scanner alone; any other line is refused or accepted as ``json.loads`` would."""
     with open_input(path, "trace") as fh:
         lines = (line for line in fh if line.strip())  # one held at a time: a held list raises peak RSS
         header, last = json.loads(next(lines, "null")), None
-        kinds = [_kind(_STEP_DECODER.decode(last := line)) for line in lines]  # the footer's kind comes last
+        kinds = [_step_kind(last := line) for line in lines]  # the footer's kind comes last
         last = None if last is None else json.loads(last)
     if last is None or [_kind(header), _kind(last)] != ["header", "footer"]:
         raise InputError(f"trace file {path} is missing header or footer")

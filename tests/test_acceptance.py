@@ -354,3 +354,20 @@ def test_learned_deficit_rises_under_a_shift_alone(driftbot, driftbot_sweep, cap
         f"{min(shifted):.4f}-{max(shifted):.4f} against <= {max(clean):.4f}; post-onset steps at the clip: {clip}",
     )
     assert ok
+
+
+def test_superadditivity_holds_on_the_acceptance_sweep(driftbot_sweep, capsys):
+    # The paper's headline on the sweep itself, not on synthetic records (criterion 7). Without
+    # masking every delta_po is 0, the compound loss equals the dynamics-only loss, and this reads 0/60.
+    outcome, _, _ = driftbot_sweep
+    report = outcome.report
+    ok = report.n_configs == 60 and report.n_superadditive >= 50 and report.ci_low is not None and report.ci_low > 0
+    ci_low = "none" if report.ci_low is None else f"{report.ci_low:.4f}"
+    _report(
+        capsys,
+        12,
+        ok,
+        f"{report.n_superadditive}/{report.n_configs} matched quadruples super-additive (need >=50 of 60); "
+        f"flagged-mean t-test 95% CI low {ci_low} (need > 0)",
+    )
+    assert ok

@@ -879,4 +879,5 @@ def test_oracle_check_exit_three_on_violation(monkeypatch, capsys):
     broken = BoundCheck(mi=0.0, h_s=0.0, h_theta=0.0, h_joint=1.0, bound=0.0, slack=0.0, holds=False)
     monkeypatch.setattr("compound_uq.cli.random_bound_checks", lambda seed, n_samples: [(2, 2, broken)] * n_samples)
     assert main(["oracle-check", "--n-samples", "3"]) == 3
-    assert "invariant violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "bound violations=3," in err

@@ -507,6 +507,11 @@ STEP_LINE_EDITS = {
     "kind an object": (lambda line: line.replace(b'"kind": "step"', b'"kind": {"step": 1}'), False),
     "non-UTF-8 byte": (lambda line: line.replace(b'"kind": "step"', b'"kind": "st\xffep"'), False),
     "byte order mark": (lambda line: "\ufeff".encode() + line, False),
+    "leading space": (lambda line: b" " + line, True),
+    "trailing spaces and a tab": (lambda line: line + b"  \t", True),
+    "leading form feed": (lambda line: b"\x0c" + line, False),  # not JSON whitespace
+    "spaces only": (lambda line: b"   ", False),  # skipped as blank, so the step count falls short
+    "carriage return before the newline": (lambda line: line + b"\r", True),  # read as CRLF
 }
 
 
