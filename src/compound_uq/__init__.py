@@ -48,7 +48,6 @@ from .kappa import (
     Regime,
     Thresholds,
     calibrate_thresholds,
-    classify_regime,
     compute_step,
     kappa,
     sigma_s,

@@ -22,8 +22,8 @@ threshold is Transition, not the neighboring regime.
 
 Each formula also works entry by entry on arrays, so a lock-step batch
 scores every cell's step with one call of each; ``compute_step`` puts
-them together for one step, and ``classify_regime`` is ``regime_code``
-for one value. A regime code is a position in ``REGIMES``.
+them together for one step. A regime code is a position in ``REGIMES``:
+``REGIMES[regime_code(k, thresholds)]`` is the ``Regime`` of one value.
 
 Threshold calibration follows a three-step recipe on post-onset kappa
 samples from probe runs: anchor tau_low just above the no-stressor
@@ -139,11 +139,6 @@ def regime_code(value, thresholds: Thresholds):
     return ((value >= thresholds.tau_low).astype(np.int8) + (value > thresholds.tau_high))[()]
 
 
-def classify_regime(value: float, thresholds: Thresholds) -> Regime:
-    """Map kappa to a regime; threshold values themselves are Transition."""
-    return REGIMES[regime_code(value, thresholds)]
-
-
 def compute_step(
     t: int,
     mse: float,
@@ -159,7 +154,7 @@ def compute_step(
     st = sigma_theta(mse, mu0, sigma0, clip_c)
     ss = sigma_s(po, delay_steps, c_tau)
     k = kappa(st, ss)
-    return KappaComponents(t=t, mse=float(mse), sigma_theta=float(st), sigma_s=float(ss), kappa=float(k), regime=classify_regime(k, thresholds))
+    return KappaComponents(t=t, mse=float(mse), sigma_theta=float(st), sigma_s=float(ss), kappa=float(k), regime=REGIMES[regime_code(k, thresholds)])
 
 
 def nearest_rank_percentile(values, q: float) -> float:

@@ -1,9 +1,9 @@
 """Regime-adaptive action selection under a risk budget.
 
-The policy layer is deliberately pure: it sees candidate actions and
-numbers derived from the agent-side model (task affinity, ensemble
-disagreement, predicted risk) and returns a choice. It never imports or
-touches environments, so privileged simulator state cannot leak in.
+The policy layer is the agent's half of a control step (``act``): it sees
+masked observations, task actions, kappa and the agent's own model, and
+returns a choice. It never imports or touches environments, so privileged
+simulator state cannot leak in; its caller passes the risk function.
 
 Scheduling: as kappa rises from tau_low to tau_high, the exploration
 weight alpha ramps linearly from 0 to alpha_max while the per-step risk
@@ -12,8 +12,8 @@ agent is a plain task policy with a full budget; above tau_high it probes
 as hard as the (now zero) budget allows. Probing is therefore paid for by
 caution, which is the point: information is bought while the blast radius
 is clamped down. The explorer spread of the candidate set follows the same
-ramp. ``schedule`` evaluates the ramp once per control step and returns
-all three; ``candidate_actions`` takes its spread and ``select_action``
+ramp. ``schedule`` evaluates the ramp once per cell and control step and
+returns all three; ``candidate_actions`` takes its spread and selection
 its alpha and delta. alpha and delta live on the ``Schedule`` alone: the
 ``ActionChoice`` does not copy them.
 
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import disagreement, input_rows
 from .errors import InputError
 from .kappa import Thresholds
 
@@ -120,7 +121,7 @@ def candidate_actions(
 
     The uniform draws are taken at every spread, so the RNG stream does
     not depend on it. At spread 0 every explorer would equal the task row,
-    and ``select_action`` breaks ties toward the lowest index, so only the
+    and ``select_actions`` breaks ties toward the lowest index, so only the
     task and zero rows are returned: they give the choice the full set would.
     """
     if not (0.0 <= spread <= 1.0) or not math.isfinite(spread):
@@ -220,3 +221,26 @@ def select_action(
         predicted_risk=float(batch.predicted_risk[0]),
         any_compliant=bool(batch.any_compliant[0]),
     )
+
+
+def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds, settings: PolicySettings):
+    """Every cell's choice of one control step: per cell a ``schedule`` and its
+    ``candidate_actions``, then over the stacked rows one call each of ``input_rows``,
+    ``predict_members``, ``disagreement``, ``risk_fn`` (an env class's ``risk_from_obs``),
+    ``task_affinity`` and ``select_actions``. Cell i's observations are row i of each
+    ``history`` entry. Returns the choice, each cell's alpha and delta, and the chosen
+    rows' inputs and member predictions."""
+    scheds = [schedule(k, thresholds, settings) for k in kappas]
+    cands = [candidate_actions(task, rng, settings, s.spread) for task, rng, s in zip(tasks, rngs, scheds)]
+    counts = [c.shape[0] for c in cands]
+    owner = np.repeat(np.arange(len(cands)), counts)  # the cell of each stacked row
+    actions = np.concatenate(cands)
+    x = input_rows([h[owner] for h in history], actions)
+    member_preds = ensemble.predict_members(x)
+    info_gain, mean_delta = disagreement(member_preds)
+    predicted_risk = risk_fn(x[:, : mean_delta.shape[1]] + mean_delta)
+    r_task = task_affinity(actions, np.stack(tasks)[owner])
+    alpha, delta = np.array([s.alpha for s in scheds]), np.array([s.delta for s in scheds])
+    choice = select_actions(actions, r_task, info_gain, predicted_risk, counts, alpha, delta, settings)
+    chosen = np.cumsum(counts) - counts + choice.index
+    return choice, alpha, delta, x[chosen], member_preds[:, chosen]

@@ -1,15 +1,15 @@
 """Closed-loop episodes: calibration, condition runs, and sweeps.
 
-This module owns all plumbing between the agent side and the evaluator
-side. The policy layer only ever sees masked observations, the commanded
-action, and model-derived numbers; environment instances stay on this
-side of the fence. A dynamics shift reaches the plant through
-``set_param`` alone.
+This module owns the evaluator side: the plants, the stressors, kappa
+scoring and the traces. The agent's half of a control step is
+``policy.act``, which sees masked observations, the task actions, kappa and
+the agent's own model; environment instances stay on this side of the
+fence. A dynamics shift reaches the plant through ``set_param`` alone.
 
 ``run_cells`` is the one episode loop. It steps a batch of cells together
 (``run_condition`` runs a batch of one, a sweep one batch per cell seed,
-calibration one batch of probes), with one forward pass, one selection and
-one kappa scoring per control step over every cell's rows, and runs the
+calibration one batch of probes), with one ``policy.act`` call and one
+kappa scoring per control step over every cell's rows, and runs the
 steps before onset once for all cells that share a seed and an onset.
 Per-step order within each cell:
 
@@ -61,7 +61,6 @@ from .ensemble import (
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
-    disagreement,
     input_rows,
     member_mse,
 )
@@ -77,7 +76,7 @@ from .perturb import (
     mask_dims_for_fraction,
     shift_tag,
 )
-from .policy import candidate_actions, schedule, select_actions, task_affinity
+from .policy import act
 from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
 from .version import TOOLKIT_VERSION
 
@@ -287,13 +286,12 @@ def run_cells(
     """Run one full episode per ``(condition, seed)`` cell, all cells stepping together.
 
     ``run`` is ``run_header(config, snapshot, policy_mode)``, which the caller
-    builds once and which names the policy mode. Each control step stacks the
-    candidate rows of every stepping cell and makes one ``predict_members``,
-    one ``disagreement``, one ``risk_from_obs`` and one ``select_actions``
-    call over the stack, one ``member_mse`` call over the cells' chosen rows
-    and one ``sigma_theta``, ``kappa`` and ``regime_code`` call over their
-    errors, and writes each ``StepTable`` column once. The controller, the schedule,
-    the candidate draws, the delay queue, the plant and masking stay per cell.
+    builds once and which names the policy mode. Each control step makes every
+    stepping cell's choice with one ``policy.act`` call, then one ``member_mse``
+    call over the chosen rows and one ``sigma_theta``, ``kappa`` and
+    ``regime_code`` call over their errors, and writes each ``StepTable`` column
+    once. The controller, the dynamics shift, the delay queue, the plant and
+    masking stay per cell, and so does the clone's update.
     Every batched operation is row-independent, and each cell keeps its own plant,
     generators, delay queue and clone, so a cell's result does not depend on
     which cells share its batch. An ``InvariantViolation`` in any cell aborts
@@ -351,7 +349,6 @@ def run_cells(
     history: deque = deque([np.stack([apply_mask(e.env.observe(), e.dims, active=e.condition.onset_t <= 0) for e in eps])], maxlen=3)
     table = StepTable(config.horizon, history[-1], env_cls.ACTION_DIM)
     kappa_prev = np.zeros(len(eps))
-    obs_dim = len(env_cls.OBS_NAMES)
 
     for t in range(config.horizon):
         for i, leader in forks.get(t, ()):
@@ -364,26 +361,13 @@ def run_cells(
             k += 1
         stepping = eps[:k]
         visible = history[-1]
-        tasks, cands, alpha, delta = [], [], [], []
-        for e, row, kappa_value in zip(stepping, visible, kappa_prev[:k].tolist()):
+        for e in stepping:
             if t == e.condition.onset_t and e.condition.shift is not None:
                 e.env.set_param(*e.condition.shift)
-            task_action = controller(row)
-            sched = schedule(kappa_value, thresholds, settings)
-            tasks.append(task_action)
-            alpha.append(sched.alpha)
-            delta.append(sched.delta)
-            cands.append(candidate_actions(task_action, e.policy_rng, settings, sched.spread))
-        counts = [c.shape[0] for c in cands]
-        owner = np.repeat(np.arange(k), counts)  # the row of each stacked candidate
-        actions = np.concatenate(cands)
-        x = input_rows([h[owner] for h in history], actions)
-        member_preds = ensemble.predict_members(x)
-        info_gain, mean_delta = disagreement(member_preds)
-        predicted_risk = env_cls.risk_from_obs(x[:, :obs_dim] + mean_delta)
-        r_task = task_affinity(actions, np.stack(tasks)[owner])
-        alpha, delta = np.array(alpha), np.array(delta)
-        choice = select_actions(actions, r_task, info_gain, predicted_risk, counts, alpha, delta, settings)
+        tasks = [controller(row) for row in visible[:k]]
+        choice, alpha, delta, chosen_x, chosen_preds = act(
+            history, tasks, kappa_prev[:k].tolist(), [e.policy_rng for e in stepping], ensemble, env_cls.risk_from_obs, thresholds, settings
+        )
         breach = choice.any_compliant & (choice.predicted_risk > delta + RISK_TOL)
         if breach.any():
             j = int(np.argmax(breach))
@@ -401,10 +385,8 @@ def run_cells(
             risks.append(tr.risk)
         visible_next = np.stack(nexts)
         delta_vis = visible_next - visible[:k]
-        # The candidate pass already scored the chosen rows; a row's
-        # prediction does not depend on the rest of its batch.
-        chosen = np.cumsum(counts) - counts + choice.index
-        mse = member_mse(member_preds[:, chosen], delta_vis)
+        # act already scored the chosen rows, and a row's prediction does not depend on its batch
+        mse = member_mse(chosen_preds, delta_vis)
         active = t >= onset[:k]
         sig_theta = sigma_theta(mse, snapshot.mu0, snapshot.sigma0, config.clip_c)
         sig_s = np.where(active, on[:k], off[:k])
@@ -418,7 +400,7 @@ def run_cells(
         table.regime[:k, t] = regime_code(kappa_now, thresholds)
         if adaptive_enabled:
             for j, e in enumerate(stepping):
-                e.recent_x.append(x[chosen[j]].copy())
+                e.recent_x.append(chosen_x[j])
                 e.recent_y.append(delta_vis[j])
                 if active[j] and (t - e.condition.onset_t) % config.adaptive.every == 0 and len(e.recent_x) >= 8:
                     take = min(len(e.recent_x), anchor_x.shape[0])

@@ -1,12 +1,13 @@
 """Semantic mutants of the toolkit, each run against the acceptance criteria.
 
-Run from the root of a source checkout (it takes about 10 s per mutant):
+Run from the root of a source checkout (it takes about 16 s per mutant):
 
     python tests/mutants.py
 
 Each mutant is one exact string replacement in one file under ``src/``, and
 it must match exactly once, so a refactor that moves the patched code stops
-the runner instead of leaving it to test an unchanged copy. For each mutant
+the runner instead of leaving it to test an unchanged copy;
+``tests/test_mutants.py`` checks that in the normal test run. For each mutant
 the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory, applies the replacement there and runs ``tests/test_acceptance.py``
 on that copy. It runs the unmutated copy first, which must pass.
@@ -58,18 +59,32 @@ MUTANTS = (
         must_fail=(12,),
     ),
     Mutant(
-        "predicted risk always 0, at run_cells' call site",
-        "rollout.py",
-        "predicted_risk = env_cls.risk_from_obs(x[:, :obs_dim] + mean_delta)",
+        "predicted risk always 0, in policy.act",
+        "policy.py",
+        "predicted_risk = risk_fn(x[:, : mean_delta.shape[1]] + mean_delta)",
         "predicted_risk = np.zeros(len(actions))",
-        survives="no criterion compares predicted with realized risk yet (ROADMAP item 11, criterion 13)",
+        must_fail=(13,),
     ),
     Mutant(
         "monitor budget off (the monitor runs the task action alone)",
-        "rollout.py",
-        "cands.append(candidate_actions(task_action, e.policy_rng, settings, sched.spread))",
-        'cands.append(candidate_actions(task_action, e.policy_rng, settings, sched.spread)[: 1 if run["policy_mode"] == "monitor" else None])',
+        "policy.py",
+        "cands = [candidate_actions(task, rng, settings, s.spread) for task, rng, s in zip(tasks, rngs, scheds)]",
+        "cands = [candidate_actions(task, rng, settings, s.spread)[: 1 if settings.alpha_max == 0.0 else None] for task, rng, s in zip(tasks, rngs, scheds)]",
         survives="it is the bare-controller baseline that ROADMAP item 8 adopts; item 8 replaces it by its inverse",
+    ),
+    Mutant(
+        "budget pinned (delta stays at delta_max)",
+        "policy.py",
+        "delta=settings.delta_max * (1.0 - ramp)",
+        "delta=settings.delta_max",
+        must_fail=(15,),
+    ),
+    Mutant(
+        "ramp inverted (delta grows with kappa)",
+        "policy.py",
+        "delta=settings.delta_max * (1.0 - ramp)",
+        "delta=settings.delta_max * ramp",
+        must_fail=(15,),
     ),
 )
 

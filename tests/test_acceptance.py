@@ -3,24 +3,28 @@
 Each test prints exactly one bracketed PASS/FAIL line with the measured
 numbers (written through the capture so it shows up in a plain pytest
 run), then asserts. The expensive fixtures, one calibrated snapshot per
-environment plus one full 120-cell sweep, are session-scoped and shared
-across tests.
+environment, one full 120-cell sweep and one 36-cell adaptive grid, are
+session-scoped and shared across tests.
 """
 
 import json
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import build_eval_rows, trace_steps
+from scipy.special import stdtrit
 
+from compound_uq import policy
 from compound_uq.analysis import degradation, superadditive_rate
 from compound_uq.belief import coupling_family, exact_mi, random_bound_checks
 from compound_uq.config import config_from_dict
 from compound_uq.ensemble import acc_feature
-from compound_uq.kappa import Regime, classify_regime, sigma_s, sigma_theta
-from compound_uq.perturb import ConditionSpec
-from compound_uq.rollout import RISK_TOL, calibrate, read_trace, run_condition, run_sweep
+from compound_uq.kappa import REGIMES, Regime, regime_code, sigma_s, sigma_theta
+from compound_uq.perturb import ConditionSpec, condition_matrix
+from compound_uq.rollout import RISK_TOL, calibrate, read_trace, run_cells, run_condition, run_header, run_sweep
 
 EXACT = 1e-12
 BOUND_TOL = 1e-9
@@ -73,6 +77,24 @@ def driftbot_sweep(driftbot, tmp_path_factory):
     t0 = time.perf_counter()
     outcome = run_sweep(cfg, snap, out_dir=str(trace_dir))
     return outcome, time.perf_counter() - t0, trace_dir
+
+
+ADAPTIVE_SEEDS = (0, 1, 2)
+
+
+def _adaptive_grid(cfg, snap) -> dict:
+    """The acceptance grid in adaptive mode on ``ADAPTIVE_SEEDS``, one ``run_cells`` batch per seed: results by seed."""
+    run, g = run_header(cfg, snap, "adaptive"), cfg.grid
+    return {
+        seed: run_cells(cfg, snap, run, condition_matrix(g.po_levels, g.delay_levels, g.shift_levels, [seed], onset_t=cfg.onset_t))
+        for seed in ADAPTIVE_SEEDS
+    }
+
+
+@pytest.fixture(scope="session")
+def driftbot_adaptive(driftbot):
+    """The adaptive grid with the kappa-scheduled risk budget, shared by criteria 13 and 15."""
+    return _adaptive_grid(*driftbot)
 
 
 @pytest.fixture(scope="session")
@@ -184,8 +206,8 @@ def test_threshold_placement_classifies_regimes(driftbot, driftbot_sweep, capsys
     outcome, _, _ = driftbot_sweep
     k = outcome.kappa_by_label
     benign = (Regime.LOW, Regime.TRANSITION)
-    r1 = classify_regime(k["C1"], snap.thresholds)
-    r2 = classify_regime(k["C2"], snap.thresholds)
+    r1 = REGIMES[regime_code(k["C1"], snap.thresholds)]
+    r2 = REGIMES[regime_code(k["C2"], snap.thresholds)]
     ok = r1 in benign and r2 in benign and k["C4"] > k["C3"] and len(cfg.grid.seeds) >= 10
     _report(
         capsys,
@@ -359,15 +381,83 @@ def test_learned_deficit_rises_under_a_shift_alone(driftbot, driftbot_sweep, cap
 def test_superadditivity_holds_on_the_acceptance_sweep(driftbot_sweep, capsys):
     # The paper's headline on the sweep itself, not on synthetic records (criterion 7). Without
     # masking every delta_po is 0, the compound loss equals the dynamics-only loss, and this reads 0/60.
+    # The third half can fail on its own: a one-sample t-test over every record's synergy, flagged or not.
+    # Without masking every synergy is exactly 0, so its CI low is 0.
     outcome, _, _ = driftbot_sweep
     report = outcome.report
-    ok = report.n_configs == 60 and report.n_superadditive >= 50 and report.ci_low is not None and report.ci_low > 0
+    synergy = np.array([r.synergy_frac for r in outcome.records])
+    half_width = float(stdtrit(len(synergy) - 1, 0.975)) * float(synergy.std(ddof=1)) / math.sqrt(len(synergy))
+    all_low, all_high = float(synergy.mean()) - half_width, float(synergy.mean()) + half_width
+    ok = (
+        report.n_configs == 60
+        and report.n_superadditive >= 50
+        and report.ci_low is not None
+        and report.ci_low > 0
+        and all_low > 0
+    )
     ci_low = "none" if report.ci_low is None else f"{report.ci_low:.4f}"
     _report(
         capsys,
         12,
         ok,
         f"{report.n_superadditive}/{report.n_configs} matched quadruples super-additive (need >=50 of 60); "
-        f"flagged-mean t-test 95% CI low {ci_low} (need > 0)",
+        f"flagged-mean t-test 95% CI low {ci_low} (need > 0); all {len(synergy)} synergies: mean "
+        f"{float(synergy.mean()):.4f}, 95% CI [{all_low:.4f}, {all_high:.4f}] (need low > 0)",
+    )
+    assert ok
+
+
+def test_predicted_risk_anticipates_realized_risk(driftbot_adaptive, capsys):
+    # The risk model is what the budget filters on: where the plant turns out risky,
+    # the chosen row's predicted risk must have said so.
+    risky = anticipated = 0
+    for results in driftbot_adaptive.values():
+        for res in results:
+            hit = res.steps.risk > 0.0
+            risky += int(hit.sum())
+            anticipated += int((res.steps.predicted_risk[hit] > 0.0).sum())
+    ok = risky > 0 and anticipated >= 0.9 * risky
+    share = anticipated / risky if risky else 0.0
+    n_cells = sum(map(len, driftbot_adaptive.values()))
+    _report(
+        capsys,
+        13,
+        ok,
+        f"adaptive grid, seeds {list(driftbot_adaptive)} ({n_cells} cells): the chosen row's predicted risk is > 0 on "
+        f"{anticipated}/{risky} steps with realized risk > 0 ({share:.1%}, need >=90%)",
+    )
+    assert ok
+
+
+def _post_onset_risk_mass(batches, onset_t) -> tuple[dict, dict]:
+    """Realized risk summed over the steps from onset on: by seed, and by label over all seeds."""
+    by_seed, by_label = {}, {}
+    for seed, results in batches.items():
+        for res in results:
+            mass = float(res.steps.risk[onset_t:].sum())
+            by_seed[seed] = by_seed.get(seed, 0.0) + mass
+            by_label[res.condition.label] = by_label.get(res.condition.label, 0.0) + mass
+    return by_seed, dict(sorted(by_label.items()))
+
+
+def test_the_scheduled_budget_lowers_realized_risk(driftbot, driftbot_adaptive, monkeypatch, capsys):
+    # The budget that tightens as kappa rises must do something: against the same grid with
+    # delta pinned at delta_max (alpha and the spread still follow kappa), it lowers the
+    # post-onset realized risk in every seed.
+    cfg, snap = driftbot
+    scheduled = policy.schedule
+    monkeypatch.setattr(policy, "schedule", lambda k, thresholds, s: replace(scheduled(k, thresholds, s), delta=s.delta_max))
+    pinned = _adaptive_grid(cfg, snap)
+    seed_s, label_s = _post_onset_risk_mass(driftbot_adaptive, cfg.onset_t)
+    seed_p, label_p = _post_onset_risk_mass(pinned, cfg.onset_t)
+    ok = all(seed_s[seed] < seed_p[seed] for seed in ADAPTIVE_SEEDS)
+    per_seed = ", ".join(f"seed {seed} {seed_s[seed]:.2f} < {seed_p[seed]:.2f}" for seed in ADAPTIVE_SEEDS)
+    per_label = ", ".join(f"{label} {label_s[label]:.2f} / {label_p[label]:.2f}" for label in label_s)
+    _report(
+        capsys,
+        15,
+        ok,
+        f"post-onset realized risk mass, kappa-scheduled budget against budget pinned at delta_max "
+        f"(need lower in every seed): {per_seed}; by label, scheduled / pinned: {per_label}",
     )
     assert ok

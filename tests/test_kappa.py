@@ -13,7 +13,6 @@ from compound_uq.kappa import (
     Regime,
     Thresholds,
     calibrate_thresholds,
-    classify_regime,
     compute_step,
     kappa,
     nearest_rank_percentile,
@@ -91,14 +90,14 @@ def test_kappa_is_component_sum():
 
 
 def test_classify_regime_boundaries():
-    assert classify_regime(0.1, THR) is Regime.LOW
+    assert REGIMES[regime_code(0.1, THR)] is Regime.LOW
     # Threshold values themselves belong to the transition band.
-    assert classify_regime(0.2, THR) is Regime.TRANSITION
-    assert classify_regime(0.35, THR) is Regime.TRANSITION
-    assert classify_regime(0.5, THR) is Regime.TRANSITION
-    assert classify_regime(0.51, THR) is Regime.HIGH
+    assert REGIMES[regime_code(0.2, THR)] is Regime.TRANSITION
+    assert REGIMES[regime_code(0.35, THR)] is Regime.TRANSITION
+    assert REGIMES[regime_code(0.5, THR)] is Regime.TRANSITION
+    assert REGIMES[regime_code(0.51, THR)] is Regime.HIGH
     with pytest.raises(InputError):
-        classify_regime(-0.2, THR)
+        regime_code(-0.2, THR)
 
 
 def test_compute_step_assembles_components():
@@ -174,7 +173,7 @@ def test_regime_codes_put_both_thresholds_in_transition():
     below, above = math.nextafter(THR.tau_low, 0.0), math.nextafter(THR.tau_high, 1.0)
     values = np.array([0.0, below, THR.tau_low, 0.35, THR.tau_high, above, 3.0])
     assert regime_code(values, THR).tolist() == [0, 0, 1, 1, 1, 2, 2]
-    assert [REGIMES[c] for c in regime_code(values, THR)] == [classify_regime(v, THR) for v in values.tolist()]
+    assert [REGIMES[c] for c in regime_code(values, THR)] == [Regime.LOW] * 2 + [Regime.TRANSITION] * 3 + [Regime.HIGH] * 2
     assert REGIMES == (Regime.LOW, Regime.TRANSITION, Regime.HIGH)
     with pytest.raises(InputError):
         regime_code(np.array([0.1, math.nan]), THR)

@@ -19,12 +19,12 @@ from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, 
 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
-from compound_uq.ensemble import Ensemble, disagreement
+from compound_uq.ensemble import Ensemble, acc_feature, disagreement
 from compound_uq.envs import DriftBot, MassSpring1D, env_class
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
-from compound_uq.kappa import KappaComponents, Regime, Thresholds, classify_regime
+from compound_uq.kappa import KappaComponents, Regime, Thresholds
 from compound_uq.perturb import ConditionSpec, condition_matrix
-from compound_uq.policy import ActionChoice, PolicySettings, Schedule, candidate_actions, schedule, select_action, task_affinity
+from compound_uq.policy import ActionChoice, PolicySettings, Schedule, schedule, select_action, task_affinity
 from compound_uq.rollout import (
     RolloutResult,
     build_degradation_records,
@@ -273,16 +273,17 @@ def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
     """(rows returned, whether every explorer was drawn) for every
     candidate set the episode loop draws from now on."""
     sets: list[tuple[int, bool]] = []
+    draw = policy.candidate_actions
 
     def recording(task_action, rng, settings, spread):
         replay = np.random.Generator(type(rng.bit_generator)())
         replay.bit_generator.state = rng.bit_generator.state
-        cands = candidate_actions(task_action, rng, settings, spread)
+        cands = draw(task_action, rng, settings, spread)
         replay.uniform(-1.0, 1.0, size=(settings.n_candidates - 2, len(task_action)))
         sets.append((cands.shape[0], replay.bit_generator.state == rng.bit_generator.state))
         return cands
 
-    monkeypatch.setattr(rollout, "candidate_actions", recording)
+    monkeypatch.setattr(policy, "candidate_actions", recording)
     return sets
 
 
@@ -327,8 +328,8 @@ def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, monkeypatch, mode):
 
 
 def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
-    # At zero spread the episode loop scores only rows 0 and 1; scored by
-    # a real ensemble, that must give the full set's choice field for field.
+    # At zero spread policy.act scores only rows 0 and 1; scored by a real
+    # ensemble, that must give the full set's choice field for field.
     cfg, snap = db_snapshot
     settings = replace(cfg.policy, alpha_max=0.0)  # the monitor policy
     obs_dim = len(DriftBot.OBS_NAMES)
@@ -337,25 +338,25 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
     picked, n_forced = set(), 0
     inner = DriftBot.ARENA_HALF - DriftBot.RISK_ZONE
     for i in range(300):
-        base = states[i % states.shape[0], : 2 * obs_dim].copy()
+        obs, acc = states[i % states.shape[0], :obs_dim].copy(), states[i % states.shape[0], obs_dim : 2 * obs_dim]
         # Put the pose in or near the risk zone so that budgets bind.
-        base[:2] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(inner - DriftBot.RISK_ZONE, DriftBot.ARENA_HALF, size=2)
+        obs[:2] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(inner - DriftBot.RISK_ZONE, DriftBot.ARENA_HALF, size=2)
+        history = [(obs + acc)[None, :], obs[None, :], obs[None, :]]  # one cell, whose acc feature is about acc
         task = np.zeros(2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, size=2)
         kappa = float(rng.uniform(0.0, 1.5 * snap.thresholds.tau_high))
-        cands = candidate_actions(task, rng, settings, spread=0.0)
-        # the full set: at zero spread every explorer equals the task row
-        full_set = np.concatenate([cands, np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
+        distinct, alpha, delta, _, _ = policy.act(history, [task], [kappa], [rng], snap.ensemble, DriftBot.risk_from_obs, snap.thresholds, settings)
+        # the hand-built oracle: the full set, where at zero spread every explorer equals the task row
+        full_set = np.concatenate([task[None, :], np.zeros((1, 2)), np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
         sched = schedule(kappa, snap.thresholds, settings)
-        choices = []
-        for rows in (full_set, cands):
-            x = np.concatenate([np.repeat(base[None, :], rows.shape[0], axis=0), rows], axis=1)
-            preds = snap.ensemble.predict_members(x)
-            info_gain, mean = disagreement(preds)
-            risk = DriftBot.risk_from_obs(base[None, :obs_dim] + mean)
-            choices.append(select_action(rows, task_affinity(rows, task), info_gain, risk, sched, settings))
-        full, distinct = choices
+        assert (alpha.tolist(), delta.tolist()) == ([sched.alpha], [sched.delta])
+        base = np.concatenate([obs, acc_feature(history)[0]])
+        x = np.concatenate([np.repeat(base[None, :], full_set.shape[0], axis=0), full_set], axis=1)
+        preds = snap.ensemble.predict_members(x)
+        info_gain, mean = disagreement(preds)
+        risk = DriftBot.risk_from_obs(base[None, :obs_dim] + mean)
+        full = select_action(full_set, task_affinity(full_set, task), info_gain, risk, sched, settings)
         for f in fields(ActionChoice):
-            np.testing.assert_array_equal(getattr(full, f.name), getattr(distinct, f.name))
+            np.testing.assert_array_equal(getattr(full, f.name), getattr(distinct, f.name)[0])
         picked.add(full.index)
         n_forced += not full.any_compliant
     # Both rows win somewhere, and both the budget and the forced branch run.
@@ -702,9 +703,11 @@ def test_every_step_regime_is_the_classified_kappa(ms_calibrated):
     g = cfg.grid
     cells = condition_matrix(g.po_levels, g.delay_levels, g.shift_levels, g.seeds, onset_t=cfg.onset_t)
     regimes = set()
+    low, high = snap.thresholds.tau_low, snap.thresholds.tau_high
     for res in run_cells(cfg, snap, run_header(cfg, snap, "monitor"), cells):
         for code, value in zip(res.steps.regime.tolist(), res.steps.kappa.tolist()):
-            assert rollout.REGIMES[code] is classify_regime(value, snap.thresholds)
+            # the thresholds themselves are Transition
+            assert rollout.REGIMES[code] is (Regime.LOW if value < low else Regime.HIGH if value > high else Regime.TRANSITION)
             regimes.add(rollout.REGIMES[code])
     assert regimes == set(Regime)
 
@@ -726,9 +729,10 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
     fresh = run_sweep(cfg, snap, out_dir=str(tmp_path / "fresh"))
     second = [c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1][1]
     calls = []
+    select = policy.select_actions
 
     def breaching(*args):
-        choice = policy.select_actions(*args)
+        choice = select(*args)
         calls.append(choice)
         # one call per control step and batch: the second batch's (seed 1's) step 12,
         # after every cell has forked from the prefix, breaches the budget in its second cell
@@ -739,12 +743,12 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
         delta = args[6]
         return replace(choice, any_compliant=choice.any_compliant | breach, predicted_risk=np.where(breach, delta + 1.0, choice.predicted_risk))
 
-    monkeypatch.setattr(rollout, "select_actions", breaching)
+    monkeypatch.setattr(policy, "select_actions", breaching)
     out_dir = tmp_path / "runs"
     with pytest.raises(InvariantViolation, match=f"^selected action breaches the risk budget at t=12 in cell {re.escape(second)}: "):
         run_sweep(cfg, snap, out_dir=str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
-    monkeypatch.setattr(rollout, "select_actions", policy.select_actions)
+    monkeypatch.setattr(policy, "select_actions", select)
     batches = record_batches(monkeypatch)
     assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
     assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
