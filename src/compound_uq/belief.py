@@ -189,28 +189,28 @@ def random_bound_checks(seed: int, n_samples: int) -> Iterator[tuple[int, int, B
     """Yield ``(n_s, n_theta, verify_bound(belief))`` for ``n_samples`` random beliefs.
 
     One generator seeded with ``seed`` draws, per sample, ``n_s`` and
-    ``n_theta`` from 2..8 and then the table, taking the same stream and
-    bits as ``rng.integers(2, 9)`` twice and ``random_belief`` would.
-    Each batch of ``ORACLE_BATCH`` samples is checked in stacks of one
-    shape; every row equals ``verify_bound(random_belief(...))`` on the
-    same draws bit for bit. Rows come out a batch at a time, so a caller
-    that keeps only what it needs of each holds at most one batch of
-    checks.
+    ``n_theta`` from 2..8 by two scalar ``rng.integers(2, 9)`` calls and
+    then the table, taking the same stream and bits as ``random_belief``
+    would. Each batch of ``ORACLE_BATCH`` samples is checked in stacks of
+    one shape, each stack scaled to sum to 1 at once; every row equals
+    ``verify_bound(random_belief(...))`` on the same draws bit for bit.
+    Rows come out a batch at a time, so a caller that keeps only what it
+    needs of each holds at most one batch of checks.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, n_samples, ORACLE_BATCH):
         shapes: list[tuple[int, int]] = []
         by_shape: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
         for i in range(min(ORACLE_BATCH, n_samples - start)):
-            shape = tuple(rng.integers(2, 9, size=2).tolist())
+            shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
             shapes.append(shape)
             # random_belief's rng.dirichlet(np.ones(k)): for unit alphas it draws k gamma(1), that is
             # standard exponential, variates, sums them in order and scales by the sum's reciprocal
-            e = rng.standard_exponential(shape[0] * shape[1])
-            by_shape.setdefault(shape, []).append((i, e * (1.0 / np.add.accumulate(e)[-1])))
+            by_shape.setdefault(shape, []).append((i, rng.standard_exponential(shape[0] * shape[1])))
         checks: list[BoundCheck | None] = [None] * len(shapes)
         for shape, drawn in by_shape.items():
-            tables = np.stack([flat for _, flat in drawn]).reshape(len(drawn), *shape)
+            e = np.stack([flat for _, flat in drawn])
+            tables = (e * (1.0 / np.add.accumulate(e, axis=1)[:, -1:])).reshape(len(drawn), *shape)
             for (i, _), check in zip(drawn, _stack_bound_checks(tables)):
                 checks[i] = check
         for shape, check in zip(shapes, checks):

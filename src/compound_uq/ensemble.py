@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -133,23 +134,33 @@ class Ensemble:
     def out_dim(self) -> int:
         return self.w2.shape[2]
 
-    def predict_members(self, x: np.ndarray) -> np.ndarray:
+    def predict_members(self, x: np.ndarray, counts=None) -> np.ndarray:
         """Per-member delta predictions, raw units; shape (M, B, out_dim), C-contiguous.
 
         The layout gives ``einsum`` long contiguous inner loops: layer 1 is one
         product against ``w1`` with its members side by side, shape
         (in_dim, M * hidden), and layer 2 one product per member with the row
-        axis innermost. Without ``optimize``, ``einsum`` sums each output
-        element over the contracted index in increasing order, a multiply and
-        an add at a time, in any layout, so every bit equals the per-member
-        form ``einsum("bi,mih->mbh")`` then ``einsum("mbh,mho->mbo")``, and a
-        row's output depends on that row alone.
+        axis innermost. Without ``optimize``, and with more than one hidden
+        unit, ``einsum`` sums each output element over the contracted index in
+        increasing order, a multiply and an add at a time from 0, so every bit
+        equals the per-member form ``einsum("bi,mih->mbh")`` then
+        ``einsum("mbh,mho->mbo")``, and a row's output depends on that row alone.
+
+        ``counts`` splits the rows into blocks whose rows share their state inputs
+        (the first ``2 * out_dim``, by bit pattern). A block of more than two rows
+        sums those once, to P, and each row continues P as ``[1.0, action...] .
+        [P ; w1's action rows]``: the rows form's terms in its order. Other blocks,
+        and one hidden unit (whose inputs ``einsum`` sums in SIMD lanes), take the rows form.
         """
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         if xb.shape[1] != self.in_dim:
             raise InputError(f"input dim {xb.shape[1]} != expected {self.in_dim}")
         m, in_dim, hidden = self.w1.shape
-        h = np.einsum("bi,ik->bk", self.x_norm.encode(xb), self.w1.transpose(1, 0, 2).reshape(in_dim, m * hidden))
+        xn, w = self.x_norm.encode(xb), self.w1.transpose(1, 0, 2).reshape(in_dim, m * hidden)
+        if counts is None:
+            h = np.einsum("bi,ik->bk", xn, w)
+        else:
+            h = _blocked_layer1(xb, xn, w, np.asarray(counts, dtype=np.int64).ravel().tolist(), 2 * self.out_dim, hidden > 1)
         h += self.b1.reshape(-1)
         np.maximum(0.0, h, out=h)
         h_t = np.ascontiguousarray(h.T)  # (M * hidden, B)
@@ -228,6 +239,30 @@ class Ensemble:
         )
         refuse_unknown(d, ensemble.to_dict(), "snapshot", "ensemble")  # the keys to_dict writes
         return ensemble
+
+
+def _blocked_layer1(x, xn, w, counts: list[int], n_state: int, factor: bool) -> np.ndarray:
+    """``xn @ w`` for the rows ``x``, encoded ``xn``, in blocks of ``counts``; see ``Ensemble.predict_members``."""
+    if min(counts, default=1) < 1 or sum(counts) != x.shape[0]:
+        raise InputError(f"counts must split the {x.shape[0]} input rows into nonempty blocks")
+    bits = x[:, :n_state].view(np.int64)
+    h = np.empty((x.shape[0], w.shape[1]))
+    r1 = 0
+    for size, run in itertools.groupby(counts):  # one einsum per run of neighbouring blocks of one size
+        c = len(list(run))
+        r0, r1 = r1, r1 + c * size
+        block_bits = bits[r0:r1].reshape(c, size, n_state)
+        if (block_bits != block_bits[:, :1]).any():
+            raise InputError("the rows of a block must share their state inputs")
+        if factor and size > 2:
+            a = np.concatenate((np.ones((c, size, 1)), xn[r0:r1, n_state:].reshape(c, size, -1)), axis=2)
+            q = np.empty((c, w.shape[0] - n_state + 1, w.shape[1]))  # [P ; w1's action rows] per block
+            np.einsum("bi,ik->bk", xn[r0:r1:size, :n_state], w[:n_state], out=q[:, 0])
+            q[:, 1:] = w[n_state:]
+            np.einsum("cbj,cjk->cbk", a, q, out=h[r0:r1].reshape(c, size, -1))
+        else:
+            np.einsum("bi,ik->bk", xn[r0:r1], w, out=h[r0:r1])
+    return h
 
 
 def disagreement(member_preds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

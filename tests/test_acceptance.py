@@ -80,6 +80,8 @@ def driftbot_sweep(driftbot, tmp_path_factory):
 
 
 ADAPTIVE_SEEDS = (0, 1, 2)
+# criterion 15: the scheduled run's post-onset risk mass must be below this share of the pinned run's
+SCHEDULED_RISK_RATIO = 0.9
 
 
 def _adaptive_grid(cfg, snap) -> dict:
@@ -443,21 +445,23 @@ def _post_onset_risk_mass(batches, onset_t) -> tuple[dict, dict]:
 def test_the_scheduled_budget_lowers_realized_risk(driftbot, driftbot_adaptive, monkeypatch, capsys):
     # The budget that tightens as kappa rises must do something: against the same grid with
     # delta pinned at delta_max (alpha and the spread still follow kappa), it lowers the
-    # post-onset realized risk in every seed.
+    # post-onset realized risk in every seed, below 0.9 of the pinned run's. An inverted
+    # ramp, never above delta_max, reads about 1.0 of pinned, so the margin tells the
+    # ramp's direction.
     cfg, snap = driftbot
     scheduled = policy.schedule
     monkeypatch.setattr(policy, "schedule", lambda k, thresholds, s: replace(scheduled(k, thresholds, s), delta=s.delta_max))
     pinned = _adaptive_grid(cfg, snap)
     seed_s, label_s = _post_onset_risk_mass(driftbot_adaptive, cfg.onset_t)
     seed_p, label_p = _post_onset_risk_mass(pinned, cfg.onset_t)
-    ok = all(seed_s[seed] < seed_p[seed] for seed in ADAPTIVE_SEEDS)
-    per_seed = ", ".join(f"seed {seed} {seed_s[seed]:.2f} < {seed_p[seed]:.2f}" for seed in ADAPTIVE_SEEDS)
+    ok = all(seed_s[seed] < SCHEDULED_RISK_RATIO * seed_p[seed] for seed in ADAPTIVE_SEEDS)
+    per_seed = ", ".join(f"seed {seed} {seed_s[seed]:.2f} / {seed_p[seed]:.2f}" for seed in ADAPTIVE_SEEDS)
     per_label = ", ".join(f"{label} {label_s[label]:.2f} / {label_p[label]:.2f}" for label in label_s)
     _report(
         capsys,
         15,
         ok,
         f"post-onset realized risk mass, kappa-scheduled budget against budget pinned at delta_max "
-        f"(need lower in every seed): {per_seed}; by label, scheduled / pinned: {per_label}",
+        f"(need below {SCHEDULED_RISK_RATIO} of pinned in every seed): {per_seed}; by label, scheduled / pinned: {per_label}",
     )
     assert ok

@@ -118,6 +118,70 @@ def test_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, 
             assert score.tobytes() == score_want.tobytes()
 
 
+def _block_rows(rng, counts, in_dim, out_dim, scale):
+    """Rows split into blocks by ``counts``, each block's rows sharing their
+    state inputs (the first ``2 * out_dim``) and drawing their own actions."""
+    n_state = 2 * out_dim
+    x = rng.normal(size=(sum(counts), in_dim)) * scale
+    x[:, :n_state] = np.repeat(rng.normal(size=(len(counts), n_state)) * scale, counts, axis=0)
+    x[:, 0] = 0.0  # masked dims: they encode to 0.0 and -0.0
+    x[:, 1] = -0.0
+    return x
+
+
+BLOCK_LAYOUTS = {
+    "2-row": [2] * 12,
+    "32-row": [32] * 8,
+    "mixed": [2, 32, 32, 2, 2, 32, 2, 32, 32],
+    "single": [32],
+    "3-row": [3] * 7,
+}
+
+
+@pytest.mark.parametrize("m, in_dim, hidden, out_dim", [(2, 5, 1, 2), (3, 5, 7, 2), (5, 18, 64, 8), (4, 18, 13, 8), (2, 18, 64, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_blocked_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, out_dim, scale, layout):
+    # A block of more than two rows sums its state inputs once and continues that sum
+    # with each row's action inputs: the same terms in the same order as the rows form.
+    rng = np.random.default_rng(m * 1000 + hidden)
+    ens = _random_ensemble(rng, m, in_dim, hidden, out_dim, scale)
+    counts = BLOCK_LAYOUTS[layout]
+    for _ in range(3):
+        x = _block_rows(rng, counts, in_dim, out_dim, scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = ens.predict_members(x, counts), predict_members_oracle(ens, x)
+        assert got.shape == want.shape == (m, sum(counts), out_dim)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_blocked_forward_pass_refuses_blocks_that_do_not_share_their_state():
+    rng = np.random.default_rng(3)
+    ens = _random_ensemble(rng, 5, 18, 64, 8, 1.0)
+    counts = [2, 32, 5]
+    x = _block_rows(rng, counts, 18, 8, 1.0)
+    ens.predict_members(x, np.array(counts))
+    for row, col in ((3, 15), (2 + 31, 4), (35, 0), (1, 7)):  # inside a 32-row, 5-row and 2-row block
+        bad = x.copy()
+        bad[row, col] = 0.5 if col else -0.0  # -0.0 differs from the block's 0.0 by its bit pattern
+        with pytest.raises(InputError, match="share their state inputs"):
+            ens.predict_members(bad, counts)
+    # the rows are compared by bit pattern, so a NaN state shared by a block is taken
+    x[2:34, 5] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert ens.predict_members(x, counts).tobytes() == predict_members_oracle(ens, x).tobytes()
+
+
+@pytest.mark.parametrize("counts", [[2, 32], [2, 32, 6, 1], [2, 0, 32, 5], [-1, 3, 32, 5], [], [39, 0]])
+def test_blocked_forward_pass_refuses_counts_that_do_not_split_the_rows(counts):
+    rng = np.random.default_rng(4)
+    ens = _random_ensemble(rng, 2, 18, 16, 8, 1.0)
+    x = _block_rows(rng, [2, 32, 5], 18, 8, 1.0)
+    with pytest.raises(InputError, match="must split the 39 input rows"):
+        ens.predict_members(x, counts)
+
+
 def test_predict_rejects_wrong_input_dim():
     ens = constant_ensemble([[0.0, 0.0], [0.0, 0.0]], in_dim=5)
     with pytest.raises(InputError):
