@@ -134,7 +134,7 @@ class Ensemble:
     def out_dim(self) -> int:
         return self.w2.shape[2]
 
-    def predict_members(self, x: np.ndarray, counts=None) -> np.ndarray:
+    def predict_members(self, x: np.ndarray) -> np.ndarray:
         """Per-member delta predictions, raw units; shape (M, B, out_dim), C-contiguous.
 
         The layout gives ``einsum`` long contiguous inner loops: layer 1 is one
@@ -146,21 +146,19 @@ class Ensemble:
         equals the per-member form ``einsum("bi,mih->mbh")`` then
         ``einsum("mbh,mho->mbo")``, and a row's output depends on that row alone.
 
-        ``counts`` splits the rows into blocks whose rows share their state inputs
-        (the first ``2 * out_dim``, by bit pattern). A block of more than two rows
-        sums those once, to P, and each row continues P as ``[1.0, action...] .
-        [P ; w1's action rows]``: the rows form's terms in its order. Other blocks,
-        and one hidden unit (whose inputs ``einsum`` sums in SIMD lanes), take the rows form.
+        Neighbouring rows that share their state inputs (the first ``2 * out_dim``,
+        encoded, by bit pattern), as a cell's candidates do, form a block. A block of
+        more than two rows sums those once, to P, and each row continues P as
+        ``[1.0, action...] . [P ; w1's action rows]``: the rows form's terms in its
+        order. Other rows, and one hidden unit (whose inputs ``einsum`` sums in SIMD
+        lanes), take the rows form.
         """
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         if xb.shape[1] != self.in_dim:
             raise InputError(f"input dim {xb.shape[1]} != expected {self.in_dim}")
         m, in_dim, hidden = self.w1.shape
         xn, w = self.x_norm.encode(xb), self.w1.transpose(1, 0, 2).reshape(in_dim, m * hidden)
-        if counts is None:
-            h = np.einsum("bi,ik->bk", xn, w)
-        else:
-            h = _blocked_layer1(xb, xn, w, np.asarray(counts, dtype=np.int64).ravel().tolist(), 2 * self.out_dim, hidden > 1)
+        h = _blocked_layer1(xn, w, 2 * self.out_dim) if hidden > 1 and xb.shape[0] > 2 else np.einsum("bi,ik->bk", xn, w)
         h += self.b1.reshape(-1)
         np.maximum(0.0, h, out=h)
         h_t = np.ascontiguousarray(h.T)  # (M * hidden, B)
@@ -241,20 +239,22 @@ class Ensemble:
         return ensemble
 
 
-def _blocked_layer1(x, xn, w, counts: list[int], n_state: int, factor: bool) -> np.ndarray:
-    """``xn @ w`` for the rows ``x``, encoded ``xn``, in blocks of ``counts``; see ``Ensemble.predict_members``."""
-    if min(counts, default=1) < 1 or sum(counts) != x.shape[0]:
-        raise InputError(f"counts must split the {x.shape[0]} input rows into nonempty blocks")
-    bits = x[:, :n_state].view(np.int64)
-    h = np.empty((x.shape[0], w.shape[1]))
+def _blocked_layer1(xn, w, n_state: int) -> np.ndarray:
+    """``xn @ w`` in the rows form's bits, each block of rows sharing its state summing it once; see ``Ensemble.predict_members``."""
+    last = xn[:, n_state - 1]
+    if not (last[2:] == last[:-2]).any():  # no three neighbouring rows share this input, so none share their state
+        return np.einsum("bi,ik->bk", xn, w)
+    bits = xn[:, :n_state].view(np.int64)
+    same = (bits[1:] == bits[:-1]).all(1)  # row i + 1 shares row i's state
+    if not (same[1:] & same[:-1]).any():  # no block of more than two rows
+        return np.einsum("bi,ik->bk", xn, w)
+    sizes = np.diff(np.flatnonzero(~same) + 1, prepend=0, append=xn.shape[0]).tolist()
+    h = np.empty((xn.shape[0], w.shape[1]))
     r1 = 0
-    for size, run in itertools.groupby(counts):  # one einsum per run of neighbouring blocks of one size
+    for size, run in itertools.groupby(sizes):  # one einsum per run of neighbouring blocks of one size
         c = len(list(run))
         r0, r1 = r1, r1 + c * size
-        block_bits = bits[r0:r1].reshape(c, size, n_state)
-        if (block_bits != block_bits[:, :1]).any():
-            raise InputError("the rows of a block must share their state inputs")
-        if factor and size > 2:
+        if size > 2:
             a = np.concatenate((np.ones((c, size, 1)), xn[r0:r1, n_state:].reshape(c, size, -1)), axis=2)
             q = np.empty((c, w.shape[0] - n_state + 1, w.shape[1]))  # [P ; w1's action rows] per block
             np.einsum("bi,ik->bk", xn[r0:r1:size, :n_state], w[:n_state], out=q[:, 0])

@@ -226,7 +226,7 @@ def select_action(
 def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds, settings: PolicySettings):
     """Every cell's choice of one control step: per cell a ``schedule`` and its
     ``candidate_actions``, then over the stacked rows one call each of ``input_rows``,
-    ``predict_members`` (with each cell's row count), ``disagreement``, ``risk_fn`` (an env class's ``risk_from_obs``),
+    ``predict_members``, ``disagreement``, ``risk_fn`` (an env class's ``risk_from_obs``),
     ``task_affinity`` and ``select_actions``. Cell i's observations are row i of each
     ``history`` entry. Returns the choice, each cell's alpha and delta, and the chosen
     rows' inputs and member predictions."""
@@ -236,7 +236,7 @@ def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds,
     owner = np.repeat(np.arange(len(cands)), counts)  # the cell of each stacked row
     actions = np.concatenate(cands)
     x = input_rows([h[owner] for h in history], actions)
-    member_preds = ensemble.predict_members(x, counts)
+    member_preds = ensemble.predict_members(x)
     info_gain, mean_delta = disagreement(member_preds)
     predicted_risk = risk_fn(x[:, : mean_delta.shape[1]] + mean_delta)
     r_task = task_affinity(actions, np.stack(tasks)[owner])

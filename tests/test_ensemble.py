@@ -142,44 +142,38 @@ BLOCK_LAYOUTS = {
 @pytest.mark.parametrize("scale", [1.0, 1e100])
 @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
 def test_blocked_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, out_dim, scale, layout):
-    # A block of more than two rows sums its state inputs once and continues that sum
-    # with each row's action inputs: the same terms in the same order as the rows form.
+    # A block of more than two neighbouring rows that share their state sums it once and
+    # continues that sum with each row's action inputs: the rows form's terms in its order.
     rng = np.random.default_rng(m * 1000 + hidden)
     ens = _random_ensemble(rng, m, in_dim, hidden, out_dim, scale)
     counts = BLOCK_LAYOUTS[layout]
     for _ in range(3):
         x = _block_rows(rng, counts, in_dim, out_dim, scale)
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = ens.predict_members(x, counts), predict_members_oracle(ens, x)
+            got, want = ens.predict_members(x), predict_members_oracle(ens, x)
         assert got.shape == want.shape == (m, sum(counts), out_dim)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
 
-def test_blocked_forward_pass_refuses_blocks_that_do_not_share_their_state():
+def test_blocked_forward_pass_finds_its_blocks_by_the_state_bits():
+    # Blocks end where a row's state bits differ from the row before: a -0.0 against 0.0
+    # or one changed input splits a block, neighbouring blocks with one state merge, and a
+    # NaN state shared by a block still forms it. Every split gives the oracle's bits.
     rng = np.random.default_rng(3)
     ens = _random_ensemble(rng, 5, 18, 64, 8, 1.0)
-    counts = [2, 32, 5]
-    x = _block_rows(rng, counts, 18, 8, 1.0)
-    ens.predict_members(x, np.array(counts))
-    for row, col in ((3, 15), (2 + 31, 4), (35, 0), (1, 7)):  # inside a 32-row, 5-row and 2-row block
-        bad = x.copy()
-        bad[row, col] = 0.5 if col else -0.0  # -0.0 differs from the block's 0.0 by its bit pattern
-        with pytest.raises(InputError, match="share their state inputs"):
-            ens.predict_members(bad, counts)
-    # the rows are compared by bit pattern, so a NaN state shared by a block is taken
+    x = _block_rows(rng, [2, 32, 5, 4], 18, 8, 1.0)
+    x[34:39, :16] = x[39, :16]  # the 5- and 4-row blocks share one state
     x[2:34, 5] = np.nan
-    with np.errstate(invalid="ignore"):
-        assert ens.predict_members(x, counts).tobytes() == predict_members_oracle(ens, x).tobytes()
-
-
-@pytest.mark.parametrize("counts", [[2, 32], [2, 32, 6, 1], [2, 0, 32, 5], [-1, 3, 32, 5], [], [39, 0]])
-def test_blocked_forward_pass_refuses_counts_that_do_not_split_the_rows(counts):
-    rng = np.random.default_rng(4)
-    ens = _random_ensemble(rng, 2, 18, 16, 8, 1.0)
-    x = _block_rows(rng, [2, 32, 5], 18, 8, 1.0)
-    with pytest.raises(InputError, match="must split the 39 input rows"):
-        ens.predict_members(x, counts)
+    cases = [x]
+    # inside a 32-row, 5-row and 2-row block; 0.0 differs from the block's -0.0 by its bit pattern
+    for row, col, value in ((3, 15, 0.5), (2 + 31, 4, 0.5), (35, 0, 0.5), (1, 7, 0.5), (36, 1, 0.0)):
+        bad = x.copy()
+        bad[row, col] = value
+        cases.append(bad)
+    for case in cases:
+        with np.errstate(invalid="ignore"):
+            assert ens.predict_members(case).tobytes() == predict_members_oracle(ens, case).tobytes()
 
 
 def test_predict_rejects_wrong_input_dim():

@@ -256,19 +256,17 @@ def db_snapshot():
     return cfg, calibrate(cfg)
 
 
-def _record_forward_rows(monkeypatch) -> tuple[list[int], list]:
-    """Row count, and the per-block ``counts`` passed, of every ensemble forward pass made from now on."""
+def _record_forward_rows(monkeypatch) -> list[int]:
+    """Row count of every ensemble forward pass made from now on."""
     rows: list[int] = []
-    blocks: list = []
     forward = Ensemble.predict_members
 
-    def recording(self, x, counts=None):
+    def recording(self, x):
         rows.append(x.shape[0])
-        blocks.append(None if counts is None else [int(c) for c in counts])
-        return forward(self, x, counts)
+        return forward(self, x)
 
     monkeypatch.setattr(Ensemble, "predict_members", recording)
-    return rows, blocks
+    return rows
 
 
 def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
@@ -291,27 +289,24 @@ def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
 
 def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeypatch):
     cfg, snap = db_snapshot
-    rows, blocks = _record_forward_rows(monkeypatch)
+    rows = _record_forward_rows(monkeypatch)
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
     run_condition(cfg, snap, cond, seed=0)
     assert rows == [2] * cfg.horizon
-    assert blocks == [[2]] * cfg.horizon
     # Every explorer draw is still taken, so the policy stream does not move.
     assert drawn == [(2, True)] * cfg.horizon
 
 
 def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, monkeypatch):
     cfg = replace(cfg_ms, policy=PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8))
-    rows, blocks = _record_forward_rows(monkeypatch)
+    rows = _record_forward_rows(monkeypatch)
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
     res = run_condition(cfg, zero_delta_snapshot(cfg), cond, seed=0, policy_mode="adaptive")
     # alpha is zero exactly when the spread is, i.e. while kappa <= tau_low.
     assert rows == [2 if alpha == 0.0 else 8 for alpha in res.steps.alpha]
     assert 2 in rows and 8 in rows
-    # every forward pass gets the cell's row count, so its 8-row blocks sum their state inputs once
-    assert blocks == [[n] for n in rows]
     assert drawn == [(n, True) for n in rows]
 
 
