@@ -142,9 +142,13 @@ class Ensemble:
         (in_dim, M * hidden), and layer 2 one product per member with the row
         axis innermost. Without ``optimize``, and with more than one hidden
         unit, ``einsum`` sums each output element over the contracted index in
-        increasing order, a multiply and an add at a time from 0, so every bit
-        equals the per-member form ``einsum("bi,mih->mbh")`` then
-        ``einsum("mbh,mho->mbo")``, and a row's output depends on that row alone.
+        increasing order, a multiply and an add at a time from 0. With
+        ``out_dim`` above 1, every bit therefore equals the per-member form
+        ``einsum("bi,mih->mbh")`` then ``einsum("mbh,mho->mbo")``, and a row's
+        output depends on that row alone. With ``out_dim`` 1 that form's layer 2
+        sums the hidden units in SIMD lanes, and so does a one-row call here,
+        while a call of more rows sums them in order: the bits differ from that
+        form's, and a row's depend on whether it is alone in its call.
 
         Neighbouring rows that share their state inputs (the first ``2 * out_dim``,
         encoded, by bit pattern), as a cell's candidates do, form a block. A block of

@@ -20,6 +20,11 @@ construction; identical ``(env_id, seed, params, actions)`` reproduce
 traces bit for bit. Noise draws happen unconditionally each step so that
 parameter shifts never desynchronise the stream.
 
+A step returns its ``Transition`` and scores no risk. Risk is a function
+of an observation alone (``risk_from_obs``, a class method that takes one
+observation or a stack), so the episode loop scores every cell's next
+observation with one call per control step.
+
 The dynamics parameters in effect are private to the plant: ``set_param``
 changes them and nothing reads them back. The policy layer has no access
 path to environment instances.
@@ -47,13 +52,13 @@ HORIZON = 1000
 @dataclass(frozen=True)
 class Transition:
     """One (observation, action, next observation) record; the model's
-    target is ``next_obs - obs``."""
+    target is ``next_obs - obs``. A step scores no risk: the episode loop
+    scores every cell's next observation at once with ``risk_from_obs``."""
 
     obs: ObservationVec
     action: ActionVec
     next_obs: ObservationVec
     reward: float
-    risk: float
 
 
 def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
@@ -121,15 +126,8 @@ class _BaseEnv:
         return _validate_action(action, self.ACTION_DIM)
 
     def _post_step(self, obs_before: ObservationVec, act: np.ndarray, reward: float) -> Transition:
-        """Observe, score risk, record the transition, and advance ``t``."""
-        next_obs = self.observe()
-        tr = Transition(
-            obs=obs_before,
-            action=act,
-            next_obs=next_obs,
-            reward=float(reward),
-            risk=float(self.risk_from_obs(next_obs)),
-        )
+        """Observe, record the transition, and advance ``t``."""
+        tr = Transition(obs=obs_before, action=act, next_obs=self.observe(), reward=float(reward))
         self.t += 1
         if self.t >= self.horizon:
             self.terminal = True

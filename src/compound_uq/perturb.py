@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import ActionVec, ObservationVec
+from .envs import ActionVec
 from .errors import InputError
 from .parsing import parse_fields
 
@@ -61,19 +61,19 @@ def mask_dims_for_fraction(env_cls, fraction: float) -> tuple[int, ...]:
     return tuple(env_cls.MASK_PRIORITY[:k])
 
 
-def apply_mask(obs: ObservationVec, dims: tuple[int, ...], active: bool) -> ObservationVec:
-    """Return a copy of ``obs`` with ``dims`` zeroed when ``active``.
+def apply_mask(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Return a copy of the stacked observations ``obs`` with the entries that
+    ``mask`` marks set to 0.0.
 
-    Always copies, so callers may mutate the result without aliasing the
-    environment's buffers.
+    ``mask`` is boolean with the shape of ``obs``: one row per observation,
+    usually a cell's masked dims (``mask_dims_for_fraction``) ANDed with
+    whether its stressors are active. Always copies, so callers may mutate
+    the result without aliasing the environment's buffers.
     """
-    out = np.array(obs, dtype=float, copy=True)
-    if not active or not dims:
-        return out
-    if max(dims) >= out.shape[0] or min(dims) < 0:
-        raise InputError(f"mask dims {dims} out of range for obs of size {out.shape[0]}")
-    out[list(dims)] = 0.0
-    return out
+    obs, mask = np.asarray(obs, dtype=float), np.asarray(mask)
+    if mask.dtype != bool or mask.shape != obs.shape:
+        raise InputError(f"mask must be boolean with the observations' shape {obs.shape}, got {mask.dtype} {mask.shape}")
+    return np.where(mask, 0.0, obs)
 
 
 class ActionDelayer:

@@ -19,9 +19,9 @@ Per-step order within each cell:
    step's prediction error is only measurable after stepping);
 3. the commanded action passes through the delay queue and the plant
    steps on whatever comes out;
-4. the next observation is masked, the ensemble error on the
-   agent-visible transition is scored, and kappa, regime, schedules, and
-   telemetry are recorded.
+4. the true next observation's realized risk is scored, the observation
+   is masked, the ensemble error on the agent-visible transition is
+   scored, and kappa, regime, schedules, and telemetry are recorded.
 
 Calibration runs unperturbed episodes with a scripted controller mixed
 with uniform random actions (``CONTROLLER_MIX`` = 0.8 of the steps follow
@@ -155,7 +155,8 @@ class StepTable:
     values live in arrays rather than in one object per step. Each array has
     a leading cell axis, and a control step writes each column once for all
     of its cells. ``table[i]`` is cell i's own table: its columns are views of
-    row i, indexed by step alone. The columns are the per-step API:
+    row i, indexed by step alone, and a cell's ``steps[t:]`` holds its steps from
+    t on (and ``obs`` rows t to the last). The columns are the per-step API:
     ``write_trace``, the ``RolloutResult`` aggregates and callers read them
     (``kappa``, ``sigma_s``, ``alpha``, ``index``, ``action``, ``executed``,
     ``regime`` and the rest). ``regime`` holds codes, positions in
@@ -175,9 +176,9 @@ class StepTable:
         (self.mse, self.sigma_theta, self.sigma_s, self.kappa, self.info_gain, self.predicted_risk,
          self.alpha, self.delta, self.reward, self.risk) = np.empty((10, n_cells, n_steps))
 
-    def __getitem__(self, cell: int) -> "StepTable":
+    def __getitem__(self, key) -> "StepTable":
         view = object.__new__(StepTable)
-        view.__dict__.update((name, column[cell]) for name, column in vars(self).items())
+        view.__dict__.update((name, column[key]) for name, column in vars(self).items())
         return view
 
     def __len__(self) -> int:
@@ -252,9 +253,10 @@ class _Episode:
         self.condition = condition
         self.seed = seed
         self.env = env_cls(seed=seed, horizon=config.horizon)
-        self.dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
+        dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
+        self.mask = np.isin(np.arange(len(env_cls.OBS_NAMES)), dims)  # the dims masked once the stressors are on
         self.delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=condition.onset_t)
-        self.po_active = len(self.dims) / len(env_cls.OBS_NAMES)
+        self.po_active = len(dims) / len(env_cls.OBS_NAMES)
         self.policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
         self.adaptive = clone
         if clone is not None:
@@ -287,11 +289,15 @@ def run_cells(
 
     ``run`` is ``run_header(config, snapshot, policy_mode)``, which the caller
     builds once and which names the policy mode. Each control step makes every
-    stepping cell's choice with one ``policy.act`` call, then one ``member_mse``
-    call over the chosen rows and one ``sigma_theta``, ``kappa`` and
-    ``regime_code`` call over their errors, and writes each ``StepTable`` column
-    once. The controller, the dynamics shift, the delay queue, the plant and
-    masking stay per cell, and so does the clone's update.
+    stepping cell's choice with one ``policy.act`` call. After the plants step,
+    one ``env_cls.risk_from_obs`` call scores the realized risk of the stacked
+    true next observations, and one ``apply_mask`` call masks them: each cell's
+    mask row, built once from ``mask_dims_for_fraction``, ANDed with whether
+    its onset has come. Then one ``member_mse`` call over the chosen rows and
+    one ``sigma_theta``, ``kappa`` and ``regime_code`` call over their errors,
+    and each ``StepTable`` column is written once. The controller, the dynamics
+    shift, the delay queue and the plant stay per cell, and so does the
+    clone's update.
     Every batched operation is row-independent, and each cell keeps its own plant,
     generators, delay queue and clone, so a cell's result does not depend on
     which cells share its batch. An ``InvariantViolation`` in any cell aborts
@@ -341,12 +347,13 @@ def run_cells(
     if not eps:
         return []
     onset = np.array([e.condition.onset_t for e in eps])
+    masks = np.stack([e.mask for e in eps])
     # each cell's observability deficit before onset and from onset on
     off = sigma_s(np.zeros(len(eps)), np.zeros(len(eps)), config.c_tau)
     on = sigma_s(np.array([e.po_active for e in eps]), np.array([e.condition.delay_steps for e in eps]), config.c_tau)
     k = joins.count(0)  # the cells that step: rows 0 ... k - 1
     # one row per cell, its masked observation
-    history: deque = deque([np.stack([apply_mask(e.env.observe(), e.dims, active=e.condition.onset_t <= 0) for e in eps])], maxlen=3)
+    history: deque = deque([apply_mask(np.stack([e.env.observe() for e in eps]), masks & (onset <= 0)[:, None])], maxlen=3)
     table = StepTable(config.horizon, history[-1], env_cls.ACTION_DIM)
     kappa_prev = np.zeros(len(eps))
 
@@ -376,14 +383,15 @@ def run_cells(
                 f"{float(choice.predicted_risk[j])} > {float(delta[j])}"
             )
 
-        executed, nexts, rewards, risks = [], [], [], []
+        executed, nexts, rewards = [], [], []
         for e, action in zip(stepping, choice.action):
             executed.append(e.delayer.submit(action, t))
             tr = e.env.step(executed[-1])
-            nexts.append(apply_mask(tr.next_obs, e.dims, active=t + 1 >= e.condition.onset_t))
+            nexts.append(tr.next_obs)
             rewards.append(tr.reward)
-            risks.append(tr.risk)
-        visible_next = np.stack(nexts)
+        true_next = np.stack(nexts)
+        risks = env_cls.risk_from_obs(true_next)
+        visible_next = apply_mask(true_next, masks[:k] & (t + 1 >= onset[:k])[:, None])
         delta_vis = visible_next - visible[:k]
         # act already scored the chosen rows, and a row's prediction does not depend on its batch
         mse = member_mse(chosen_preds, delta_vis)
@@ -541,16 +549,20 @@ _BOOL_TEXT = np.array(["false", "true"], dtype=object)
 _REGIME_TEXT = np.array([json.dumps(r.value) for r in REGIMES], dtype=object)
 
 
-def _step_lines(steps: StepTable) -> list[str]:
-    """A trace's step lines: for each step, the text ``json.dumps(line, sort_keys=True)``
-    gives for the dict of its values, keyed as the trace names them.
+def _step_lines(steps: StepTable, first: int = 0) -> list[str]:
+    """A cell's step lines from step ``first`` on: for each step, the text
+    ``json.dumps(line, sort_keys=True)`` gives for the dict of its values, keyed as the
+    trace names them.
 
     The lines fill one template that holds the keys in sorted order. Each distinct float
-    of the trace, told apart by its bits so that -0.0 and every NaN keep their own text,
+    of the lines, told apart by its bits so that -0.0 and every NaN keep their own text,
     is rendered once: by ``float.__repr__``, as ``json.dumps`` renders it, and as ``NaN``,
     ``Infinity`` or ``-Infinity`` where ``repr`` gives no JSON.
     """
+    steps = steps[first:]
     n = len(steps)
+    if n == 0:
+        return []
     fields = {
         "mse": steps.mse,
         "sigma_theta": steps.sigma_theta,
@@ -580,7 +592,7 @@ def _step_lines(steps: StepTable) -> list[str]:
     for key, column in fields.items():
         fields[key] = flat_text[start : start + column.size].reshape(column.shape)
         start += column.size
-    fields["t"] = np.array(list(map(str, range(n))), dtype=object)
+    fields["t"] = np.array(list(map(str, range(first, first + n))), dtype=object)
     fields["chosen_index"] = np.array(list(map(str, steps.index.tolist())), dtype=object)
     fields["any_compliant"] = _BOOL_TEXT[steps.any_compliant.view(np.int8)]
     fields["regime"] = _REGIME_TEXT[steps.regime]
@@ -628,12 +640,36 @@ def trace_header(run: dict, condition: ConditionSpec, seed: int) -> dict:
     return {**run, "cell_id": condition.cell_id(seed), "seed": seed, "condition": condition.to_dict()}
 
 
-def write_trace(path: str, result: RolloutResult) -> None:
-    """One JSONL file: ``trace_header`` of the result's run, one line per step, and the summary as footer."""
+def _shared_steps(steps: StepTable, other: StepTable) -> int:
+    """How many leading steps of two tables have equal step lines: those where every
+    column's row holds the same bits, and so does ``obs`` row t + 1 (the step's next
+    observation). A line is a function of its row and t alone, so bits are enough."""
+    differs = np.zeros(len(steps), dtype=bool)
+    for name, column in vars(steps).items():
+        twin = getattr(other, name)
+        if twin.shape != column.shape:
+            return 0
+        rows = (column.view(np.uint8) != twin.view(np.uint8)).reshape(column.shape[0], -1).any(axis=1)
+        differs |= rows[:-1] | rows[1:] if name == "obs" else rows  # obs row t + 1 is step t's next observation
+    first = np.flatnonzero(differs)
+    return int(first[0]) if first.size else len(steps)
+
+
+def write_trace(path: str, result: RolloutResult, reuse: tuple[StepTable, list[str]] | None = None) -> list[str]:
+    """One JSONL file: ``trace_header`` of the result's run, one line per step, and the summary
+    as footer. Returns the step lines.
+
+    ``reuse`` is another table and its step lines, as this call returned them; ``run_sweep``
+    passes the previous cell of the same batch, whose pre-onset prefix this cell shares. The
+    leading steps where both tables hold the same bits (``_shared_steps``) take its lines, and
+    only the rest are rendered, so the file's bytes are those of a write without ``reuse``.
+    """
+    steps = [] if reuse is None else reuse[1][: _shared_steps(result.steps, reuse[0])]
+    steps += _step_lines(result.steps, len(steps))
     header = trace_header(result.run, result.condition, result.seed)
     footer = {"kind": "footer", **result.summary()}
-    lines = [json.dumps(header, sort_keys=True), *_step_lines(result.steps), json.dumps(footer, sort_keys=True)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join([json.dumps(header, sort_keys=True), *steps, json.dumps(footer, sort_keys=True)]) + "\n")
+    return steps
 
 
 def _kind(line) -> str | None:
@@ -771,7 +807,9 @@ def run_sweep(
     order, so memory holds one seed's block of episodes at a time. A batch's
     traces are written once all of its cells have run: an
     ``InvariantViolation`` in any cell leaves none of them, and a resumed
-    sweep simulates that batch again. Summaries keep ``condition_matrix``
+    sweep simulates that batch again. Each cell's ``write_trace`` takes the
+    previous cell's table and step lines as ``reuse``, so the lines of the
+    prefix they share are rendered once. Summaries keep ``condition_matrix``
     order.
     """
     run = run_header(config, snapshot, policy_mode)
@@ -803,9 +841,10 @@ def run_sweep(
         if summaries[i] is None:
             batches.setdefault(seed, []).append(i)
     for batch in batches.values():
+        reuse = None  # the previous cell's table and step lines: a seed's cells share their prefix
         for i, result in zip(batch, run_cells(config, snapshot, run, [cells[i] for i in batch])):
             if out_dir:
-                write_trace(cell_path(*cells[i]), result)
+                reuse = result.steps, write_trace(cell_path(*cells[i]), result, reuse)
             summaries[i] = result.summary()
     records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")

@@ -54,9 +54,16 @@ MUTANTS = (
     Mutant(
         "no masking (apply_mask returns its copy unmasked)",
         "perturb.py",
-        "    out[list(dims)] = 0.0\n",
-        "",
+        "    return np.where(mask, 0.0, obs)\n",
+        "    return obs.copy()\n",
         must_fail=(12,),
+    ),
+    Mutant(
+        "realized risk never scored (zeros for the batched risk_from_obs call)",
+        "rollout.py",
+        "risks = env_cls.risk_from_obs(true_next)",
+        "risks = np.zeros(k)",
+        must_fail=(13, 15),
     ),
     Mutant(
         "predicted risk always 0, in policy.act",
@@ -85,6 +92,41 @@ MUTANTS = (
         "delta=settings.delta_max * (1.0 - ramp)",
         "delta=settings.delta_max * ramp",
         must_fail=(15,),
+    ),
+    Mutant(
+        "the policy never sees kappa (kappa_prev stays 0)",
+        "rollout.py",
+        "kappa_prev[:k] = kappa_now",
+        "kappa_prev[:k] = 0.0",
+        must_fail=(9, 13, 15),
+    ),
+    Mutant(
+        "no action delay (the delay queue passes every action through)",
+        "perturb.py",
+        "if self.delay_steps == 0 or t < self.onset_t:",
+        "if True:",
+        must_fail=(5,),
+    ),
+    Mutant(
+        "no dynamics shift (the shift never reaches the plant)",
+        "rollout.py",
+        "e.env.set_param(*e.condition.shift)",
+        "pass",
+        must_fail=(9, 11, 12, 15),
+    ),
+    Mutant(
+        "no adaptive SGD (the clone is never updated)",
+        "rollout.py",
+        "adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)",
+        "pass",
+        must_fail=(9,),
+    ),
+    Mutant(
+        "no information gain (selection ignores the info-gain term)",
+        "policy.py",
+        "values = r + alpha[owner] * g - settings.lambda_risk * risk",
+        "values = r - settings.lambda_risk * risk",
+        must_fail=(9, 15),
     ),
 )
 

@@ -52,7 +52,7 @@ def test_driftbot_kinematics_closed_form():
 
     reward = (3.0 - math.hypot(3.0 - x1, 0.0)) - 0.001 * 2.0
     assert abs(tr.reward - reward) < 1e-12
-    assert tr.risk == 0.0
+    assert DriftBot.risk_from_obs(tr.next_obs) == 0.0
 
 
 def test_driftbot_control_cost_squares_with_pow():
@@ -131,7 +131,7 @@ def test_mass_spring_closed_form_step():
     x1 = x0 + DT * v1
     np.testing.assert_allclose(tr.next_obs, [x1, v1], rtol=0, atol=1e-12)
     assert abs(tr.reward - (-abs(x1))) < 1e-12
-    assert tr.risk == max(0.0, abs(x1) - MassSpring1D.X_LIMIT)
+    assert MassSpring1D.risk_from_obs(tr.next_obs) == max(0.0, abs(x1) - MassSpring1D.X_LIMIT)
 
 
 def test_mass_spring_reset_distribution():

@@ -9,12 +9,13 @@ through the wrappers. Each episode must pass every control step through
 the wrapped entry points: a loop that called a private shortcut instead
 would read zero or half of the benchmark's per-layer counts, so the
 per-episode counts are checked exactly. The sweep's cells step in lock
-step, so it must make one forward pass per control step, and its cells
-share one seed and onset, so one of them steps alone until the step
-before onset. The episode loop selects with the batched ``select_actions``
-and scores kappa with the array forms of the kappa formulas, so the spans
-of ``select_action`` and ``compute_step``, the one-cell forms, read exactly
-zero there; one direct call of each checks that their wrappers still record.
+step, so it must make one forward pass, one realized-risk call and one
+masking call per control step, and its cells share one seed and onset, so
+one of them steps alone until the step before onset. The episode loop
+selects with the batched ``select_actions`` and scores kappa with the
+array forms of the kappa formulas, so the spans of ``select_action`` and
+``compute_step``, the one-cell forms, read exactly zero there; one direct
+call of each checks that their wrappers still record.
 """
 
 import os
@@ -75,7 +76,7 @@ def test_every_tracing_target_resolves(tmp_path):
             calls, counts = Counter(tracer.calls), Counter(tracer.counts)
             result = cq.package.run_condition(cfg, snapshot, cond, 0, policy_mode=mode, adaptive_enabled=adaptive_enabled)
             calls, counts = Counter(tracer.calls) - calls, Counter(tracer.counts) - counts
-            # an adapting episode also collects its anchor buffer: t_pre more env steps
+            # an adapting episode also collects its anchor buffer: t_pre more env steps, which score no risk
             buffer_steps = cfg.t_pre if adaptive_enabled else 0
             expected = {
                 "rollout.episode": 1,
@@ -84,7 +85,8 @@ def test_every_tracing_target_resolves(tmp_path):
                 "policy.select": 0,
                 "kappa.step": 0,
                 "envs.step": cfg.horizon + buffer_steps,
-                "envs.risk": 2 * cfg.horizon + buffer_steps,  # the candidates' and the step's
+                "envs.risk": 2 * cfg.horizon,  # the candidates' and the realized risk
+                "perturb.mask": cfg.horizon + 1,  # the first observation and each next one
             }
             assert {name: calls[name] for name in expected} == expected, (mode, adaptive_enabled)
             if mode == "monitor":  # the task and zero rows only
@@ -104,7 +106,8 @@ def test_every_tracing_target_resolves(tmp_path):
             "policy.select": 0,
             "kappa.step": 0,
             "envs.step": cell_steps,
-            "envs.risk": cfg.horizon + cell_steps,  # the stacked candidates' and each step's
+            "envs.risk": 2 * cfg.horizon,  # the stacked candidates' and the stacked realized risk
+            "perturb.mask": cfg.horizon + 1,  # the stacked first observations and each step's next ones
             "config.hash": 1,
         }
         assert n_cells == 4 and {name: calls[name] for name in expected} == expected

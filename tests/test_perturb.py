@@ -26,25 +26,45 @@ def test_mask_dims_follow_priority_order():
     assert mask_dims_for_fraction(MassSpring1D, 0.5) == (1,)
 
 
-def test_apply_mask_zeroes_dims_from_onset():
-    obs = np.ones(4)
+def test_apply_mask_zeroes_the_marked_entries_of_each_row():
+    obs = np.ones((2, 4))
+    mask = np.array([[True, True, False, False], [False, False, False, False]])
 
-    before = apply_mask(obs, (0, 1), active=False)
-    np.testing.assert_array_equal(before, np.ones(4))
+    masked = apply_mask(obs, mask)
+    np.testing.assert_array_equal(masked, [[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
 
-    at_onset = apply_mask(obs, (0, 1), active=True)
-    np.testing.assert_array_equal(at_onset, [0.0, 0.0, 1.0, 1.0])
-
-    # No dims means passthrough; input is never mutated in place, and the
+    # No marked entry means passthrough; input is never mutated in place, and the
     # result is a copy even when nothing is masked.
-    passthrough = apply_mask(obs, (), active=True)
-    np.testing.assert_array_equal(passthrough, np.ones(4))
+    passthrough = apply_mask(obs, np.zeros((2, 4), dtype=bool))
+    np.testing.assert_array_equal(passthrough, np.ones((2, 4)))
     assert passthrough is not obs
-    np.testing.assert_array_equal(obs, np.ones(4))
+    np.testing.assert_array_equal(obs, np.ones((2, 4)))
 
-    for dims in ((4,), (0, -1)):
+    # one boolean per entry: a mask of another shape or of indices is refused
+    for bad in (mask[0], mask.T, mask.astype(np.int64)):
         with pytest.raises(InputError):
-            apply_mask(obs, dims, active=True)
+            apply_mask(obs, bad)
+
+
+@pytest.mark.parametrize("env_cls", [DriftBot, MassSpring1D])
+def test_apply_mask_equals_zeroing_each_row_by_itself(env_cls):
+    # Each cell's row masks its own dims, ANDed with whether its stressors are on; the
+    # stacked call gives every row the bits it gets zeroed alone, -0.0 and NaN included.
+    rng = np.random.default_rng(0)
+    d = len(env_cls.OBS_NAMES)
+    obs = rng.normal(size=(12, d))
+    obs[0] = -0.0
+    obs[1, 0] = np.nan
+    fractions = [0.0, 0.25, 0.5, 1.0] * 3
+    active = [True] * 6 + [False] * 6
+    rows = []
+    for row, fraction, on in zip(obs, fractions, active):
+        alone = row.copy()
+        if on:
+            alone[list(mask_dims_for_fraction(env_cls, fraction))] = 0.0
+        rows.append(alone)
+    mask = np.stack([np.isin(np.arange(d), mask_dims_for_fraction(env_cls, f)) for f in fractions]) & np.array(active)[:, None]
+    assert apply_mask(obs, mask).tobytes() == np.stack(rows).tobytes()
 
 
 def test_delayer_queue_semantics_one_step():

@@ -11,6 +11,7 @@ import inspect
 import json
 import math
 import re
+from copy import deepcopy
 from dataclasses import fields, replace
 
 import numpy as np
@@ -422,9 +423,11 @@ def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     res = run_condition(cfg_ms, snap_ms, cond, seed=2)
     path = str(tmp_path / "trace.jsonl")
     hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
-    write_trace(path, res)
+    lines = write_trace(path, res)
     assert hashes == []  # the writer takes the run header its episode built
-    assert list(inspect.signature(write_trace).parameters) == ["path", "result"]
+    # path first (the benchmark's tracer reads argument 0); reuse is the previous cell's table and lines
+    assert list(inspect.signature(write_trace).parameters) == ["path", "result", "reuse"]
+    assert (tmp_path / "trace.jsonl").read_text().splitlines()[1:-1] == lines
     assert "policy_mode" not in {f.name for f in fields(RolloutResult)}
     header, summary = read_trace(path)
     steps = trace_steps(path)
@@ -696,6 +699,99 @@ def test_cells_that_share_a_seed_and_onset_share_their_prefix(request, tmp_path,
             assert shared_cell.adaptive_ensemble.weights_hash() == alone.adaptive_ensemble.weights_hash()
     # the cells differ from onset on
     assert len({batch[i].steps.obs.tobytes() for i in range(4)}) == 4
+
+
+def _record_step_lines(monkeypatch) -> list[tuple[int, int]]:
+    """(steps, first step rendered) of every ``_step_lines`` call made from now on."""
+    calls: list[tuple[int, int]] = []
+    step_lines = rollout._step_lines
+
+    def recording(steps, first=0):
+        calls.append((len(steps), first))
+        return step_lines(steps, first)
+
+    monkeypatch.setattr(rollout, "_step_lines", recording)
+    return calls
+
+
+@pytest.mark.parametrize("onset", [10, 0])
+def test_a_sweep_writes_the_bytes_of_traces_rendered_one_cell_at_a_time(cfg_ms, tmp_path, monkeypatch, onset):
+    # Each cell of a batch takes the previous cell's lines for the leading steps the two
+    # share. At onset 10 the cells fork from one leader and share at least steps
+    # 0 ... 8; at onset 0 they share no leader, and each differs from the one before at
+    # row 0 (masked obs, or a delayed action), so every line is rendered.
+    cfg = replace(cfg_ms, onset_t=onset, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    rendered = _record_step_lines(monkeypatch)
+    outcome = run_sweep(cfg, snap, out_dir=str(tmp_path / "sweep"))
+    monkeypatch.undo()
+    firsts = [start for _, start in rendered]
+    assert len(firsts) == 8 and firsts[0] == firsts[4] == 0  # the first cell of each seed's batch
+    if onset:
+        assert min(firsts[1:4] + firsts[5:]) >= onset - 1
+    else:
+        assert firsts == [0] * 8
+    run = run_header(cfg, snap, "monitor")
+    for seed in cfg.grid.seeds:
+        cells = [(ConditionSpec.from_dict(c["condition"]), seed) for c in outcome.cell_summaries if c["seed"] == seed]
+        for (cond, _), result in zip(cells, run_cells(cfg, snap, run, cells)):
+            name = f"trace_{cond.cell_id(seed)}.jsonl"
+            lines = write_trace(str(tmp_path / name), result)  # no reuse: every line rendered
+            assert (tmp_path / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
+            assert (tmp_path / name).read_text().splitlines()[1:-1] == lines
+
+
+def test_reused_lines_stop_at_the_first_row_that_differs_by_its_bits(cfg_ms, snap_ms, tmp_path, monkeypatch):
+    # Edits of one entry of a copy of a table: the copy takes the original's lines up to
+    # the step the edit reaches, and its file is the one a write without reuse gives.
+    # 0.0 against -0.0 counts, and an obs row is the next observation of the step before.
+    base = run_condition(cfg_ms, snap_ms, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), seed=0)
+    edits = {  # (column, index, value in the original, value in the copy): the first step rendered
+        ("reward", (5,), 0.0, -0.0): 5,
+        ("obs", (7, 1), 0.0, -0.0): 6,
+        ("obs", (0, 0), 0.0, -0.0): 0,
+        ("obs", (40, 0), 0.0, -0.0): 39,
+        ("any_compliant", (3,), True, False): 3,
+        ("regime", (12,), 0, 1): 12,
+        ("index", (39,), 0, 1): 39,
+        ("action", (20, 0), 0.5, 0.5): 40,  # an equal copy takes every line
+    }
+    for (name, where, value, edited), first in edits.items():
+        original, copy = deepcopy(base), deepcopy(base)
+        getattr(original.steps, name)[where] = value
+        getattr(copy.steps, name)[where] = edited
+        original_lines = write_trace(str(tmp_path / "original.jsonl"), original)
+        rendered = _record_step_lines(monkeypatch)
+        lines = write_trace(str(tmp_path / "reused.jsonl"), copy, (original.steps, original_lines))
+        monkeypatch.undo()
+        assert rendered == [(cfg_ms.horizon, first)], name
+        assert write_trace(str(tmp_path / "alone.jsonl"), copy) == lines
+        assert (tmp_path / "reused.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+
+
+def test_realized_risk_is_the_true_next_observations_risk(cfg_ms, snap_ms, monkeypatch):
+    # A controller that always pushes +1 drives the oscillator past its safe band; every
+    # dim is masked from onset, so only the plant's own next observation shows the risk.
+    # Seeds differ, so no cell forks, and each plant's steps are its cell's.
+    monkeypatch.setitem(rollout.TASK_CONTROLLERS, "MassSpring1D", lambda obs: np.ones(1))
+    stepped: dict[int, list[np.ndarray]] = {}
+    step = MassSpring1D.step
+
+    def recording(env, action):
+        tr = step(env, action)
+        stepped.setdefault(env.seed, []).append(tr.next_obs)
+        return tr
+
+    monkeypatch.setattr(MassSpring1D, "step", recording)
+    cells = [(ConditionSpec(po_fraction=1.0, onset_t=10), seed) for seed in range(6)]
+    results = run_cells(cfg_ms, snap_ms, run_header(cfg_ms, snap_ms, "monitor"), cells)
+    risky = 0
+    for (_, seed), res in zip(cells, results):
+        want = np.array([MassSpring1D.risk_from_obs(obs) for obs in stepped[seed]])
+        assert res.steps.risk.tobytes() == want.tobytes()
+        risky += int(np.count_nonzero(res.steps.risk[10:] > 0.0))
+        assert not MassSpring1D.risk_from_obs(res.steps.obs[10:]).any()  # what the agent saw
+    assert risky > 0
 
 
 def test_every_step_regime_is_the_classified_kappa(ms_calibrated):
