@@ -63,7 +63,6 @@ from .perturb import (
 from .policy import (
     ActionChoice,
     PolicySettings,
-    Schedule,
     candidate_actions,
     schedule,
     select_action,

@@ -12,10 +12,10 @@ agent is a plain task policy with a full budget; above tau_high it probes
 as hard as the (now zero) budget allows. Probing is therefore paid for by
 caution, which is the point: information is bought while the blast radius
 is clamped down. The explorer spread of the candidate set follows the same
-ramp. ``schedule`` evaluates the ramp once per cell and control step and
-returns all three; ``candidate_actions`` takes its spread and selection
-its alpha and delta. alpha and delta live on the ``Schedule`` alone: the
-``ActionChoice`` does not copy them.
+ramp. ``schedule`` evaluates the ramp once per control step for every
+cell of a batch and returns all three as arrays; ``candidate_actions``
+takes a cell's spread and selection the cells' alpha and delta, which the
+``ActionChoice`` does not copy.
 
 Selection maximizes the composite value
 
@@ -60,7 +60,7 @@ class PolicySettings:
 
 @dataclass(frozen=True)
 class ActionChoice:
-    """Outcome of one selection step: the chosen row and its scores. Its alpha and delta live on the ``Schedule``.
+    """Outcome of one selection step: the chosen row and its scores, not the alpha and delta it was chosen under.
 
     ``select_actions`` returns one for a whole batch, with an array per field and one entry per cell.
     """
@@ -72,34 +72,26 @@ class ActionChoice:
     any_compliant: bool
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """One step's kappa schedule: exploration weight, risk budget, explorer spread."""
-
-    alpha: float
-    delta: float
-    spread: float
+def _ramp(kappas: np.ndarray, thresholds: Thresholds) -> np.ndarray:
+    z = (kappas - thresholds.tau_low) / (thresholds.tau_high - thresholds.tau_low)
+    # two np.where clamps are np.clip bit for bit, -0.0 and NaN included
+    return np.where(z > 1.0, 1.0, np.where(z < 0.0, 0.0, z))
 
 
-def _ramp(kappa_value: float, thresholds: Thresholds) -> float:
-    span = thresholds.tau_high - thresholds.tau_low
-    # min(max()) is np.clip bit for bit, NaN included, without numpy's call overhead
-    return float(min(max((kappa_value - thresholds.tau_low) / span, 0.0), 1.0))
-
-
-def schedule(kappa_value: float, thresholds: Thresholds, settings: PolicySettings) -> Schedule:
-    """alpha, delta and spread from one evaluation of the kappa ramp.
+def schedule(kappas, thresholds: Thresholds, settings: PolicySettings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's ``(alpha, delta, spread)`` from one evaluation of the kappa ramp over ``kappas``.
 
     The spread is ``alpha / alpha_max`` rather than the ramp itself: the
     two differ in the last bit for some ramps, and traces record what the
     quotient gives.
     """
-    if not math.isfinite(kappa_value) or kappa_value < 0:
-        raise InputError(f"kappa must be finite and nonnegative, got {kappa_value}")
-    ramp = _ramp(kappa_value, thresholds)
+    kappas = np.asarray(kappas, dtype=float)
+    if not (np.isfinite(kappas) & (kappas >= 0.0)).all():
+        raise InputError(f"kappa must be finite and nonnegative, got {kappas}")
+    ramp = _ramp(kappas, thresholds)
     alpha = settings.alpha_max * ramp
-    spread = alpha / settings.alpha_max if settings.alpha_max > 0 else 0.0
-    return Schedule(alpha=alpha, delta=settings.delta_max * (1.0 - ramp), spread=spread)
+    spread = alpha / settings.alpha_max if settings.alpha_max > 0 else np.zeros_like(alpha)
+    return alpha, settings.delta_max * (1.0 - ramp), spread
 
 
 def candidate_actions(
@@ -202,18 +194,19 @@ def select_action(
     r_task: np.ndarray,
     info_gain: np.ndarray,
     predicted_risk: np.ndarray,
-    sched: Schedule,
+    alpha: float,
+    delta: float,
     settings: PolicySettings,
 ) -> ActionChoice:
     """Pick the budget-compliant candidate with the best composite value: ``select_actions`` for one cell.
 
-    Candidates with predicted risk within the schedule's budget are ranked
+    Candidates with predicted risk within the budget ``delta`` are ranked
     by composite value (first index wins ties). If none comply, the minimum
     predicted-risk candidate is chosen and ``any_compliant`` is False so
     callers can count forced violations.
     """
     n = np.atleast_2d(np.asarray(candidates)).shape[0]
-    batch = select_actions(candidates, r_task, info_gain, predicted_risk, [n], [sched.alpha], [sched.delta], settings)
+    batch = select_actions(candidates, r_task, info_gain, predicted_risk, [n], [alpha], [delta], settings)
     return ActionChoice(
         index=int(batch.index[0]),
         action=batch.action[0],
@@ -224,14 +217,15 @@ def select_action(
 
 
 def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds, settings: PolicySettings):
-    """Every cell's choice of one control step: per cell a ``schedule`` and its
+    """Every cell's choice of one control step: one ``schedule`` call, per cell its
     ``candidate_actions``, then over the stacked rows one call each of ``input_rows``,
     ``predict_members``, ``disagreement``, ``risk_fn`` (an env class's ``risk_from_obs``),
-    ``task_affinity`` and ``select_actions``. Cell i's observations are row i of each
-    ``history`` entry. Returns the choice, each cell's alpha and delta, and the chosen
-    rows' inputs and member predictions."""
-    scheds = [schedule(k, thresholds, settings) for k in kappas]
-    cands = [candidate_actions(task, rng, settings, s.spread) for task, rng, s in zip(tasks, rngs, scheds)]
+    ``task_affinity`` and ``select_actions``. ``history`` holds the last (up to) three
+    masked observations, oldest first, cell i's in row i of each entry, and ``kappas``
+    each cell's kappa of the previous step. Returns the choice, each cell's alpha
+    and delta, and the chosen rows' inputs and member predictions."""
+    alpha, delta, spread = schedule(kappas, thresholds, settings)
+    cands = [candidate_actions(task, rng, settings, s) for task, rng, s in zip(tasks, rngs, spread.tolist())]
     counts = [c.shape[0] for c in cands]
     owner = np.repeat(np.arange(len(cands)), counts)  # the cell of each stacked row
     actions = np.concatenate(cands)
@@ -240,7 +234,6 @@ def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds,
     info_gain, mean_delta = disagreement(member_preds)
     predicted_risk = risk_fn(x[:, : mean_delta.shape[1]] + mean_delta)
     r_task = task_affinity(actions, np.stack(tasks)[owner])
-    alpha, delta = np.array([s.alpha for s in scheds]), np.array([s.delta for s in scheds])
     choice = select_actions(actions, r_task, info_gain, predicted_risk, counts, alpha, delta, settings)
     chosen = np.cumsum(counts) - counts + choice.index
     return choice, alpha, delta, x[chosen], member_preds[:, chosen]

@@ -151,8 +151,9 @@ SUMMARY_KEYS = {
 class StepTable:
     """The per-step values of a batch of episodes, in arrays preallocated for ``n_steps`` steps.
 
-    A batch holds every cell's steps until its traces are written, so the
-    values live in arrays rather than in one object per step. Each array has
+    It is a batch's one record of per-step state, with no object per step:
+    each step reads the agent's last three observations and previous kappa
+    from it, and each cell's trace is written from it. Each array has
     a leading cell axis, and a control step writes each column once for all
     of its cells. ``table[i]`` is cell i's own table: its columns are views of
     row i, indexed by step alone, and a cell's ``steps[t:]`` holds its steps from
@@ -256,7 +257,6 @@ class _Episode:
         dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
         self.mask = np.isin(np.arange(len(env_cls.OBS_NAMES)), dims)  # the dims masked once the stressors are on
         self.delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=condition.onset_t)
-        self.po_active = len(dims) / len(env_cls.OBS_NAMES)
         self.policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
         self.adaptive = clone
         if clone is not None:
@@ -267,10 +267,10 @@ class _Episode:
             self.update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
 
     def follow(self, leader: "_Episode") -> None:
-        """Take over what ``leader``'s steps before onset changed: its plant, its policy
-        stream and its adaptation windows. Nothing else moves before onset: the delay
-        queue passes actions straight through, and the clone and its anchor and update
-        streams are first used at onset."""
+        """Take over what ``leader``'s steps before onset changed off the table: its plant,
+        its policy stream and its adaptation windows. Nothing else moves before onset: the
+        delay queue passes actions straight through, and the clone and its anchor and
+        update streams are first used at onset."""
         self.env = copy.deepcopy(leader.env)
         self.policy_rng = copy.deepcopy(leader.policy_rng)
         if self.adaptive is not None:
@@ -289,7 +289,8 @@ def run_cells(
 
     ``run`` is ``run_header(config, snapshot, policy_mode)``, which the caller
     builds once and which names the policy mode. Each control step makes every
-    stepping cell's choice with one ``policy.act`` call. After the plants step,
+    stepping cell's choice with one ``policy.act`` call, passed views of the
+    table's ``obs`` and ``kappa`` columns, never the table. After the plants step,
     one ``env_cls.risk_from_obs`` call scores the realized risk of the stacked
     true next observations, and one ``apply_mask`` call masks them: each cell's
     mask row, built once from ``mask_dims_for_fraction``, ANDed with whether
@@ -307,8 +308,8 @@ def run_cells(
     observation of step ``onset_t - 1`` may be masked, so the first of them
     (the leader) runs steps ``0 ... onset_t - 2`` alone. At the start of step
     ``onset_t - 1`` each of the others takes over the leader's plant, policy
-    stream, adaptation windows, kappa, observation history and table rows
-    (``_Episode.follow``), and steps on its own from there. A cell with
+    stream and adaptation windows (``_Episode.follow``) and its table rows,
+    and steps on its own from there. A cell with
     ``onset_t`` 0 or 1 shares nothing.
 
     "monitor" has no information bonus but keeps the kappa-scheduled risk
@@ -348,32 +349,29 @@ def run_cells(
         return []
     onset = np.array([e.condition.onset_t for e in eps])
     masks = np.stack([e.mask for e in eps])
-    # each cell's observability deficit before onset and from onset on
-    off = sigma_s(np.zeros(len(eps)), np.zeros(len(eps)), config.c_tau)
-    on = sigma_s(np.array([e.po_active for e in eps]), np.array([e.condition.delay_steps for e in eps]), config.c_tau)
+    # each cell's observability deficit from onset on (it is 0.0 before)
+    on = sigma_s(masks.mean(axis=1), np.array([e.condition.delay_steps for e in eps]), config.c_tau)
     k = joins.count(0)  # the cells that step: rows 0 ... k - 1
-    # one row per cell, its masked observation
-    history: deque = deque([apply_mask(np.stack([e.env.observe() for e in eps]), masks & (onset <= 0)[:, None])], maxlen=3)
-    table = StepTable(config.horizon, history[-1], env_cls.ACTION_DIM)
-    kappa_prev = np.zeros(len(eps))
+    first = apply_mask(np.stack([e.env.observe() for e in eps]), masks & (onset <= 0)[:, None])
+    table = StepTable(config.horizon, first, env_cls.ACTION_DIM)
 
     for t in range(config.horizon):
         for i, leader in forks.get(t, ()):
             eps[i].follow(eps[leader])
-            kappa_prev[i] = kappa_prev[leader]
-            for rows in history:
-                rows[i] = rows[leader]
             for column in vars(table).values():  # rows 0 ... t of obs; step t's rows are written below
                 column[i, : t + 1] = column[leader, : t + 1]
             k += 1
         stepping = eps[:k]
-        visible = history[-1]
+        visible = table.obs[:k, t]
         for e in stepping:
             if t == e.condition.onset_t and e.condition.shift is not None:
                 e.env.set_param(*e.condition.shift)
-        tasks = [controller(row) for row in visible[:k]]
+        tasks = [controller(row) for row in visible]
+        # the agent sees views of its last three observations and previous kappa, never the table
+        history = table.obs[:k, max(t - 2, 0) : t + 1].swapaxes(0, 1)
+        kappas = table.kappa[:k, t - 1] if t > 0 else np.zeros(k)
         choice, alpha, delta, chosen_x, chosen_preds = act(
-            history, tasks, kappa_prev[:k].tolist(), [e.policy_rng for e in stepping], ensemble, env_cls.risk_from_obs, thresholds, settings
+            history, tasks, kappas, [e.policy_rng for e in stepping], ensemble, env_cls.risk_from_obs, thresholds, settings
         )
         breach = choice.any_compliant & (choice.predicted_risk > delta + RISK_TOL)
         if breach.any():
@@ -392,12 +390,12 @@ def run_cells(
         true_next = np.stack(nexts)
         risks = env_cls.risk_from_obs(true_next)
         visible_next = apply_mask(true_next, masks[:k] & (t + 1 >= onset[:k])[:, None])
-        delta_vis = visible_next - visible[:k]
+        delta_vis = visible_next - visible
         # act already scored the chosen rows, and a row's prediction does not depend on its batch
         mse = member_mse(chosen_preds, delta_vis)
         active = t >= onset[:k]
         sig_theta = sigma_theta(mse, snapshot.mu0, snapshot.sigma0, config.clip_c)
-        sig_s = np.where(active, on[:k], off[:k])
+        sig_s = np.where(active, on[:k], 0.0)
         kappa_now = kappa(sig_theta, sig_s)
 
         table.obs[:k, t + 1] = visible_next
@@ -416,9 +414,6 @@ def run_cells(
                     x_up = np.concatenate([np.stack(e.recent_x), anchor_x[idx]])
                     y_up = np.concatenate([np.stack(e.recent_y), anchor_y[idx]])
                     adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)
-        kappa_prev[:k] = kappa_now
-        # the rows of cells not yet stepping are rewritten when they fork
-        history.append(visible_next if k == len(eps) else np.concatenate([visible_next, visible[k:]]))
 
     return [RolloutResult(eps[row].condition, eps[row].seed, run, table[row], eps[row].adaptive) for row in map(row_of.get, range(len(cells)))]
 

@@ -75,29 +75,29 @@ MUTANTS = (
     Mutant(
         "monitor budget off (the monitor runs the task action alone)",
         "policy.py",
-        "cands = [candidate_actions(task, rng, settings, s.spread) for task, rng, s in zip(tasks, rngs, scheds)]",
-        "cands = [candidate_actions(task, rng, settings, s.spread)[: 1 if settings.alpha_max == 0.0 else None] for task, rng, s in zip(tasks, rngs, scheds)]",
+        "cands = [candidate_actions(task, rng, settings, s) for task, rng, s in zip(tasks, rngs, spread.tolist())]",
+        "cands = [candidate_actions(task, rng, settings, s)[: 1 if settings.alpha_max == 0.0 else None] for task, rng, s in zip(tasks, rngs, spread.tolist())]",
         survives="it is the bare-controller baseline that ROADMAP item 8 adopts; item 8 replaces it by its inverse",
     ),
     Mutant(
         "budget pinned (delta stays at delta_max)",
         "policy.py",
-        "delta=settings.delta_max * (1.0 - ramp)",
-        "delta=settings.delta_max",
+        "settings.delta_max * (1.0 - ramp)",
+        "settings.delta_max + 0.0 * ramp",
         must_fail=(15,),
     ),
     Mutant(
         "ramp inverted (delta grows with kappa)",
         "policy.py",
-        "delta=settings.delta_max * (1.0 - ramp)",
-        "delta=settings.delta_max * ramp",
+        "settings.delta_max * (1.0 - ramp)",
+        "settings.delta_max * ramp",
         must_fail=(15,),
     ),
     Mutant(
-        "the policy never sees kappa (kappa_prev stays 0)",
+        "the policy never sees kappa (it is passed zeros)",
         "rollout.py",
-        "kappa_prev[:k] = kappa_now",
-        "kappa_prev[:k] = 0.0",
+        "kappas = table.kappa[:k, t - 1] if t > 0 else np.zeros(k)",
+        "kappas = np.zeros(k)",
         must_fail=(9, 13, 15),
     ),
     Mutant(

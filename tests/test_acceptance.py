@@ -10,7 +10,6 @@ session-scoped and shared across tests.
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -450,7 +449,12 @@ def test_the_scheduled_budget_lowers_realized_risk(driftbot, driftbot_adaptive, 
     # ramp's direction.
     cfg, snap = driftbot
     scheduled = policy.schedule
-    monkeypatch.setattr(policy, "schedule", lambda k, thresholds, s: replace(scheduled(k, thresholds, s), delta=s.delta_max))
+
+    def pinned_schedule(kappas, thresholds, settings):
+        alpha, delta, spread = scheduled(kappas, thresholds, settings)
+        return alpha, np.full_like(delta, settings.delta_max), spread
+
+    monkeypatch.setattr(policy, "schedule", pinned_schedule)
     pinned = _adaptive_grid(cfg, snap)
     seed_s, label_s = _post_onset_risk_mass(driftbot_adaptive, cfg.onset_t)
     seed_p, label_p = _post_onset_risk_mass(pinned, cfg.onset_t)

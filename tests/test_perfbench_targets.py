@@ -114,8 +114,8 @@ def test_every_tracing_target_resolves(tmp_path):
         assert calls["rollout.episode"] == 0
         assert counts["ensemble.forward.rows"] == 2 * cell_steps  # monitor: task and zero rows
         # the one-cell forms, called directly, still record through their wrappers
-        sched = cq.policy.schedule(0.0, snapshot.thresholds, cfg.policy)
-        cq.policy.select_action(np.eye(2), np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), sched, cfg.policy)
+        alpha, delta, _ = cq.policy.schedule([0.0], snapshot.thresholds, cfg.policy)
+        cq.policy.select_action(np.eye(2), np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), float(alpha[0]), float(delta[0]), cfg.policy)
         cq.kappa.compute_step(0, 0.0, snapshot.mu0, snapshot.sigma0, 0.0, 0, snapshot.thresholds)
         assert (tracer.calls["policy.select"], tracer.calls["kappa.step"], tracer.counts["policy.select.forced"]) == (1, 1, 1)
         path = str(tmp_path / f"trace_{result.cell_id}.jsonl")

@@ -10,7 +10,6 @@ from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds
 from compound_uq.policy import (
     PolicySettings,
-    Schedule,
     _ramp,
     candidate_actions,
     schedule,
@@ -24,8 +23,13 @@ from helpers import clamp_grid, constant_ensemble, float_bits
 THR = Thresholds(tau_low=0.2, tau_high=0.5)
 
 
+def one_schedule(kappa_value, thresholds, settings):
+    """``schedule`` for one cell: its ``(alpha, delta, spread)`` as floats."""
+    return tuple(float(v[0]) for v in schedule([kappa_value], thresholds, settings))
+
+
 def alpha(kappa_value, alpha_max):
-    return schedule(kappa_value, THR, PolicySettings(alpha_max=alpha_max)).alpha
+    return one_schedule(kappa_value, THR, PolicySettings(alpha_max=alpha_max))[0]
 
 
 def test_alpha_schedule_linear_ramp():
@@ -39,17 +43,25 @@ def test_alpha_schedule_linear_ramp():
         alpha(-0.1, 1.0)
     with pytest.raises(InputError):
         alpha(float("nan"), 1.0)
+    with pytest.raises(InputError):  # one bad cell refuses the batch
+        schedule([0.3, -0.1], THR, PolicySettings())
 
 
 def test_ramp_clamp_is_np_clip_bit_for_bit():
     thresholds = Thresholds(tau_low=0.0, tau_high=1.0)  # the ramp's z is kappa itself
-    for z in clamp_grid(0.0, 1.0):
-        assert float_bits(_ramp(z, thresholds)) == float_bits(float(np.clip(z, 0.0, 1.0))), z
+    grid = clamp_grid(0.0, 1.0)
+    for z in grid:
+        assert float_bits(float(_ramp(np.array(z), thresholds))) == float_bits(float(np.clip(z, 0.0, 1.0))), z
+    # the whole grid as one array, entry by entry
+    ramps = _ramp(np.array(grid), thresholds)
+    assert ramps.shape == (len(grid),)
+    for z, ramp in zip(grid, ramps.tolist()):
+        assert float_bits(ramp) == float_bits(float(np.clip(z, 0.0, 1.0))), z
 
 
 def test_delta_budget_tightens_with_kappa():
     def delta(kappa_value):
-        return schedule(kappa_value, THR, PolicySettings(delta_max=2.0)).delta
+        return one_schedule(kappa_value, THR, PolicySettings(delta_max=2.0))[1]
 
     assert abs(delta(0.35) - 1.0) < 1e-12
     assert delta(0.1) == 2.0
@@ -60,15 +72,15 @@ def test_delta_budget_tightens_with_kappa():
 def test_schedule_spread_is_alpha_over_alpha_max():
     settings = PolicySettings(alpha_max=200.0)
     kappas = np.random.default_rng(0).uniform(THR.tau_low, THR.tau_high, size=1000)
+    alphas, _, spreads = schedule(kappas, THR, settings)
     moved = 0
-    for k in kappas.tolist():
-        sched = schedule(k, THR, settings)
-        assert float_bits(sched.spread) == float_bits(sched.alpha / 200.0)
-        moved += sched.spread != _ramp(k, THR)
+    for a, spread, ramp in zip(alphas.tolist(), spreads.tolist(), _ramp(kappas, THR).tolist()):
+        assert float_bits(spread) == float_bits(a / 200.0)
+        moved += spread != ramp
     # The quotient is not the ramp on every kappa, so traces pin the quotient.
     assert moved > 0
-    assert schedule(0.1, THR, settings).spread == 0.0 and schedule(0.9, THR, settings).spread == 1.0
-    assert schedule(0.9, THR, PolicySettings(alpha_max=0.0)).spread == 0.0
+    assert schedule([0.1, 0.9], THR, settings)[2].tolist() == [0.0, 1.0]
+    assert schedule([0.9], THR, PolicySettings(alpha_max=0.0))[2].tolist() == [0.0]
 
 
 def test_dis_score_matches_disagreement_identity():
@@ -86,13 +98,13 @@ def test_composite_value_arithmetic():
     # worth 1 + 1 * 2 - 2 * 0.5 = 2, so it ties row 1's plain 2.0 (the lower
     # index wins) and loses to the next float up.
     settings = PolicySettings(alpha_max=2.0, lambda_risk=2.0, delta_max=2.0)
-    sched = schedule(0.5, Thresholds(tau_low=0.25, tau_high=0.75), settings)
-    assert (sched.alpha, sched.delta) == (1.0, 1.0)
+    a, d, _ = one_schedule(0.5, Thresholds(tau_low=0.25, tau_high=0.75), settings)
+    assert (a, d) == (1.0, 1.0)
     for rival, winner in ((2.0, 0), (math.nextafter(2.0, 3.0), 1)):
         r, g, k = np.array([1.0, rival]), np.array([2.0, 0.0]), np.array([0.5, 0.0])
-        assert select_action(np.eye(2), r, g, k, sched, settings).index == winner
+        assert select_action(np.eye(2), r, g, k, a, d, settings).index == winner
     with pytest.raises(InputError):
-        select_action(np.eye(2), np.zeros(2), np.zeros(3), np.zeros(2), sched, settings)
+        select_action(np.eye(2), np.zeros(2), np.zeros(3), np.zeros(2), a, d, settings)
 
 
 def test_candidate_actions_layout():
@@ -154,7 +166,7 @@ def select(risks, info, kappa_value, settings=None, r_task=None):
         np.zeros(n) if r_task is None else np.asarray(r_task, dtype=float),
         np.asarray(info, dtype=float),
         np.asarray(risks, dtype=float),
-        schedule(kappa_value, THR, settings),
+        *one_schedule(kappa_value, THR, settings)[:2],
         settings,
     )
 
@@ -164,7 +176,7 @@ def test_low_deficit_ties_break_to_task_action():
     # must win so the plain controller passes through unchanged.
     choice = select([0.0, 0.0, 0.0], [0.0, 0.5, 0.9], kappa_value=0.05)
     assert choice.index == 0
-    assert schedule(0.05, THR, SELECT_SETTINGS).alpha == 0.0  # the alpha it was chosen under
+    assert one_schedule(0.05, THR, SELECT_SETTINGS)[0] == 0.0  # the alpha it was chosen under
     assert choice.any_compliant
 
 
@@ -173,7 +185,7 @@ def test_high_deficit_prefers_disagreement():
     choice = select([0.0, 0.0], [0.1, 0.9], kappa_value=0.9)
     assert choice.index == 1
     assert choice.info_gain == 0.9
-    assert schedule(0.9, THR, SELECT_SETTINGS).delta == 0.0  # the budget it was chosen under
+    assert one_schedule(0.9, THR, SELECT_SETTINGS)[1] == 0.0  # the budget it was chosen under
 
 
 def test_budget_excludes_risky_candidates():
@@ -213,15 +225,15 @@ def test_select_action_checks_each_score_not_their_sum():
     with np.errstate(over="ignore"):
         assert np.isinf(np.concatenate((huge, huge)).sum())  # a check on the sum would refuse these
     settings = PolicySettings()
-    sched = schedule(0.0, THR, settings)
-    choice = select_action(np.eye(2), huge, huge, np.zeros(2), sched, settings)
+    a, d, _ = one_schedule(0.0, THR, settings)
+    choice = select_action(np.eye(2), huge, huge, np.zeros(2), a, d, settings)
     assert choice.index == 1 and choice.info_gain == 1.7e308
     for bad in (math.nan, math.inf, -math.inf):
         for which in range(3):
             scores = [np.zeros(2), np.zeros(2), np.zeros(2)]
             scores[which] = np.array([0.0, bad])
             with pytest.raises(InputError, match="candidate scores must be finite"):
-                select_action(np.eye(2), *scores, sched, settings)
+                select_action(np.eye(2), *scores, a, d, settings)
 
 
 def select_oracle(r, g, risk, alpha, delta, lambda_risk):
@@ -268,7 +280,7 @@ def test_select_actions_equals_select_action_cell_by_cell(name):
     batch = select_actions(np.concatenate(cands), r, g, risk, [len(c) for c in cands], alpha, delta, settings)
     assert batch.index.shape == batch.any_compliant.shape == (len(cells),) and batch.action.shape == (len(cells), 2)
     for i, (cand, (cr, cg, crisk, calpha, cdelta)) in enumerate(zip(cands, cells)):
-        one = select_action(cand, cr, cg, crisk, Schedule(alpha=calpha, delta=cdelta, spread=0.0), settings)
+        one = select_action(cand, cr, cg, crisk, calpha, cdelta, settings)
         assert (int(batch.index[i]), bool(batch.any_compliant[i])) == (one.index, one.any_compliant)
         assert (one.index, one.any_compliant) == select_oracle(cr, cg, crisk, calpha, cdelta, settings.lambda_risk)
         assert batch.action[i].tobytes() == one.action.tobytes() == cand[one.index].tobytes()

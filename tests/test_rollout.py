@@ -25,7 +25,7 @@ from compound_uq.envs import DriftBot, MassSpring1D, env_class
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
 from compound_uq.kappa import KappaComponents, Regime, Thresholds
 from compound_uq.perturb import ConditionSpec, condition_matrix
-from compound_uq.policy import ActionChoice, PolicySettings, Schedule, schedule, select_action, task_affinity
+from compound_uq.policy import ActionChoice, PolicySettings, schedule, select_action, task_affinity
 from compound_uq.rollout import (
     RolloutResult,
     build_degradation_records,
@@ -326,6 +326,13 @@ def test_kappa_ramp_is_evaluated_once_per_step(cfg_ms, monkeypatch, mode):
     res = run_condition(cfg, snap, ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0, policy_mode=mode)
     assert (res.steps.alpha > 0.0).any() == (mode == "adaptive")
     assert len(calls) == cfg.horizon
+    # A batch evaluates the ramp once per control step over every stepping cell's kappa:
+    # seed 0's follower joins its leader at step onset_t - 1 = 9, beside seed 1's cell.
+    calls.clear()
+    cells = [(ConditionSpec(onset_t=10), 0), (ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10), 0), (ConditionSpec(delay_steps=1, onset_t=10), 1)]
+    run_cells(cfg, snap, run_header(cfg, snap, mode), cells)
+    assert len(calls) == cfg.horizon
+    assert [np.shape(kappas) for kappas, _ in calls] == [(2,)] * 9 + [(3,)] * (cfg.horizon - 9)
 
 
 def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
@@ -348,14 +355,14 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         distinct, alpha, delta, _, _ = policy.act(history, [task], [kappa], [rng], snap.ensemble, DriftBot.risk_from_obs, snap.thresholds, settings)
         # the hand-built oracle: the full set, where at zero spread every explorer equals the task row
         full_set = np.concatenate([task[None, :], np.zeros((1, 2)), np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
-        sched = schedule(kappa, snap.thresholds, settings)
-        assert (alpha.tolist(), delta.tolist()) == ([sched.alpha], [sched.delta])
+        one_alpha, one_delta, _ = schedule([kappa], snap.thresholds, settings)
+        assert (alpha.tolist(), delta.tolist()) == (one_alpha.tolist(), one_delta.tolist())
         base = np.concatenate([obs, acc_feature(history)[0]])
         x = np.concatenate([np.repeat(base[None, :], full_set.shape[0], axis=0), full_set], axis=1)
         preds = snap.ensemble.predict_members(x)
         info_gain, mean = disagreement(preds)
         risk = DriftBot.risk_from_obs(base[None, :obs_dim] + mean)
-        full = select_action(full_set, task_affinity(full_set, task), info_gain, risk, sched, settings)
+        full = select_action(full_set, task_affinity(full_set, task), info_gain, risk, float(alpha[0]), float(delta[0]), settings)
         for f in fields(ActionChoice):
             np.testing.assert_array_equal(getattr(full, f.name), getattr(distinct, f.name)[0])
         picked.add(full.index)
@@ -458,19 +465,19 @@ def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
     for t in range(n):
         comp = KappaComponents(t, take(t, 1), take(t, 2), take(t, 3), take(t, 4), regimes[t % len(regimes)])
         choice = ActionChoice(t % 5, take(t, 5, action_dim), take(t, 6), take(t, 7), t % 2 == 0)
-        sched = Schedule(alpha=take(t, 8), delta=take(t, 9), spread=0.0)
+        alpha, delta = take(t, 8), take(t, 9)
         executed, next_obs, reward, risk = take(t, 10, action_dim), take(t + 1, 0, obs_dim), take(t, 2), take(t, 3)
         table.mse[t], table.sigma_theta[t], table.sigma_s[t], table.kappa[t] = comp.mse, comp.sigma_theta, comp.sigma_s, comp.kappa
         table.regime[t] = rollout.REGIMES.index(comp.regime)
         table.index[t], table.action[t], table.any_compliant[t] = choice.index, choice.action, choice.any_compliant
-        table.info_gain[t], table.predicted_risk[t], table.alpha[t], table.delta[t] = choice.info_gain, choice.predicted_risk, sched.alpha, sched.delta
+        table.info_gain[t], table.predicted_risk[t], table.alpha[t], table.delta[t] = choice.info_gain, choice.predicted_risk, alpha, delta
         table.executed[t], table.obs[t + 1], table.reward[t], table.risk[t] = executed, next_obs, reward, risk
         # the step line as the trace format names its values, built from what was recorded
         lines.append({
             "kind": "step", "t": t, "mse": comp.mse, "sigma_theta": comp.sigma_theta, "sigma_s": comp.sigma_s,
             "kappa": comp.kappa, "regime": comp.regime.value, "obs": obs.tolist(), "action": choice.action.tolist(),
             "executed_action": executed.tolist(), "next_obs": next_obs.tolist(), "delta": [b - a for a, b in zip(obs.tolist(), next_obs.tolist())],
-            "reward": reward, "risk": risk, "alpha": sched.alpha, "delta_budget": sched.delta, "chosen_index": choice.index,
+            "reward": reward, "risk": risk, "alpha": alpha, "delta_budget": delta, "chosen_index": choice.index,
             "predicted_risk": choice.predicted_risk, "info_gain": choice.info_gain, "any_compliant": choice.any_compliant,
         })
         obs = next_obs
