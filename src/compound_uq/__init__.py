@@ -54,7 +54,6 @@ from .kappa import (
     sigma_theta,
 )
 from .perturb import (
-    ActionDelayer,
     ConditionSpec,
     apply_mask,
     condition_matrix,

@@ -77,7 +77,8 @@ def input_rows(obs_history, actions) -> np.ndarray:
     """Model input rows ``[obs ; acc ; action]``, one per row of ``actions``.
 
     ``obs`` is the last observation of ``obs_history`` and ``acc`` is its
-    ``acc_feature``; training and candidate scoring build rows here alone.
+    ``acc_feature``; candidate scoring builds rows here, and training rows
+    come from ``trajectory_rows``, which gives the same bits.
     Each history entry is one observation, shared by every row, or a stack
     holding one observation per row.
     """
@@ -89,6 +90,25 @@ def input_rows(obs_history, actions) -> np.ndarray:
     x[:, d : 2 * d] = acc
     x[:, 2 * d :] = acts
     return x
+
+
+def trajectory_rows(obs, actions) -> tuple[np.ndarray, np.ndarray]:
+    """Model rows ``(x, y)`` of one trajectory, one per row of ``actions``; ``obs`` has one row more.
+
+    Row s of ``x`` is ``input_rows`` of step s's own history (its observation
+    and up to two before it, so acc is zero at steps 0 and 1) and
+    ``actions[s]``, and row s of ``y`` is ``obs[s + 1] - obs[s]``: bit for bit
+    the rows built one step at a time.
+    """
+    obs, acts = np.asarray(obs, dtype=float), np.asarray(actions, dtype=float)
+    n, d = acts.shape[0], obs.shape[1]
+    if obs.shape[0] != n + 1:
+        raise InputError(f"a trajectory of {n} steps has {n + 1} observations, got {obs.shape[0]}")
+    x = np.zeros((n, 2 * d + acts.shape[1]))
+    x[:, :d] = obs[:-1]
+    x[2:, d : 2 * d] = obs[2:-1] - 2.0 * obs[1:-2] + obs[:-3]  # acc_feature's terms, in its order
+    x[:, 2 * d :] = acts
+    return x, obs[1:] - obs[:-1]
 
 
 @dataclass

@@ -7,14 +7,16 @@ shared onset step, are described by one ``ConditionSpec``:
   environment's documented ``MASK_PRIORITY`` (``mask_dims_for_fraction``),
   is zeroed by ``apply_mask``;
 - action delay: commanded actions reach the plant ``delay_steps`` steps
-  late, through an ``ActionDelayer`` queue pre-filled with zero actions at
-  onset;
+  late. The episode loop reads the executed action from the commanded
+  ones its step table holds: from onset on, the one commanded
+  ``delay_steps`` steps before, or the zero action while that step is
+  still before onset;
 - parameter shift: one dynamics parameter jumps to a new value at onset;
   the episode loop sets it on the plant once, at ``t == onset_t``.
 
 Composition order when several are active in one step: the shift is
-applied to the plant first, then the commanded action passes through the
-delay queue, then the resulting observation is masked. Each stressor is
+applied to the plant first, then the plant steps on the delayed action,
+then the resulting observation is masked. Each stressor is
 inactive for ``t < onset_t`` and active from ``t = onset_t`` onward, so
 "post-onset" always means steps with ``t >= onset_t``.
 
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import ActionVec
 from .errors import InputError
 from .parsing import parse_fields
 
@@ -74,34 +75,6 @@ def apply_mask(obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if mask.dtype != bool or mask.shape != obs.shape:
         raise InputError(f"mask must be boolean with the observations' shape {obs.shape}, got {mask.dtype} {mask.shape}")
     return np.where(mask, 0.0, obs)
-
-
-class ActionDelayer:
-    """FIFO queue inserting ``delay_steps`` of latency from onset onward.
-
-    Before onset the commanded action passes straight through. At onset
-    the queue is pre-filled with ``delay_steps`` zero actions; from then
-    on each commanded action is enqueued and the oldest entry is
-    executed. With delay 1 the post-onset commanded sequence (a0, a1, a2)
-    therefore executes as (0, a0, a1).
-    """
-
-    def __init__(self, delay_steps: int, action_dim: int, onset_t: int = ONSET_T):
-        if delay_steps < 0 or int(delay_steps) != delay_steps:
-            raise InputError(f"delay_steps must be a nonnegative integer, got {delay_steps}")
-        self.delay_steps = int(delay_steps)
-        self.action_dim = int(action_dim)
-        self.onset_t = int(onset_t)
-        self._queue: list[np.ndarray] | None = None
-
-    def submit(self, action: ActionVec, t: int) -> ActionVec:
-        act = np.asarray(action, dtype=float)
-        if self.delay_steps == 0 or t < self.onset_t:
-            return act
-        if self._queue is None:
-            self._queue = [np.zeros(self.action_dim) for _ in range(self.delay_steps)]
-        self._queue.append(act)
-        return self._queue.pop(0)
 
 
 def shift_tag(shift: tuple[str, float] | None) -> str:

@@ -223,7 +223,7 @@ def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds,
     ``task_affinity`` and ``select_actions``. ``history`` holds the last (up to) three
     masked observations, oldest first, cell i's in row i of each entry, and ``kappas``
     each cell's kappa of the previous step. Returns the choice, each cell's alpha
-    and delta, and the chosen rows' inputs and member predictions."""
+    and delta, and the chosen rows' member predictions."""
     alpha, delta, spread = schedule(kappas, thresholds, settings)
     cands = [candidate_actions(task, rng, settings, s) for task, rng, s in zip(tasks, rngs, spread.tolist())]
     counts = [c.shape[0] for c in cands]
@@ -236,4 +236,4 @@ def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds,
     r_task = task_affinity(actions, np.stack(tasks)[owner])
     choice = select_actions(actions, r_task, info_gain, predicted_risk, counts, alpha, delta, settings)
     chosen = np.cumsum(counts) - counts + choice.index
-    return choice, alpha, delta, x[chosen], member_preds[:, chosen]
+    return choice, alpha, delta, member_preds[:, chosen]

@@ -17,8 +17,8 @@ Per-step order within each cell:
 2. the agent picks an action from masked observations using the kappa
    value of the previous step (a one-step information lag, since this
    step's prediction error is only measurable after stepping);
-3. the commanded action passes through the delay queue and the plant
-   steps on whatever comes out;
+3. the commanded action is written to the step table, and the plant steps
+   on the action the delay gives from the table's commanded actions;
 4. the true next observation's realized risk is scored, the observation
    is masked, the ensemble error on the agent-visible transition is
    scored, and kappa, regime, schedules, and telemetry are recorded.
@@ -41,7 +41,6 @@ import copy
 import json
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,15 +60,14 @@ from .ensemble import (
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
-    input_rows,
     member_mse,
+    trajectory_rows,
 )
 from .envs import env_class
 from .errors import CalibrationError, InputError, InvariantViolation
 from .kappa import DEFAULT_THRESHOLDS, REGIMES, Thresholds, calibrate_thresholds, kappa, regime_code, sigma_s, sigma_theta
 from .parsing import parse_key
 from .perturb import (
-    ActionDelayer,
     ConditionSpec,
     apply_mask,
     condition_matrix,
@@ -153,9 +151,10 @@ class StepTable:
 
     It is a batch's one record of per-step state, with no object per step:
     each step reads the agent's last three observations and previous kappa
-    from it, and each cell's trace is written from it. Each array has
-    a leading cell axis, and a control step writes each column once for all
-    of its cells. ``table[i]`` is cell i's own table: its columns are views of
+    from it, the action delay reads its commanded actions, each adaptive
+    update its window of rows, and each cell's trace is written from it.
+    Each array has a leading cell axis, and a control step writes each
+    column once for all of its cells. ``table[i]`` is cell i's own table: its columns are views of
     row i, indexed by step alone, and a cell's ``steps[t:]`` holds its steps from
     t on (and ``obs`` rows t to the last). The columns are the per-step API:
     ``write_trace``, the ``RolloutResult`` aggregates and callers read them
@@ -256,26 +255,20 @@ class _Episode:
         self.env = env_cls(seed=seed, horizon=config.horizon)
         dims = mask_dims_for_fraction(env_cls, condition.po_fraction)
         self.mask = np.isin(np.arange(len(env_cls.OBS_NAMES)), dims)  # the dims masked once the stressors are on
-        self.delayer = ActionDelayer(condition.delay_steps, env_cls.ACTION_DIM, onset_t=condition.onset_t)
         self.policy_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 3]))
         self.adaptive = clone
         if clone is not None:
-            self.recent_x: deque = deque(maxlen=config.adaptive.window)
-            self.recent_y: deque = deque(maxlen=config.adaptive.window)
             self.anchor_rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 5]))
             # seeded by the calibration seed, not the cell's: every cell's clone draws this one stream
             self.update_rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 1]))
 
     def follow(self, leader: "_Episode") -> None:
-        """Take over what ``leader``'s steps before onset changed off the table: its plant,
-        its policy stream and its adaptation windows. Nothing else moves before onset: the
-        delay queue passes actions straight through, and the clone and its anchor and
-        update streams are first used at onset."""
+        """Take over what ``leader``'s steps before onset changed off the table: its plant
+        and its policy stream. Nothing else moves before onset: the action delay and the
+        adaptation window read the table, and the clone and its anchor and update streams
+        are first used at onset."""
         self.env = copy.deepcopy(leader.env)
         self.policy_rng = copy.deepcopy(leader.policy_rng)
-        if self.adaptive is not None:
-            self.recent_x = copy.copy(leader.recent_x)  # the rows themselves are never written again
-            self.recent_y = copy.copy(leader.recent_y)
 
 
 def run_cells(
@@ -297,20 +290,21 @@ def run_cells(
     its onset has come. Then one ``member_mse`` call over the chosen rows and
     one ``sigma_theta``, ``kappa`` and ``regime_code`` call over their errors,
     and each ``StepTable`` column is written once. The controller, the dynamics
-    shift, the delay queue and the plant stay per cell, and so does the
-    clone's update.
+    shift and the plant stay per cell, and so does the clone's update. The
+    table is the batch's only per-step store: the actions the plants execute
+    are one gather from its commanded actions (the delay), and each clone's
+    update builds its window from its table rows (``trajectory_rows``).
     Every batched operation is row-independent, and each cell keeps its own plant,
-    generators, delay queue and clone, so a cell's result does not depend on
+    generators, clone and table rows, so a cell's result does not depend on
     which cells share its batch. An ``InvariantViolation`` in any cell aborts
     the whole batch.
 
     Cells that share ``(seed, onset_t)`` take identical steps until the next
     observation of step ``onset_t - 1`` may be masked, so the first of them
     (the leader) runs steps ``0 ... onset_t - 2`` alone. At the start of step
-    ``onset_t - 1`` each of the others takes over the leader's plant, policy
-    stream and adaptation windows (``_Episode.follow``) and its table rows,
-    and steps on its own from there. A cell with
-    ``onset_t`` 0 or 1 shares nothing.
+    ``onset_t - 1`` each of the others takes over the leader's plant and policy
+    stream (``_Episode.follow``) and its table rows, and steps on its own from
+    there. A cell with ``onset_t`` 0 or 1 shares nothing.
 
     "monitor" has no information bonus but keeps the kappa-scheduled risk
     budget: of the task and zero actions it takes the better scored one within
@@ -348,9 +342,15 @@ def run_cells(
     if not eps:
         return []
     onset = np.array([e.condition.onset_t for e in eps])
+    delays = np.array([e.condition.delay_steps for e in eps])
     masks = np.stack([e.mask for e in eps])
     # each cell's observability deficit from onset on (it is 0.0 before)
-    on = sigma_s(masks.mean(axis=1), np.array([e.condition.delay_steps for e in eps]), config.c_tau)
+    on = sigma_s(masks.mean(axis=1), delays, config.c_tau)
+    # The delay: the step whose command each cell executes at each step. Before onset that is the
+    # step itself; from onset on, the step delay_steps before, or -1 (zeros) while that is before onset.
+    steps, rows = np.arange(config.horizon), np.arange(len(eps))
+    source = np.where(steps < onset[:, None], steps, steps - delays[:, None])
+    source[(steps >= onset[:, None]) & (source < onset[:, None])] = -1
     k = joins.count(0)  # the cells that step: rows 0 ... k - 1
     first = apply_mask(np.stack([e.env.observe() for e in eps]), masks & (onset <= 0)[:, None])
     table = StepTable(config.horizon, first, env_cls.ACTION_DIM)
@@ -370,7 +370,7 @@ def run_cells(
         # the agent sees views of its last three observations and previous kappa, never the table
         history = table.obs[:k, max(t - 2, 0) : t + 1].swapaxes(0, 1)
         kappas = table.kappa[:k, t - 1] if t > 0 else np.zeros(k)
-        choice, alpha, delta, chosen_x, chosen_preds = act(
+        choice, alpha, delta, chosen_preds = act(
             history, tasks, kappas, [e.policy_rng for e in stepping], ensemble, env_cls.risk_from_obs, thresholds, settings
         )
         breach = choice.any_compliant & (choice.predicted_risk > delta + RISK_TOL)
@@ -381,10 +381,12 @@ def run_cells(
                 f"{float(choice.predicted_risk[j])} > {float(delta[j])}"
             )
 
-        executed, nexts, rewards = [], [], []
-        for e, action in zip(stepping, choice.action):
-            executed.append(e.delayer.submit(action, t))
-            tr = e.env.step(executed[-1])
+        table.action[:k, t] = choice.action
+        executed = table.action[rows[:k], source[:k, t]]
+        executed[source[:k, t] < 0] = 0.0
+        nexts, rewards = [], []
+        for e, action in zip(stepping, executed):
+            tr = e.env.step(action)
             nexts.append(tr.next_obs)
             rewards.append(tr.reward)
         true_next = np.stack(nexts)
@@ -399,20 +401,21 @@ def run_cells(
         kappa_now = kappa(sig_theta, sig_s)
 
         table.obs[:k, t + 1] = visible_next
-        table.action[:k, t], table.executed[:k, t], table.index[:k, t] = choice.action, executed, choice.index
+        table.executed[:k, t], table.index[:k, t] = executed, choice.index
         table.any_compliant[:k, t], table.info_gain[:k, t], table.predicted_risk[:k, t] = choice.any_compliant, choice.info_gain, choice.predicted_risk
         table.alpha[:k, t], table.delta[:k, t], table.reward[:k, t], table.risk[:k, t] = alpha, delta, rewards, risks
         table.mse[:k, t], table.sigma_theta[:k, t], table.sigma_s[:k, t], table.kappa[:k, t] = mse, sig_theta, sig_s, kappa_now
         table.regime[:k, t] = regime_code(kappa_now, thresholds)
         if adaptive_enabled:
+            lo = max(t + 1 - config.adaptive.window, 0)  # the adaptation window: steps lo ... t
             for j, e in enumerate(stepping):
-                e.recent_x.append(chosen_x[j])
-                e.recent_y.append(delta_vis[j])
-                if active[j] and (t - e.condition.onset_t) % config.adaptive.every == 0 and len(e.recent_x) >= 8:
-                    take = min(len(e.recent_x), anchor_x.shape[0])
+                if active[j] and (t - e.condition.onset_t) % config.adaptive.every == 0 and t + 1 - lo >= 8:
+                    # rows from step 0, so that steps lo and lo + 1 keep the acc their history gives
+                    x_win, y_win = trajectory_rows(table.obs[j, : t + 2], table.action[j, : t + 1])
+                    take = min(t + 1 - lo, anchor_x.shape[0])
                     idx = e.anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
-                    x_up = np.concatenate([np.stack(e.recent_x), anchor_x[idx]])
-                    y_up = np.concatenate([np.stack(e.recent_y), anchor_y[idx]])
+                    x_up = np.concatenate([x_win[lo:], anchor_x[idx]])
+                    y_up = np.concatenate([y_win[lo:], anchor_y[idx]])
                     adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)
 
     return [RolloutResult(eps[row].condition, eps[row].seed, run, table[row], eps[row].adaptive) for row in map(row_of.get, range(len(cells)))]
@@ -452,9 +455,9 @@ def _mixture_action(controller, obs, rng: np.random.Generator, action_dim: int) 
 
 def collect_baseline_buffer(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Model rows ``(x, y)`` of exactly t_pre unperturbed transitions under the
-    exploration mixture. Rows are built as ``run_condition`` builds them; the
-    first two transitions of each episode give the acc feature its history
-    and yield no row."""
+    exploration mixture, built per episode by ``trajectory_rows``, as the
+    adaptive update builds its window; the first two transitions of each
+    episode give the acc feature its history and yield no row."""
     env_cls = env_class(config.env_id)
     controller = TASK_CONTROLLERS[config.env_id]
     xs, ys = [], []
@@ -463,16 +466,17 @@ def collect_baseline_buffer(config: ExperimentConfig) -> tuple[np.ndarray, np.nd
     while remaining > 0:
         env = env_cls(seed=config.calibration_seed * 10007 + episode, horizon=config.horizon)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 4, episode]))
-        history: deque = deque(maxlen=3)
+        obs, actions = [env.observe()], []
         for _ in range(min(config.horizon, remaining)):
-            tr = env.step(_mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM))
-            history.append(tr.obs)
-            if len(history) == 3:
-                xs.append(input_rows(history, tr.action)[0])
-                ys.append(tr.next_obs - tr.obs)
+            tr = env.step(_mixture_action(controller, obs[-1], rng, env_cls.ACTION_DIM))
+            obs.append(tr.next_obs)
+            actions.append(tr.action)
             remaining -= 1
+        x, y = trajectory_rows(obs, actions)
+        xs.append(x[2:])
+        ys.append(y[2:])
         episode += 1
-    return np.array(xs), np.array(ys)
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _probe_conditions(config: ExperimentConfig) -> tuple[ConditionSpec, dict[str, ConditionSpec], ConditionSpec]:

@@ -101,10 +101,10 @@ MUTANTS = (
         must_fail=(9, 13, 15),
     ),
     Mutant(
-        "no action delay (the delay queue passes every action through)",
-        "perturb.py",
-        "if self.delay_steps == 0 or t < self.onset_t:",
-        "if True:",
+        "no action delay (every cell executes this step's command)",
+        "rollout.py",
+        "source = np.where(steps < onset[:, None], steps, steps - delays[:, None])",
+        "source = np.tile(steps, (len(eps), 1))",
         must_fail=(5,),
     ),
     Mutant(

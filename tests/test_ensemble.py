@@ -16,6 +16,7 @@ from compound_uq.ensemble import (
     disagreement,
     input_rows,
     member_mse,
+    trajectory_rows,
     _sgd_epochs,
 )
 from compound_uq.errors import CalibrationError, InputError, LifecycleError
@@ -48,6 +49,23 @@ def test_input_rows_are_obs_acc_action():
     np.testing.assert_array_equal(input_rows(hist, acts[0]), [np.concatenate([hist[-1], acc_feature(hist), acts[0]])])
     with pytest.raises(InputError):
         input_rows([], acts)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 9])
+def test_trajectory_rows_are_each_steps_input_rows_bit_for_bit(n_steps):
+    # Row s is input_rows of step s's own history of up to three observations, steps 0
+    # and 1 (acc zero) included, and its target the step to the next observation.
+    rng = np.random.default_rng(n_steps)
+    obs = rng.normal(size=(n_steps + 1, 3)) * np.exp(rng.normal(scale=8.0, size=(n_steps + 1, 3)))
+    obs[::4, 0] = -0.0
+    actions = rng.uniform(-1.0, 1.0, size=(n_steps, 2))
+    x, y = trajectory_rows(obs, actions)
+    assert x.shape == (n_steps, 8) and y.shape == (n_steps, 3)
+    for s in range(n_steps):
+        assert x[s].tobytes() == input_rows(list(obs[max(s - 2, 0) : s + 1]), actions[s])[0].tobytes()
+        assert y[s].tobytes() == (obs[s + 1] - obs[s]).tobytes()
+    with pytest.raises(InputError, match="observations"):
+        trajectory_rows(obs[:-1], actions)
 
 
 def test_ensemble_mse_is_member_mean_of_squared_norms():

@@ -1,4 +1,4 @@
-"""Stressor wrapper tests: masking, delay queues, shifts, the grid."""
+"""Stressor wrapper tests: masking, conditions, the grid."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from compound_uq.config import ExperimentConfig
 from compound_uq.envs import DriftBot, MassSpring1D
 from compound_uq.errors import InputError
 from compound_uq.perturb import (
-    ActionDelayer,
     ConditionSpec,
     apply_mask,
     condition_matrix,
@@ -65,36 +64,6 @@ def test_apply_mask_equals_zeroing_each_row_by_itself(env_cls):
         rows.append(alone)
     mask = np.stack([np.isin(np.arange(d), mask_dims_for_fraction(env_cls, f)) for f in fractions]) & np.array(active)[:, None]
     assert apply_mask(obs, mask).tobytes() == np.stack(rows).tobytes()
-
-
-def test_delayer_queue_semantics_one_step():
-    # tau=1 starting at t=0: applied actions are (0, a0, a1) for
-    # submissions (a0, a1, a2).
-    d = ActionDelayer(1, action_dim=1, onset_t=0)
-    a = [np.array([float(i + 1)]) for i in range(3)]
-    applied = [d.submit(a[t], t=t) for t in range(3)]
-    np.testing.assert_array_equal(applied[0], [0.0])
-    np.testing.assert_array_equal(applied[1], a[0])
-    np.testing.assert_array_equal(applied[2], a[1])
-
-
-def test_delayer_prefills_zeros_for_three_steps():
-    d = ActionDelayer(3, action_dim=2, onset_t=ONSET)
-    for t in range(ONSET, ONSET + 3):
-        applied = d.submit(np.full(2, 9.0), t=t)
-        np.testing.assert_array_equal(applied, np.zeros(2))
-    np.testing.assert_array_equal(d.submit(np.zeros(2), t=ONSET + 3), np.full(2, 9.0))
-
-
-def test_delayer_identity_before_onset_and_for_zero_delay():
-    d = ActionDelayer(2, action_dim=1, onset_t=5)
-    for t in range(5):
-        act = np.array([float(t)])
-        np.testing.assert_array_equal(d.submit(act, t=t), act)
-    np.testing.assert_array_equal(d.submit(np.array([7.0]), t=5), np.zeros(1))
-
-    passthrough = ActionDelayer(0, action_dim=1, onset_t=0)
-    np.testing.assert_array_equal(passthrough.submit(np.array([0.4]), t=0), [0.4])
 
 
 def test_condition_label_counts_active_stressors():

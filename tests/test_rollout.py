@@ -2,7 +2,7 @@
 
 Most tests run against a hand-built constant-prediction snapshot on the
 oscillator environment, which keeps every episode cheap while still
-exercising the full step pipeline (masking, delay queue, shift, kappa
+exercising the full step pipeline (masking, action delay, shift, kappa
 scoring, trace files).
 """
 
@@ -207,11 +207,26 @@ def test_run_condition_stressors_engage_at_onset(cfg_ms, snap_ms):
     # 0.5 + min(1, 0.3) * 1.5 = 0.95, but only from the onset step on.
     assert res.steps.sigma_s[9] == 0.0
     assert res.steps.sigma_s[10] == pytest.approx(0.95, abs=1e-12)
-    # The delay queue serves its zero prefill at onset and the onset-step
-    # command one step later.
+    # The delay executes zeros at onset and the onset-step command one
+    # step later.
     assert res.steps.executed[10].tolist() == [0.0]
     assert res.steps.executed[11].tolist() == res.steps.action[10].tolist()
     assert res.steps.executed[9].tolist() == res.steps.action[9].tolist()
+
+
+@pytest.mark.parametrize("onset", [0, 5])
+@pytest.mark.parametrize("delay", [0, 1, 3])
+def test_the_delay_executes_each_command_delay_steps_late_from_onset(cfg_ms, snap_ms, delay, onset):
+    # Before onset a cell executes its own command; from onset on, zeros (+0.0) for
+    # delay_steps steps, then each command delay_steps steps late, all bit for bit.
+    res = run_condition(cfg_ms, snap_ms, ConditionSpec(delay_steps=delay, onset_t=onset), seed=0)
+    action, executed = res.steps.action, res.steps.executed
+    held = onset + delay
+    assert executed[:onset].tobytes() == action[:onset].tobytes()
+    assert executed[onset:held].tobytes() == np.zeros((delay, 1)).tobytes()
+    assert executed[held:].tobytes() == action[onset : len(action) - delay].tobytes()
+    # the commands change after the held steps, so a delay of another length fails the last check
+    assert len({a.tobytes() for a in action[held:]}) > 1
 
 
 def test_shift_engages_exactly_at_onset(cfg_ms, snap_ms, tmp_path):
@@ -352,7 +367,7 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         history = [(obs + acc)[None, :], obs[None, :], obs[None, :]]  # one cell, whose acc feature is about acc
         task = np.zeros(2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, size=2)
         kappa = float(rng.uniform(0.0, 1.5 * snap.thresholds.tau_high))
-        distinct, alpha, delta, _, _ = policy.act(history, [task], [kappa], [rng], snap.ensemble, DriftBot.risk_from_obs, snap.thresholds, settings)
+        distinct, alpha, delta, _ = policy.act(history, [task], [kappa], [rng], snap.ensemble, DriftBot.risk_from_obs, snap.thresholds, settings)
         # the hand-built oracle: the full set, where at zero spread every explorer equals the task row
         full_set = np.concatenate([task[None, :], np.zeros((1, 2)), np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
         one_alpha, one_delta, _ = schedule([kappa], snap.thresholds, settings)
@@ -624,10 +639,27 @@ def test_an_adapted_clone_depends_on_the_snapshot_weights_alone(ms_calibrated):
     assert res.adaptive_ensemble.weights_hash() == PINNED_TRACES["adaptive"][1]
 
 
+# weights_hash() of the clone that ms_calibrated's episode adapts with a 12-step window, by
+# policy mode. Its updates at t = 20 and 30 train on steps 9 ... 20 and 19 ... 30, so a window
+# that starts a step early or late moves it, where the 120-step windows above cover every step.
+PINNED_WINDOW_CLONES = {
+    "monitor": "6e6cabe190dda04745d750e0b738a3e80e77a273857376f83a3b3e1e6163f22c",
+    "adaptive": "e9db6f2671a22a3b7349f13e9060532f9eb7cff43dc749027f8ca50f35c0bcfe",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_WINDOW_CLONES))
+def test_a_clone_adapted_on_a_sliding_window_is_pinned(ms_calibrated, mode):
+    cfg, _, cond = ms_calibrated
+    cfg = replace(cfg, adaptive=replace(cfg.adaptive, window=12))
+    res = run_condition(cfg, calibrate(cfg), cond, 0, policy_mode=mode, adaptive_enabled=True)
+    assert res.adaptive_ensemble.weights_hash() == PINNED_WINDOW_CLONES[mode]
+
+
 @pytest.fixture(scope="module")
 def driftbot_calibrated():
     # The acceptance config; its compound cell at seed 0 drives the
-    # controller, the delay queue, the gain fault and both envs.step paths.
+    # controller, the action delay, the gain fault and both envs.step paths.
     cfg = config_from_dict({"env_id": "DriftBot", "horizon": 220, "onset_t": 50, "ensemble": {"t_pre": 300, "m_members": 5}})
     return cfg, calibrate(cfg), ConditionSpec(po_fraction=0.25, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
 
