@@ -13,8 +13,6 @@ from compound_uq.perturb import (
     mask_dims_for_fraction,
 )
 
-ONSET = 50
-
 
 def test_mask_dims_follow_priority_order():
     # The first dims masked are the front of MASK_PRIORITY: heading pair
