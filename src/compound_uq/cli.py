@@ -37,7 +37,7 @@ from .rollout import (
     POLICY_MODES,
     build_degradation_records,
     calibrate,
-    read_trace,
+    read_traces,
     run_condition,
     run_sweep,
     write_trace,
@@ -173,11 +173,11 @@ def cmd_analyze(args) -> int:
         names = sorted(os.listdir(trace_dir))
     except OSError as e:
         raise InputError(f"cannot list trace directory {trace_dir}: {e.strerror}") from None
-    for name in names:
-        if not (name.startswith("trace_") and name.endswith(".jsonl")):
-            continue
-        path = os.path.join(trace_dir, name)
-        header, summary = read_trace(path)
+    paths = [os.path.join(trace_dir, name) for name in names if name.startswith("trace_") and name.endswith(".jsonl")]
+    for path, read in zip(paths, read_traces(paths)):
+        if isinstance(read, InputError):
+            raise read
+        header, summary = read
         run = {k: json.dumps(v, sort_keys=True) for k, v in header.items() if k not in CELL_KEYS}
         if first is None:
             first, first_run = path, run

@@ -74,8 +74,7 @@ class ActionChoice:
 
 def _ramp(kappas: np.ndarray, thresholds: Thresholds) -> np.ndarray:
     z = (kappas - thresholds.tau_low) / (thresholds.tau_high - thresholds.tau_low)
-    # two np.where clamps are np.clip bit for bit, -0.0 and NaN included
-    return np.where(z > 1.0, 1.0, np.where(z < 0.0, 0.0, z))
+    return z.clip(0.0, 1.0)  # the method: the np.clip function adds a microsecond of dispatch
 
 
 def schedule(kappas, thresholds: Thresholds, settings: PolicySettings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,7 +85,8 @@ def schedule(kappas, thresholds: Thresholds, settings: PolicySettings) -> tuple[
     quotient gives.
     """
     kappas = np.asarray(kappas, dtype=float)
-    if not (np.isfinite(kappas) & (kappas >= 0.0)).all():
+    # every kappa is finite and nonnegative exactly when the least is >= 0 and the greatest < inf; NaN fails both
+    if kappas.size and not (kappas.min() >= 0.0 and kappas.max() < math.inf):
         raise InputError(f"kappa must be finite and nonnegative, got {kappas}")
     ramp = _ramp(kappas, thresholds)
     alpha = settings.alpha_max * ramp

@@ -32,7 +32,9 @@ default thresholds.
 
 All seeds derive from (cell seed, fixed stream tags), so every cell is
 reproducible in isolation, and sweep results depend neither on execution
-order nor on which cells share a batch.
+order nor on which cells share a batch. So a sweep's independent units (its
+seed batches, and the checks of the traces a resume finds) run on one forked
+worker per usable CPU (``_map``), with the same bytes as in one process.
 """
 
 from __future__ import annotations
@@ -541,6 +543,60 @@ def calibrate(config: ExperimentConfig) -> CalibrationSnapshot:
 
 
 # ---------------------------------------------------------------------------
+# Independent units on every CPU
+
+
+def _workers() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_task = None  # (fn, items) of the _map a forked worker serves; set in workers only
+
+
+def _take_task(fn, items) -> None:
+    global _task
+    _task = fn, items
+
+
+def _run_unit(i: int):
+    fn, items = _task
+    return fn(items[i])
+
+
+def _map(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` for independent units, on ``min(_workers(), len(items))``
+    forked workers.
+
+    Every unit runs, and then the first error in item order is raised, so the units that
+    complete (and whatever they write) do not depend on the CPU count. With fewer than two
+    workers, or without ``fork``, the units run inline. Workers are forked, not spawned, so
+    that they inherit ``fn`` and ``items`` (``_take_task``) in place of importing the package
+    afresh; only indexes and results cross the pipe. The fork happens before the executor
+    starts its own threads. A worker that dies raises ``BrokenProcessPool``, and every worker
+    is joined before this returns or raises.
+    """
+    n = min(_workers(), len(items))
+    if n < 2 or not hasattr(os, "fork"):
+        results, errors = [], []
+        for item in items:
+            try:
+                results.append(fn(item))
+            except Exception as e:  # raised once every unit has run, as the pool does
+                errors.append(e)
+        if errors:
+            raise errors[0]
+        return results
+    # imported here, not at the top: they add about 20 ms to `import compound_uq.cli`, which most commands never need
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(n, mp_context=get_context("fork"), initializer=_take_task, initargs=(fn, items)) as pool:
+        futures = [pool.submit(_run_unit, i) for i in range(len(items))]
+    return [future.result() for future in futures]
+
+
+# ---------------------------------------------------------------------------
 # Trace files
 
 
@@ -724,6 +780,21 @@ def read_trace(path: str) -> tuple[dict, dict]:
     return header, summary
 
 
+def _read_or_error(path: str) -> tuple[dict, dict] | InputError:
+    try:
+        return read_trace(path)
+    except InputError as e:
+        return e
+
+
+def read_traces(paths: list[str]) -> list[tuple[dict, dict] | InputError]:
+    """``read_trace(path)``, or the ``InputError`` it raised, for each path in order. The paths
+    that exist are read on ``_map``'s workers, so a tree with no traces yet forks none."""
+    present = [os.path.exists(path) for path in paths]
+    pooled = iter(_map(_read_or_error, [path for path, there in zip(paths, present) if there]))
+    return [next(pooled) if there else _read_or_error(path) for path, there in zip(paths, present)]
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -802,14 +873,16 @@ def run_sweep(
     encodes as ``trace_header`` gives for this run's ``run_header`` and the
     cell; any other cell runs again and overwrites its trace.
 
-    The cells that run form one ``run_cells`` batch per cell seed, in grid
-    order, so memory holds one seed's block of episodes at a time. A batch's
-    traces are written once all of its cells have run: an
-    ``InvariantViolation`` in any cell leaves none of them, and a resumed
-    sweep simulates that batch again. Each cell's ``write_trace`` takes the
-    previous cell's table and step lines as ``reuse``, so the lines of the
-    prefix they share are rendered once. Summaries keep ``condition_matrix``
-    order.
+    The traces found are checked by ``read_traces``. The cells that run form
+    one ``run_cells`` batch per cell seed, in grid order, and ``_map`` runs
+    the batches on its workers, so each process holds one seed's block of
+    episodes at a time. A batch's traces are written, by the process that ran
+    it, once all of its cells have run: an ``InvariantViolation`` in any cell
+    leaves none of them, the other batches still run and write theirs, and a
+    resumed sweep simulates only that batch again. Each cell's ``write_trace``
+    takes the previous cell's table and step lines as ``reuse``, so the lines
+    of the prefix they share are rendered once. Summaries keep
+    ``condition_matrix`` order.
     """
     run = run_header(config, snapshot, policy_mode)
     cells = condition_matrix(
@@ -825,26 +898,28 @@ def run_sweep(
     def cell_path(cond: ConditionSpec, seed: int) -> str:
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
-    def reused(cond: ConditionSpec, seed: int) -> dict | None:
-        try:
-            header, summary = read_trace(cell_path(cond, seed))
-        except InputError:
-            return None  # missing or unreadable: simulate the cell again
-        if json.dumps(header, sort_keys=True) == json.dumps(trace_header(run, cond, seed), sort_keys=True):
-            return summary
-        return None
-
-    summaries = [reused(cond, seed) if out_dir else None for cond, seed in cells]
+    summaries: list[dict | None] = [None] * len(cells)
+    if out_dir:
+        for i, read in enumerate(read_traces([cell_path(*cell) for cell in cells])):
+            # a missing or unreadable trace, or one another run wrote, is simulated again
+            if not isinstance(read, InputError) and json.dumps(read[0], sort_keys=True) == json.dumps(trace_header(run, *cells[i]), sort_keys=True):
+                summaries[i] = read[1]
     batches: dict[int, list[int]] = {}  # the cells each seed still has to simulate, in grid order
     for i, (_, seed) in enumerate(cells):
         if summaries[i] is None:
             batches.setdefault(seed, []).append(i)
-    for batch in batches.values():
+
+    def simulate(batch: list[int]) -> list[dict]:
+        results = run_cells(config, snapshot, run, [cells[i] for i in batch])
         reuse = None  # the previous cell's table and step lines: a seed's cells share their prefix
-        for i, result in zip(batch, run_cells(config, snapshot, run, [cells[i] for i in batch])):
+        for i, result in zip(batch, results):
             if out_dir:
                 reuse = result.steps, write_trace(cell_path(*cells[i]), result, reuse)
-            summaries[i] = result.summary()
+        return [result.summary() for result in results]
+
+    for batch, done in zip(batches.values(), _map(simulate, list(batches.values()))):
+        for i, summary in zip(batch, done):
+            summaries[i] = summary
     records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")
     stratified: dict[str, StratifiedRateResult] = {}

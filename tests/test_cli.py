@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 from dataclasses import replace
@@ -835,6 +836,23 @@ def test_analyze_refuses_unreadable_traces(workspace, tmp_path, capsys):
     assert "cannot be read" in capsys.readouterr().err
     assert main([*analyze, str(tmp_path / "missing")]) == 1
     assert capsys.readouterr().err.startswith("error: cannot list trace directory")
+
+
+def test_analyze_reports_the_first_damaged_trace_in_sorted_order(workspace, tmp_path, monkeypatch, capsys):
+    # The traces are read on every worker, but the error is the one a read in sorted order meets first.
+    trace_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]) == 0
+    traces = sorted(trace_dir.glob("trace_*.jsonl"))
+    traces[1].write_bytes(b"\xff" + traces[1].read_bytes())
+    traces[3].write_bytes(b"".join(traces[3].read_bytes().splitlines(keepends=True)[:-1]))  # no footer
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rollout, "_workers", lambda: workers)
+        capsys.readouterr()
+        assert main(["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] and errors[0].startswith(f"error: trace file {traces[1]} ") and errors[0].count("\n") == 1
 
 
 def test_analyze_empty_dir(workspace, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Import guards: the CLI starts without scipy, the agent side never
-reaches the environments, and every public name has a caller.
+"""Import guards: the CLI starts without scipy or a process pool, the agent
+side never reaches the environments, and every public name has a caller.
 
 Only ``analysis.superadditive_rate`` and ``analysis.stratified_rate_test``
 need scipy, and they import ``scipy.special`` when called. Each scipy check
@@ -49,6 +49,18 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
         "import json, sys\n"
         "import compound_uq.cli\n"
         "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # rollout imports its pool when a sweep or an analysis first has two units to share out
+    proc = _python(
+        "import json, sys\n"
+        "import compound_uq.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))))\n",
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -47,6 +47,21 @@ def test_alpha_schedule_linear_ramp():
         schedule([0.3, -0.1], THR, PolicySettings())
 
 
+def test_schedule_refuses_exactly_the_batches_with_a_negative_or_non_finite_kappa():
+    # the reference is the entry-by-entry test; each value goes alone, before and after a good kappa
+    values = clamp_grid(0.0, 1.0) + (math.inf, -math.inf)
+    for batch in [[]] + [[v] for v in values] + [[0.3, v] for v in values] + [[v, 0.3] for v in values]:
+        kappas = np.array(batch, dtype=float)
+        refused = not (np.isfinite(kappas) & (kappas >= 0.0)).all()
+        try:
+            with np.errstate(over="ignore"):  # 1e308 overflows the ramp, which clamps it
+                schedule(batch, THR, PolicySettings())
+        except InputError:
+            assert refused, batch
+        else:
+            assert not refused, batch
+
+
 def test_ramp_clamp_is_np_clip_bit_for_bit():
     thresholds = Thresholds(tau_low=0.0, tau_high=1.0)  # the ramp's z is kappa itself
     grid = clamp_grid(0.0, 1.0)

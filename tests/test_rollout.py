@@ -10,7 +10,10 @@ import hashlib
 import inspect
 import json
 import math
+import multiprocessing
+import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from copy import deepcopy
 from dataclasses import fields, replace
 
@@ -753,8 +756,14 @@ def _record_step_lines(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """A sweep's units run in this process, where calls recorded by a test can see them."""
+    monkeypatch.setattr(rollout, "_workers", lambda: 1)
+
+
 @pytest.mark.parametrize("onset", [10, 0])
-def test_a_sweep_writes_the_bytes_of_traces_rendered_one_cell_at_a_time(cfg_ms, tmp_path, monkeypatch, onset):
+def test_a_sweep_writes_the_bytes_of_traces_rendered_one_cell_at_a_time(cfg_ms, tmp_path, monkeypatch, one_worker, onset):
     # Each cell of a batch takes the previous cell's lines for the leading steps the two
     # share. At onset 10 the cells fork from one leader and share at least steps
     # 0 ... 8; at onset 0 they share no leader, and each differs from the one before at
@@ -847,7 +856,7 @@ def test_every_step_regime_is_the_classified_kappa(ms_calibrated):
     assert regimes == set(Regime)
 
 
-def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatch):
+def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatch, one_worker):
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
     hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
@@ -858,32 +867,43 @@ def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatc
     assert [c["seed"] for c in outcome.cell_summaries] == [0, 1] * 4  # condition_matrix order, seed innermost
 
 
+def _breach_in_batch(monkeypatch, seed: int, breach) -> None:
+    """From now on, seed ``seed``'s batch selects step 12 as ``breach(choice, delta)`` says, in
+    whichever process runs the batch: each ``run_cells`` call tags its process with the batch's seed."""
+    batch = {}  # the seed of the batch this process simulates, and its selection calls so far
+    simulate, select = rollout.run_cells, policy.select_actions
+
+    def seeded(config, snapshot, run, cells, *args):
+        batch.update(seed=cells[0][1], calls=0)
+        return simulate(config, snapshot, run, cells, *args)
+
+    def breaching(*args):
+        choice = select(*args)
+        batch["calls"] += 1  # one call per control step
+        return breach(choice, args[6]) if batch["seed"] == seed and batch["calls"] == 13 else choice
+
+    monkeypatch.setattr(rollout, "run_cells", seeded)
+    monkeypatch.setattr(policy, "select_actions", breaching)
+
+
 def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tmp_path, monkeypatch):
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
     fresh = run_sweep(cfg, snap, out_dir=str(tmp_path / "fresh"))
     second = [c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1][1]
-    calls = []
-    select = policy.select_actions
 
-    def breaching(*args):
-        choice = select(*args)
-        calls.append(choice)
-        # one call per control step and batch: the second batch's (seed 1's) step 12,
-        # after every cell has forked from the prefix, breaches the budget in its second cell
-        if len(calls) != cfg.horizon + 13:
-            return choice
+    def breach(choice, delta):
+        # seed 1's step 12, after every cell has forked from the prefix: its second cell breaches
         assert choice.index.shape == (4,)
-        breach = np.arange(4) == 1
-        delta = args[6]
-        return replace(choice, any_compliant=choice.any_compliant | breach, predicted_risk=np.where(breach, delta + 1.0, choice.predicted_risk))
+        second_cell = np.arange(4) == 1
+        return replace(choice, any_compliant=choice.any_compliant | second_cell, predicted_risk=np.where(second_cell, delta + 1.0, choice.predicted_risk))
 
-    monkeypatch.setattr(policy, "select_actions", breaching)
+    _breach_in_batch(monkeypatch, 1, breach)
     out_dir = tmp_path / "runs"
     with pytest.raises(InvariantViolation, match=f"^selected action breaches the risk budget at t=12 in cell {re.escape(second)}: "):
         run_sweep(cfg, snap, out_dir=str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
-    monkeypatch.setattr(policy, "select_actions", select)
+    monkeypatch.undo()
     batches = record_batches(monkeypatch)
     assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
     assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
@@ -930,7 +950,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     assert resumed.cell_summaries == list(fresh.values())
 
 
-def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkeypatch):
+def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkeypatch, one_worker):
     # Two seeds: the first run simulates two batches of four cells, the
     # resumed run one of one cell per seed, and the traces must not tell.
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
@@ -953,6 +973,58 @@ def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkey
     # simulated again, each in its own seed's batch, and come back byte for byte.
     assert [[f"trace_{c}.jsonl" for c in batch] for batch in batches] == [[truncated.name], [missing.name]]
     assert {p.name: p.read_bytes() for p in traces} == before
+
+
+def _tree(out_dir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+# _workers at 2 runs the pool whatever the host's CPU count; at 1 every unit runs inline.
+@pytest.mark.parametrize("mode", ["monitor", "adaptive"])
+def test_a_sweep_and_its_resume_write_the_same_bytes_on_one_worker_and_on_two(cfg_ms, tmp_path, monkeypatch, mode):
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(rollout, "_workers", lambda: workers)
+        out_dir = tmp_path / f"workers{workers}"
+        fresh = run_sweep(cfg, snap, out_dir=str(out_dir), policy_mode=mode).cell_summaries
+        tree = _tree(out_dir)
+        traces = [name for name in tree if name.startswith("trace_")]
+        (out_dir / traces[0]).unlink()
+        (out_dir / traces[-1]).write_bytes(b"".join(tree[traces[-1]].splitlines(keepends=True)[:-1]))  # no footer
+        resumed = run_sweep(cfg, snap, out_dir=str(out_dir), policy_mode=mode).cell_summaries
+        assert _tree(out_dir) == tree and resumed == fresh
+        runs[workers] = tree, fresh
+    assert runs[1] == runs[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_map_keeps_item_order_and_a_dead_worker_raises(monkeypatch):
+    monkeypatch.setattr(rollout, "_workers", lambda: 2)
+    squares = rollout._map(lambda i: (i * i, os.getpid()), list(range(9)))
+    assert [square for square, _ in squares] == [i * i for i in range(9)]
+    assert os.getpid() not in {pid for _, pid in squares}  # every unit ran in a worker
+    with pytest.raises(BrokenProcessPool):  # not a hang
+        rollout._map(lambda i: os._exit(3) if i == 1 else i, list(range(4)))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_breach_in_a_worker_reaches_the_caller_and_leaves_the_other_batches(cfg_ms, tmp_path, monkeypatch):
+    # Seed 0's batch breaches the budget at step 12; seed 1's batch still runs and writes its
+    # traces, on one worker as on two, and no worker outlives the sweep.
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    _breach_in_batch(monkeypatch, 0, lambda choice, delta: replace(choice, any_compliant=np.ones_like(choice.any_compliant), predicted_risk=delta + 1.0))
+    trees = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(rollout, "_workers", lambda: workers)
+        out_dir = tmp_path / f"workers{workers}"
+        with pytest.raises(InvariantViolation, match=r"^selected action breaches the risk budget at t=12 in cell po0_delay0_shift-none_seed0: "):
+            run_sweep(cfg, snap, out_dir=str(out_dir))
+        assert multiprocessing.active_children() == []
+        trees[workers] = _tree(out_dir)
+    assert trees[1] == trees[2] and len(trees[1]) == 4 and all(name.endswith("_seed1.jsonl") for name in trees[1])
 
 
 def test_build_eval_rows_shapes_and_determinism():
