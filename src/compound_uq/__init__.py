@@ -35,7 +35,7 @@ from .ensemble import (
     calibrate_noise_floor,
     disagreement,
 )
-from .envs import DriftBot, MassSpring1D, Transition
+from .envs import DriftBot, MassSpring1D
 from .errors import (
     CalibrationError,
     CompoundUQError,

@@ -110,7 +110,7 @@ class BoundCheck:
     holds: bool
 
 
-def verify_bound(belief: DiscreteJointBelief, tol: float = PROB_TOL) -> BoundCheck:
+def verify_bound(belief: DiscreteJointBelief) -> BoundCheck:
     """Check I(s; theta) <= H(s) + H(theta) and report the slack.
 
     The slack equals the joint entropy exactly (chain rule), so the check
@@ -127,7 +127,7 @@ def verify_bound(belief: DiscreteJointBelief, tol: float = PROB_TOL) -> BoundChe
         h_joint=joint_entropy(belief),
         bound=bound,
         slack=slack,
-        holds=bool(mi <= bound + tol),
+        holds=bool(mi <= bound + PROB_TOL),
     )
 
 

@@ -20,7 +20,7 @@ construction; identical ``(env_id, seed, params, actions)`` reproduce
 traces bit for bit. Noise draws happen unconditionally each step so that
 parameter shifts never desynchronise the stream.
 
-A step returns its ``Transition`` and scores no risk. Risk is a function
+A step returns ``(next_obs, reward)`` and scores no risk. Risk is a function
 of an observation alone (``risk_from_obs``, a class method that takes one
 observation or a stack), so the episode loop scores every cell's next
 observation with one call per control step.
@@ -33,7 +33,6 @@ path to environment instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +46,6 @@ DynamicsParams = dict[str, float]
 
 DT = 0.05
 HORIZON = 1000
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One (observation, action, next observation) record; the model's
-    target is ``next_obs - obs``. A step scores no risk: the episode loop
-    scores every cell's next observation at once with ``risk_from_obs``."""
-
-    obs: ObservationVec
-    action: ActionVec
-    next_obs: ObservationVec
-    reward: float
 
 
 def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
@@ -125,13 +112,12 @@ class _BaseEnv:
             raise LifecycleError("step() called after the episode terminated")
         return _validate_action(action, self.ACTION_DIM)
 
-    def _post_step(self, obs_before: ObservationVec, act: np.ndarray, reward: float) -> Transition:
-        """Observe, record the transition, and advance ``t``."""
-        tr = Transition(obs=obs_before, action=act, next_obs=self.observe(), reward=float(reward))
+    def _post_step(self, reward: float) -> tuple[ObservationVec, float]:
+        """Advance ``t``, and return the next observation and the reward."""
         self.t += 1
         if self.t >= self.horizon:
             self.terminal = True
-        return tr
+        return self.observe(), float(reward)
 
 
 class DriftBot(_BaseEnv):
@@ -221,9 +207,8 @@ class DriftBot(_BaseEnv):
         over = np.maximum(0.0, np.abs(obs[..., :2]) - inner) / cls.RISK_ZONE
         return over[..., 0] + over[..., 1]
 
-    def step(self, action: ActionVec) -> Transition:
+    def step(self, action: ActionVec) -> tuple[ObservationVec, float]:
         act = self._pre_step(action)
-        obs_before = self.observe()
         dist_before = self._distance_to_goal()
 
         # Python floats: the same IEEE arithmetic as numpy scalars, without their overhead
@@ -245,7 +230,7 @@ class DriftBot(_BaseEnv):
 
         # ** 2 is libm pow, as it is for numpy scalars; a * a differs on about 0.1% of inputs
         reward = (dist_before - self._distance_to_goal()) - self.CONTROL_COST * (a_left**2 + a_right**2)
-        return self._post_step(obs_before, act, reward)
+        return self._post_step(reward)
 
 
 class MassSpring1D(_BaseEnv):
@@ -292,9 +277,8 @@ class MassSpring1D(_BaseEnv):
     def risk_from_obs(cls, obs: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.abs(obs[..., 0]) - cls.X_LIMIT)
 
-    def step(self, action: ActionVec) -> Transition:
+    def step(self, action: ActionVec) -> tuple[ObservationVec, float]:
         act = self._pre_step(action)
-        obs_before = self.observe()
 
         noise = self.rng.normal() * self.FORCE_NOISE_STD
         u = float(act[0]) * self.F_MAX
@@ -302,7 +286,7 @@ class MassSpring1D(_BaseEnv):
         self.v = self.v + DT * (-p["stiffness"] * self.x + u + noise) / p["mass"]
         self.x = self.x + DT * self.v
 
-        return self._post_step(obs_before, act, -abs(self.x))
+        return self._post_step(-abs(self.x))
 
 
 def _wrap_angle(a: float) -> float:

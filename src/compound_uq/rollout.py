@@ -32,9 +32,10 @@ default thresholds.
 
 All seeds derive from (cell seed, fixed stream tags), so every cell is
 reproducible in isolation, and sweep results depend neither on execution
-order nor on which cells share a batch. So a sweep's independent units (its
-seed batches, and the checks of the traces a resume finds) run on one forked
-worker per usable CPU (``_map``), with the same bytes as in one process.
+order nor on which cells share a batch. So a sweep's independent units (one
+per cell seed: the checks of the traces a resume finds, the seed's batch and
+its trace writes) run on one forked worker per usable CPU (``_map``), with the
+same bytes as in one process.
 """
 
 from __future__ import annotations
@@ -386,11 +387,7 @@ def run_cells(
         table.action[:k, t] = choice.action
         executed = table.action[rows[:k], source[:k, t]]
         executed[source[:k, t] < 0] = 0.0
-        nexts, rewards = [], []
-        for e, action in zip(stepping, executed):
-            tr = e.env.step(action)
-            nexts.append(tr.next_obs)
-            rewards.append(tr.reward)
+        nexts, rewards = zip(*[e.env.step(action) for e, action in zip(stepping, executed)])
         true_next = np.stack(nexts)
         risks = env_cls.risk_from_obs(true_next)
         visible_next = apply_mask(true_next, masks[:k] & (t + 1 >= onset[:k])[:, None])
@@ -470,9 +467,8 @@ def collect_baseline_buffer(config: ExperimentConfig) -> tuple[np.ndarray, np.nd
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.calibration_seed, 4, episode]))
         obs, actions = [env.observe()], []
         for _ in range(min(config.horizon, remaining)):
-            tr = env.step(_mixture_action(controller, obs[-1], rng, env_cls.ACTION_DIM))
-            obs.append(tr.next_obs)
-            actions.append(tr.action)
+            actions.append(_mixture_action(controller, obs[-1], rng, env_cls.ACTION_DIM))
+            obs.append(env.step(actions[-1])[0])
             remaining -= 1
         x, y = trajectory_rows(obs, actions)
         xs.append(x[2:])
@@ -788,11 +784,9 @@ def _read_or_error(path: str) -> tuple[dict, dict] | InputError:
 
 
 def read_traces(paths: list[str]) -> list[tuple[dict, dict] | InputError]:
-    """``read_trace(path)``, or the ``InputError`` it raised, for each path in order. The paths
-    that exist are read on ``_map``'s workers, so a tree with no traces yet forks none."""
-    present = [os.path.exists(path) for path in paths]
-    pooled = iter(_map(_read_or_error, [path for path, there in zip(paths, present) if there]))
-    return [next(pooled) if there else _read_or_error(path) for path, there in zip(paths, present)]
+    """``read_trace(path)``, or the ``InputError`` it raised, for each path in order, read on
+    ``_map``'s workers."""
+    return _map(_read_or_error, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +867,16 @@ def run_sweep(
     encodes as ``trace_header`` gives for this run's ``run_header`` and the
     cell; any other cell runs again and overwrites its trace.
 
-    The traces found are checked by ``read_traces``. The cells that run form
-    one ``run_cells`` batch per cell seed, in grid order, and ``_map`` runs
-    the batches on its workers, so each process holds one seed's block of
-    episodes at a time. A batch's traces are written, by the process that ran
-    it, once all of its cells have run: an ``InvariantViolation`` in any cell
-    leaves none of them, the other batches still run and write theirs, and a
-    resumed sweep simulates only that batch again. Each cell's ``write_trace``
-    takes the previous cell's table and step lines as ``reuse``, so the lines
-    of the prefix they share are rendered once. Summaries keep
-    ``condition_matrix`` order.
+    ``_map`` runs one unit per cell seed on its workers, with the seed's
+    cells in grid order. A unit checks its cells' traces, simulates the cells
+    it cannot reuse as one ``run_cells`` batch (none when it reuses every
+    cell), so each process holds one seed's block of episodes at a time, and
+    writes their traces once all of them have run: an ``InvariantViolation``
+    in any cell leaves none of them, the other seeds still run and write
+    theirs, and a resumed sweep simulates only that batch again. Each cell's
+    ``write_trace`` takes the previous cell's table and step lines as
+    ``reuse``, so the lines of the prefix they share are rendered once.
+    Summaries keep ``condition_matrix`` order.
     """
     run = run_header(config, snapshot, policy_mode)
     cells = condition_matrix(
@@ -898,28 +892,28 @@ def run_sweep(
     def cell_path(cond: ConditionSpec, seed: int) -> str:
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
 
-    summaries: list[dict | None] = [None] * len(cells)
-    if out_dir:
-        for i, read in enumerate(read_traces([cell_path(*cell) for cell in cells])):
+    def run_seed(block: list[int]) -> list[dict]:
+        kept: dict[int, dict] = {}
+        for i in block if out_dir else ():
+            read = _read_or_error(cell_path(*cells[i]))
             # a missing or unreadable trace, or one another run wrote, is simulated again
             if not isinstance(read, InputError) and json.dumps(read[0], sort_keys=True) == json.dumps(trace_header(run, *cells[i]), sort_keys=True):
-                summaries[i] = read[1]
-    batches: dict[int, list[int]] = {}  # the cells each seed still has to simulate, in grid order
-    for i, (_, seed) in enumerate(cells):
-        if summaries[i] is None:
-            batches.setdefault(seed, []).append(i)
-
-    def simulate(batch: list[int]) -> list[dict]:
-        results = run_cells(config, snapshot, run, [cells[i] for i in batch])
+                kept[i] = read[1]
+        batch = [i for i in block if i not in kept]
         reuse = None  # the previous cell's table and step lines: a seed's cells share their prefix
-        for i, result in zip(batch, results):
+        for i, result in zip(batch, run_cells(config, snapshot, run, [cells[i] for i in batch]) if batch else ()):
             if out_dir:
                 reuse = result.steps, write_trace(cell_path(*cells[i]), result, reuse)
-        return [result.summary() for result in results]
+            kept[i] = result.summary()
+        return [kept[i] for i in block]
 
-    for batch, done in zip(batches.values(), _map(simulate, list(batches.values()))):
-        for i, summary in zip(batch, done):
-            summaries[i] = summary
+    blocks: dict[int, list[int]] = {}  # each seed's cells, in grid order
+    for i, (_, seed) in enumerate(cells):
+        blocks.setdefault(seed, []).append(i)
+    by_cell: dict[int, dict] = {}
+    for block, done in zip(blocks.values(), _map(run_seed, list(blocks.values()))):
+        by_cell.update(zip(block, done))
+    summaries = [by_cell[i] for i in range(len(cells))]
     records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")
     stratified: dict[str, StratifiedRateResult] = {}

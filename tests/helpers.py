@@ -135,11 +135,14 @@ def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
     while len(xs) < n_rows:
         env = env_cls(seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
         history = deque(maxlen=3)
+        obs = env.observe()
         for _ in range(horizon):
-            tr = env.step(_mixture_action(controller, env.observe(), rng, env_cls.ACTION_DIM))
-            history.append(tr.obs)
+            action = _mixture_action(controller, obs, rng, env_cls.ACTION_DIM)
+            next_obs, _ = env.step(action)
+            history.append(obs)
             if len(history) == 3:
-                xs.append(input_rows(history, tr.action)[0])
-                ys.append(tr.next_obs - tr.obs)
+                xs.append(input_rows(history, action)[0])
+                ys.append(next_obs - obs)
+            obs = next_obs
         episode += 1
     return np.array(xs[:n_rows]), np.array(ys[:n_rows])

@@ -33,7 +33,7 @@ def test_driftbot_kinematics_closed_form():
     #   v = (0.5*1 + 1.0*1) / 2 = 0.75
     #   w = (1.0*1 - 0.5*1) / 0.4 = 1.25
     env = DriftBot(seed=0, params={"gain_left": 0.5, "gain_right": 1.0, "noise_scale": 0.0})
-    tr = env.step(np.array([1.0, 1.0]))
+    next_obs, reward = env.step(np.array([1.0, 1.0]))
 
     v = 0.75
     w = 1.25
@@ -44,22 +44,22 @@ def test_driftbot_kinematics_closed_form():
     expected_next = np.array(
         [x1, 0.0, math.sin(heading1), math.cos(heading1), v, w, 3.0 - x1, 0.0]
     )
-    np.testing.assert_allclose(tr.next_obs, expected_next, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(next_obs, expected_next, rtol=0, atol=1e-12)
 
     # The weak LEFT wheel turns the robot toward the left (positive,
     # counterclockwise heading).
     assert heading1 > 0
 
-    reward = (3.0 - math.hypot(3.0 - x1, 0.0)) - 0.001 * 2.0
-    assert abs(tr.reward - reward) < 1e-12
-    assert DriftBot.risk_from_obs(tr.next_obs) == 0.0
+    expected_reward = (3.0 - math.hypot(3.0 - x1, 0.0)) - 0.001 * 2.0
+    assert abs(reward - expected_reward) < 1e-12
+    assert DriftBot.risk_from_obs(next_obs) == 0.0
 
 
 def test_driftbot_control_cost_squares_with_pow():
     # On this action the wheel commands squared by ``a * a`` give a reward
     # one ulp off the ``a ** 2`` (libm pow) the trace pins were made with.
-    tr = DriftBot(seed=0).step(np.array([-0.7873486727448245, 0.6864316944347293]))
-    assert float(tr.reward).hex() == "-0x1.da1db3979c729p-9"
+    _, reward = DriftBot(seed=0).step(np.array([-0.7873486727448245, 0.6864316944347293]))
+    assert float(reward).hex() == "-0x1.da1db3979c729p-9"
 
 
 def test_driftbot_deterministic_given_seed():
@@ -67,7 +67,7 @@ def test_driftbot_deterministic_given_seed():
 
     def trace(seed):
         env = DriftBot(seed=seed)
-        return np.stack([env.step(a).next_obs for a in actions])
+        return np.stack([env.step(a)[0] for a in actions])
 
     np.testing.assert_array_equal(trace(3), trace(3))
     assert not np.array_equal(trace(3), trace(4))
@@ -126,12 +126,12 @@ def test_mass_spring_closed_form_step():
     env = MassSpring1D(seed=seed)
     np.testing.assert_allclose(env.observe(), [x0, 0.0], rtol=0, atol=1e-12)
 
-    tr = env.step(np.array([0.3]))
+    next_obs, reward = env.step(np.array([0.3]))
     v1 = 0.0 + DT * (-1.0 * x0 + 0.3 + noise) / 1.0
     x1 = x0 + DT * v1
-    np.testing.assert_allclose(tr.next_obs, [x1, v1], rtol=0, atol=1e-12)
-    assert abs(tr.reward - (-abs(x1))) < 1e-12
-    assert MassSpring1D.risk_from_obs(tr.next_obs) == max(0.0, abs(x1) - MassSpring1D.X_LIMIT)
+    np.testing.assert_allclose(next_obs, [x1, v1], rtol=0, atol=1e-12)
+    assert abs(reward - (-abs(x1))) < 1e-12
+    assert MassSpring1D.risk_from_obs(next_obs) == max(0.0, abs(x1) - MassSpring1D.X_LIMIT)
 
 
 def test_mass_spring_reset_distribution():

@@ -138,7 +138,7 @@ def test_driftbot_controller_closes_distance():
     obs = env.observe()
     start = math.hypot(obs[6], obs[7])
     for _ in range(240):
-        obs = env.step(driftbot_controller(obs)).next_obs
+        obs, _ = env.step(driftbot_controller(obs))
     end = math.hypot(obs[6], obs[7])
     assert start == pytest.approx(3.0, abs=1e-9)
     assert end < 1.0
@@ -826,9 +826,9 @@ def test_realized_risk_is_the_true_next_observations_risk(cfg_ms, snap_ms, monke
     step = MassSpring1D.step
 
     def recording(env, action):
-        tr = step(env, action)
-        stepped.setdefault(env.seed, []).append(tr.next_obs)
-        return tr
+        next_obs, reward = step(env, action)
+        stepped.setdefault(env.seed, []).append(next_obs)
+        return next_obs, reward
 
     monkeypatch.setattr(MassSpring1D, "step", recording)
     cells = [(ConditionSpec(po_fraction=1.0, onset_t=10), seed) for seed in range(6)]
@@ -904,6 +904,7 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
         run_sweep(cfg, snap, out_dir=str(out_dir))
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
     monkeypatch.undo()
+    monkeypatch.setattr(rollout, "_workers", lambda: 1)  # seed 0 (reads only) and seed 1 are two units: run them where batches are recorded
     batches = record_batches(monkeypatch)
     assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
     assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
@@ -973,6 +974,51 @@ def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkey
     # simulated again, each in its own seed's batch, and come back byte for byte.
     assert [[f"trace_{c}.jsonl" for c in batch] for batch in batches] == [[truncated.name], [missing.name]]
     assert {p.name: p.read_bytes() for p in traces} == before
+
+
+def _record_maps(monkeypatch) -> list[int]:
+    """The number of units of every ``rollout._map`` call made from now on."""
+    units: list[int] = []
+    pool_map = rollout._map
+
+    def recording(fn, items):
+        units.append(len(items))
+        return pool_map(fn, items)
+
+    monkeypatch.setattr(rollout, "_map", recording)
+    return units
+
+
+def test_a_sweep_maps_one_unit_per_seed_and_a_reused_seed_simulates_nothing(cfg_ms, tmp_path, monkeypatch, one_worker):
+    # A fresh, a fully resumed and a partly resumed sweep each make one _map call of one
+    # unit per seed; a unit whose every trace is reused runs no batch.
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
+    snap = zero_delta_snapshot(cfg)
+    out_dir = tmp_path / "runs"
+    maps, batches = _record_maps(monkeypatch), record_batches(monkeypatch)
+    fresh = run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries
+    assert maps == [2] and [len(batch) for batch in batches] == [4, 4]
+    del maps[:], batches[:]
+    assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh
+    assert maps == [2] and batches == []
+    maps.clear()
+    missing = next(c["cell_id"] for c in fresh if c["seed"] == 1)
+    (out_dir / f"trace_{missing}.jsonl").unlink()
+    assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh
+    assert maps == [2] and batches == [[missing]]
+
+
+def test_read_traces_reports_a_missing_path_in_its_place_on_one_worker_and_on_two(cfg_ms, snap_ms, tmp_path, monkeypatch):
+    present = str(tmp_path / "present.jsonl")
+    write_trace(present, run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0))
+    paths = [present, str(tmp_path / "missing.jsonl"), present]
+    reads = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(rollout, "_workers", lambda: workers)
+        reads[workers] = [str(read) if isinstance(read, InputError) else read for read in rollout.read_traces(paths)]
+    assert reads[1] == reads[2]
+    assert reads[1][0] == reads[1][2] == read_trace(present)
+    assert reads[1][1] == f"trace file not found: {paths[1]}"
 
 
 def _tree(out_dir) -> dict:
