@@ -29,7 +29,6 @@ from .config import ExperimentConfig, GridSpec, config_from_dict, load_config
 from .ensemble import (
     Ensemble,
     TrainSettings,
-    acc_feature,
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,

@@ -10,7 +10,9 @@ where ``acc`` is the second-order finite difference of the observation
 history. That feature is what makes action delays visible: a delayed
 actuation shows up as an acceleration the commanded action cannot explain,
 flipping the sign of the expected ``acc`` response around command
-reversals.
+reversals. ``input_rows`` builds every model row, from a stack of up to
+three observations per row; ``trajectory_rows`` builds a trajectory's rows
+through it, and their targets.
 
 Calibration fixes a noise floor (mean and population standard deviation of
 the per-transition ensemble error on unperturbed data) and freezes the
@@ -57,37 +59,24 @@ class TrainSettings:
             raise InputError("epochs and learning_rate must be nonnegative")
 
 
-def acc_feature(obs_history) -> np.ndarray:
-    """Second-order finite difference of the last three observations.
+def input_rows(history, actions) -> np.ndarray:
+    """Model input rows ``[obs ; acc ; action]``, one per row of ``actions``: the one place a row is built.
 
-    acc_t = o_t - 2 o_{t-1} + o_{t-2}; zeros when fewer than three
-    observations exist. For a per-dim quadratic ramp o_t = c t^2 this
-    returns exactly 2c in every dim.
+    ``history`` is an (n, rows, d) array of the last n (up to three) observations,
+    oldest first, row r of each entry belonging to row r of ``actions``. ``obs`` is
+    ``history[-1]`` and ``acc`` its second difference ``h[-1] - 2 h[-2] + h[-3]``,
+    zero while fewer than three observations exist; for a per-dim quadratic ramp
+    o_t = c t^2 it is exactly 2c in every dim.
     """
-    hist = list(obs_history)
-    if not hist:
-        raise InputError("obs_history must contain at least the current observation")
-    cur = np.asarray(hist[-1], dtype=float)
-    if len(hist) < 3:
-        return np.zeros_like(cur)
-    return cur - 2.0 * np.asarray(hist[-2], dtype=float) + np.asarray(hist[-3], dtype=float)
-
-
-def input_rows(obs_history, actions) -> np.ndarray:
-    """Model input rows ``[obs ; acc ; action]``, one per row of ``actions``.
-
-    ``obs`` is the last observation of ``obs_history`` and ``acc`` is its
-    ``acc_feature``; candidate scoring builds rows here, and training rows
-    come from ``trajectory_rows``, which gives the same bits.
-    Each history entry is one observation, shared by every row, or a stack
-    holding one observation per row.
-    """
-    acc = acc_feature(obs_history)
+    h = np.asarray(history, dtype=float)
+    if h.shape[0] == 0:
+        raise InputError("history must contain at least the current observation")
     acts = np.atleast_2d(actions)
-    d = acc.shape[-1]
-    x = np.empty((acts.shape[0], 2 * d + acts.shape[1]))
-    x[:, :d] = obs_history[-1]
-    x[:, d : 2 * d] = acc
+    d = h.shape[-1]
+    x = np.zeros((acts.shape[0], 2 * d + acts.shape[1]))
+    x[:, :d] = h[-1]
+    if h.shape[0] >= 3:
+        x[:, d : 2 * d] = h[-1] - 2.0 * h[-2] + h[-3]
     x[:, 2 * d :] = acts
     return x
 
@@ -97,18 +86,15 @@ def trajectory_rows(obs, actions) -> tuple[np.ndarray, np.ndarray]:
 
     Row s of ``x`` is ``input_rows`` of step s's own history (its observation
     and up to two before it, so acc is zero at steps 0 and 1) and
-    ``actions[s]``, and row s of ``y`` is ``obs[s + 1] - obs[s]``: bit for bit
-    the rows built one step at a time.
+    ``actions[s]``, and row s of ``y`` is ``obs[s + 1] - obs[s]``.
     """
     obs, acts = np.asarray(obs, dtype=float), np.asarray(actions, dtype=float)
-    n, d = acts.shape[0], obs.shape[1]
+    n = acts.shape[0]
     if obs.shape[0] != n + 1:
         raise InputError(f"a trajectory of {n} steps has {n + 1} observations, got {obs.shape[0]}")
-    x = np.zeros((n, 2 * d + acts.shape[1]))
-    x[:, :d] = obs[:-1]
-    x[2:, d : 2 * d] = obs[2:-1] - 2.0 * obs[1:-2] + obs[:-3]  # acc_feature's terms, in its order
-    x[:, 2 * d :] = acts
-    return x, obs[1:] - obs[:-1]
+    first = input_rows(obs[None, : min(n, 2)], acts[:2])  # steps 0 and 1
+    rest = input_rows(np.stack((obs[:-3], obs[1:-2], obs[2:-1])), acts[2:])
+    return np.concatenate((first, rest)), obs[1:] - obs[:-1]
 
 
 @dataclass
@@ -164,11 +150,11 @@ class Ensemble:
         unit, ``einsum`` sums each output element over the contracted index in
         increasing order, a multiply and an add at a time from 0. With
         ``out_dim`` above 1, every bit therefore equals the per-member form
-        ``einsum("bi,mih->mbh")`` then ``einsum("mbh,mho->mbo")``, and a row's
-        output depends on that row alone. With ``out_dim`` 1 that form's layer 2
-        sums the hidden units in SIMD lanes, and so does a one-row call here,
-        while a call of more rows sums them in order: the bits differ from that
-        form's, and a row's depend on whether it is alone in its call.
+        ``einsum("bi,mih->mbh")`` then ``einsum("mbh,mho->mbo")``. With
+        ``out_dim`` 1 that form's layer 2 sums the hidden units in SIMD lanes, and a
+        call here of two rows or more sums them in order. A lone row is scored as a
+        pair of itself, so it takes the in-order bits too: a row's output depends on
+        that row alone, whatever its batch.
 
         Neighbouring rows that share their state inputs (the first ``2 * out_dim``,
         encoded, by bit pattern), as a cell's candidates do, form a block. A block of
@@ -180,6 +166,8 @@ class Ensemble:
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         if xb.shape[1] != self.in_dim:
             raise InputError(f"input dim {xb.shape[1]} != expected {self.in_dim}")
+        if xb.shape[0] == 1:
+            return np.ascontiguousarray(self.predict_members(np.concatenate((xb, xb)))[:, :1])
         m, in_dim, hidden = self.w1.shape
         xn, w = self.x_norm.encode(xb), self.w1.transpose(1, 0, 2).reshape(in_dim, m * hidden)
         h = _blocked_layer1(xn, w, 2 * self.out_dim) if hidden > 1 and xb.shape[0] > 2 else np.einsum("bi,ik->bk", xn, w)

@@ -220,16 +220,17 @@ def act(history, tasks, kappas, rngs, ensemble, risk_fn, thresholds: Thresholds,
     """Every cell's choice of one control step: one ``schedule`` call, per cell its
     ``candidate_actions``, then over the stacked rows one call each of ``input_rows``,
     ``predict_members``, ``disagreement``, ``risk_fn`` (an env class's ``risk_from_obs``),
-    ``task_affinity`` and ``select_actions``. ``history`` holds the last (up to) three
-    masked observations, oldest first, cell i's in row i of each entry, and ``kappas``
-    each cell's kappa of the previous step. Returns the choice, each cell's alpha
+    ``task_affinity`` and ``select_actions``. ``history`` is an (n, cells, d) array of
+    the last n (up to three) masked observations, oldest first, cell i's in row i of each
+    entry, gathered to the stacked rows in one indexing; ``kappas`` holds each cell's
+    kappa of the previous step. Returns the choice, each cell's alpha
     and delta, and the chosen rows' member predictions."""
     alpha, delta, spread = schedule(kappas, thresholds, settings)
     cands = [candidate_actions(task, rng, settings, s) for task, rng, s in zip(tasks, rngs, spread.tolist())]
     counts = [c.shape[0] for c in cands]
     owner = np.repeat(np.arange(len(cands)), counts)  # the cell of each stacked row
     actions = np.concatenate(cands)
-    x = input_rows([h[owner] for h in history], actions)
+    x = input_rows(history[:, owner], actions)
     member_preds = ensemble.predict_members(x)
     info_gain, mean_delta = disagreement(member_preds)
     predicted_risk = risk_fn(x[:, : mean_delta.shape[1]] + mean_delta)

@@ -409,12 +409,13 @@ def run_cells(
             lo = max(t + 1 - config.adaptive.window, 0)  # the adaptation window: steps lo ... t
             for j, e in enumerate(stepping):
                 if active[j] and (t - e.condition.onset_t) % config.adaptive.every == 0 and t + 1 - lo >= 8:
-                    # rows from step 0, so that steps lo and lo + 1 keep the acc their history gives
-                    x_win, y_win = trajectory_rows(table.obs[j, : t + 2], table.action[j, : t + 1])
+                    # rows from step lo - 2, so that steps lo and lo + 1 keep the acc their history gives
+                    s0 = max(lo - 2, 0)
+                    x_win, y_win = trajectory_rows(table.obs[j, s0 : t + 2], table.action[j, s0 : t + 1])
                     take = min(t + 1 - lo, anchor_x.shape[0])
                     idx = e.anchor_rng.choice(anchor_x.shape[0], size=take, replace=False)
-                    x_up = np.concatenate([x_win[lo:], anchor_x[idx]])
-                    y_up = np.concatenate([y_win[lo:], anchor_y[idx]])
+                    x_up = np.concatenate([x_win[lo - s0 :], anchor_x[idx]])
+                    y_up = np.concatenate([y_win[lo - s0 :], anchor_y[idx]])
                     adaptive_update(e.adaptive, x_up, y_up, config.train, e.update_rng, epochs=config.adaptive.epochs)
 
     return [RolloutResult(eps[row].condition, eps[row].seed, run, table[row], eps[row].adaptive) for row in map(row_of.get, range(len(cells)))]
@@ -785,8 +786,10 @@ def _read_or_error(path: str) -> tuple[dict, dict] | InputError:
 
 def read_traces(paths: list[str]) -> list[tuple[dict, dict] | InputError]:
     """``read_trace(path)``, or the ``InputError`` it raised, for each path in order, read on
-    ``_map``'s workers."""
-    return _map(_read_or_error, paths)
+    ``_map``'s workers: one unit per worker, each a contiguous chunk of the paths."""
+    n = min(_workers(), len(paths))
+    chunks = [paths[i * len(paths) // n : (i + 1) * len(paths) // n] for i in range(n)]
+    return [read for chunk in _map(lambda chunk: [_read_or_error(path) for path in chunk], chunks) for read in chunk]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 import json
 import math
 import struct
-from collections import deque
 
 import numpy as np
 
 from compound_uq import rollout
-from compound_uq.ensemble import Ensemble, input_rows
+from compound_uq.ensemble import Ensemble, trajectory_rows
 from compound_uq.envs import env_class
 from compound_uq.errors import InputError
 from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action, read_trace
@@ -97,18 +96,13 @@ def linear_system_rows(n_steps=160, seed=0):
     rng = np.random.default_rng(seed)
     w_obs = np.array([[0.05, -0.02], [0.03, 0.04]])
     w_act = np.array([[0.2], [-0.1]])
-    history = deque(maxlen=3)
-    xs, ys = [], []
-    obs = np.array([0.5, -0.3])
+    obs, actions, deltas = [np.array([0.5, -0.3])], [], []
     for _ in range(n_steps):
-        action = rng.uniform(-1.0, 1.0, size=1)
-        delta = obs @ w_obs.T + (w_act @ action)
-        history.append(obs)
-        if len(history) == 3:
-            xs.append(input_rows(history, action)[0])
-            ys.append(delta)
-        obs = obs + delta
-    return np.array(xs), np.array(ys)
+        actions.append(rng.uniform(-1.0, 1.0, size=1))
+        deltas.append(obs[-1] @ w_obs.T + (w_act @ actions[-1]))
+        obs.append(obs[-1] + deltas[-1])
+    x, _ = trajectory_rows(obs, actions)
+    return x[2:], np.array(deltas[2:])  # the map's own deltas, not the observations' differences
 
 
 def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
@@ -134,15 +128,12 @@ def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
     episode = 0
     while len(xs) < n_rows:
         env = env_cls(seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
-        history = deque(maxlen=3)
-        obs = env.observe()
+        obs, actions = [env.observe()], []
         for _ in range(horizon):
-            action = _mixture_action(controller, obs, rng, env_cls.ACTION_DIM)
-            next_obs, _ = env.step(action)
-            history.append(obs)
-            if len(history) == 3:
-                xs.append(input_rows(history, action)[0])
-                ys.append(next_obs - obs)
-            obs = next_obs
+            actions.append(_mixture_action(controller, obs[-1], rng, env_cls.ACTION_DIM))
+            obs.append(env.step(actions[-1])[0])
+        x, y = trajectory_rows(obs, actions)
+        xs.extend(x[2:])
+        ys.extend(y[2:])
         episode += 1
     return np.array(xs[:n_rows]), np.array(ys[:n_rows])

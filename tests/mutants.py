@@ -128,6 +128,13 @@ MUTANTS = (
         "values = r - settings.lambda_risk * risk",
         must_fail=(9, 15),
     ),
+    Mutant(
+        "acc feature zeroed (every model row's acc is 0)",
+        "ensemble.py",
+        "x[:, d : 2 * d] = h[-1] - 2.0 * h[-2] + h[-3]",
+        "x[:, d : 2 * d] = 0.0",
+        must_fail=(1, 9, 13, 15),
+    ),
 )
 
 

@@ -20,7 +20,7 @@ from compound_uq import policy
 from compound_uq.analysis import degradation, superadditive_rate
 from compound_uq.belief import coupling_family, exact_mi, random_bound_checks
 from compound_uq.config import config_from_dict
-from compound_uq.ensemble import acc_feature
+from compound_uq.ensemble import input_rows
 from compound_uq.kappa import REGIMES, Regime, regime_code, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec, condition_matrix
 from compound_uq.rollout import RISK_TOL, calibrate, read_trace, run_cells, run_condition, run_header, run_sweep
@@ -125,8 +125,8 @@ def test_deficit_formula_hand_values(capsys):
     s_struct = sigma_s(0.5, 1, c_tau=0.3)
     mu0, sig0 = 0.02, 0.005
     s_theta = sigma_theta(mu0 + 5.0 * sig0, mu0, sig0)
-    ramp = [np.full(4, float(t * t)) for t in (5, 6, 7)]
-    acc = acc_feature(ramp)
+    ramp = np.array([np.full((1, 4), float(t * t)) for t in (5, 6, 7)])
+    acc = input_rows(ramp, np.zeros(1))[0, 4:8]
     errs = (
         abs(s_struct - 0.95),
         abs(s_theta - 1.0),

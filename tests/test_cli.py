@@ -21,7 +21,7 @@ from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
 from compound_uq.cli import main
 from compound_uq.config import ExperimentConfig, config_from_dict, load_config
-from compound_uq.ensemble import acc_feature
+from compound_uq.ensemble import input_rows
 from compound_uq.errors import InputError
 from compound_uq.kappa import Thresholds, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
@@ -244,8 +244,8 @@ def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
         steps = trace_steps(out)
         obs = [np.array(s["obs"]) for s in steps]
         for t, step in enumerate(steps):
-            x = np.concatenate([obs[t], acc_feature(obs[max(0, t - 2) : t + 1]), step["action"]])
-            assert step["mse"] == float(snapshot.ensemble.mse(x[None, :], np.array([step["delta"]]))[0])
+            x = input_rows(np.array(obs[max(0, t - 2) : t + 1])[:, None], step["action"])
+            assert step["mse"] == float(snapshot.ensemble.mse(x, np.array([step["delta"]]))[0])
     capsys.readouterr()
 
 

@@ -9,7 +9,6 @@ from compound_uq.ensemble import (
     GRAD_NORM_CAP,
     Ensemble,
     TrainSettings,
-    acc_feature,
     adaptive_update,
     bootstrap_train,
     calibrate_noise_floor,
@@ -24,31 +23,35 @@ from compound_uq.errors import CalibrationError, InputError, LifecycleError
 from helpers import constant_ensemble, linear_system_rows, predict_members_oracle
 
 
-def test_acc_feature_quadratic_ramp_is_twice_curvature():
+def _acc(x):
+    """The acc columns of model rows whose observations have 3 dims."""
+    return x[:, 3:6]
+
+
+def test_input_rows_acc_of_a_quadratic_ramp_is_twice_curvature():
     # o_t = c t^2 per dim gives acc = 2c exactly.
     for c in (1.0, -0.5, 3.25):
-        hist = [np.full(3, c * t * t) for t in (5, 6, 7)]
-        np.testing.assert_allclose(acc_feature(hist), np.full(3, 2.0 * c), rtol=0, atol=1e-12)
+        hist = np.array([np.full((1, 3), c * t * t) for t in (5, 6, 7)])
+        np.testing.assert_allclose(_acc(input_rows(hist, np.zeros(1))), np.full((1, 3), 2.0 * c), rtol=0, atol=1e-12)
 
 
-def test_acc_feature_short_history_and_empty():
-    assert np.all(acc_feature([np.ones(4)]) == 0.0)
-    assert np.all(acc_feature([np.ones(4), np.ones(4)]) == 0.0)
+def test_input_rows_acc_of_a_short_history_is_zero_and_an_empty_one_is_refused():
+    for n in (1, 2):
+        assert np.all(_acc(input_rows(np.ones((n, 2, 3)), np.ones((2, 1)))) == 0.0)
     with pytest.raises(InputError):
-        acc_feature([])
+        input_rows(np.zeros((0, 2, 3)), np.ones((2, 1)))
 
 
 def test_input_rows_are_obs_acc_action():
     rng = np.random.default_rng(0)
-    hist = [rng.normal(size=3) for _ in range(4)]
+    hist = rng.normal(size=(3, 5, 3))  # one history per row
     acts = rng.uniform(-1.0, 1.0, size=(5, 2))
-    for h in (hist[:1], hist):
-        want = [np.concatenate([h[-1], acc_feature(h), a]) for a in acts]
-        np.testing.assert_array_equal(input_rows(h, acts), want)
+    for h in (hist[-1:], hist):
+        acc = h[-1] - 2.0 * h[-2] + h[-3] if len(h) == 3 else np.zeros((5, 3))
+        np.testing.assert_array_equal(input_rows(h, acts), np.concatenate([h[-1], acc, acts], axis=1))
     # one action vector gives one row
-    np.testing.assert_array_equal(input_rows(hist, acts[0]), [np.concatenate([hist[-1], acc_feature(hist), acts[0]])])
-    with pytest.raises(InputError):
-        input_rows([], acts)
+    one = hist[:, :1]
+    np.testing.assert_array_equal(input_rows(one, acts[0]), input_rows(one, acts[:1]))
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 9])
@@ -62,7 +65,7 @@ def test_trajectory_rows_are_each_steps_input_rows_bit_for_bit(n_steps):
     x, y = trajectory_rows(obs, actions)
     assert x.shape == (n_steps, 8) and y.shape == (n_steps, 3)
     for s in range(n_steps):
-        assert x[s].tobytes() == input_rows(list(obs[max(s - 2, 0) : s + 1]), actions[s])[0].tobytes()
+        assert x[s].tobytes() == input_rows(obs[max(s - 2, 0) : s + 1, None], actions[s])[0].tobytes()
         assert y[s].tobytes() == (obs[s + 1] - obs[s]).tobytes()
     with pytest.raises(InputError, match="observations"):
         trajectory_rows(obs[:-1], actions)
@@ -131,8 +134,8 @@ def _in_order_layer2(ens, x):
 )
 @pytest.mark.parametrize("scale", [1.0, 1e100])
 def test_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, out_dim, scale):
-    # With one output dim the oracle's layer 2 sums the hidden units in SIMD lanes, and so
-    # does a one-row call; a call of more rows sums them in order (Ensemble.predict_members).
+    # With one output dim the oracle's layer 2 sums the hidden units in SIMD lanes, and every
+    # call, a one-row call included, sums them in order (Ensemble.predict_members).
     rng = np.random.default_rng(m * 1000 + hidden)
     ens = _random_ensemble(rng, m, in_dim, hidden, out_dim, scale)
     for b in (0, 1, 2, 3, 5, 8, 13, 16, 24, 31, 64, 69, 255, 256, 300):
@@ -142,7 +145,7 @@ def test_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, 
         y = rng.normal(size=(b, out_dim))
         with np.errstate(over="ignore", invalid="ignore"):  # at 1e100, inf and NaN flow through both forms
             got = ens.predict_members(x)
-            want = _in_order_layer2(ens, x) if out_dim == 1 and b > 1 else predict_members_oracle(ens, x)
+            want = _in_order_layer2(ens, x) if out_dim == 1 else predict_members_oracle(ens, x)
             # the scores sum over output dims, pairwise only along a contiguous axis
             scores = [(*disagreement(p), member_mse(p, y)) for p in (got, want)]
         assert got.shape == want.shape == (m, b, out_dim)
@@ -150,6 +153,18 @@ def test_forward_pass_equals_the_two_einsum_form_bit_for_bit(m, in_dim, hidden, 
         assert got.tobytes() == want.tobytes()
         for score, score_want in zip(*scores):  # info gain, mean, error
             assert score.tobytes() == score_want.tobytes()
+
+
+@pytest.mark.parametrize("out_dim", [1, 2, 8])
+def test_a_row_scored_alone_equals_the_row_in_a_batch_bit_for_bit(out_dim):
+    rng = np.random.default_rng(out_dim)
+    ens = _random_ensemble(rng, 5, 2 * out_dim + 1, 64, out_dim, 1.0)
+    x = rng.normal(size=(20, ens.in_dim))
+    batch = ens.predict_members(x)
+    for r in range(20):
+        alone = ens.predict_members(x[r])
+        assert alone.flags.c_contiguous
+        assert alone.tobytes() == batch[:, r : r + 1].tobytes()
 
 
 def _block_rows(rng, counts, in_dim, out_dim, scale):

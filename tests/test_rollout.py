@@ -23,7 +23,7 @@ from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, 
 
 from compound_uq import policy, rollout
 from compound_uq.config import ExperimentConfig, config_from_dict
-from compound_uq.ensemble import Ensemble, acc_feature, disagreement
+from compound_uq.ensemble import Ensemble, disagreement, input_rows
 from compound_uq.envs import DriftBot, MassSpring1D, env_class
 from compound_uq.errors import CalibrationError, InputError, InvariantViolation
 from compound_uq.kappa import KappaComponents, Regime, Thresholds
@@ -367,7 +367,7 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         obs, acc = states[i % states.shape[0], :obs_dim].copy(), states[i % states.shape[0], obs_dim : 2 * obs_dim]
         # Put the pose in or near the risk zone so that budgets bind.
         obs[:2] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(inner - DriftBot.RISK_ZONE, DriftBot.ARENA_HALF, size=2)
-        history = [(obs + acc)[None, :], obs[None, :], obs[None, :]]  # one cell, whose acc feature is about acc
+        history = np.array([obs + acc, obs, obs])[:, None]  # one cell, whose acc feature is about acc
         task = np.zeros(2) if i % 10 == 0 else rng.uniform(-1.0, 1.0, size=2)
         kappa = float(rng.uniform(0.0, 1.5 * snap.thresholds.tau_high))
         distinct, alpha, delta, _ = policy.act(history, [task], [kappa], [rng], snap.ensemble, DriftBot.risk_from_obs, snap.thresholds, settings)
@@ -375,7 +375,7 @@ def test_zero_spread_selection_matches_the_full_candidate_set(db_snapshot):
         full_set = np.concatenate([task[None, :], np.zeros((1, 2)), np.repeat(task[None, :], settings.n_candidates - 2, axis=0)])
         one_alpha, one_delta, _ = schedule([kappa], snap.thresholds, settings)
         assert (alpha.tolist(), delta.tolist()) == (one_alpha.tolist(), one_delta.tolist())
-        base = np.concatenate([obs, acc_feature(history)[0]])
+        base = input_rows(history, task)[0, : 2 * obs_dim]
         x = np.concatenate([np.repeat(base[None, :], full_set.shape[0], axis=0), full_set], axis=1)
         preds = snap.ensemble.predict_members(x)
         info_gain, mean = disagreement(preds)
@@ -1012,10 +1012,13 @@ def test_read_traces_reports_a_missing_path_in_its_place_on_one_worker_and_on_tw
     present = str(tmp_path / "present.jsonl")
     write_trace(present, run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0))
     paths = [present, str(tmp_path / "missing.jsonl"), present]
-    reads = {}
+    reads, units = {}, []
+    _map = rollout._map
+    monkeypatch.setattr(rollout, "_map", lambda fn, items: units.append(len(items)) or _map(fn, items))
     for workers in (1, 2):
         monkeypatch.setattr(rollout, "_workers", lambda: workers)
         reads[workers] = [str(read) if isinstance(read, InputError) else read for read in rollout.read_traces(paths)]
+    assert units == [1, 2]  # one unit per worker, not per trace
     assert reads[1] == reads[2]
     assert reads[1][0] == reads[1][2] == read_trace(present)
     assert reads[1][1] == f"trace file not found: {paths[1]}"
