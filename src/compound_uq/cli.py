@@ -121,9 +121,10 @@ def cmd_run(args) -> int:
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
     out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
     write_trace(out, result)
+    summary = result.summary()
     print(
-        f"{result.cell_id} [{condition.label}]: return={result.episode_return!r} "
-        f"post_onset_kappa_mean={result.post_onset_kappa_mean!r}"
+        f"{result.cell_id} [{condition.label}]: return={summary['episode_return']!r} "
+        f"post_onset_kappa_mean={summary['post_onset_kappa_mean']!r}"
     )
     print(f"wrote {out}")
     return 0

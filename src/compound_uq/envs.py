@@ -16,7 +16,7 @@ Observation layouts are fixed and index-addressable (see ``OBS_NAMES`` and
 ``MASK_PRIORITY`` on each class) so that masking specs stay stable.
 
 All randomness comes from a per-episode ``numpy`` generator seeded at
-construction; identical ``(env_id, seed, params, actions)`` reproduce
+construction; identical ``(env_id, seed, set_param calls, actions)`` reproduce
 traces bit for bit. Noise draws happen unconditionally each step so that
 parameter shifts never desynchronise the stream.
 
@@ -67,12 +67,10 @@ class _BaseEnv:
     PARAM_BOUNDS: dict[str, tuple[float, float]] = {}
     ACTION_DIM: int = 1
 
-    def __init__(self, seed: int, params: DynamicsParams | None = None, horizon: int = HORIZON):
+    def __init__(self, seed: int, horizon: int = HORIZON):
         self.seed = int(seed)
         self.horizon = int(horizon)
         self._params = self.default_params()
-        for name, value in (params or {}).items():
-            self.set_param(name, value)
         self.reset()
 
     @classmethod

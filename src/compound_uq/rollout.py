@@ -50,7 +50,6 @@ import numpy as np
 
 from .analysis import (
     DegradationRecord,
-    StratifiedRateResult,
     SynergyReport,
     degradation,
     records_to_csv,
@@ -160,7 +159,7 @@ class StepTable:
     column once for all of its cells. ``table[i]`` is cell i's own table: its columns are views of
     row i, indexed by step alone, and a cell's ``steps[t:]`` holds its steps from
     t on (and ``obs`` rows t to the last). The columns are the per-step API:
-    ``write_trace``, the ``RolloutResult`` aggregates and callers read them
+    ``write_trace``, ``RolloutResult.summary`` and callers read them
     (``kappa``, ``sigma_s``, ``alpha``, ``index``, ``action``, ``executed``,
     ``regime`` and the rest). ``regime`` holds codes, positions in
     ``REGIMES``. ``obs`` has one row more than there are steps: step t's
@@ -190,7 +189,8 @@ class StepTable:
 
 @dataclass
 class RolloutResult:
-    """One condition run: its per-step values and the aggregates they give."""
+    """One condition run: its per-step values. ``summary()`` is the one place its
+    aggregates are computed, so a result and its trace read back give one dict."""
 
     condition: ConditionSpec
     seed: int
@@ -202,49 +202,26 @@ class RolloutResult:
     def cell_id(self) -> str:
         return self.condition.cell_id(self.seed)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    @property
-    def n_forced(self) -> int:
-        return int(np.count_nonzero(~self.steps.any_compliant))
-
-    @property
-    def episode_return(self) -> float:
-        total = 0.0  # added in step order; sum() compensates on Python 3.12+ and moves bits
-        for reward in self.steps.reward.tolist():
-            total += reward
-        return total
-
-    @property
-    def peak_kappa(self) -> float:
-        return float(max(self.steps.kappa.tolist()))
-
-    @property
-    def post_onset_kappa_mean(self) -> float:
-        return float(np.mean(self.steps.kappa[self.condition.onset_t :]))
-
-    @property
-    def post_onset_mse_mean(self) -> float:
-        return float(np.mean(self.steps.mse[self.condition.onset_t :]))
-
     def summary(self) -> dict:
         """The cell summary, which a trace's footer holds, keyed by ``SUMMARY_KEYS``."""
+        steps, onset = self.steps, self.condition.onset_t
+        episode_return = 0.0  # added in step order; sum() compensates on Python 3.12+ and moves bits
+        for reward in steps.reward.tolist():
+            episode_return += reward
         values = (
             self.cell_id,
             self.condition.to_dict(),
             self.seed,
             self.condition.label,
-            self.episode_return,
-            self.post_onset_kappa_mean,
-            self.post_onset_mse_mean,
-            self.peak_kappa,
+            episode_return,
+            float(np.mean(steps.kappa[onset:])),
+            float(np.mean(steps.mse[onset:])),
+            float(max(steps.kappa.tolist())),
             # violations: always 0, since a budget breach raises InvariantViolation.
             # The key stays until ROADMAP item 3 re-pins the digests that hold it.
             0,
-            self.n_forced,
-            self.n_steps,
+            int(np.count_nonzero(~steps.any_compliant)),
+            len(steps),
         )
         return dict(zip(SUMMARY_KEYS, values, strict=True))
 
@@ -798,10 +775,12 @@ def read_traces(paths: list[str]) -> list[tuple[dict, dict] | InputError]:
 
 @dataclass
 class SweepOutcome:
+    """What a sweep gives in memory: its cell summaries in ``condition_matrix`` order, their
+    degradation records and synergy report, and each label's mean post-onset kappa."""
+
     cell_summaries: list[dict]
     records: list[DegradationRecord]
     report: SynergyReport
-    stratified: dict[str, StratifiedRateResult]
     kappa_by_label: dict[str, float]
 
 
@@ -863,7 +842,10 @@ def run_sweep(
 
     ``run_header`` refuses an unknown mode, or a snapshot not calibrated for
     ``config``, before any cell runs. With ``out_dir`` set, each cell writes
-    one JSONL trace plus summary CSV/JSON artifacts at the end. A cell whose
+    one JSONL trace, and the sweep writes ``degradation.csv``,
+    ``synergy_report.json``, ``stratified_rates.json`` and
+    ``sweep_summary.json`` at the end; the stratified chi-square tests run
+    only there, since nothing in memory holds them. A cell whose
     trace is already there reuses it only when ``read_trace`` accepts it (its
     step lines are checked, not returned, and its footer must encode as the
     cell summary it parses to, which the cell then returns) and its header
@@ -919,30 +901,21 @@ def run_sweep(
     summaries = [by_cell[i] for i in range(len(cells))]
     records = build_degradation_records(summaries, config.grid)
     report = superadditive_rate(records, threshold=0.0, units="frac")
-    stratified: dict[str, StratifiedRateResult] = {}
-    for key in ("delay_level", "shift_only"):
-        try:
-            stratified[key] = stratified_rate_test(records, stratum_key=key)
-        except InputError:
-            pass
 
     by_label: dict[str, list[float]] = {}
     for summary in summaries:
         by_label.setdefault(summary["label"], []).append(summary["post_onset_kappa_mean"])
     kappa_by_label = {label: float(np.mean(v)) for label, v in sorted(by_label.items())}
 
-    outcome = SweepOutcome(
-        cell_summaries=summaries,
-        records=records,
-        report=report,
-        stratified=stratified,
-        kappa_by_label=kappa_by_label,
-    )
-
     if out_dir:
         records_to_csv(records, os.path.join(out_dir, "degradation.csv"))
         atomic_write_text(os.path.join(out_dir, "synergy_report.json"), report.to_json() + "\n")
-        strat_doc = {k: v.to_dict() for k, v in stratified.items()}
+        strat_doc = {}  # each stratum key's test, where the records hold two strata for it
+        for key in ("delay_level", "shift_only"):
+            try:
+                strat_doc[key] = stratified_rate_test(records, stratum_key=key).to_dict()
+            except InputError:
+                pass
         atomic_write_text(
             os.path.join(out_dir, "stratified_rates.json"),
             json.dumps(strat_doc, sort_keys=True, indent=2) + "\n",
@@ -953,7 +926,6 @@ def run_sweep(
             "config_hash": run["config_hash"],
             "policy_mode": policy_mode,
             "kappa_by_label": kappa_by_label,
-            "total_violations": 0,  # see RolloutResult.summary
             "cells": summaries,
         }
         atomic_write_text(
@@ -961,4 +933,4 @@ def run_sweep(
             json.dumps(sweep_doc, sort_keys=True, indent=2) + "\n",
         )
 
-    return outcome
+    return SweepOutcome(cell_summaries=summaries, records=records, report=report, kappa_by_label=kappa_by_label)

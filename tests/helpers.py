@@ -6,7 +6,6 @@ import struct
 
 import numpy as np
 
-from compound_uq import rollout
 from compound_uq.ensemble import Ensemble, trajectory_rows
 from compound_uq.envs import env_class
 from compound_uq.errors import InputError
@@ -76,18 +75,25 @@ def trace_steps(path):
     return [json.loads(line) for line in lines[1:-1]]
 
 
-def record_batches(monkeypatch) -> list[list[str]]:
-    """The cell ids of every lock-step batch ``rollout.run_cells`` simulates from now on,
-    one list per call, so a ``run_condition`` call shows as a batch of one."""
-    batches: list[list[str]] = []
-    run_cells = rollout.run_cells
+def record_calls(monkeypatch, owner, name, note) -> list:
+    """``note(*args, **kwargs)`` for every call of ``owner.name`` (a module's function or a
+    class's method, whose ``note`` takes ``self`` first) made from now on, in call order;
+    each call then runs as before."""
+    notes = []
+    original = getattr(owner, name)
 
-    def recording(config, snapshot, run, cells, *args, **kwargs):
-        batches.append([cond.cell_id(seed) for cond, seed in cells])
-        return run_cells(config, snapshot, run, cells, *args, **kwargs)
+    def recording(*args, **kwargs):
+        notes.append(note(*args, **kwargs))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(rollout, "run_cells", recording)
-    return batches
+    monkeypatch.setattr(owner, name, recording)
+    return notes
+
+
+def batch_cell_ids(config, snapshot, run, cells, *args, **kwargs) -> list[str]:
+    """The ``record_calls`` note of a ``rollout.run_cells`` call: the cell ids of its
+    lock-step batch, so a ``run_condition`` call shows as a batch of one."""
+    return [cond.cell_id(seed) for cond, seed in cells]
 
 
 def linear_system_rows(n_steps=160, seed=0):
@@ -127,7 +133,9 @@ def build_eval_rows(env_id, params, seed, n_rows, horizon=120):
     xs, ys = [], []
     episode = 0
     while len(xs) < n_rows:
-        env = env_cls(seed=seed * 10007 + 6151 * episode, params=params, horizon=horizon)
+        env = env_cls(seed=seed * 10007 + 6151 * episode, horizon=horizon)
+        for name, value in params.items():
+            env.set_param(name, value)
         obs, actions = [env.observe()], []
         for _ in range(horizon):
             actions.append(_mixture_action(controller, obs[-1], rng, env_cls.ACTION_DIM))

@@ -194,7 +194,7 @@ def test_delay_detectability_on_oscillator(oscillator, capsys):
     hits = 0
     for seed in range(10):
         res = run_condition(cfg, snap, cond, seed=seed, policy_mode="monitor")
-        hits += res.post_onset_mse_mean > bar
+        hits += res.summary()["post_onset_mse_mean"] > bar
     ok = hits >= 9
     _report(
         capsys,

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import record_batches, trace_steps
+from helpers import batch_cell_ids, record_calls, trace_steps
 
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
@@ -210,6 +210,16 @@ def test_run_writes_trace(workspace, capsys):
     assert header["policy_mode"] == "monitor"
     assert len(trace_steps(out)) == 60
     assert footer["seed"] == 2
+
+
+def test_run_prints_the_return_and_kappa_mean_its_trace_footer_holds(workspace, capsys):
+    out = str(workspace["root"] / "trace_run_printed.jsonl")
+    assert main(["run", "--config", workspace["config"], "--po", "0.5", "--delay", "1", "--seed", "2", "--out", out]) == 0
+    _, footer = read_trace(out)
+    assert capsys.readouterr().out == (
+        f"{footer['cell_id']} [{footer['label']}]: return={footer['episode_return']!r} "
+        f"post_onset_kappa_mean={footer['post_onset_kappa_mean']!r}\nwrote {out}\n"
+    )
 
 
 def test_run_adaptive_mode(workspace, capsys):
@@ -631,7 +641,7 @@ def test_resume_resimulates_the_traces_of_another_run(workspace, tmp_path, monke
         extra = ["--snapshot", _edited_snapshot(workspace, tmp_path / "edited.json", _other_mu0)]
     else:
         monkeypatch.setattr(rollout, "TOOLKIT_VERSION", "0.0.0")
-    batches = record_batches(monkeypatch)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     assert sweep(tmp_path / "resumed") == 0
     assert [len(batch) for batch in batches] == [4]
     assert sweep(tmp_path / "fresh") == 0

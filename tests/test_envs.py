@@ -24,7 +24,8 @@ def test_driftbot_initial_obs_ignores_gain_fault():
     # A weak wheel is invisible until the robot moves: the first
     # observation depends only on the initial pose.
     healthy = DriftBot(seed=1)
-    faulty = DriftBot(seed=1, params={"gain_left": 0.5})
+    faulty = DriftBot(seed=1)
+    faulty.set_param("gain_left", 0.5)
     np.testing.assert_array_equal(healthy.observe(), faulty.observe())
 
 
@@ -32,7 +33,9 @@ def test_driftbot_kinematics_closed_form():
     # Hand-evaluated differential-drive step with noise disabled:
     #   v = (0.5*1 + 1.0*1) / 2 = 0.75
     #   w = (1.0*1 - 0.5*1) / 0.4 = 1.25
-    env = DriftBot(seed=0, params={"gain_left": 0.5, "gain_right": 1.0, "noise_scale": 0.0})
+    env = DriftBot(seed=0)
+    for name, value in {"gain_left": 0.5, "gain_right": 1.0, "noise_scale": 0.0}.items():
+        env.set_param(name, value)
     next_obs, reward = env.step(np.array([1.0, 1.0]))
 
     v = 0.75
@@ -107,11 +110,11 @@ def test_action_entries_must_lie_in_the_closed_box(env_id):
 
 def test_parameter_bounds_enforced():
     with pytest.raises(InputError):
-        DriftBot(seed=0, params={"gain_left": 1.5})
+        DriftBot(seed=0).set_param("gain_left", 1.5)
     with pytest.raises(InputError):
-        DriftBot(seed=0, params={"wheel_size": 1.0})
+        DriftBot(seed=0).set_param("wheel_size", 1.0)
     with pytest.raises(InputError):
-        MassSpring1D(seed=0, params={"mass": 0.0})
+        MassSpring1D(seed=0).set_param("mass", 0.0)
 
 
 def test_mass_spring_closed_form_step():

@@ -19,9 +19,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import build_eval_rows, clamp_grid, constant_ensemble, float_bits, record_batches, trace_steps
+from helpers import batch_cell_ids, build_eval_rows, clamp_grid, constant_ensemble, float_bits, record_calls, trace_steps
 
 from compound_uq import policy, rollout
+from compound_uq.analysis import stratified_rate_test
 from compound_uq.config import ExperimentConfig, config_from_dict
 from compound_uq.ensemble import Ensemble, disagreement, input_rows
 from compound_uq.envs import DriftBot, MassSpring1D, env_class
@@ -176,14 +177,15 @@ def test_collect_baseline_buffer_rows_are_pinned(cfg_ms):
 def test_run_condition_baseline_bookkeeping(cfg_ms, snap_ms):
     cond = ConditionSpec(onset_t=10)
     res = run_condition(cfg_ms, snap_ms, cond, seed=0)
-    assert res.n_steps == 40 and len(res.steps) == 40 and res.steps.kappa.shape == (40,)
+    summary = res.summary()
+    assert summary["n_steps"] == 40 and len(res.steps) == 40 and res.steps.kappa.shape == (40,)
     assert res.cell_id == cond.cell_id(0)
     assert res.run == run_header(cfg_ms, snap_ms, "monitor")
-    assert res.summary()["violations"] == 0
+    assert summary["violations"] == 0
     # No stressors anywhere: every step's structural term is zero.
     assert (res.steps.sigma_s == 0.0).all()
-    assert res.post_onset_kappa_mean == pytest.approx(np.mean(res.steps.kappa[10:]), abs=1e-12)
-    assert res.peak_kappa == max(res.steps.kappa)
+    assert summary["post_onset_kappa_mean"] == pytest.approx(np.mean(res.steps.kappa[10:]), abs=1e-12)
+    assert summary["peak_kappa"] == max(res.steps.kappa)
     assert res.adaptive_ensemble is None
 
 
@@ -197,7 +199,7 @@ def test_run_condition_is_deterministic(cfg_ms, snap_ms, tmp_path):
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
     a = run_condition(cfg_ms, snap_ms, cond, seed=3)
     b = run_condition(cfg_ms, snap_ms, cond, seed=3)
-    assert a.episode_return == b.episode_return
+    assert a.summary()["episode_return"] == b.summary()["episode_return"]
     assert a.steps.kappa.tobytes() == b.steps.kappa.tobytes()
     steps_a = _trace_steps(tmp_path / "a.jsonl", a)
     assert steps_a == _trace_steps(tmp_path / "b.jsonl", b)
@@ -275,19 +277,6 @@ def db_snapshot():
     return cfg, calibrate(cfg)
 
 
-def _record_forward_rows(monkeypatch) -> list[int]:
-    """Row count of every ensemble forward pass made from now on."""
-    rows: list[int] = []
-    forward = Ensemble.predict_members
-
-    def recording(self, x):
-        rows.append(x.shape[0])
-        return forward(self, x)
-
-    monkeypatch.setattr(Ensemble, "predict_members", recording)
-    return rows
-
-
 def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
     """(rows returned, whether every explorer was drawn) for every
     candidate set the episode loop draws from now on."""
@@ -308,7 +297,7 @@ def _record_candidate_sets(monkeypatch) -> list[tuple[int, bool]]:
 
 def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeypatch):
     cfg, snap = db_snapshot
-    rows = _record_forward_rows(monkeypatch)
+    rows = record_calls(monkeypatch, Ensemble, "predict_members", lambda ens, x: x.shape[0])
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, shift=("gain_left", 0.5), onset_t=cfg.onset_t)
     run_condition(cfg, snap, cond, seed=0)
@@ -319,7 +308,7 @@ def test_monitor_episode_scores_only_the_task_and_zero_rows(db_snapshot, monkeyp
 
 def test_adaptive_episode_scores_every_candidate_only_at_nonzero_spread(cfg_ms, monkeypatch):
     cfg = replace(cfg_ms, policy=PolicySettings(alpha_max=1.0, lambda_risk=1.0, delta_max=1.0, n_candidates=8))
-    rows = _record_forward_rows(monkeypatch)
+    rows = record_calls(monkeypatch, Ensemble, "predict_members", lambda ens, x: x.shape[0])
     drawn = _record_candidate_sets(monkeypatch)
     cond = ConditionSpec(po_fraction=0.5, delay_steps=1, onset_t=10)
     res = run_condition(cfg, zero_delta_snapshot(cfg), cond, seed=0, policy_mode="adaptive")
@@ -430,24 +419,11 @@ def test_calibrate_needs_an_active_stressor():
         calibrate(cfg)
 
 
-def _record_calls(monkeypatch, cls, name: str) -> list[tuple]:
-    """The arguments of every call of ``cls.name`` made from now on."""
-    calls: list[tuple] = []
-    method = getattr(cls, name)
-
-    def recording(*args):
-        calls.append(args)
-        return method(*args)
-
-    monkeypatch.setattr(cls, name, recording)
-    return calls
-
-
 def test_trace_roundtrip(cfg_ms, snap_ms, tmp_path, monkeypatch):
     cond = ConditionSpec(po_fraction=0.5, onset_t=10)
     res = run_condition(cfg_ms, snap_ms, cond, seed=2)
     path = str(tmp_path / "trace.jsonl")
-    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
+    hashes = record_calls(monkeypatch, ExperimentConfig, "config_hash", lambda *args: args)
     lines = write_trace(path, res)
     assert hashes == []  # the writer takes the run header its episode built
     # path first (the benchmark's tracer reads argument 0); reuse is the previous cell's table and lines
@@ -566,7 +542,7 @@ def test_step_lines_are_refused_exactly_when_json_loads_refuses_them(cfg_ms, sna
 
 
 def test_run_condition_refuses_a_foreign_snapshot_before_any_step(cfg_ms, snap_ms, monkeypatch):
-    steps = _record_calls(monkeypatch, MassSpring1D, "step")
+    steps = record_calls(monkeypatch, MassSpring1D, "step", lambda *args: args)
     overridden = replace(cfg_ms, thresholds=replace(cfg_ms.thresholds, tau_low=0.2, tau_high=0.5))
     cases = [
         (replace(cfg_ms, horizon=50), snap_ms, "monitor", "^snapshot was calibrated for MassSpring1D"),
@@ -682,7 +658,7 @@ def test_driftbot_trace_bytes_are_pinned(driftbot_calibrated, mode, tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(str(path), res)
     sha, n_probes, n_forced = DRIFTBOT_PINNED_TRACES[mode]
-    assert (np.count_nonzero(res.steps.index >= 2), res.n_forced) == (n_probes, n_forced)
+    assert (np.count_nonzero(res.steps.index >= 2), res.summary()["n_forced"]) == (n_probes, n_forced)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
@@ -724,7 +700,7 @@ def test_cells_that_share_a_seed_and_onset_share_their_prefix(request, tmp_path,
     mode = "adaptive" if adaptive_enabled else "monitor"
     conds = [replace(compound, onset_t=onset), ConditionSpec(onset_t=onset), ConditionSpec(po_fraction=0.5, onset_t=onset), ConditionSpec(delay_steps=1, onset_t=onset)]
     cells = [(cond, 0) for cond in conds] + [(conds[0], 1)]
-    env_steps = _record_calls(monkeypatch, env_class(env_id), "step")
+    env_steps = record_calls(monkeypatch, env_class(env_id), "step", lambda *args: args)
     batch = run_cells(cfg, snap, run_header(cfg, snap, mode), cells, adaptive_enabled)
     shared = max(onset - 1, 0)  # the steps a leader takes for its seed's cells
     n_leaders = 2
@@ -743,19 +719,6 @@ def test_cells_that_share_a_seed_and_onset_share_their_prefix(request, tmp_path,
     assert len({batch[i].steps.obs.tobytes() for i in range(4)}) == 4
 
 
-def _record_step_lines(monkeypatch) -> list[tuple[int, int]]:
-    """(steps, first step rendered) of every ``_step_lines`` call made from now on."""
-    calls: list[tuple[int, int]] = []
-    step_lines = rollout._step_lines
-
-    def recording(steps, first=0):
-        calls.append((len(steps), first))
-        return step_lines(steps, first)
-
-    monkeypatch.setattr(rollout, "_step_lines", recording)
-    return calls
-
-
 @pytest.fixture
 def one_worker(monkeypatch):
     """A sweep's units run in this process, where calls recorded by a test can see them."""
@@ -770,7 +733,7 @@ def test_a_sweep_writes_the_bytes_of_traces_rendered_one_cell_at_a_time(cfg_ms, 
     # row 0 (masked obs, or a delayed action), so every line is rendered.
     cfg = replace(cfg_ms, onset_t=onset, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
-    rendered = _record_step_lines(monkeypatch)
+    rendered = record_calls(monkeypatch, rollout, "_step_lines", lambda steps, first=0: (len(steps), first))
     outcome = run_sweep(cfg, snap, out_dir=str(tmp_path / "sweep"))
     monkeypatch.undo()
     firsts = [start for _, start in rendered]
@@ -809,7 +772,7 @@ def test_reused_lines_stop_at_the_first_row_that_differs_by_its_bits(cfg_ms, sna
         getattr(original.steps, name)[where] = value
         getattr(copy.steps, name)[where] = edited
         original_lines = write_trace(str(tmp_path / "original.jsonl"), original)
-        rendered = _record_step_lines(monkeypatch)
+        rendered = record_calls(monkeypatch, rollout, "_step_lines", lambda steps, first=0: (len(steps), first))
         lines = write_trace(str(tmp_path / "reused.jsonl"), copy, (original.steps, original_lines))
         monkeypatch.undo()
         assert rendered == [(cfg_ms.horizon, first)], name
@@ -859,12 +822,33 @@ def test_every_step_regime_is_the_classified_kappa(ms_calibrated):
 def test_a_sweep_hashes_its_config_once_and_batches_each_seed(cfg_ms, monkeypatch, one_worker):
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
-    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
-    batches = record_batches(monkeypatch)
+    hashes = record_calls(monkeypatch, ExperimentConfig, "config_hash", lambda *args: args)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     outcome = run_sweep(cfg, snap)
     assert len(hashes) == 1
     assert batches == [[c["cell_id"] for c in outcome.cell_summaries if c["seed"] == seed] for seed in (0, 1)]
     assert [c["seed"] for c in outcome.cell_summaries] == [0, 1] * 4  # condition_matrix order, seed innermost
+
+
+def test_a_sweep_runs_the_stratified_tests_only_where_it_writes_them(cfg_ms, tmp_path, monkeypatch):
+    # Nothing in memory holds the chi-square tests, so a sweep without out_dir runs none.
+    # Delay levels 1 and 2 give delay_level two strata; shift_only has one ("delayed") and raises.
+    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, delay_levels=(0, 1, 2)))
+    snap = zero_delta_snapshot(cfg)
+    keys = record_calls(monkeypatch, rollout, "stratified_rate_test", lambda records, stratum_key: stratum_key)
+    run_sweep(cfg, snap)
+    assert keys == []
+    records = run_sweep(cfg, snap, out_dir=str(tmp_path)).records
+    assert keys == ["delay_level", "shift_only"]
+    monkeypatch.undo()
+    expected = {}
+    for key in keys:
+        try:
+            expected[key] = stratified_rate_test(records, stratum_key=key).to_dict()
+        except InputError:
+            pass
+    assert list(expected) == ["delay_level"]
+    assert (tmp_path / "stratified_rates.json").read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def _breach_in_batch(monkeypatch, seed: int, breach) -> None:
@@ -905,7 +889,7 @@ def test_a_budget_breach_aborts_its_batch_before_any_trace_is_written(cfg_ms, tm
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"trace_{c['cell_id']}.jsonl" for c in fresh.cell_summaries if c["seed"] == 0)
     monkeypatch.undo()
     monkeypatch.setattr(rollout, "_workers", lambda: 1)  # seed 0 (reads only) and seed 1 are two units: run them where batches are recorded
-    batches = record_batches(monkeypatch)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     assert run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries == fresh.cell_summaries
     assert batches == [[c["cell_id"] for c in fresh.cell_summaries if c["seed"] == 1]]
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
@@ -922,8 +906,8 @@ def test_calibration_runs_its_probes_as_one_batch(monkeypatch):
             "probe_episodes": 2,
         }
     )
-    hashes = _record_calls(monkeypatch, ExperimentConfig, "config_hash")
-    batches = record_batches(monkeypatch)
+    hashes = record_calls(monkeypatch, ExperimentConfig, "config_hash", lambda *args: args)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     calibrate(cfg)
     # baseline, masking, delay and compound, two episodes each
     assert [len(batch) for batch in batches] == [8]
@@ -942,7 +926,7 @@ def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibra
     fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
     assert probing.summary() != fresh[cell]  # reusing the probing trace would show
 
-    batches = record_batches(monkeypatch)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
     assert cell in [c for batch in batches for c in batch]
     header, summary = read_trace(str(path))
@@ -957,7 +941,7 @@ def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkey
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
     out_dir = tmp_path / "runs"
-    first = record_batches(monkeypatch)
+    first = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     run_sweep(cfg, snap, out_dir=str(out_dir))
     assert [len(batch) for batch in first] == [4, 4]
     traces = sorted(p for p in out_dir.iterdir() if p.name.startswith("trace_"))
@@ -968,25 +952,12 @@ def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkey
     truncated.write_text("\n".join(lines[:-1]) + "\n")  # drop the footer
     missing.unlink()
 
-    batches = record_batches(monkeypatch)
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     run_sweep(cfg, snap, out_dir=str(out_dir))
     # Complete traces are reused; the footer-less and the missing one are
     # simulated again, each in its own seed's batch, and come back byte for byte.
     assert [[f"trace_{c}.jsonl" for c in batch] for batch in batches] == [[truncated.name], [missing.name]]
     assert {p.name: p.read_bytes() for p in traces} == before
-
-
-def _record_maps(monkeypatch) -> list[int]:
-    """The number of units of every ``rollout._map`` call made from now on."""
-    units: list[int] = []
-    pool_map = rollout._map
-
-    def recording(fn, items):
-        units.append(len(items))
-        return pool_map(fn, items)
-
-    monkeypatch.setattr(rollout, "_map", recording)
-    return units
 
 
 def test_a_sweep_maps_one_unit_per_seed_and_a_reused_seed_simulates_nothing(cfg_ms, tmp_path, monkeypatch, one_worker):
@@ -995,7 +966,8 @@ def test_a_sweep_maps_one_unit_per_seed_and_a_reused_seed_simulates_nothing(cfg_
     cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
     snap = zero_delta_snapshot(cfg)
     out_dir = tmp_path / "runs"
-    maps, batches = _record_maps(monkeypatch), record_batches(monkeypatch)
+    maps = record_calls(monkeypatch, rollout, "_map", lambda fn, items: len(items))
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     fresh = run_sweep(cfg, snap, out_dir=str(out_dir)).cell_summaries
     assert maps == [2] and [len(batch) for batch in batches] == [4, 4]
     del maps[:], batches[:]
