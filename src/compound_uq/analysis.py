@@ -35,6 +35,8 @@ from .errors import InputError
 from .snapshot import atomic_write_text
 
 SCHEMA_VERSION = 1
+STRATUM_KEYS = ("delay_level", "shift_only")  # what stratified_rate_test can split the records by
+UNITS = ("frac", "units")  # the synergy a record is flagged by: synergy_frac or synergy_units
 
 
 @dataclass(frozen=True)
@@ -138,11 +140,9 @@ class SynergyReport:
 
 
 def _synergy_of(record: DegradationRecord, units: str) -> float:
-    if units == "frac":
-        return record.synergy_frac
-    if units == "units":
-        return record.synergy_units
-    raise InputError(f"units must be 'frac' or 'units', got {units!r}")
+    if units in UNITS:
+        return getattr(record, f"synergy_{units}")
+    raise InputError(f"units must be {' or '.join(map(repr, UNITS))}, got {units!r}")
 
 
 def superadditive_rate(records, threshold: float = 0.0, units: str = "frac") -> SynergyReport:
@@ -223,14 +223,10 @@ def _stratum_of(record: DegradationRecord, stratum_key: str) -> str | None:
     if stratum_key == "delay_level":
         return f"delay={record.meta.get('delay_steps', 0)}"
     if stratum_key == "shift_only":
-        delay = int(record.meta.get("delay_steps", 0) or 0)
-        shift = record.meta.get("shift")
-        if delay > 0:
+        if int(record.meta.get("delay_steps", 0) or 0) > 0:
             return "delayed"
-        if shift is not None:
-            return "static_shift"
-        return None
-    raise InputError(f"stratum_key must be 'delay_level' or 'shift_only', got {stratum_key!r}")
+        return "static_shift" if record.meta.get("shift") is not None else None
+    raise InputError(f"stratum_key must be {' or '.join(map(repr, STRATUM_KEYS))}, got {stratum_key!r}")
 
 
 def stratified_rate_test(

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .analysis import stratified_rate_test, superadditive_rate
+from .analysis import STRATUM_KEYS, UNITS, stratified_rate_test, superadditive_rate
 from .belief import coupling_family, exact_mi, random_bound_checks
 from .config import ExperimentConfig, load_config
 from .envs import env_class
@@ -74,16 +74,10 @@ def _snapshot_path(cfg: ExperimentConfig, override: str | None) -> str:
     return override or os.path.join(cfg.output_dir, "calibration.json")
 
 
-def _out_path(path: str) -> str:
-    """Create the parent directory of an output path; return the path."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
-
-
 def cmd_calibrate(args) -> int:
     cfg = _load_cfg(args.config)
     snapshot = calibrate(cfg)
-    out = _out_path(_snapshot_path(cfg, args.out))
+    out = _snapshot_path(cfg, args.out)
     snapshot.save(out)
     print(
         f"calibrated {cfg.env_id}: mu0={snapshot.mu0!r} sigma0={snapshot.sigma0!r} "
@@ -119,7 +113,7 @@ def cmd_run(args) -> int:
     snapshot = CalibrationSnapshot.load(_snapshot_path(cfg, args.snapshot), cfg)
     condition = ConditionSpec(po_fraction=args.po, delay_steps=args.delay, shift=shift, onset_t=cfg.onset_t)
     result = run_condition(cfg, snapshot, condition, seed=args.seed, policy_mode=args.policy_mode)
-    out = _out_path(args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl"))
+    out = args.out or os.path.join(cfg.output_dir, f"trace_{result.cell_id}.jsonl")
     write_trace(out, result)
     summary = result.summary()
     print(
@@ -192,7 +186,7 @@ def cmd_analyze(args) -> int:
         raise InputError(f"traces in {trace_dir} were made under config {trace_hash}, not this config")
     records = build_degradation_records(summaries, cfg.grid)
     report = superadditive_rate(records, threshold=args.threshold, units=args.units)
-    out = _out_path(args.out or os.path.join(trace_dir, "synergy_report.json"))
+    out = args.out or os.path.join(trace_dir, "synergy_report.json")
     atomic_write_text(out, report.to_json() + "\n")
     print(f"records={len(records)} rate={report.rate!r} mean_synergy={report.mean_synergy!r}")
     _print_mean_losses(records)
@@ -226,7 +220,7 @@ def cmd_oracle_check(args) -> int:
         inversions += sum(1 for a, b in zip(mis, mis[1:]) if b < a - 1e-12)
 
     if args.out:
-        atomic_write_text(_out_path(args.out), text.getvalue())
+        atomic_write_text(args.out, text.getvalue())
         print(f"wrote {args.out}")
     print(f"samples={args.n_samples} violations={n_bad} coupling_inversions={inversions}")
     if n_bad or inversions:
@@ -276,9 +270,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="recompute synergy statistics from an existing trace directory")
     p.add_argument("--config", help="JSON config path (grid must match the traces)")
     p.add_argument("--trace-dir", required=True)
-    p.add_argument("--units", choices=("frac", "units"), default="frac")
+    p.add_argument("--units", choices=UNITS, default="frac")
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--stratum-key", choices=("delay_level", "shift_only"), default="delay_level")
+    p.add_argument("--stratum-key", choices=STRATUM_KEYS, default="delay_level")
     p.add_argument("--out", help="synergy report output path")
     p.set_defaults(func=cmd_analyze)
 

@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
+    STRATUM_KEYS,
     DegradationRecord,
     SynergyReport,
     degradation,
@@ -845,12 +846,14 @@ def run_sweep(
     one JSONL trace, and the sweep writes ``degradation.csv``,
     ``synergy_report.json``, ``stratified_rates.json`` and
     ``sweep_summary.json`` at the end; the stratified chi-square tests run
-    only there, since nothing in memory holds them. A cell whose
-    trace is already there reuses it only when ``read_trace`` accepts it (its
-    step lines are checked, not returned, and its footer must encode as the
-    cell summary it parses to, which the cell then returns) and its header
-    encodes as ``trace_header`` gives for this run's ``run_header`` and the
-    cell; any other cell runs again and overwrites its trace.
+    only there, since nothing in memory holds them. ``atomic_write_text``
+    creates ``out_dir`` at the first write, and raises ``InputError`` for one
+    it cannot write, once every seed's cells ran. A cell whose trace is
+    already there reuses it only when ``read_trace`` accepts it (its step
+    lines are checked, not returned, and its footer must encode as the cell
+    summary it parses to, which the cell then returns) and its header encodes
+    as ``trace_header`` gives for this run's ``run_header`` and the cell; any
+    other cell runs again and overwrites its trace.
 
     ``_map`` runs one unit per cell seed on its workers, with the seed's
     cells in grid order. A unit checks its cells' traces, simulates the cells
@@ -871,8 +874,6 @@ def run_sweep(
         config.grid.seeds,
         onset_t=config.onset_t,
     )
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
 
     def cell_path(cond: ConditionSpec, seed: int) -> str:
         return os.path.join(out_dir, f"trace_{cond.cell_id(seed)}.jsonl")
@@ -900,7 +901,7 @@ def run_sweep(
         by_cell.update(zip(block, done))
     summaries = [by_cell[i] for i in range(len(cells))]
     records = build_degradation_records(summaries, config.grid)
-    report = superadditive_rate(records, threshold=0.0, units="frac")
+    report = superadditive_rate(records)
 
     by_label: dict[str, list[float]] = {}
     for summary in summaries:
@@ -911,7 +912,7 @@ def run_sweep(
         records_to_csv(records, os.path.join(out_dir, "degradation.csv"))
         atomic_write_text(os.path.join(out_dir, "synergy_report.json"), report.to_json() + "\n")
         strat_doc = {}  # each stratum key's test, where the records hold two strata for it
-        for key in ("delay_level", "shift_only"):
+        for key in STRATUM_KEYS:
             try:
                 strat_doc[key] = stratified_rate_test(records, stratum_key=key).to_dict()
             except InputError:

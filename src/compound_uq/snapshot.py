@@ -31,11 +31,18 @@ SNAPSHOT_FORMAT_VERSION = 3
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via temp file + rename so readers never see partial content."""
+    """Write ``text`` to ``path``, creating its directory, via a temp file and a rename, so readers never
+    see partial content. A failed write removes the temp file and raises ``InputError("cannot write <path>: <reason>")``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 @contextmanager

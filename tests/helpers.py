@@ -11,6 +11,23 @@ from compound_uq.envs import env_class
 from compound_uq.errors import InputError
 from compound_uq.rollout import TASK_CONTROLLERS, _mixture_action, read_trace
 
+# A tiny MassSpring1D config whose threshold overrides skip calibration's probe runs.
+TINY = {
+    "env_id": "MassSpring1D",
+    "horizon": 60,
+    "onset_t": 10,
+    "grid": {
+        "po_levels": [0.0, 0.5],
+        "delay_levels": [0, 1],
+        "shift_levels": [None],
+        "seeds": [0],
+    },
+    "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 5},
+    "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
+}
+LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit
+DEEP = "[" * 100_000  # nested past the interpreter's recursion limit, where json raises RecursionError
+
 
 def clamp_grid(lo, hi):
     """Values a clamp to [lo, hi] may meet: the bounds and their outer

@@ -7,7 +7,6 @@ overrides skip the probe runs) and shared by the run/sweep/analyze tests.
 import csv
 import io
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -15,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import batch_cell_ids, record_calls, trace_steps
+from helpers import DEEP, LONG_INT, TINY, batch_cell_ids, record_calls, trace_steps
 
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
@@ -27,21 +26,6 @@ from compound_uq.kappa import Thresholds, sigma_s, sigma_theta
 from compound_uq.perturb import ConditionSpec
 from compound_uq.rollout import read_trace
 from compound_uq.snapshot import CalibrationSnapshot
-
-TINY = {
-    "env_id": "MassSpring1D",
-    "horizon": 60,
-    "onset_t": 10,
-    "grid": {
-        "po_levels": [0.0, 0.5],
-        "delay_levels": [0, 1],
-        "shift_levels": [None],
-        "seeds": [0],
-    },
-    "ensemble": {"t_pre": 80, "m_members": 2, "epochs": 5},
-    "thresholds": {"tau_low": 0.2, "tau_high": 0.5},
-}
-
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -461,17 +445,6 @@ def test_analyze_refuses_a_mixed_trace_directory(workspace, tmp_path, capsys):
     assert main(analyze) == 1
     assert "mix" in capsys.readouterr().err
 
-    # One trace made under another config.
-    assert main(["run", "--config", workspace["config"], "--po", "0.5", "--out", out]) == 0
-    lines = open(out).read().splitlines()
-    header = json.loads(lines[0])
-    header["config_hash"] = "0" * 16
-    with open(out, "w") as fh:
-        fh.write("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
-    capsys.readouterr()
-    assert main(analyze) == 1
-    assert "mix" in capsys.readouterr().err
-
     # One cell re-run under a snapshot with another noise floor.
     edited = _edited_snapshot(workspace, tmp_path / "edited.json", _other_mu0)
     assert main(["run", "--config", workspace["config"], "--snapshot", edited, "--po", "0.5", "--out", out]) == 0
@@ -516,117 +489,26 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     assert raw.count(b"\r\n") == 21 and raw.count(b"\n") == 21
 
 
-def _with_footer(trace: bytes, footer: dict) -> bytes:
-    return b"".join([*trace.splitlines(keepends=True)[:-1], json.dumps(footer).encode() + b"\n"])
-
-
-def test_sweep_resimulates_unreadable_traces(workspace, tmp_path, capsys):
-    out_dir = tmp_path / "sweep"
-    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
-    assert main(sweep) == 0
-    traces = sorted(out_dir.glob("trace_*.jsonl"))
-    fresh = {path: path.read_bytes() for path in traces}
-    traces[0].write_bytes(b"\xff" + fresh[traces[0]])
-    lines = fresh[traces[1]].splitlines(keepends=True)
-    traces[1].write_bytes(b"".join([lines[0], b"{not json\n", *lines[2:]]))
-    traces[2].write_bytes(_with_footer(fresh[traces[2]], {"kind": "footer"}))
-    footer = json.loads(fresh[traces[3]].splitlines()[-1])
-    del footer["condition"]["po_fraction"]
-    traces[3].write_bytes(_with_footer(fresh[traces[3]], footer))
-    assert main(sweep) == 0
-    capsys.readouterr()
-    assert {path: path.read_bytes() for path in traces} == fresh
-
-
-@pytest.fixture(scope="module")
-def two_seed_tree(tmp_path_factory):
-    """A swept 8-cell tree of TINY over seeds 0 and 1: config path and fresh trace bytes."""
-    root = tmp_path_factory.mktemp("two_seeds")
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(dict(TINY, grid=dict(TINY["grid"], seeds=[0, 1]), output_dir=str(root))))
-    assert main(["calibrate", "--config", str(cfg_path)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(root / "sweep")]) == 0
-    return str(cfg_path), {p.name: p.read_bytes() for p in sorted((root / "sweep").glob("trace_*.jsonl"))}
-
-
-# Footer values of the wrong type, not finite, or naming another cell than
-# the footer's condition and seed give, and keys the writer never writes;
-# each goes on the seed-1 C3 cell (po 0.5, delay 1). A key "condition.x" edits x in the condition.
-FOOTER_MUTANTS = [
-    ("episode_return", "abc"),
-    ("episode_return", True),
-    ("episode_return", "1.5"),
-    ("episode_return", math.nan),
-    ("post_onset_kappa_mean", "x"),
-    ("peak_kappa", math.inf),
-    ("seed", 1.7),
-    ("seed", "1"),
-    ("seed", True),
-    ("label", 5),
-    ("label", "C9"),
-    ("n_steps", "x"),
-    ("n_steps", 59),
-    ("cell_id", "po0.5_delay1_shift-none_seed0"),
-    ("injected", 123),
-    ("condition.injected", 123),
-    ("condition.label", "C9"),
-]
-
-# Header values of another run (snapshot, toolkit version, or a value of
-# another JSON type that compares equal in Python), or naming another cell.
-HEADER_MUTANTS = [
-    ("mu0", 0.5),
-    ("tau_low", 0.21),
-    ("toolkit_version", "0.0.0"),
-    ("format_version", True),
-    ("seed", 1.0),
-    ("cell_id", "po0_delay0_shift-none_seed1"),
-]
-
-# Lines between header and footer that are not the footer's n_steps step
-# lines: the first step line given another kind or none, or ("cut", n) for n
-# step lines cut out.
-STEP_MUTANTS = [
-    ("kind", "header"),
-    ("kind", None),
-    ("kind", ["step"]),
-    ("cut", 5),
-]
-
-TRACE_MUTANTS = (
-    [("footer", *m) for m in FOOTER_MUTANTS] + [("header", *m) for m in HEADER_MUTANTS] + [("step", *m) for m in STEP_MUTANTS]
-)
-
-
-@pytest.mark.parametrize(
-    "line, key, value",
-    TRACE_MUTANTS,
-    ids=[f"{key}-{value}" if line == "footer" else f"{line}-{key}-{value}" for line, key, value in TRACE_MUTANTS],
-)
-def test_a_malformed_footer_is_refused_and_resimulated(two_seed_tree, tmp_path, capsys, line, key, value):
-    cfg_path, fresh = two_seed_tree
-    for name, data in fresh.items():
-        (tmp_path / name).write_bytes(data)
-    trace = tmp_path / "trace_po0.5_delay1_shift-none_seed1.jsonl"
-    lines = fresh[trace.name].splitlines(keepends=True)
-    if key == "cut":
-        del lines[1 : 1 + value]
-    else:
-        at = {"header": 0, "step": 1, "footer": -1}[line]
-        doc = json.loads(lines[at])
-        section, _, inner = key.rpartition(".")
-        (doc[section] if section else doc)[inner] = value
-        lines[at] = json.dumps(doc).encode() + b"\n"
-    trace.write_bytes(b"".join(lines))
-
-    capsys.readouterr()
-    assert main(["analyze", "--config", cfg_path, "--trace-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: trace file {trace} ") and len(err.splitlines()) == 1
-
-    assert main(["sweep", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert {name: (tmp_path / name).read_bytes() for name in fresh} == fresh
+def test_an_output_path_that_cannot_be_written_is_an_input_error(workspace, tmp_path, capsys):
+    regular, directory = tmp_path / "F", tmp_path / "D"
+    regular.write_text("")
+    directory.mkdir()
+    cfg = ["--config", workspace["config"]]
+    trace_dir = str(tmp_path / "sweep")
+    assert main(["sweep", *cfg, "--out-dir", trace_dir]) == 0
+    commands = [
+        (["sweep", *cfg, "--out-dir", str(regular)], regular),  # fails at its first trace, once every seed's cells ran
+        (["calibrate", *cfg, "--out", str(regular / "snap.json")], regular / "snap.json"),
+        (["run", *cfg, "--out", str(directory)], directory),
+        (["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(directory)], directory),
+        (["analyze", *cfg, "--trace-dir", trace_dir, "--out", str(directory)], directory),
+    ]
+    for argv, path in commands:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == [] and list(directory.iterdir()) == []
 
 
 @pytest.mark.parametrize("change", ["mu0", "toolkit_version"])
@@ -690,9 +572,6 @@ def test_a_resumed_sweep_hashes_its_config_once(workspace, tmp_path, monkeypatch
     assert len(outcome.cell_summaries) == 4 and len(calls) == 1
 
 
-LONG_INT = "1" + "0" * 4999  # past json's 4,300-digit int-conversion limit
-
-
 def _with_long_int(doc: str, key: str) -> str:
     """``doc`` with the first value of ``"key": <int>`` made 5,000 digits long."""
     head, sep, tail = doc.partition(f'"{key}": ')
@@ -700,24 +579,21 @@ def _with_long_int(doc: str, key: str) -> str:
     return head + sep + LONG_INT + tail.lstrip("0123456789")
 
 
-def _refused_with_one_error_line(workspace, tmp_path, capsys, bad: dict, reason: str) -> None:
-    """Write each ``(what, path, text)`` of ``bad``. Loading it raises an ``InputError`` that names the
-    file and says it is not valid JSON for ``reason``, and ``calibrate``, ``run`` and ``analyze`` on
-    the first bad config, snapshot and trace exit 1 with one ``error:`` line that says so."""
-    loaders = {"config": load_config, "snapshot": lambda path: CalibrationSnapshot.load(path, workspace["cfg"]), "trace": read_trace}
-    first = {}
-    for what, path, text in bad.values():
-        first.setdefault(what, path)
-        path.write_text(text)
+def _refused_with_one_error_line(workspace, tmp_path, capsys, config_text: str, snapshot_text: str, reason: str) -> None:
+    """Write ``config_text`` as a config and ``snapshot_text`` as a snapshot. Loading either raises an
+    ``InputError`` that names the file and says it is not valid JSON for ``reason``, and ``calibrate``
+    and ``run`` on them exit 1 with one ``error:`` line that says so. The trace cases are rows of
+    ``test_readback.TRACE_EDITS``."""
+    config, snapshot = tmp_path / "config.json", tmp_path / "snapshot.json"
+    config.write_text(config_text)
+    snapshot.write_text(snapshot_text)
+    loaders = [("config", config, load_config), ("snapshot", snapshot, lambda path: CalibrationSnapshot.load(path, workspace["cfg"]))]
+    for what, path, load in loaders:
         with pytest.raises(InputError, match=f"^{what} file {re.escape(str(path))} is not valid JSON: {reason}"):
-            loaders[what](str(path))
-    trace_dir = tmp_path / "traces"
-    trace_dir.mkdir()
-    (trace_dir / "trace_bad.jsonl").write_bytes(first["trace"].read_bytes())
+            load(str(path))
     commands = [
-        ["calibrate", "--config", str(first["config"])],
-        ["run", "--config", workspace["config"], "--snapshot", str(first["snapshot"])],
-        ["analyze", "--config", workspace["config"], "--trace-dir", str(trace_dir)],
+        ["calibrate", "--config", str(config)],
+        ["run", "--config", workspace["config"], "--snapshot", str(snapshot)],
     ]
     capsys.readouterr()
     for argv in commands:
@@ -728,52 +604,13 @@ def _refused_with_one_error_line(workspace, tmp_path, capsys, bad: dict, reason:
 
 
 def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
-    sweep_dir = tmp_path / "sweep"
-    assert main(["sweep", "--config", workspace["config"], "--out-dir", str(sweep_dir)]) == 0
-    trace = sorted(sweep_dir.glob("trace_*.jsonl"))[0]
-    bad = {
-        "config": ("config", tmp_path / "config.json", _with_long_int(json.dumps(TINY), "horizon")),
-        "snapshot": ("snapshot", tmp_path / "snapshot.json", _with_long_int(open(workspace["snapshot"]).read(), "m_members")),
-        "trace": ("trace", tmp_path / "trace.jsonl", _with_long_int(trace.read_text(), "t")),
-    }
-    _refused_with_one_error_line(workspace, tmp_path, capsys, bad, "Exceeds the limit")
-
-
-def test_sweep_resimulates_a_trace_with_an_over_long_integer(workspace, tmp_path, capsys):
-    out_dir = tmp_path / "sweep"
-    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
-    assert main(sweep) == 0
-    trace = sorted(out_dir.glob("trace_*.jsonl"))[1]
-    fresh = trace.read_bytes()
-    trace.write_text(_with_long_int(fresh.decode(), "t"))
-    assert main(sweep) == 0
-    capsys.readouterr()
-    assert trace.read_bytes() == fresh
-
-
-DEEP = "[" * 100_000  # nested past the interpreter's recursion limit, where json raises RecursionError
+    config = _with_long_int(json.dumps(TINY), "horizon")
+    snapshot = _with_long_int(open(workspace["snapshot"]).read(), "m_members")
+    _refused_with_one_error_line(workspace, tmp_path, capsys, config, snapshot, "Exceeds the limit")
 
 
 def test_json_nested_too_deep_is_an_input_error(workspace, tmp_path, capsys):
-    out_dir = tmp_path / "sweep"
-    sweep = ["sweep", "--config", workspace["config"], "--out-dir", str(out_dir)]
-    assert main(sweep) == 0
-    trace = sorted(out_dir.glob("trace_*.jsonl"))[1]
-    fresh = trace.read_bytes()
-    header, step, *rest = fresh.decode().splitlines(keepends=True)
-    bad = {
-        "config": ("config", tmp_path / "config.json", DEEP),
-        "snapshot": ("snapshot", tmp_path / "snapshot.json", DEEP),
-        "trace header": ("trace", tmp_path / "header.jsonl", "".join([DEEP + "\n", step, *rest])),
-        "trace step": ("trace", tmp_path / "step.jsonl", "".join([header, DEEP + "\n", *rest])),
-    }
-    _refused_with_one_error_line(workspace, tmp_path, capsys, bad, "maximum recursion depth exceeded")
-    # a resumed sweep simulates the cell again, as a fresh sweep wrote it
-    for case in ("trace header", "trace step"):
-        trace.write_text(bad[case][2])
-        assert main(sweep) == 0
-        assert trace.read_bytes() == fresh
-    capsys.readouterr()
+    _refused_with_one_error_line(workspace, tmp_path, capsys, DEEP, DEEP, "maximum recursion depth exceeded")
 
 
 def test_a_trace_filed_under_another_cell(workspace, tmp_path, capsys):
@@ -832,15 +669,6 @@ def test_analyze_refuses_unreadable_traces(workspace, tmp_path, capsys):
     trace_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", workspace["config"], "--out-dir", str(trace_dir)]) == 0
     analyze = ["analyze", "--config", workspace["config"], "--trace-dir"]
-    trace = sorted(trace_dir.glob("trace_*.jsonl"))[0]
-    good = trace.read_bytes()
-    lines = good.splitlines(keepends=True)
-    for bad in (b"".join([lines[0], b"{not json\n", *lines[2:]]), b"\xff" + good, _with_footer(good, {"kind": "footer"})):
-        trace.write_bytes(bad)
-        capsys.readouterr()
-        assert main([*analyze, str(trace_dir)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: trace file {trace} ")
-    trace.write_bytes(good)
     (trace_dir / "trace_extra.jsonl").mkdir()
     assert main([*analyze, str(trace_dir)]) == 1
     assert "cannot be read" in capsys.readouterr().err

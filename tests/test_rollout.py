@@ -487,60 +487,6 @@ def test_trace_lines_equal_json_dumps_line_for_line(tmp_path):
     assert all(text in "".join(steps) for text in texts + [f'"{r.value}"' for r in regimes])
 
 
-def _with_reward(line: bytes, token: bytes) -> bytes:
-    return re.sub(rb'"reward": [^,}]+', b'"reward": ' + token, line)
-
-
-# Edits of one step line's bytes (without its newline), each with whether
-# json.loads reads the edited line as a step line: read_trace must accept
-# exactly the traces whose step lines it reads so.
-STEP_LINE_EDITS = {
-    "float 1e400": (lambda line: _with_reward(line, b"1e400"), True),
-    "float -0.0": (lambda line: _with_reward(line, b"-0.0"), True),
-    "float of 17 digits": (lambda line: _with_reward(line, b"0.12345678901234567"), True),
-    "NaN": (lambda line: _with_reward(line, b"NaN"), True),
-    "-Infinity": (lambda line: _with_reward(line, b"-Infinity"), True),
-    "kind twice, step last": (lambda line: b'{"kind": "header", ' + line[1:], True),
-    "integer of 5000 digits": (lambda line: _with_reward(line, b"7" * 5000), False),
-    "trailing text": (lambda line: line + b" x", False),
-    "cut mid-number": (lambda line: _with_reward(line, b"0.125")[: line.index(b'"reward": ') + 12], False),
-    "float 1.": (lambda line: _with_reward(line, b"1."), False),
-    "float .5": (lambda line: _with_reward(line, b".5"), False),
-    "bare array": (lambda line: b"[" + line + b"]", False),
-    "kind twice, header last": (lambda line: line[:-1] + b', "kind": "header"}', False),
-    "kind a list": (lambda line: line.replace(b'"kind": "step"', b'"kind": ["step"]'), False),
-    "kind an object": (lambda line: line.replace(b'"kind": "step"', b'"kind": {"step": 1}'), False),
-    "non-UTF-8 byte": (lambda line: line.replace(b'"kind": "step"', b'"kind": "st\xffep"'), False),
-    "byte order mark": (lambda line: "\ufeff".encode() + line, False),
-    "leading space": (lambda line: b" " + line, True),
-    "trailing spaces and a tab": (lambda line: line + b"  \t", True),
-    "leading form feed": (lambda line: b"\x0c" + line, False),  # not JSON whitespace
-    "spaces only": (lambda line: b"   ", False),  # skipped as blank, so the step count falls short
-    "carriage return before the newline": (lambda line: line + b"\r", True),  # read as CRLF
-}
-
-
-@pytest.mark.parametrize("name", sorted(STEP_LINE_EDITS))
-def test_step_lines_are_refused_exactly_when_json_loads_refuses_them(cfg_ms, snap_ms, tmp_path, name):
-    edit, accepted = STEP_LINE_EDITS[name]
-    path = tmp_path / "trace.jsonl"
-    write_trace(str(path), run_condition(cfg_ms, snap_ms, ConditionSpec(onset_t=10), seed=0))
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[1] = edit(lines[1].rstrip(b"\n")) + b"\n"
-    path.write_bytes(b"".join(lines))
-    try:
-        step = json.loads(lines[1].decode("utf-8"))
-        read_as_step = isinstance(step, dict) and step.get("kind") == "step"
-    except ValueError:  # a JSONDecodeError, a too-long integer or a UnicodeDecodeError
-        read_as_step = False
-    assert read_as_step == accepted
-    if accepted:
-        read_trace(str(path))
-    else:
-        with pytest.raises(InputError, match=f"^trace file {re.escape(str(path))} "):
-            read_trace(str(path))
-
-
 def test_run_condition_refuses_a_foreign_snapshot_before_any_step(cfg_ms, snap_ms, monkeypatch):
     steps = record_calls(monkeypatch, MassSpring1D, "step", lambda *args: args)
     overridden = replace(cfg_ms, thresholds=replace(cfg_ms.thresholds, tau_low=0.2, tau_high=0.5))
@@ -1112,7 +1058,7 @@ def test_run_sweep_in_memory(cfg_ms, snap_ms, tmp_path, monkeypatch):
     assert not (tmp_path / "runs").exists()
 
 
-def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
+def test_run_sweep_resume_reuses_every_trace(cfg_ms, snap_ms, tmp_path):
     out_dir = str(tmp_path / "runs")
     first = run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
     trace_files = sorted(p for p in (tmp_path / "runs").iterdir() if p.name.startswith("trace_"))
@@ -1125,13 +1071,3 @@ def test_run_sweep_resume_reuses_and_heals(cfg_ms, snap_ms, tmp_path):
     for p in trace_files:
         assert p.read_bytes() == before[p.name]
     assert (tmp_path / "runs" / "sweep_summary.json").read_bytes() == summary_before
-
-    # A trace from some other config must not be reused silently.
-    victim = trace_files[0]
-    lines = victim.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["config_hash"] = "0" * 16
-    victim.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
-    run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
-    healed, _ = read_trace(str(victim))
-    assert healed["config_hash"] == cfg_ms.config_hash()

@@ -179,8 +179,12 @@ def test_a_snapshot_copies_no_config_value():
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):
-    path = tmp_path / "out.txt"
+    path = tmp_path / "new" / "out.txt"  # the parent directory is created
     atomic_write_text(str(path), "first")
     atomic_write_text(str(path), "second")
     assert path.read_text() == "second"
-    assert list(tmp_path.iterdir()) == [path]
+    assert list(path.parent.iterdir()) == [path]
+    # a write that fails, here onto a directory, is an input error and leaves no temp file
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(path.parent))}: Is a directory$"):
+        atomic_write_text(str(path.parent), "third")
+    assert list(tmp_path.iterdir()) == [path.parent] and list(path.parent.iterdir()) == [path]
