@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .ensemble import TrainSettings
 from .envs import env_class
@@ -135,10 +135,13 @@ def _build(d: dict) -> ExperimentConfig:
     th = d["thresholds"]
     if (th["tau_low"] is None) != (th["tau_high"] is None):
         raise InputError("threshold overrides must set both tau_low and tau_high or neither")
+    ensemble = {f.name: parse_key(d["ensemble"], f.name, f.type, "config", "ensemble.")
+                for f in fields(ExperimentConfig) if f.name in _ENSEMBLE_FIELDS}
     return parse_fields(
         ExperimentConfig,
-        {**d, **d["ensemble"]},  # the root fields of _ENSEMBLE_FIELDS live there
+        d,
         "config",
+        **ensemble,  # the fields of _ENSEMBLE_FIELDS, parsed in the section that holds them, so that a refusal names it
         grid=parse_fields(GridSpec, d["grid"], "config", "grid."),
         train=parse_fields(TrainSettings, d["ensemble"], "config", "ensemble."),
         policy=parse_fields(PolicySettings, d["policy"], "config", "policy."),

@@ -78,7 +78,7 @@ from .perturb import (
     shift_tag,
 )
 from .policy import act
-from .snapshot import CalibrationSnapshot, atomic_write_text, open_input
+from .snapshot import CalibrationSnapshot, atomic_write_text, make_dirs, open_input
 from .version import TOOLKIT_VERSION
 
 RISK_TOL = 1e-12
@@ -846,14 +846,14 @@ def run_sweep(
     one JSONL trace, and the sweep writes ``degradation.csv``,
     ``synergy_report.json``, ``stratified_rates.json`` and
     ``sweep_summary.json`` at the end; the stratified chi-square tests run
-    only there, since nothing in memory holds them. ``atomic_write_text``
-    creates ``out_dir`` at the first write, and raises ``InputError`` for one
-    it cannot write, once every seed's cells ran. A cell whose trace is
-    already there reuses it only when ``read_trace`` accepts it (its step
-    lines are checked, not returned, and its footer must encode as the cell
-    summary it parses to, which the cell then returns) and its header encodes
-    as ``trace_header`` gives for this run's ``run_header`` and the cell; any
-    other cell runs again and overwrites its trace.
+    only there, since nothing in memory holds them. ``make_dirs`` creates
+    ``out_dir`` before any cell runs, or refuses it; one that exists but
+    cannot be written fails at the first write, once every seed's cells ran. A
+    cell whose trace is already there reuses it only when ``read_trace``
+    accepts it (its step lines are checked, not returned, and its footer must
+    encode as the cell summary it parses to, which the cell then returns) and
+    its header encodes as ``trace_header`` gives for this run's ``run_header``
+    and the cell; any other cell runs again and overwrites its trace.
 
     ``_map`` runs one unit per cell seed on its workers, with the seed's
     cells in grid order. A unit checks its cells' traces, simulates the cells
@@ -867,6 +867,8 @@ def run_sweep(
     Summaries keep ``condition_matrix`` order.
     """
     run = run_header(config, snapshot, policy_mode)
+    if out_dir:
+        make_dirs(out_dir, out_dir)
     cells = condition_matrix(
         config.grid.po_levels,
         config.grid.delay_levels,

@@ -30,12 +30,20 @@ from .version import TOOLKIT_VERSION
 SNAPSHOT_FORMAT_VERSION = 3
 
 
+def make_dirs(directory: str, path: str) -> None:
+    """Create ``directory`` to write ``path`` in, or raise ``InputError("cannot write <path>: <reason>")``; a file in the way is "Not a directory"."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as e:  # exist_ok excuses a directory only: a regular file in the way raises FileExistsError
+        raise InputError(f"cannot write {path}: {'Not a directory' if isinstance(e, FileExistsError) else e.strerror}") from None
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, creating its directory, via a temp file and a rename, so readers never
-    see partial content. A failed write removes the temp file and raises ``InputError("cannot write <path>: <reason>")``."""
+    """Write ``text`` to ``path``, creating its directory (``make_dirs``), via a temp file and a rename, so readers
+    never see partial content. A failed write removes the temp file and raises ``InputError("cannot write <path>: <reason>")``."""
+    make_dirs(os.path.dirname(path) or ".", path)
     tmp = f"{path}.tmp"
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -114,6 +122,7 @@ class CalibrationSnapshot:
             raise InputError(f"unsupported snapshot format_version {d['format_version']!r}; calibrate again")
         thresholds = parse_fields(Thresholds, d, "snapshot")
         snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
+        parse_key(d, "toolkit_version", "str", "snapshot")  # provenance only: not compared with TOOLKIT_VERSION
         written = snapshot.to_dict()
         refuse_unknown(d, written, "snapshot", "root")  # the keys to_dict writes
         if written["weights_hash"] != d.get("weights_hash"):

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import DEEP, LONG_INT, TINY, batch_cell_ids, record_calls, trace_steps
+from helpers import TINY, batch_cell_ids, record_calls, trace_steps
 
 from compound_uq import rollout
 from compound_uq.belief import BoundCheck, random_belief, verify_bound
@@ -50,10 +50,6 @@ def _edited_snapshot(workspace, path, edit) -> str:
     return str(path)
 
 
-def _other_thresholds(doc) -> None:
-    doc.update(tau_low=0.25, tau_high=0.6)
-
-
 def _other_mu0(doc) -> None:
     doc.update(mu0=2.0 * doc["mu0"])  # a run key of the trace header, not covered by weights_hash
 
@@ -80,82 +76,6 @@ def test_calibrate_writes_a_loadable_snapshot(workspace, capsys):
     assert snap.env_id == "MassSpring1D"
     assert snap.thresholds.tau_low == 0.2 and snap.thresholds.tau_high == 0.5
     assert snap.ensemble.frozen
-
-
-def test_calibrate_missing_config_file(capsys):
-    assert main(["calibrate", "--config", "/nonexistent/cfg.json"]) == 1
-    assert "not found" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"grid": 5},
-        {"ensemble": None},
-        {"horizon": "abc"},
-        {"thresholds": {"round_to_decimal": "false"}},
-        {"horizon": 500.9},
-        {"grid": {"seeds": [1.7]}},
-        {"policy": {"alpha_max": float("nan")}},
-        {"ensemble": {"clip_c": float("inf")}},
-        {"policy": {"alpha_max": 10**400}},
-    ],
-)
-def test_calibrate_wrongly_typed_config_is_an_input_error(tmp_path, capsys, doc):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert main(["calibrate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: config file {path}: ")
-
-
-@pytest.mark.parametrize("doc", [{"grid": dict(TINY["grid"], seeds=[-1, 0])}, {"calibration_seed": -1}])
-def test_calibrate_refuses_negative_seeds(tmp_path, capsys, doc):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(TINY, output_dir=str(tmp_path), **doc)))
-    assert main(["calibrate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: config file {path}: seeds must be nonnegative")
-    assert not (tmp_path / "calibration.json").exists()
-
-
-# Configs that parse, but that used to fail only later: with a traceback in
-# training or in the adapting loop, by writing a snapshot that sweep then
-# refuses, or with a refusal after the ensemble had trained.
-LATE_FAILING_CONFIGS = [
-    {"ensemble": {"batch_size": 0}},
-    {"ensemble": {"hidden_width": 0}},
-    {"ensemble": {"epochs": -1}},
-    {"ensemble": {"learning_rate": -0.5}},
-    {"ensemble": {"clip_c": 0}},
-    {"ensemble": {"c_tau": -1}},
-    {"adaptive": {"every": 0}},
-    {"adaptive": {"window": -1}},
-    {"adaptive": {"epochs": -1}},
-    {"grid": {"delay_levels": [-1]}},
-    {"grid": {"seeds": []}},
-    {"grid": {"po_levels": [1.5]}},
-    {"onset_t": -5},
-    {"thresholds": {"tau_low": 0.5, "tau_high": 0.2}},
-    {"grid": {"po_levels": [0.0, 0.5, 0.5]}},
-    {"grid": {"delay_levels": [0, 1, 1]}},
-    {"grid": {"shift_levels": [None, None]}},
-    {"grid": {"seeds": [0, 0]}},
-    {"grid": {"po_levels": [0.0, -0.0, 0.5]}},
-]
-
-
-@pytest.mark.parametrize("change", LATE_FAILING_CONFIGS)
-def test_configs_that_would_fail_later_are_refused_at_load(tmp_path, capsys, change):
-    doc = dict(TINY, output_dir=str(tmp_path))
-    for section, value in change.items():
-        doc[section] = {**doc.get(section, {}), **value} if isinstance(value, dict) else value
-    with pytest.raises(InputError):
-        config_from_dict(doc)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert main(["calibrate", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not (tmp_path / "calibration.json").exists()
 
 
 def test_calibrate_exit_code_two_without_stressors(tmp_path, capsys):
@@ -243,63 +163,6 @@ def test_trace_mse_is_the_ensemble_error_of_the_executed_row(workspace, capsys):
     capsys.readouterr()
 
 
-def test_run_and_sweep_refuse_a_foreign_snapshot(workspace, tmp_path, monkeypatch, capsys):
-    other = dict(TINY, horizon=50, output_dir=str(tmp_path))
-    other_cfg = tmp_path / "other.json"
-    other_cfg.write_text(json.dumps(other))
-    foreign = str(tmp_path / "foreign.json")
-    assert main(["calibrate", "--config", str(other_cfg), "--out", foreign]) == 0
-    wrong_env = str(tmp_path / "wrong_env.json")
-    replace(CalibrationSnapshot.load(workspace["snapshot"], workspace["cfg"]), env_id="DriftBot").save(wrong_env)
-    refusals = [
-        (foreign, "was calibrated for"),
-        (wrong_env, "was calibrated for"),
-        # TINY overrides the thresholds with 0.2 and 0.5
-        (
-            _edited_snapshot(workspace, tmp_path / "thresholds.json", _other_thresholds),
-            "holds thresholds 0.25, 0.6, not this config's overrides 0.2, 0.5",
-        ),
-    ]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cell was simulated under a refused snapshot")
-
-    monkeypatch.setattr("compound_uq.cli.run_condition", refuse)
-    monkeypatch.setattr(rollout, "run_cells", refuse)
-    capsys.readouterr()
-    for snap, message in refusals:
-        run = ["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]
-        assert main(run) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: snapshot {snap} ") and message in err and len(err.splitlines()) == 1
-        sweep = ["sweep", "--config", workspace["config"], "--snapshot", snap, "--out-dir", str(tmp_path / "s")]
-        assert main(sweep) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: snapshot {snap} ") and message in err and len(err.splitlines()) == 1
-    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "s").exists()
-
-
-@pytest.mark.parametrize(
-    "section, key, unknown",
-    [
-        ("ensemble", "seed", "in ensemble: ['seed']"),  # the key format 2 wrote, in a format-3 document
-        (None, "tau_hihg", "in root: ['tau_hihg']"),
-        ("ensemble", "x_stdev", "in ensemble: ['x_stdev']"),
-    ],
-)
-def test_a_snapshot_with_an_unknown_key_is_refused(workspace, tmp_path, capsys, section, key, unknown):
-    def add_key(doc):
-        (doc[section] if section else doc)[key] = 7
-
-    snap = _edited_snapshot(workspace, tmp_path / "extra_key.json", add_key)
-    with pytest.raises(InputError, match=f"^snapshot file {re.escape(snap)}: unknown snapshot keys {re.escape(unknown)}$"):
-        CalibrationSnapshot.load(snap, workspace["cfg"])
-    capsys.readouterr()
-    assert main(["run", "--config", workspace["config"], "--snapshot", snap, "--out", str(tmp_path / "t.jsonl")]) == 1
-    assert capsys.readouterr().err == f"error: snapshot file {snap}: unknown snapshot keys {unknown}\n"
-    assert not (tmp_path / "t.jsonl").exists()
-
-
 def test_a_run_reads_clip_c_c_tau_and_learning_rate_from_its_config(workspace):
     # The snapshot holds none of the three, so a run can only take them from
     # the config it is given. Each config runs with a snapshot calibrated for it.
@@ -364,14 +227,6 @@ def test_bad_numbers_are_refused_before_any_work(workspace, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
     assert not (tmp_path / "r.json").exists()
-
-
-def test_run_missing_snapshot(workspace, capsys):
-    rc = main(
-        ["run", "--config", workspace["config"], "--snapshot", str(workspace["root"] / "nope.json")]
-    )
-    assert rc == 1
-    assert "not found" in capsys.readouterr().err
 
 
 def test_sweep_writes_reports(workspace, capsys):
@@ -489,25 +344,28 @@ def test_out_paths_into_a_missing_directory(workspace, tmp_path, capsys):
     assert raw.count(b"\r\n") == 21 and raw.count(b"\n") == 21
 
 
-def test_an_output_path_that_cannot_be_written_is_an_input_error(workspace, tmp_path, capsys):
+def test_an_output_path_that_cannot_be_written_is_an_input_error(workspace, tmp_path, monkeypatch, capsys):
     regular, directory = tmp_path / "F", tmp_path / "D"
     regular.write_text("")
     directory.mkdir()
     cfg = ["--config", workspace["config"]]
     trace_dir = str(tmp_path / "sweep")
     assert main(["sweep", *cfg, "--out-dir", trace_dir]) == 0
+    monkeypatch.setattr(rollout, "_workers", lambda: 1)  # so that the recorder sees every batch
+    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
     commands = [
-        (["sweep", *cfg, "--out-dir", str(regular)], regular),  # fails at its first trace, once every seed's cells ran
-        (["calibrate", *cfg, "--out", str(regular / "snap.json")], regular / "snap.json"),
-        (["run", *cfg, "--out", str(directory)], directory),
-        (["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(directory)], directory),
-        (["analyze", *cfg, "--trace-dir", trace_dir, "--out", str(directory)], directory),
+        (["sweep", *cfg, "--out-dir", str(regular)], f"{regular}: Not a directory"),  # refused before any cell runs
+        (["calibrate", *cfg, "--out", str(regular / "snap.json")], f"{regular / 'snap.json'}: Not a directory"),
+        (["run", *cfg, "--out", str(directory)], f"{directory}: Is a directory"),
+        (["oracle-check", "--n-samples", "20", "--grid-points", "11", "--out", str(directory)], f"{directory}: Is a directory"),
+        (["analyze", *cfg, "--trace-dir", trace_dir, "--out", str(directory)], f"{directory}: Is a directory"),
     ]
-    for argv, path in commands:
+    for argv, says in commands:
         capsys.readouterr()
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1 and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: cannot write {says}\n"
+        if argv[0] == "sweep":
+            assert batches == []
     assert list(tmp_path.rglob("*.tmp")) == [] and list(directory.iterdir()) == []
 
 
@@ -570,47 +428,6 @@ def test_a_resumed_sweep_hashes_its_config_once(workspace, tmp_path, monkeypatch
     monkeypatch.setattr(rollout, "run_cells", refuse)
     outcome = rollout.run_sweep(cfg, snapshot, out_dir=out_dir)
     assert len(outcome.cell_summaries) == 4 and len(calls) == 1
-
-
-def _with_long_int(doc: str, key: str) -> str:
-    """``doc`` with the first value of ``"key": <int>`` made 5,000 digits long."""
-    head, sep, tail = doc.partition(f'"{key}": ')
-    assert sep, key
-    return head + sep + LONG_INT + tail.lstrip("0123456789")
-
-
-def _refused_with_one_error_line(workspace, tmp_path, capsys, config_text: str, snapshot_text: str, reason: str) -> None:
-    """Write ``config_text`` as a config and ``snapshot_text`` as a snapshot. Loading either raises an
-    ``InputError`` that names the file and says it is not valid JSON for ``reason``, and ``calibrate``
-    and ``run`` on them exit 1 with one ``error:`` line that says so. The trace cases are rows of
-    ``test_readback.TRACE_EDITS``."""
-    config, snapshot = tmp_path / "config.json", tmp_path / "snapshot.json"
-    config.write_text(config_text)
-    snapshot.write_text(snapshot_text)
-    loaders = [("config", config, load_config), ("snapshot", snapshot, lambda path: CalibrationSnapshot.load(path, workspace["cfg"]))]
-    for what, path, load in loaders:
-        with pytest.raises(InputError, match=f"^{what} file {re.escape(str(path))} is not valid JSON: {reason}"):
-            load(str(path))
-    commands = [
-        ["calibrate", "--config", str(config)],
-        ["run", "--config", workspace["config"], "--snapshot", str(snapshot)],
-    ]
-    capsys.readouterr()
-    for argv in commands:
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
-        assert f"is not valid JSON: {reason}" in err
-
-
-def test_an_over_long_integer_is_an_input_error(workspace, tmp_path, capsys):
-    config = _with_long_int(json.dumps(TINY), "horizon")
-    snapshot = _with_long_int(open(workspace["snapshot"]).read(), "m_members")
-    _refused_with_one_error_line(workspace, tmp_path, capsys, config, snapshot, "Exceeds the limit")
-
-
-def test_json_nested_too_deep_is_an_input_error(workspace, tmp_path, capsys):
-    _refused_with_one_error_line(workspace, tmp_path, capsys, DEEP, DEEP, "maximum recursion depth exceeded")
 
 
 def test_a_trace_filed_under_another_cell(workspace, tmp_path, capsys):
