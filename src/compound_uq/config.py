@@ -21,7 +21,7 @@ from .ensemble import TrainSettings
 from .envs import env_class
 from .errors import InputError
 from .kappa import C_TAU, CLIP_C, Thresholds
-from .parsing import parse_fields, parse_key, refuse_unknown
+from .parsing import parse_fields, parse_key, parse_object, refuse_unknown
 from .perturb import (
     DEFAULT_DELAY_LEVELS,
     DEFAULT_PO_LEVELS,
@@ -117,15 +117,13 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _merge(doc, schema: dict, where: str) -> dict:
-    """``schema`` with ``doc``'s values laid over it, section by section."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{where} must be a JSON object")
-    refuse_unknown(doc, schema, "config", where)
+def _merge(doc, schema: dict, prefix: str = "") -> dict:
+    """``schema`` with ``doc``'s values laid over it, section by section; ``prefix`` is a section's key and a dot."""
+    refuse_unknown(parse_object(doc, "config", prefix), schema, "config", prefix[:-1] or "config root")
     merged = {}
     for key, default in schema.items():
         value = doc.get(key, default)
-        merged[key] = _merge(value, default, key) if isinstance(default, dict) else value
+        merged[key] = _merge(value, default, f"{key}.") if isinstance(default, dict) else value
     return merged
 
 
@@ -159,7 +157,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     dataclass annotation through the shared parser in ``parsing``, whose
     docstring gives the values each type takes.
     """
-    cfg = _build(_merge(raw, ExperimentConfig().to_dict(), "config root"))
+    cfg = _build(_merge(raw, ExperimentConfig().to_dict()))
     _validate_config(cfg)
     return cfg
 

@@ -38,17 +38,11 @@ import numpy as np
 
 from .errors import InputError, LifecycleError
 
-# Type aliases used across modules; observations and actions are plain
-# float64 vectors.
-ObservationVec = np.ndarray
-ActionVec = np.ndarray
-DynamicsParams = dict[str, float]
-
 DT = 0.05
 HORIZON = 1000
 
 
-def _validate_action(action: ActionVec, dim: int) -> np.ndarray:
+def _validate_action(action: np.ndarray, dim: int) -> np.ndarray:
     arr = np.asarray(action, dtype=float).ravel()
     if arr.shape != (dim,):
         raise InputError(f"action must have shape ({dim},), got {arr.shape}")
@@ -74,10 +68,10 @@ class _BaseEnv:
         self.reset()
 
     @classmethod
-    def default_params(cls) -> DynamicsParams:
+    def default_params(cls) -> dict[str, float]:
         raise NotImplementedError
 
-    def reset(self) -> ObservationVec:
+    def reset(self) -> np.ndarray:
         """Restart the episode: step counter, noise stream, initial state."""
         self.t = 0
         self.terminal = False
@@ -105,12 +99,12 @@ class _BaseEnv:
         self.check_param(name, value)
         self._params[name] = value
 
-    def _pre_step(self, action: ActionVec) -> np.ndarray:
+    def _pre_step(self, action: np.ndarray) -> np.ndarray:
         if self.terminal:
             raise LifecycleError("step() called after the episode terminated")
         return _validate_action(action, self.ACTION_DIM)
 
-    def _post_step(self, reward: float) -> tuple[ObservationVec, float]:
+    def _post_step(self, reward: float) -> tuple[np.ndarray, float]:
         """Advance ``t``, and return the next observation and the reward."""
         self.t += 1
         if self.t >= self.horizon:
@@ -163,7 +157,7 @@ class DriftBot(_BaseEnv):
     CONTROL_COST = 0.001
 
     @classmethod
-    def default_params(cls) -> DynamicsParams:
+    def default_params(cls) -> dict[str, float]:
         return {"gain_left": 1.0, "gain_right": 1.0, "noise_scale": 0.02}
 
     def _init_state(self) -> None:
@@ -173,7 +167,7 @@ class DriftBot(_BaseEnv):
         self.speed = 0.0
         self.turn_rate = 0.0
 
-    def observe(self) -> ObservationVec:
+    def observe(self) -> np.ndarray:
         gx, gy = self.GOAL
         return np.array(
             [
@@ -205,7 +199,7 @@ class DriftBot(_BaseEnv):
         over = np.maximum(0.0, np.abs(obs[..., :2]) - inner) / cls.RISK_ZONE
         return over[..., 0] + over[..., 1]
 
-    def step(self, action: ActionVec) -> tuple[ObservationVec, float]:
+    def step(self, action: np.ndarray) -> tuple[np.ndarray, float]:
         act = self._pre_step(action)
         dist_before = self._distance_to_goal()
 
@@ -260,7 +254,7 @@ class MassSpring1D(_BaseEnv):
     FORCE_NOISE_STD = 0.01
 
     @classmethod
-    def default_params(cls) -> DynamicsParams:
+    def default_params(cls) -> dict[str, float]:
         return {"mass": 1.0, "stiffness": 1.0}
 
     def _init_state(self) -> None:
@@ -268,14 +262,14 @@ class MassSpring1D(_BaseEnv):
         self.x = sign * self.rng.uniform(0.5, 1.5)
         self.v = 0.0
 
-    def observe(self) -> ObservationVec:
+    def observe(self) -> np.ndarray:
         return np.array([self.x, self.v], dtype=float)
 
     @classmethod
     def risk_from_obs(cls, obs: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.abs(obs[..., 0]) - cls.X_LIMIT)
 
-    def step(self, action: ActionVec) -> tuple[ObservationVec, float]:
+    def step(self, action: np.ndarray) -> tuple[np.ndarray, float]:
         act = self._pre_step(action)
 
         noise = self.rng.normal() * self.FORCE_NOISE_STD

@@ -69,11 +69,19 @@ PARSERS = {
 }
 
 
+def parse_object(doc, document: str, prefix: str = "") -> dict:
+    """``doc`` if it is a JSON object. A section (``prefix`` is its dotted key and a dot) is refused
+    as a value of the wrong type is; the document itself (no ``prefix``) as not a JSON object."""
+    if prefix:
+        return PARSERS["dict"](doc, f"{document} value {prefix[:-1]}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{document} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def parse_key(doc, key: str, annotation: str, document: str, prefix: str = ""):
     """``doc[key]`` parsed by ``annotation``'s parser; ``document`` and ``prefix`` say where ``doc`` sits."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{document} {prefix}".rstrip(". ") + f" must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
+    if key not in parse_object(doc, document, prefix):
         raise InputError(f"{document} is missing key {prefix + key!r}")
     return PARSERS[annotation](doc[key], f"{document} value {prefix}{key}")
 

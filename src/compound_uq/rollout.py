@@ -69,7 +69,7 @@ from .ensemble import (
 from .envs import env_class
 from .errors import CalibrationError, InputError, InvariantViolation
 from .kappa import DEFAULT_THRESHOLDS, REGIMES, Thresholds, calibrate_thresholds, kappa, regime_code, sigma_s, sigma_theta
-from .parsing import parse_key
+from .parsing import parse_fields, parse_key
 from .perturb import (
     ConditionSpec,
     apply_mask,
@@ -728,30 +728,27 @@ def read_trace(path: str) -> tuple[dict, dict]:
     A step line is checked against the whole JSON grammar, but its floats are only measured, never
     converted. A line whose value starts at its first character and ends at its newline is checked
     by the scanner alone; any other line is refused or accepted as ``json.loads`` would."""
-    with open_input(path, "trace") as fh:
+    with open_input(path, "trace") as fh:  # which prefixes each refusal below with "trace file <path>: "
         lines = (line for line in fh if line.strip())  # one held at a time: a held list raises peak RSS
         header, last = json.loads(next(lines, "null")), None
         kinds = [_step_kind(last := line) for line in lines]  # the footer's kind comes last
         last = None if last is None else json.loads(last)
-    if last is None or [_kind(header), _kind(last)] != ["header", "footer"]:
-        raise InputError(f"trace file {path} is missing header or footer")
-    try:
+        if last is None or [_kind(header), _kind(last)] != ["header", "footer"]:
+            raise InputError("trace is missing header or footer")
         summary = {key: parse_key(last, key, annotation, "footer") for key, annotation in SUMMARY_KEYS.items()}
-        cond = ConditionSpec.from_dict(summary["condition"])
-    except InputError as e:
-        raise InputError(f"trace file {path} {e}") from None
-    summary["condition"] = cond.to_dict()
-    footer = {"kind": "footer", **summary}  # what write_trace writes for this summary
-    if json.dumps(last, sort_keys=True) != json.dumps(footer, sort_keys=True):
-        raise InputError(f"trace file {path} footer does not encode as the summary it parses to")
-    if len(kinds) - 1 != summary["n_steps"] or kinds.count("step") != summary["n_steps"]:
-        raise InputError(f"trace file {path} does not hold its footer's {summary['n_steps']} step lines")
-    named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
-    if named != given:
-        raise InputError(f"trace file {path} footer names cell {named}, but its condition and seed give {given}")
-    header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (header, summary))
-    if header_cell != footer_cell:
-        raise InputError(f"trace file {path} header names cell {header_cell}, but its footer names {footer_cell}")
+        cond = parse_fields(ConditionSpec, summary["condition"], "footer", "condition.")
+        summary["condition"] = cond.to_dict()
+        footer = {"kind": "footer", **summary}  # what write_trace writes for this summary
+        if json.dumps(last, sort_keys=True) != json.dumps(footer, sort_keys=True):
+            raise InputError("footer does not encode as the summary it parses to")
+        if len(kinds) - 1 != summary["n_steps"] or kinds.count("step") != summary["n_steps"]:
+            raise InputError(f"trace does not hold its footer's {summary['n_steps']} step lines")
+        named, given = (summary["cell_id"], summary["label"]), (cond.cell_id(summary["seed"]), cond.label)
+        if named != given:
+            raise InputError(f"footer names cell {named}, but its condition and seed give {given}")
+        header_cell, footer_cell = (json.dumps({k: d.get(k) for k in CELL_KEYS}, sort_keys=True) for d in (header, summary))
+        if header_cell != footer_cell:
+            raise InputError(f"header names cell {header_cell}, but its footer names {footer_cell}")
     return header, summary
 
 

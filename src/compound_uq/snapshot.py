@@ -121,11 +121,12 @@ class CalibrationSnapshot:
         if parse_key(d, "format_version", "int", "snapshot") != SNAPSHOT_FORMAT_VERSION:
             raise InputError(f"unsupported snapshot format_version {d['format_version']!r}; calibrate again")
         thresholds = parse_fields(Thresholds, d, "snapshot")
-        snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=Ensemble.from_dict(d.get("ensemble")))
+        ensemble = Ensemble.from_dict(parse_key(d, "ensemble", "dict", "snapshot"))
+        snapshot = parse_fields(cls, d, "snapshot", thresholds=thresholds, ensemble=ensemble)
         parse_key(d, "toolkit_version", "str", "snapshot")  # provenance only: not compared with TOOLKIT_VERSION
         written = snapshot.to_dict()
         refuse_unknown(d, written, "snapshot", "root")  # the keys to_dict writes
-        if written["weights_hash"] != d.get("weights_hash"):
+        if written["weights_hash"] != parse_key(d, "weights_hash", "str", "snapshot"):
             raise InputError("snapshot weights hash mismatch; file corrupted or edited")
         return snapshot
 

@@ -300,17 +300,13 @@ def test_probing_speeds_dynamics_identification(capsys):
         }
     )
     snap = calibrate(cfg)  # a snapshot binds one config; the acceptance snapshot's horizon differs
-    cond = ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t)
+    cells = [(ConditionSpec(shift=("gain_left", 0.5), onset_t=cfg.onset_t), seed) for seed in range(10)]
+    # one batch per policy mode: a cell's result does not depend on which cells share its batch
+    probes, tasks = (run_cells(cfg, snap, run_header(cfg, snap, mode), cells, adaptive_enabled=True) for mode in ("adaptive", "monitor"))
     wins = 0
-    for seed in range(10):
-        x_eval, y_eval = build_eval_rows(
-            "DriftBot", {"gain_left": 0.5}, seed=seed, n_rows=400, horizon=220
-        )
-        probe = run_condition(cfg, snap, cond, seed=seed, policy_mode="adaptive", adaptive_enabled=True)
-        task = run_condition(cfg, snap, cond, seed=seed, policy_mode="monitor", adaptive_enabled=True)
-        wins += (
-            probe.adaptive_ensemble.mse(x_eval, y_eval).mean() < task.adaptive_ensemble.mse(x_eval, y_eval).mean()
-        )
+    for (_, seed), probe, task in zip(cells, probes, tasks):
+        x_eval, y_eval = build_eval_rows("DriftBot", {"gain_left": 0.5}, seed=seed, n_rows=400, horizon=220)
+        wins += probe.adaptive_ensemble.mse(x_eval, y_eval).mean() < task.adaptive_ensemble.mse(x_eval, y_eval).mean()
     ok = wins >= 8
     _report(
         capsys,

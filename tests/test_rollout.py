@@ -860,52 +860,6 @@ def test_calibration_runs_its_probes_as_one_batch(monkeypatch):
     assert len(hashes) == 2  # the snapshot's hash, and the probe batch's run header
 
 
-def test_trace_header_names_the_policy_that_ran_and_resume_honours_it(ms_calibrated, tmp_path, monkeypatch):
-    cfg, snap, cond = ms_calibrated
-    cell = cond.cell_id(0)
-    path = tmp_path / f"trace_{cell}.jsonl"
-    probing = run_condition(cfg, snap, cond, 0, policy_mode="adaptive")
-    write_trace(str(path), probing)
-    header, summary = read_trace(str(path))
-    assert header["policy_mode"] == "adaptive" and summary["violations"] == 0
-
-    fresh = {s["cell_id"]: s for s in run_sweep(cfg, snap).cell_summaries}
-    assert probing.summary() != fresh[cell]  # reusing the probing trace would show
-
-    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
-    resumed = run_sweep(cfg, snap, out_dir=str(tmp_path))
-    assert cell in [c for batch in batches for c in batch]
-    header, summary = read_trace(str(path))
-    assert header["policy_mode"] == "monitor"
-    assert summary == fresh[cell]
-    assert resumed.cell_summaries == list(fresh.values())
-
-
-def test_run_sweep_resume_resimulates_incomplete_traces(cfg_ms, tmp_path, monkeypatch, one_worker):
-    # Two seeds: the first run simulates two batches of four cells, the
-    # resumed run one of one cell per seed, and the traces must not tell.
-    cfg = replace(cfg_ms, grid=replace(cfg_ms.grid, seeds=(0, 1)))
-    snap = zero_delta_snapshot(cfg)
-    out_dir = tmp_path / "runs"
-    first = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
-    run_sweep(cfg, snap, out_dir=str(out_dir))
-    assert [len(batch) for batch in first] == [4, 4]
-    traces = sorted(p for p in out_dir.iterdir() if p.name.startswith("trace_"))
-    before = {p.name: p.read_bytes() for p in traces}
-    truncated = next(p for p in traces if p.name.endswith("_seed0.jsonl"))
-    missing = next(p for p in traces if p.name.endswith("_seed1.jsonl"))
-    lines = truncated.read_text().splitlines()
-    truncated.write_text("\n".join(lines[:-1]) + "\n")  # drop the footer
-    missing.unlink()
-
-    batches = record_calls(monkeypatch, rollout, "run_cells", batch_cell_ids)
-    run_sweep(cfg, snap, out_dir=str(out_dir))
-    # Complete traces are reused; the footer-less and the missing one are
-    # simulated again, each in its own seed's batch, and come back byte for byte.
-    assert [[f"trace_{c}.jsonl" for c in batch] for batch in batches] == [[truncated.name], [missing.name]]
-    assert {p.name: p.read_bytes() for p in traces} == before
-
-
 def test_a_sweep_maps_one_unit_per_seed_and_a_reused_seed_simulates_nothing(cfg_ms, tmp_path, monkeypatch, one_worker):
     # A fresh, a fully resumed and a partly resumed sweep each make one _map call of one
     # unit per seed; a unit whose every trace is reused runs no batch.
@@ -1056,18 +1010,3 @@ def test_run_sweep_in_memory(cfg_ms, snap_ms, tmp_path, monkeypatch):
         with pytest.raises(InputError, match="^unknown policy_mode: 'bogus'$"):
             run_sweep(cfg_ms, snap_ms, out_dir=out_dir, policy_mode="bogus")
     assert not (tmp_path / "runs").exists()
-
-
-def test_run_sweep_resume_reuses_every_trace(cfg_ms, snap_ms, tmp_path):
-    out_dir = str(tmp_path / "runs")
-    first = run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
-    trace_files = sorted(p for p in (tmp_path / "runs").iterdir() if p.name.startswith("trace_"))
-    assert len(trace_files) == 4
-    before = {p.name: p.read_bytes() for p in trace_files}
-    summary_before = (tmp_path / "runs" / "sweep_summary.json").read_bytes()
-
-    second = run_sweep(cfg_ms, snap_ms, out_dir=out_dir)
-    assert second.cell_summaries == first.cell_summaries
-    for p in trace_files:
-        assert p.read_bytes() == before[p.name]
-    assert (tmp_path / "runs" / "sweep_summary.json").read_bytes() == summary_before
